@@ -14,7 +14,7 @@ from mixedtraffic.ltv import interior_sensor_dead_columns, observability_matrix
 
 sc = mt.default_scenario()
 truth = mt.simulate_truth(sc)
-systems = build_systems(sc, truth)
+systems = build_systems(sc, truth)  # one banded realization, every step stacked
 n = sc.geometry.n_segments
 
 windows = mt.harness.observability_trace(sc, truth=truth, stride=60)

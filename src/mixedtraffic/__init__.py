@@ -36,13 +36,10 @@ from .kalman import (
     reconstruct_totals,
 )
 from .ltv import (
-    LtvSystem,
-    ObservabilityReport,
+    BandedLtv,
     anti_diagonal,
-    build_g,
     build_system_measured,
     build_system_unmeasured_offramps,
-    check_observability,
     interior_sensor_dead_columns,
     observability_matrix,
     selector_output,
@@ -62,17 +59,16 @@ from .scenario import Scenario, ScenarioError, default_scenario, load_scenario
 __version__ = "0.1.0"
 
 __all__ = [
+    "BandedLtv",
     "BoundaryInputs",
     "EPS_DENSITY",
     "EstimateRun",
     "FilterState",
     "HighwayGeometry",
     "KalmanConfig",
-    "LtvSystem",
     "MeasurementFrame",
     "MetanetParams",
     "NoiseSpec",
-    "ObservabilityReport",
     "PiecewiseLinear",
     "RampLayout",
     "RunResult",
@@ -83,10 +79,8 @@ __all__ = [
     "TruthRun",
     "TruthSimulator",
     "anti_diagonal",
-    "build_g",
     "build_system_measured",
     "build_system_unmeasured_offramps",
-    "check_observability",
     "default_scenario",
     "filter_step",
     "flows_from_state",

@@ -3,12 +3,14 @@
 Verbs: ``simulate`` (ground truth only), ``estimate`` (full pipeline),
 ``sweep`` (process-covariance sweep), ``observability`` (anti-diagonal
 report over a run).  Outputs are CSV files in the chosen directory; scenario
-validation failures exit nonzero with a JSON error object on stderr.
+validation failures, and a run too short for one observability window, exit
+2 with a JSON error object on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,6 +28,13 @@ from .harness import (
 from .scenario import Scenario, ScenarioError, default_scenario, load_scenario
 
 DEFAULT_SIGMAS = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Q = sigma * I scales to evaluate")
     obs = sub.add_parser("observability", parents=[common],
                          help="report observability anti-diagonals over a run")
-    obs.add_argument("--stride", type=int, default=1,
+    obs.add_argument("--stride", type=_positive_int, default=1,
                      help="step between window starts")
     return parser
 
@@ -65,9 +74,15 @@ def _load(args: argparse.Namespace) -> Scenario:
     if args.seed is not None:
         sc = sc.with_seed(args.seed)
     if args.offramp_mode is not None:
-        import dataclasses
         sc = dataclasses.replace(sc, offramp_mode=args.offramp_mode)
     return sc
+
+
+def _refuse(error: dict) -> int:
+    """Write the error as a JSON object on stderr; returns the exit code 2."""
+    json.dump(error, sys.stderr, indent=2)
+    sys.stderr.write("\n")
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,14 +90,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sc = _load(args)
     except ScenarioError as exc:
-        json.dump({"error": "invalid_scenario", "failures": exc.failures},
-                  sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return 2
+        return _refuse({"error": "invalid_scenario", "failures": exc.failures})
     except OSError as exc:
-        json.dump({"error": "io", "message": str(exc)}, sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return 2
+        return _refuse({"error": "io", "message": str(exc)})
 
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -105,7 +115,10 @@ def main(argv: list[str] | None = None) -> int:
         for point in points:
             print(f"sigma = {point.sigma:g}: P_R = {100 * point.p_r:.3f}%")
     elif args.command == "observability":
-        windows = observability_trace(sc, stride=args.stride)
+        try:
+            windows = observability_trace(sc, stride=args.stride)
+        except ValueError as exc:
+            return _refuse({"error": "no_observability_window", "message": str(exc)})
         write_observability(out / "observability.csv", windows)
         n_bad = sum(not w.observable for w in windows)
         worst = min(w.min_anti_diag for w in windows)

@@ -1,7 +1,7 @@
 """Experiment runner: simulate, estimate, score, sweep, and write CSV.
 
-The estimation loop pairs each step's measurement frame with the system
-built from that same frame: frame k yields A(k), B(k), u(k), and z(k).
+The estimation loop pairs each step's measurement frame with the realization
+step built from that same frame: frame k yields A(k), B(k) u(k), and z(k).
 Ground truth never depends on filter tuning, so sweeps materialize one
 truth trajectory and reuse it for every tuning point.
 """
@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .kalman import FilterState, KalmanConfig, filter_step, output_measurement, reconstruct_totals
-from .ltv import LtvSystem, build_system_measured, build_system_unmeasured_offramps, check_observability
+from .ltv import (OBSERVABILITY_TOL, BandedLtv, build_system_measured,
+                  build_system_unmeasured_offramps, window_anti_diagonals)
 from .metanet import TruthRun, TruthSimulator
 from .scenario import Scenario
 
@@ -30,7 +31,6 @@ class EstimateRun:
     rho_hat: np.ndarray        # (M+1, N) reconstructed total densities
     q_hat: np.ndarray          # (M+1, N) reconstructed total flows
     innovation: np.ndarray     # (M,) scalar innovations
-    gain_norm: np.ndarray      # (M,) Euclidean norms of the gain
     min_p_eigenvalue: float    # most negative covariance eigenvalue seen
     g_clamp_count: int
     z_fallback_count: int
@@ -54,17 +54,17 @@ def simulate_truth(sc: Scenario) -> TruthRun:
     return sim.run(sc.n_steps)
 
 
-def build_systems(sc: Scenario, truth: TruthRun) -> list[LtvSystem]:
-    """One realization per transition, from the estimator-visible frames."""
+def build_systems(sc: Scenario, truth: TruthRun) -> BandedLtv:
+    """The realization of every transition, from the estimator-visible frames."""
     frames = truth.frames[:truth.n_steps]
     if sc.offramp_mode == "unmeasured":
         beta_a = sc.layout.exit_rate_vector(sc.geometry.n_segments, connected=True)
-        return [build_system_unmeasured_offramps(f, sc.geometry, beta_a) for f in frames]
-    return [build_system_measured(f, sc.geometry) for f in frames]
+        return build_system_unmeasured_offramps(frames, sc.geometry, beta_a)
+    return build_system_measured(frames, sc.geometry)
 
 
 def run_filter(sc: Scenario, truth: TruthRun,
-               systems: Sequence[LtvSystem] | None = None,
+               systems: BandedLtv | None = None,
                config: KalmanConfig | None = None) -> EstimateRun:
     """Run the filter along a truth trajectory and reconstruct totals."""
     if systems is None:
@@ -72,37 +72,29 @@ def run_filter(sc: Scenario, truth: TruthRun,
     if config is None:
         config = sc.filter_config()
     m = truth.n_steps
-    n = sc.geometry.n_segments
     fs = FilterState.initial(config)
 
-    x_hat = np.empty((m + 1, n))
-    rho_hat = np.empty((m + 1, n))
-    q_hat = np.empty((m + 1, n))
+    x_hat = np.empty((m + 1, sc.geometry.n_segments))
     innovation = np.empty(m)
-    gain_norm = np.empty(m)
     x_hat[0] = fs.x_hat
-    rho_hat[0], q_hat[0] = reconstruct_totals(fs.x_hat, truth.frames[0])
 
     min_eig = float(np.min(np.linalg.eigvalsh(fs.p_cov)))
-    g_clamps = 0
     fallbacks = 0
     last_z: float | None = None
     for k in range(m):
-        sys_k = systems[k]
-        g_clamps += sys_k.n_clamped
         z, used_fallback = output_measurement(truth.frames[k], last_z)
         fallbacks += used_fallback
         last_z = z
-        innovation[k] = z - sys_k.c_vec @ fs.x_hat
-        fs = filter_step(fs, sys_k, z, config)
-        gain_norm[k] = float(np.linalg.norm(fs.k_gain))
+        fs = filter_step(fs, systems, k, z, config)
+        innovation[k] = fs.innovation
         min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(fs.p_cov))))
         x_hat[k + 1] = fs.x_hat
-        rho_hat[k + 1], q_hat[k + 1] = reconstruct_totals(fs.x_hat, truth.frames[k + 1])
 
+    rho_hat, q_hat = reconstruct_totals(x_hat, truth.rho_a_matrix(),
+                                        np.stack([s.q_a for s in truth.states]))
     return EstimateRun(x_hat=x_hat, rho_hat=rho_hat, q_hat=q_hat,
-                       innovation=innovation, gain_norm=gain_norm,
-                       min_p_eigenvalue=min_eig, g_clamp_count=g_clamps,
+                       innovation=innovation, min_p_eigenvalue=min_eig,
+                       g_clamp_count=systems.n_clamped,
                        z_fallback_count=fallbacks)
 
 
@@ -156,8 +148,8 @@ class SweepPoint:
 def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
     """Rerun the filter with Q = sigma*I per point; R stays at the scenario value.
 
-    The truth trajectory and the per-step systems are generated once and
-    shared, so every point scores against identical data.
+    The truth trajectory and the realization are generated once and shared,
+    so every point scores against identical data.
     """
     if any(s <= 0 for s in sigmas):
         raise ValueError("sigma values must be > 0")
@@ -186,19 +178,15 @@ class ObservabilityWindow:
 
 def observability_trace(sc: Scenario, truth: TruthRun | None = None,
                         stride: int = 1) -> list[ObservabilityWindow]:
-    """Sliding-window observability report over a run."""
+    """Sliding-window observability report over a run; raises ValueError when
+    ``stride`` < 1 or the run is shorter than one window of N-1 steps."""
     if truth is None:
         truth = simulate_truth(sc)
-    systems = build_systems(sc, truth)
-    window = sc.geometry.n_segments - 1
-    out = []
-    for k0 in range(0, len(systems) - window + 1, stride):
-        report = check_observability(systems[k0:k0 + window])
-        mags = np.abs(report.anti_diag)
-        out.append(ObservabilityWindow(start_step=k0, observable=report.observable,
-                                       min_anti_diag=float(np.min(mags)),
-                                       max_anti_diag=float(np.max(mags))))
-    return out
+    mags = np.abs(window_anti_diagonals(build_systems(sc, truth), stride))
+    lows, highs = mags.min(axis=1), mags.max(axis=1)
+    return [ObservabilityWindow(start_step=w * stride, observable=bool(lo > OBSERVABILITY_TOL),
+                                min_anti_diag=float(lo), max_anti_diag=float(hi))
+            for w, (lo, hi) in enumerate(zip(lows, highs))]
 
 
 # --- CSV output -----------------------------------------------------------

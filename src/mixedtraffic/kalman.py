@@ -6,6 +6,9 @@ One-step predictor form, with the gain applied through the state matrix:
     x^(k+1) = A(k) x^(k) + B(k) u(k) + A(k) K(k) (z(k) - C x^(k))
     P(k+1) = A(k) (I - K(k) C) P(k) A(k)' + Q
 
+A(k) and B(k) u(k) come from the banded realization of ``ltv``, so A P A'
+costs two shifted row operations; C selects the exit: C x = x[-1], P C' = P[:, -1].
+
 P is re-symmetrized each step; the update above is not in Joseph form and
 drifts over long runs otherwise.  Estimates are deliberately not clamped to
 the physical range (ratio >= 1): clamping would hide filter misbehavior.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EPS_DENSITY
-from .ltv import LtvSystem
+from .ltv import BandedLtv
 from .metanet import MeasurementFrame
 
 
@@ -62,11 +65,12 @@ class KalmanConfig:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Estimate, covariance, and the gain used in the most recent step."""
+    """Estimate, covariance, and the gain and innovation of the latest step."""
 
     x_hat: np.ndarray
     p_cov: np.ndarray
     k_gain: np.ndarray
+    innovation: float = float("nan")
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.x_hat)):
@@ -78,22 +82,20 @@ class FilterState:
                    k_gain=np.zeros(config.x0.shape[0]))
 
 
-def filter_step(fs: FilterState, sys: LtvSystem, z: float,
+def filter_step(fs: FilterState, sys: BandedLtv, k: int, z: float,
                 config: KalmanConfig) -> FilterState:
-    """One filter step against the scalar output measurement z at the same k."""
+    """One filter step through step k of ``sys`` against the exit measurement z."""
     p = fs.p_cov
-    c = sys.c_vec
-    pc = p @ c
-    gain = pc / (c @ pc + config.r_cov)
-    innovation = z - c @ fs.x_hat
-    x_next = sys.a_mat @ fs.x_hat + sys.b_mat @ sys.u_vec \
-        + (sys.a_mat @ gain) * innovation
-    p_post = p - np.outer(gain, pc)          # (I - K C) P with C = c as a row
-    p_next = sys.a_mat @ p_post @ sys.a_mat.T + config.q_cov
+    pc = p[:, -1]
+    gain = pc / (pc[-1] + config.r_cov)
+    innovation = z - fs.x_hat[-1]
+    x_next = sys.propagate(k, fs.x_hat) + sys.apply_a(k, gain) * innovation
+    p_post = p - np.outer(gain, pc)          # (I - K C) P
+    p_next = sys.apply_a(k, sys.apply_a(k, p_post).T).T + config.q_cov
     p_next = 0.5 * (p_next + p_next.T)
     if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(p_next))):
         raise FloatingPointError("non-finite filter state")
-    return FilterState(x_hat=x_next, p_cov=p_next, k_gain=gain)
+    return FilterState(x_hat=x_next, p_cov=p_next, k_gain=gain, innovation=innovation)
 
 
 def output_measurement(frame: MeasurementFrame, last_z: float | None = None,
@@ -112,7 +114,8 @@ def output_measurement(frame: MeasurementFrame, last_z: float | None = None,
     return frame.qN_meas / q_a_exit, False
 
 
-def reconstruct_totals(x_hat: np.ndarray, frame: MeasurementFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Totals from the estimate: rho_hat = rho_a * x_hat, q_hat = q_a * x_hat."""
+def reconstruct_totals(x_hat: np.ndarray, rho_a: np.ndarray,
+                       q_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Totals rho_hat = rho_a * x_hat, q_hat = q_a * x_hat, per step or per run."""
     x_hat = np.asarray(x_hat, dtype=float)
-    return frame.rho_a_seg * x_hat, frame.q_a_seg * x_hat
+    return rho_a * x_hat, q_a * x_hat

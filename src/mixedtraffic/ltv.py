@@ -4,11 +4,14 @@ The state is the per-segment ratio of total to connected density.  Its
 one-step dynamics are linear in the state once the connected-vehicle
 aggregates are treated as known time-varying coefficients:
 
-    x(k+1) = A(k) x(k) + B(k) u(k),      y(k) = C x(k),
+    x(k+1) = A(k) x(k) + B(k) u(k),      y(k) = x_N(k),
 
-with A lower bidiagonal and C selecting the last segment.  Two builders are
-provided: one consuming measured total ramp outflows, one substituting
-exit-rate fractions for unmeasured off-ramp flows.
+with A lower bidiagonal and the output reading the exit segment.  A run's
+realization is one ``BandedLtv``: the diagonal and sub-diagonal of every
+A(k) and the inputs of every B(k) u(k), stacked over the steps and built in
+one vectorised pass over the frames.  Two builders are provided: one
+consuming measured total ramp outflows, one substituting exit-rate
+fractions for unmeasured off-ramp flows.
 """
 
 from __future__ import annotations
@@ -25,42 +28,61 @@ from .metanet import MeasurementFrame
 # nonpositive on a near-empty segment, where the ratio dynamics degenerate.
 EPS_G = 1e-6
 
+# A window is observable when every anti-diagonal magnitude exceeds this.
+OBSERVABILITY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
-class LtvSystem:
-    """One step's realization: x(k+1) = a_mat x(k) + b_mat u_vec, y = c_vec x.
+class BandedLtv:
+    """Coefficients of M consecutive steps; row k belongs to step k.
 
-    ``g_vec`` holds the (clamped) denominators; ``n_clamped`` counts entries
-    that hit the floor, for run diagnostics.
+    A(k) has ``diag[k]`` on its diagonal and ``sub[k]`` below it, so
+    ``sub[k, i]`` is A(k)[i+1, i].  B(k) u(k) is ``gain[k] * u[k, 1:]`` with
+    ``gain[k, 0] * u[k, 0]`` (the entry flow) added to the first segment.
+    ``g`` holds the clamped denominators, ``gain`` is T/(Delta_i g_i).
     """
 
-    a_mat: np.ndarray
-    b_mat: np.ndarray
-    u_vec: np.ndarray
-    c_vec: np.ndarray
-    g_vec: np.ndarray
-    n_clamped: int = 0
+    diag: np.ndarray    # (M, N)
+    sub: np.ndarray     # (M, N-1)
+    gain: np.ndarray    # (M, N)
+    u: np.ndarray       # (M, N+1)
+    g: np.ndarray       # (M, N)
 
     def __post_init__(self):
-        n = self.a_mat.shape[0]
-        if self.a_mat.shape != (n, n) or self.b_mat.shape != (n, n + 1):
-            raise ValueError("a_mat must be NxN and b_mat Nx(N+1)")
-        if self.u_vec.shape != (n + 1,) or self.c_vec.shape != (n,) or self.g_vec.shape != (n,):
-            raise ValueError("u_vec, c_vec, g_vec sizes inconsistent with a_mat")
+        m, n = np.shape(self.diag)
+        for name, width in (("sub", n - 1), ("gain", n), ("u", n + 1), ("g", n)):
+            if np.shape(getattr(self, name)) != (m, width):
+                raise ValueError(f"{name} must have shape {(m, width)}")
 
     @property
     def n(self) -> int:
-        return self.a_mat.shape[0]
+        return self.diag.shape[1]
 
-    def propagate(self, x: np.ndarray) -> np.ndarray:
-        return self.a_mat @ x + self.b_mat @ self.u_vec
+    def __len__(self) -> int:
+        return self.diag.shape[0]
 
+    def __getitem__(self, steps: slice) -> "BandedLtv":
+        """The realization restricted to a slice of steps."""
+        return BandedLtv(diag=self.diag[steps], sub=self.sub[steps], gain=self.gain[steps],
+                         u=self.u[steps], g=self.g[steps])
 
-def last_segment_output(n: int) -> np.ndarray:
-    """Output row selecting the last segment: [0, ..., 0, 1]."""
-    c = np.zeros(n)
-    c[-1] = 1.0
-    return c
+    @property
+    def n_clamped(self) -> int:
+        """Denominators that hit the floor, for run diagnostics."""
+        return int(np.count_nonzero(self.g <= EPS_G))
+
+    def apply_a(self, k: int, v: np.ndarray) -> np.ndarray:
+        """A(k) v, along the first axis of a vector or matrix v."""
+        shape = (-1,) + (1,) * (np.ndim(v) - 1)
+        out = self.diag[k].reshape(shape) * v
+        out[1:] += self.sub[k].reshape(shape) * v[:-1]
+        return out
+
+    def propagate(self, k: int, x: np.ndarray) -> np.ndarray:
+        """A(k) x + B(k) u(k)."""
+        drive = self.gain[k] * self.u[k, 1:]
+        drive[0] += self.gain[k, 0] * self.u[k, 0]
+        return self.apply_a(k, x) + drive
 
 
 def selector_output(n: int, segment: int) -> np.ndarray:
@@ -72,61 +94,50 @@ def selector_output(n: int, segment: int) -> np.ndarray:
     return c
 
 
-def _g_raw(frame: MeasurementFrame, geom: HighwayGeometry) -> np.ndarray:
-    td = geom.t_over_delta
-    q_a_up = np.concatenate(([frame.q0_a], frame.q_a_seg[:-1]))
-    return frame.rho_a_seg + td * (q_a_up - frame.q_a_seg + frame.r_a - frame.s_a)
+def _stack(frames: Sequence[MeasurementFrame], name: str) -> np.ndarray:
+    return np.array([getattr(f, name) for f in frames], dtype=float)
 
 
-def _clamp_g(g: np.ndarray) -> tuple[np.ndarray, int]:
-    low = g <= EPS_G
-    return np.where(low, EPS_G, g), int(np.count_nonzero(low))
-
-
-def build_g(frame: MeasurementFrame, geom: HighwayGeometry) -> np.ndarray:
-    """Denominators g_i = rho_a_i + (T/Delta_i)(q_a_{i-1} - q_a_i + r_a_i - s_a_i).
-
-    Equals the next-step connected density predicted from the frame; clamped
-    below at EPS_G.
-    """
-    if frame.n_segments != geom.n_segments:
+def _connected_flows(frames: Sequence[MeasurementFrame], geom: HighwayGeometry):
+    """Stacked (q_a upstream, q_a, rho_a), each (M, N); checks the frame size once."""
+    if not frames:
+        raise ValueError("need at least one frame")
+    q_a = _stack(frames, "q_a_seg")
+    if q_a.shape[1] != geom.n_segments:
         raise ValueError("frame size does not match geometry")
-    g, _ = _clamp_g(_g_raw(frame, geom))
-    return g
+    q_a_up = np.column_stack((_stack(frames, "q0_a"), q_a[:, :-1]))
+    return q_a_up, q_a, _stack(frames, "rho_a_seg")
 
 
-def _assemble(frame: MeasurementFrame, geom: HighwayGeometry, g: np.ndarray,
-              sub_flow: np.ndarray, u: np.ndarray, n_clamped: int) -> LtvSystem:
-    """Common A/B assembly given denominators and the subdiagonal flow terms."""
-    n = geom.n_segments
+def _banded(geom: HighwayGeometry, rho_a: np.ndarray, q_a: np.ndarray,
+            sub_flow: np.ndarray, g_raw: np.ndarray, u: np.ndarray) -> BandedLtv:
+    """Common assembly given denominators and the sub-diagonal flow terms."""
     td = geom.t_over_delta
-    a = np.diag((frame.rho_a_seg - td * frame.q_a_seg) / g)
-    rows = np.arange(1, n)
-    a[rows, rows - 1] = td[1:] * sub_flow[1:] / g[1:]
-    b = np.zeros((n, n + 1))
-    b[np.arange(n), np.arange(1, n + 1)] = td / g
-    b[0, 0] = td[0] / g[0]
-    return LtvSystem(a_mat=a, b_mat=b, u_vec=u, c_vec=last_segment_output(n),
-                     g_vec=g, n_clamped=n_clamped)
+    g = np.where(g_raw <= EPS_G, EPS_G, g_raw)
+    return BandedLtv(diag=(rho_a - td * q_a) / g, sub=td[1:] * sub_flow[:, 1:] / g[:, 1:],
+                     gain=td / g, u=u, g=g)
 
 
-def build_system_measured(frame: MeasurementFrame, geom: HighwayGeometry) -> LtvSystem:
-    """Realization consuming measured ramp totals.
+def build_system_measured(frames: Sequence[MeasurementFrame],
+                          geom: HighwayGeometry) -> BandedLtv:
+    """Realization over ``frames`` consuming measured ramp totals.
 
-    The input vector is [entry total flow, r_1 - s_1, ..., r_N - s_N] from
-    the frame's detector readings.
+    The denominators are g_i = rho_a_i + (T/Delta_i)(q_a_{i-1} - q_a_i + r_a_i
+    - s_a_i), the next-step connected density predicted from the frame,
+    clamped below at EPS_G.  Step k's input vector is [entry total flow,
+    r_1 - s_1, ..., r_N - s_N] from the frame's detector readings.
     """
-    if frame.n_segments != geom.n_segments:
-        raise ValueError("frame size does not match geometry")
-    g, n_clamped = _clamp_g(_g_raw(frame, geom))
-    q_a_up = np.concatenate(([frame.q0_a], frame.q_a_seg[:-1]))
-    u = np.concatenate(([frame.q0_meas], frame.r_meas - frame.s_meas))
-    return _assemble(frame, geom, g, q_a_up, u, n_clamped)
+    q_a_up, q_a, rho_a = _connected_flows(frames, geom)
+    td = geom.t_over_delta
+    g_raw = rho_a + td * (q_a_up - q_a + _stack(frames, "r_a") - _stack(frames, "s_a"))
+    u = np.column_stack((_stack(frames, "q0_meas"),
+                         _stack(frames, "r_meas") - _stack(frames, "s_meas")))
+    return _banded(geom, rho_a, q_a, q_a_up, g_raw, u)
 
 
-def build_system_unmeasured_offramps(frame: MeasurementFrame, geom: HighwayGeometry,
-                                     exit_rates_a) -> LtvSystem:
-    """Realization with off-ramp totals replaced by exit-rate fractions.
+def build_system_unmeasured_offramps(frames: Sequence[MeasurementFrame],
+                                     geom: HighwayGeometry, exit_rates_a) -> BandedLtv:
+    """Realization over ``frames`` with off-ramp totals replaced by exit-rate fractions.
 
     ``exit_rates_a`` is the per-segment connected exit-rate vector (zero off
     the ramps).  Assumes total and connected exit rates coincide, which
@@ -134,38 +145,34 @@ def build_system_unmeasured_offramps(frame: MeasurementFrame, geom: HighwayGeome
     coupling; the input vector drops to [entry total flow, r_1, ..., r_N]
     and no off-ramp detector readings are consumed.
     """
-    if frame.n_segments != geom.n_segments:
-        raise ValueError("frame size does not match geometry")
     beta = _as_float_array(exit_rates_a, geom.n_segments, "exit_rates_a")
     if np.any(beta < 0) or np.any(beta >= 1):
         raise ValueError("exit rates must lie in [0, 1)")
+    q_a_up, q_a, rho_a = _connected_flows(frames, geom)
     td = geom.t_over_delta
-    q_a_up = np.concatenate(([frame.q0_a], frame.q_a_seg[:-1]))
     scaled_up = (1.0 - beta) * q_a_up
-    g_raw = frame.rho_a_seg + td * (scaled_up - frame.q_a_seg) + td * frame.r_a
-    g, n_clamped = _clamp_g(g_raw)
-    u = np.concatenate(([frame.q0_meas], frame.r_meas))
-    return _assemble(frame, geom, g, scaled_up, u, n_clamped)
+    g_raw = rho_a + td * (scaled_up - q_a) + td * _stack(frames, "r_a")
+    u = np.column_stack((_stack(frames, "q0_meas"), _stack(frames, "r_meas")))
+    return _banded(geom, rho_a, q_a, scaled_up, g_raw, u)
 
 
-def observability_matrix(systems: Sequence[LtvSystem],
-                         output_row: np.ndarray | None = None) -> np.ndarray:
-    """Stack output rows over a window: C, C A(k0), ..., C A(k0+N-2)...A(k0).
+def observability_matrix(sys: BandedLtv, output_row: np.ndarray | None = None) -> np.ndarray:
+    """Stack output rows over the first N-1 steps: C, C A(0), ..., C A(N-2)...A(0).
 
-    Needs N-1 consecutive systems for state dimension N.  With the
-    last-segment output and lower-bidiagonal A the result is anti-lower
-    triangular: zero above the anti-diagonal.
+    The dense reference: each A(k) is formed from the band and the chain is
+    multiplied out.  With the exit output and lower-bidiagonal A the result
+    is anti-lower triangular: zero above the anti-diagonal.
     """
-    if not systems:
-        raise ValueError("need at least one system")
-    n = systems[0].n
-    if len(systems) < n - 1:
-        raise ValueError(f"need {n - 1} consecutive systems for dimension {n}")
-    c = systems[0].c_vec if output_row is None else np.asarray(output_row, dtype=float)
+    n = sys.n
+    if len(sys) < n - 1:
+        raise ValueError(f"need {n - 1} consecutive steps for dimension {n}")
+    c = selector_output(n, n) if output_row is None else np.asarray(output_row, dtype=float)
     rows = [c]
     prod = np.eye(n)
     for k in range(n - 1):
-        prod = systems[k].a_mat @ prod
+        a = np.diag(sys.diag[k])
+        a[np.arange(1, n), np.arange(n - 1)] = sys.sub[k]
+        prod = a @ prod
         rows.append(c @ prod)
     return np.stack(rows)
 
@@ -176,31 +183,30 @@ def anti_diagonal(mat: np.ndarray) -> np.ndarray:
     return mat[np.arange(n), n - 1 - np.arange(n)]
 
 
-@dataclass(frozen=True)
-class ObservabilityReport:
-    observable: bool
-    anti_diag: np.ndarray
-    tol: float
+def window_anti_diagonals(sys: BandedLtv, stride: int = 1) -> np.ndarray:
+    """Anti-diagonal of O for every window of N-1 steps, one row per window.
 
-    @property
-    def min_anti_diag(self) -> float:
-        return float(np.min(np.abs(self.anti_diag)))
-
-
-def check_observability(systems: Sequence[LtvSystem], tol: float = 1e-12) -> ObservabilityReport:
-    """Observable over the window iff every anti-diagonal entry clears tol.
-
-    The anti-diagonal entries are running products of subdiagonal couplings,
-    so this is equivalent to a nonzero determinant but does not underflow
-    the way a raw 20x20 determinant threshold would.
+    Windows start at steps 0, stride, 2*stride, ... as long as they fit.
+    Entry m of the window starting at k0 has exactly one nonzero path, the
+    product of sub[k0 + j, N-1-m+j] over j = 0..m-1.  The factors are taken
+    earliest step first, the order of the dense chain, so every row equals
+    ``anti_diagonal(observability_matrix(sys[k0:k0 + N - 1]))`` bit for bit.
     """
-    o = observability_matrix(systems)
-    diag = anti_diagonal(o)
-    return ObservabilityReport(observable=bool(np.all(np.abs(diag) > tol)),
-                               anti_diag=diag, tol=tol)
+    n = sys.n
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if len(sys) < n - 1:
+        raise ValueError(f"an observability window needs {n - 1} steps for "
+                         f"{n} segments; the run has {len(sys)}")
+    starts = np.arange(0, len(sys) - n + 2, stride)
+    out = np.ones((len(starts), n))
+    for j in range(n - 1):
+        m = np.arange(j + 1, n)
+        out[:, m] *= sys.sub[(starts + j)[:, None], n - 1 - m + j]
+    return out
 
 
-def interior_sensor_dead_columns(systems: Sequence[LtvSystem], segment: int) -> list[int]:
+def interior_sensor_dead_columns(sys: BandedLtv, segment: int) -> list[int]:
     """Segments (1-based) whose columns of O are identically zero when the
     single output sits at ``segment``.
 
@@ -208,6 +214,5 @@ def interior_sensor_dead_columns(systems: Sequence[LtvSystem], segment: int) -> 
     J leaves segments J+1..N unreconstructable for every window length;
     empty only when the detector is at the exit.
     """
-    n = systems[0].n
-    o = observability_matrix(systems, output_row=selector_output(n, segment))
-    return [c + 1 for c in range(n) if not o[:, c].any()]
+    o = observability_matrix(sys, output_row=selector_output(sys.n, segment))
+    return [c + 1 for c in range(sys.n) if not o[:, c].any()]

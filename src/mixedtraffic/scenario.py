@@ -80,9 +80,6 @@ class Scenario:
     def with_seed(self, seed: int) -> "Scenario":
         return dataclasses.replace(self, noise=dataclasses.replace(self.noise, seed=seed))
 
-    def with_q_sigma(self, q_sigma: float) -> "Scenario":
-        return dataclasses.replace(self, q_sigma=float(q_sigma))
-
     def filter_config(self) -> KalmanConfig:
         return KalmanConfig.scaled_identity(
             self.geometry.n_segments, q_sigma=self.q_sigma, r_cov=self.r_cov,
@@ -197,12 +194,12 @@ def _scenario_from_dict(data: Mapping[str, Any], name: str) -> Scenario:
     step_h = col.number(geo, "geometry", "step_h", 10 / 3600)
     seg_len = geo.get("seg_len_km", 0.5)
 
+    # Omitted model, noise, filter, run and initial values take the coded
+    # defaults of MetanetParams, NoiseSpec and Scenario.
+    coded = {f.name: f.default for f in dataclasses.fields(Scenario)}
     model = col.section(data, "", "model")
-    model_kwargs = {}
-    for key, default in (("tau_h", 20 / 3600), ("nu", 35.0), ("kappa", 13.0),
-                         ("delta_ramp", 1.4), ("v_free", 120.0),
-                         ("rho_crit", 33.5), ("alpha_exp", 1.4324)):
-        model_kwargs[key] = col.number(model, "model", key, default)
+    model_kwargs = {key: col.number(model, "model", key, default)
+                    for key, default in dataclasses.asdict(MetanetParams.defaults()).items()}
 
     ramps = col.section(data, "", "ramps")
     on_ramps = ramps.get("on_ramps", [])
@@ -229,26 +226,21 @@ def _scenario_from_dict(data: Mapping[str, Any], name: str) -> Scenario:
     noise_sec = col.section(data, "", "noise")
     run = col.section(data, "", "run")
     seed = col.integer(run, "run", "seed", DEFAULT_SEED)
-    noise_kwargs = {}
-    for key, default in (("std_entry_flow", 25.0), ("std_onramp", 10.0),
-                         ("std_offramp", 5.0), ("std_speed", 5.0),
-                         ("std_flow_proc", 25.0), ("std_flow_proc_a", 15.0)):
-        noise_kwargs[key] = col.number(noise_sec, "noise", key, default)
+    noise_kwargs = {f.name: col.number(noise_sec, "noise", f.name, f.default)
+                    for f in dataclasses.fields(NoiseSpec) if f.name != "seed"}
 
     filt = col.section(data, "", "filter")
-    q_sigma = col.number(filt, "filter", "q_sigma", 1.0)
-    r_cov = col.number(filt, "filter", "r_cov", 100.0)
-    x0_value = col.number(filt, "filter", "x0_value", 10.0)
-    p0_sigma = col.number(filt, "filter", "p0_sigma", 1.0)
+    filter_kwargs = {key: col.number(filt, "filter", key, coded[key])
+                     for key in ("q_sigma", "r_cov", "x0_value", "p0_sigma")}
 
-    horizon_h = col.number(run, "run", "horizon_h", 3.0)
-    offramp_mode = run.get("offramp_mode", "measured")
+    horizon_h = col.number(run, "run", "horizon_h", coded["horizon_h"])
+    offramp_mode = run.get("offramp_mode", coded["offramp_mode"])
     if offramp_mode not in OFFRAMP_MODES:
         col.fail("run.offramp_mode", f"must be one of {OFFRAMP_MODES}")
 
     initial = col.section(data, "", "initial")
-    init_rho = initial.get("rho", 9.0)
-    init_pen = col.number(initial, "initial", "penetration", 0.2)
+    init_rho = initial.get("rho", coded["init_rho"])
+    init_pen = col.number(initial, "initial", "penetration", coded["init_penetration"])
 
     if col.failures:
         raise ScenarioError(col.failures)
@@ -264,8 +256,7 @@ def _scenario_from_dict(data: Mapping[str, Any], name: str) -> Scenario:
             geometry=geometry, params=params, layout=layout,
             entry_demand=entry_demand, onramp_demand=onramp_demand,
             penetration_profile=penetration, noise=noise,
-            q_sigma=q_sigma, r_cov=r_cov, x0_value=x0_value, p0_sigma=p0_sigma,
-            horizon_h=horizon_h, offramp_mode=offramp_mode,
+            **filter_kwargs, horizon_h=horizon_h, offramp_mode=offramp_mode,
             init_rho=np.asarray(init_rho, dtype=float) if isinstance(init_rho, list) else init_rho,
             init_penetration=init_pen,
             name=data.get("name", name),

@@ -33,8 +33,8 @@ def test_criterion_1_percentage_model_equivalence(silent_sc):
         systems = build_systems(dataclasses.replace(silent_sc, offramp_mode=mode), truth)
         x = inverse_penetration(truth.states[0].rho, truth.states[0].rho_a)
         worst = 0.0
-        for k, sys_k in enumerate(systems):
-            x = sys_k.propagate(x)
+        for k in range(len(systems)):
+            x = systems.propagate(k, x)
             ref = inverse_penetration(truth.states[k + 1].rho, truth.states[k + 1].rho_a)
             worst = max(worst, float(np.max(np.abs(x - ref))))
         devs[mode] = worst
@@ -54,10 +54,10 @@ def test_criterion_2_observability():
     for trial in range(100):
         n = int(rng.integers(2, 21))
         geom = HighwayGeometry(n_segments=n, step_h=10 / 3600, seg_len_km=0.5)
-        systems = [build_system_measured(
-            make_frame(n, rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(100, 800, n),
-                       q0_a=float(rng.uniform(100, 800))), geom)
-            for _ in range(n - 1)]
+        systems = build_system_measured(
+            [make_frame(n, rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(100, 800, n),
+                        q0_a=float(rng.uniform(100, 800)))
+             for _ in range(n - 1)], geom)
         o = observability_matrix(systems)
         sign, logdet = np.linalg.slogdet(o)
         log_prod = float(np.sum(np.log(np.abs(anti_diagonal(o)))))
@@ -85,9 +85,9 @@ def test_criterion_3_filter_exactness(silent_sc):
     worst_err = 0.0
     min_eig = float(np.min(np.linalg.eigvalsh(fs.p_cov)))
     symmetric = True
-    for k, sys_k in enumerate(systems):
+    for k in range(len(systems)):
         z, _ = output_measurement(truth.frames[k])
-        fs = filter_step(fs, sys_k, z, config)
+        fs = filter_step(fs, systems, k, z, config)
         ref = inverse_penetration(truth.states[k + 1].rho, truth.states[k + 1].rho_a)
         worst_err = max(worst_err, float(np.max(np.abs(fs.x_hat - ref))))
         symmetric &= bool(np.array_equal(fs.p_cov, fs.p_cov.T))

@@ -81,6 +81,26 @@ def test_observability_report(tmp_path, short_yaml, capsys):
     assert "0 unobservable" in capsys.readouterr().out
 
 
+def test_observability_refuses_run_shorter_than_a_window(tmp_path, capsys):
+    """18 steps cannot hold one window of N-1 = 19 steps."""
+    path = tmp_path / "tiny.yaml"
+    path.write_text(DEFAULT_YAML.read_text().replace("horizon_h: 3.0", "horizon_h: 0.05"))
+    code = main(["observability", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "no_observability_window"
+    assert "19 steps" in err["message"]
+    assert not (tmp_path / "observability.csv").exists()
+
+
+def test_observability_rejects_zero_stride(tmp_path, short_yaml, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["observability", "--scenario", str(short_yaml), "--out", str(tmp_path),
+              "--stride", "0"])
+    assert excinfo.value.code == 2
+    assert "--stride" in capsys.readouterr().err
+
+
 def test_invalid_scenario_is_machine_readable(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("geometry:\n  step_h: quick\nrun:\n  offramp_mode: nope\n")

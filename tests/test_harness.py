@@ -8,6 +8,7 @@ import pytest
 
 import mixedtraffic as mt
 from mixedtraffic.harness import (
+    build_systems,
     observability_trace,
     performance_index,
     q_sweep,
@@ -19,6 +20,7 @@ from mixedtraffic.harness import (
     write_sweep,
     write_trajectory,
 )
+from mixedtraffic.ltv import anti_diagonal, observability_matrix, window_anti_diagonals
 
 # Regression values produced by this build of the default scenario
 # (seed 20260810) and pinned; see also the acceptance suite.
@@ -176,3 +178,19 @@ def test_observability_trace_windows(default_sc):
     assert len(windows) == math.ceil((90 - 19 + 1) / 10)
     assert all(w.observable for w in windows)
     assert all(w.min_anti_diag > 1e-12 for w in windows)
+
+
+@pytest.mark.parametrize("mode", ["measured", "unmeasured"])
+def test_observability_trace_matches_dense_oracle(default_sc, default_result, mode):
+    """Banded anti-diagonals equal the dense product chain bit for bit, every window."""
+    sc = dataclasses.replace(default_sc, offramp_mode=mode)
+    truth = default_result.truth
+    systems = build_systems(sc, truth)
+    window = sc.geometry.n_segments - 1
+    oracle = np.abs(np.stack([anti_diagonal(observability_matrix(systems[k0:k0 + window]))
+                              for k0 in range(len(systems) - window + 1)]))
+    assert np.array_equal(np.abs(window_anti_diagonals(systems)), oracle)
+    windows = observability_trace(sc, truth=truth)
+    assert [w.start_step for w in windows] == list(range(len(oracle)))
+    assert [w.min_anti_diag for w in windows] == oracle.min(axis=1).tolist()
+    assert [w.max_anti_diag for w in windows] == oracle.max(axis=1).tolist()

@@ -12,19 +12,20 @@ from mixedtraffic.kalman import (
     output_measurement,
     reconstruct_totals,
 )
-from mixedtraffic.ltv import LtvSystem, last_segment_output
+from mixedtraffic.ltv import BandedLtv
 
 from test_ltv import make_frame
 
 
 def _system(a_mat, u=None):
+    """One step with the given lower-bidiagonal A; the inputs drive segment 1 only."""
     a_mat = np.asarray(a_mat, dtype=float)
     n = a_mat.shape[0]
-    b = np.zeros((n, n + 1))
-    b[0, 0] = 1.0
-    return LtvSystem(a_mat=a_mat, b_mat=b,
-                     u_vec=np.zeros(n + 1) if u is None else np.asarray(u, dtype=float),
-                     c_vec=last_segment_output(n), g_vec=np.ones(n))
+    gain = np.zeros((1, n))
+    gain[0, 0] = 1.0
+    return BandedLtv(diag=np.diag(a_mat)[None], sub=np.diag(a_mat, -1)[None], gain=gain,
+                     u=np.zeros((1, n + 1)) if u is None else np.asarray(u, dtype=float)[None],
+                     g=np.ones((1, n)))
 
 
 def test_gain_with_identity_covariance():
@@ -32,7 +33,7 @@ def test_gain_with_identity_covariance():
     n = 6
     config = KalmanConfig.scaled_identity(n, q_sigma=1.0, r_cov=100.0)
     fs = FilterState.initial(config)
-    nxt = filter_step(fs, _system(np.eye(n)), z=5.0, config=config)
+    nxt = filter_step(fs, _system(np.eye(n)), 0, z=5.0, config=config)
     expected = np.zeros(n)
     expected[-1] = 1.0 / 101.0
     assert np.array_equal(nxt.k_gain, expected)
@@ -46,7 +47,7 @@ def test_gain_fill_in_spreads_upstream():
     config = KalmanConfig.scaled_identity(n, q_sigma=1.0, r_cov=100.0)
     fs = FilterState.initial(config)
     for _ in range(n):
-        fs = filter_step(fs, _system(a), z=5.0, config=config)
+        fs = filter_step(fs, _system(a), 0, z=5.0, config=config)
     assert np.count_nonzero(fs.k_gain) > 1
 
 
@@ -56,7 +57,7 @@ def test_initial_gain_shape_for_scaled_covariance():
     h = 7.5
     config = KalmanConfig(q_cov=np.eye(n), r_cov=100.0, x0=np.full(n, 10.0),
                           p0=h * np.eye(n))
-    nxt = filter_step(FilterState.initial(config), _system(np.eye(n)), z=5.0,
+    nxt = filter_step(FilterState.initial(config), _system(np.eye(n)), 0, z=5.0,
                       config=config)
     assert nxt.k_gain[:-1].tolist() == [0.0] * (n - 1)
     assert nxt.k_gain[-1] == pytest.approx(h / (h + 100.0), abs=1e-15)
@@ -71,8 +72,8 @@ def test_huge_r_reduces_to_pure_prediction():
     sys = _system(a, u)
     config = KalmanConfig.scaled_identity(n, r_cov=1e12)
     fs = FilterState(x_hat=rng.uniform(1, 9, n), p_cov=np.eye(n), k_gain=np.zeros(n))
-    nxt = filter_step(fs, sys, z=123.0, config=config)
-    prediction = sys.propagate(fs.x_hat)
+    nxt = filter_step(fs, sys, 0, z=123.0, config=config)
+    prediction = sys.propagate(0, fs.x_hat)
     assert np.allclose(nxt.x_hat, prediction, rtol=1e-9)
     assert np.linalg.norm(nxt.k_gain) < 1e-11
 
@@ -81,12 +82,11 @@ def test_scalar_recursion_matches_hand_computation():
     """N=1, A=a, C=1: one step against the written-out scalar formulas."""
     a, q, r = 0.93, 0.4, 2.5
     x0, p0, u, z = 4.0, 1.7, 800.0, 4.6
-    sys = LtvSystem(a_mat=np.array([[a]]), b_mat=np.array([[0.001, 0.0]]),
-                    u_vec=np.array([u, 0.0]), c_vec=np.array([1.0]),
-                    g_vec=np.array([1.0]))
+    sys = BandedLtv(diag=np.array([[a]]), sub=np.zeros((1, 0)), gain=np.array([[0.001]]),
+                    u=np.array([[u, 0.0]]), g=np.array([[1.0]]))
     config = KalmanConfig(q_cov=np.array([[q]]), r_cov=r, x0=np.array([x0]),
                           p0=np.array([[p0]]))
-    nxt = filter_step(FilterState.initial(config), sys, z=z, config=config)
+    nxt = filter_step(FilterState.initial(config), sys, 0, z=z, config=config)
     k = p0 / (p0 + r)
     x1 = a * x0 + 0.001 * u + a * k * (z - x0)
     p1 = a * (1 - k) * p0 * a + q
@@ -104,7 +104,7 @@ def test_covariance_stays_symmetric_psd(default_sc, default_result):
     fs = FilterState.initial(config)
     for k in range(50):
         z, _ = output_measurement(truth.frames[k])
-        fs = filter_step(fs, systems[k], z, config)
+        fs = filter_step(fs, systems, k, z, config)
         assert np.array_equal(fs.p_cov, fs.p_cov.T)
 
 
@@ -116,10 +116,10 @@ def test_exact_initialization_stays_exact(silent_sc, silent_truth):
     fs = FilterState.initial(config)
     worst = 0.0
     last_z = None
-    for k, sys_k in enumerate(systems):
+    for k in range(len(systems)):
         z, _ = output_measurement(silent_truth.frames[k], last_z)
         last_z = z
-        fs = filter_step(fs, sys_k, z, config)
+        fs = filter_step(fs, systems, k, z, config)
         ref = inverse_penetration(silent_truth.states[k + 1].rho,
                                   silent_truth.states[k + 1].rho_a)
         worst = max(worst, float(np.max(np.abs(fs.x_hat - ref))))
@@ -172,7 +172,7 @@ def test_output_measurement_fallback():
 
 def test_reconstruct_totals():
     frame = make_frame(1, rho_a=[8.0], q_a=[400.0], q0_a=400.0)
-    rho_hat, q_hat = reconstruct_totals(np.array([5.0]), frame)
+    rho_hat, q_hat = reconstruct_totals(np.array([5.0]), frame.rho_a_seg, frame.q_a_seg)
     assert rho_hat.tolist() == [40.0] and q_hat.tolist() == [2000.0]
 
 
@@ -180,6 +180,6 @@ def test_reconstruct_exact_state_recovers_truth(silent_truth):
     state = silent_truth.states[40]
     frame = silent_truth.frames[40]
     x_true = inverse_penetration(state.rho, state.rho_a)
-    rho_hat, q_hat = reconstruct_totals(x_true, frame)
+    rho_hat, q_hat = reconstruct_totals(x_true, frame.rho_a_seg, frame.q_a_seg)
     assert np.allclose(rho_hat, state.rho, rtol=1e-12)
     assert np.allclose(q_hat, state.q, rtol=1e-12)

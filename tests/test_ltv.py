@@ -8,17 +8,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 import mixedtraffic as mt
 from mixedtraffic.core import HighwayGeometry, inverse_penetration
+from mixedtraffic.kalman import FilterState, KalmanConfig, filter_step
 from mixedtraffic.ltv import (
-    LtvSystem,
+    EPS_G,
+    OBSERVABILITY_TOL,
+    BandedLtv,
     anti_diagonal,
-    build_g,
     build_system_measured,
     build_system_unmeasured_offramps,
-    check_observability,
     interior_sensor_dead_columns,
-    last_segment_output,
     observability_matrix,
     selector_output,
+    window_anti_diagonals,
 )
 from mixedtraffic.metanet import MeasurementFrame
 
@@ -41,57 +42,56 @@ def make_frame(n, rho_a, q_a, q0_a, r_a=None, s_a=None, q0_meas=0.0, qN_meas=0.0
 
 def test_build_g_zero_flows():
     frame = make_frame(3, rho_a=[4.0, 7.5, 2.0], q_a=[0.0, 0.0, 0.0], q0_a=0.0)
-    assert build_g(frame, GEOM3).tolist() == [4.0, 7.5, 2.0]
+    assert build_system_measured([frame], GEOM3).g[0].tolist() == [4.0, 7.5, 2.0]
 
 
 def test_build_g_worked_example():
     """rho_a=10, upstream 720, own 600, T/Delta=1/180 -> 10 + 120/180."""
     frame = make_frame(3, rho_a=[10.0, 10.0, 10.0], q_a=[600.0, 600.0, 600.0], q0_a=720.0)
-    g = build_g(frame, GEOM3)
+    g = build_system_measured([frame], GEOM3).g[0]
     assert g[0] == pytest.approx(10.0 + 120.0 / 180.0, abs=1e-12)
     assert g[1] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_build_g_floors_and_counts(silent_sc):
     frame = make_frame(3, rho_a=[0.1, 5.0, 5.0], q_a=[900.0, 900.0, 900.0], q0_a=0.0)
-    g = build_g(frame, GEOM3)
-    assert g[0] == pytest.approx(1e-6)
-    sys = build_system_measured(frame, GEOM3)
+    sys = build_system_measured([frame], GEOM3)
+    assert sys.g[0, 0] == pytest.approx(1e-6)
     assert sys.n_clamped == 1
 
 
 def test_g_predicts_next_connected_density(silent_sc, silent_truth):
     """Noise-free frames: g equals the simulator's next connected density."""
-    geom = silent_sc.geometry
+    g = build_system_measured(silent_truth.frames[:200], silent_sc.geometry).g
     for k in range(0, 200, 7):
-        g = build_g(silent_truth.frames[k], geom)
-        assert np.allclose(g, silent_truth.states[k + 1].rho_a, rtol=0, atol=1e-12)
+        assert np.allclose(g[k], silent_truth.states[k + 1].rho_a, rtol=0, atol=1e-12)
 
 
 def test_measured_system_worked_row():
     """Row with rho_a=10, own flow 600, upstream 720: diag 0.625, sub 0.375."""
     frame = make_frame(3, rho_a=[10.0, 10.0, 10.0], q_a=[720.0, 600.0, 600.0],
                        q0_a=720.0, q0_meas=2000.0)
-    sys = build_system_measured(frame, GEOM3)
-    assert sys.a_mat[1, 1] == pytest.approx(0.625, abs=1e-12)
-    assert sys.a_mat[1, 0] == pytest.approx(0.375, abs=1e-12)
-    assert sys.a_mat[1, :].sum() == pytest.approx(1.0, abs=1e-12)
-    # structure: lower bidiagonal, last-segment output row
-    assert sys.a_mat[0, 1] == 0.0 and sys.a_mat[0, 2] == 0.0 and sys.a_mat[1, 2] == 0.0
-    assert sys.c_vec.tolist() == [0.0, 0.0, 1.0]
+    sys = build_system_measured([frame], GEOM3)
+    assert sys.diag[0, 1] == pytest.approx(0.625, abs=1e-12)
+    assert sys.sub[0, 0] == pytest.approx(0.375, abs=1e-12)
+    assert sys.diag[0, 1] + sys.sub[0, 0] == pytest.approx(1.0, abs=1e-12)
+    # structure: one diagonal and one sub-diagonal per step
+    assert sys.diag.shape == (1, 3) and sys.sub.shape == (1, 2)
     # B couples the entry twice on the first row, then one input per segment
     g0 = 10.0 + (1 / 180) * (720.0 - 720.0)
-    assert sys.b_mat[0, 0] == pytest.approx((1 / 180) / g0)
-    assert sys.b_mat[0, 1] == pytest.approx((1 / 180) / g0)
-    assert sys.b_mat[1, 0] == 0.0
-    assert sys.u_vec[0] == 2000.0
+    assert sys.gain[0, 0] == pytest.approx((1 / 180) / g0)
+    bu = sys.propagate(0, np.zeros(3))
+    assert bu[0] == pytest.approx(2000.0 * (1 / 180) / g0)
+    assert bu[1] == 0.0
+    assert sys.u[0, 0] == 2000.0
 
 
 def test_zero_connected_flow_gives_identity():
     frame = make_frame(4, rho_a=[3.0, 4.0, 5.0, 6.0], q_a=np.zeros(4), q0_a=0.0)
     geom = HighwayGeometry(n_segments=4, step_h=1 / 180, seg_len_km=1.0)
-    sys = build_system_measured(frame, geom)
-    assert np.array_equal(sys.a_mat, np.eye(4))
+    sys = build_system_measured([frame], geom)
+    assert np.array_equal(sys.diag, np.ones((1, 4)))
+    assert np.array_equal(sys.sub, np.zeros((1, 3)))
 
 
 @settings(max_examples=40)
@@ -108,22 +108,21 @@ def test_row_sums_are_one_without_ramps(seed):
     geom = HighwayGeometry(n_segments=n, step_h=10 / 3600, seg_len_km=0.5)
     frame = make_frame(n, rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(50, 900, n),
                        q0_a=float(rng.uniform(50, 900)))
-    sys = build_system_measured(frame, geom)
+    sys = build_system_measured([frame], geom)
     assume(sys.n_clamped == 0)  # the floor intentionally breaks the algebra
-    assert np.allclose(sys.a_mat[1:].sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    entry_share = geom.t_over_delta[0] * frame.q0_a / sys.g_vec[0]
-    assert sys.a_mat[0].sum() + entry_share == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(sys.diag[0, 1:] + sys.sub[0], 1.0, rtol=0, atol=1e-12)
+    entry_share = geom.t_over_delta[0] * frame.q0_a / sys.g[0, 0]
+    assert sys.diag[0, 0] + entry_share == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unmeasured_with_zero_exit_rates_matches_measured():
     frame = make_frame(3, rho_a=[10.0, 8.0, 9.0], q_a=[700.0, 650.0, 620.0],
                        q0_a=710.0, r_a=[0.0, 40.0, 0.0], q0_meas=1950.0,
                        r_meas=[0.0, 200.0, 0.0])
-    measured = build_system_measured(frame, GEOM3)
-    unmeasured = build_system_unmeasured_offramps(frame, GEOM3, np.zeros(3))
-    assert np.array_equal(measured.a_mat, unmeasured.a_mat)
-    assert np.array_equal(measured.b_mat, unmeasured.b_mat)
-    assert np.array_equal(measured.u_vec, unmeasured.u_vec)
+    measured = build_system_measured([frame], GEOM3)
+    unmeasured = build_system_unmeasured_offramps([frame], GEOM3, np.zeros(3))
+    for name in ("diag", "sub", "gain", "u", "g"):
+        assert np.array_equal(getattr(measured, name), getattr(unmeasured, name))
 
 
 def test_unmeasured_exit_rate_rescales_coupling():
@@ -137,15 +136,78 @@ def test_unmeasured_exit_rate_rescales_coupling():
                        s_a=[0.0, 0.0, 0.0, s_a_flow, 0.0])
     beta = np.zeros(n)
     beta[3] = 0.1
-    sys = build_system_unmeasured_offramps(frame, geom, beta)
+    sys = build_system_unmeasured_offramps([frame], geom, beta)
     td = geom.step_h / 0.5
     g4 = rho_a[3] + td * (0.9 * q_a[2] - q_a[3])
-    assert sys.g_vec[3] == pytest.approx(g4, abs=1e-12)
-    assert sys.a_mat[3, 2] == pytest.approx(td * 0.9 * q_a[2] / g4, abs=1e-12)
+    assert sys.g[0, 3] == pytest.approx(g4, abs=1e-12)
+    assert sys.sub[0, 2] == pytest.approx(td * 0.9 * q_a[2] / g4, abs=1e-12)
     # rows without an off-ramp keep the plain coupling
-    assert sys.a_mat[1, 0] == pytest.approx(td * q_a[0] / sys.g_vec[1], abs=1e-12)
+    assert sys.sub[0, 0] == pytest.approx(td * q_a[0] / sys.g[0, 1], abs=1e-12)
     with pytest.raises(ValueError):
-        build_system_unmeasured_offramps(frame, geom, np.full(n, 1.0))
+        build_system_unmeasured_offramps([frame], geom, np.full(n, 1.0))
+
+
+def _textbook_realization(frame, geom, beta=None):
+    """Dense A, B and u of one frame, assembled entry by entry from the model."""
+    n = geom.n_segments
+    td = geom.t_over_delta
+    q_up = np.concatenate(([frame.q0_a], frame.q_a_seg[:-1]))
+    if beta is None:
+        flow_up = q_up
+        g = frame.rho_a_seg + td * (q_up - frame.q_a_seg + frame.r_a - frame.s_a)
+        u = np.concatenate(([frame.q0_meas], frame.r_meas - frame.s_meas))
+    else:
+        flow_up = (1.0 - beta) * q_up
+        g = frame.rho_a_seg + td * (flow_up - frame.q_a_seg) + td * frame.r_a
+        u = np.concatenate(([frame.q0_meas], frame.r_meas))
+    g = np.where(g <= EPS_G, EPS_G, g)
+    a = np.zeros((n, n))
+    b = np.zeros((n, n + 1))
+    for i in range(n):
+        a[i, i] = (frame.rho_a_seg[i] - td[i] * frame.q_a_seg[i]) / g[i]
+        if i > 0:
+            a[i, i - 1] = td[i] * flow_up[i] / g[i]
+        b[i, i + 1] = td[i] / g[i]
+    b[0, 0] = td[0] / g[0]
+    return a, b, u
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=2, max_value=30), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       unmeasured=st.booleans())
+def test_band_matches_dense_textbook_realization(n, seed, unmeasured):
+    """Stacked A(k), B(k) u(k) and one filter step against dense algebra."""
+    rng = np.random.default_rng(seed)
+    geom = HighwayGeometry(n_segments=n, step_h=10 / 3600, seg_len_km=0.5)
+    frames = [make_frame(n, rho_a=rng.uniform(6, 30, n), q_a=rng.uniform(0, 1000, n),
+                         q0_a=float(rng.uniform(0, 1000)), r_a=rng.uniform(0, 100, n),
+                         s_a=rng.uniform(0, 100, n), q0_meas=float(rng.uniform(0, 5000)),
+                         r_meas=rng.uniform(0, 500, n), s_meas=rng.uniform(0, 500, n))
+              for _ in range(3)]
+    beta = rng.uniform(0, 0.5, n) if unmeasured else None
+    sys = (build_system_unmeasured_offramps(frames, geom, beta) if unmeasured
+           else build_system_measured(frames, geom))
+    assert len(sys) == 3
+    for k, frame in enumerate(frames):
+        a, b, u = _textbook_realization(frame, geom, beta)
+        assert np.array_equal(np.diag(sys.diag[k]) + np.diag(sys.sub[k], -1), a)
+        np.testing.assert_allclose(sys.propagate(k, np.zeros(n)), b @ u, rtol=1e-12, atol=1e-12)
+
+    k = int(rng.integers(0, 3))
+    a, b, u = _textbook_realization(frames[k], geom, beta)
+    root = rng.standard_normal((n, n))
+    config = KalmanConfig(q_cov=np.eye(n) + 0.1 * np.ones((n, n)), r_cov=float(rng.uniform(1, 100)),
+                          x0=rng.uniform(1, 10, n), p0=root @ root.T + np.eye(n))
+    z = float(rng.uniform(1, 10))
+    nxt = filter_step(FilterState.initial(config), sys, k, z, config)
+    c = np.zeros(n)
+    c[-1] = 1.0
+    p, x = config.p0, config.x0
+    gain = p @ c / (c @ p @ c + config.r_cov)
+    p_next = a @ (p - np.outer(gain, c @ p)) @ a.T + config.q_cov
+    x_next = a @ x + b @ u + a @ gain * (z - c @ x)
+    np.testing.assert_allclose(nxt.p_cov, p_next, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(nxt.x_hat, x_next, rtol=1e-12, atol=1e-12)
 
 
 def _closed_loop_deviation(sc, truth, mode):
@@ -153,8 +215,8 @@ def _closed_loop_deviation(sc, truth, mode):
     systems = mt.harness.build_systems(sc, truth)
     x = inverse_penetration(truth.states[0].rho, truth.states[0].rho_a)
     worst = 0.0
-    for k, sys_k in enumerate(systems):
-        x = sys_k.propagate(x)
+    for k in range(len(systems)):
+        x = systems.propagate(k, x)
         ref = inverse_penetration(truth.states[k + 1].rho, truth.states[k + 1].rho_a)
         worst = max(worst, float(np.max(np.abs(x - ref))))
     return worst
@@ -167,16 +229,16 @@ def test_closed_loop_matches_density_ratio(silent_sc, silent_truth):
 
 
 def _manual_system(a_mat):
+    """One step with the given lower-bidiagonal A and no input."""
     a_mat = np.asarray(a_mat, dtype=float)
     n = a_mat.shape[0]
-    return LtvSystem(a_mat=a_mat, b_mat=np.zeros((n, n + 1)),
-                     u_vec=np.zeros(n + 1), c_vec=last_segment_output(n),
-                     g_vec=np.ones(n))
+    return BandedLtv(diag=np.diag(a_mat)[None], sub=np.diag(a_mat, -1)[None],
+                     gain=np.zeros((1, n)), u=np.zeros((1, n + 1)), g=np.ones((1, n)))
 
 
 def test_observability_matrix_two_by_two():
     sys = _manual_system([[0.7, 0.0], [0.3, 0.9]])
-    o = observability_matrix([sys])
+    o = observability_matrix(sys)
     assert np.array_equal(o, np.array([[0.0, 1.0], [0.3, 0.9]]))
     assert np.linalg.det(o) == pytest.approx(-0.3, abs=1e-15)
 
@@ -184,19 +246,16 @@ def test_observability_matrix_two_by_two():
 def test_zero_coupling_kills_observability():
     sys_ok = _manual_system([[0.7, 0.0], [0.3, 0.9]])
     sys_bad = _manual_system([[0.7, 0.0], [0.0, 0.9]])
-    assert check_observability([sys_ok]).observable
-    report = check_observability([sys_bad])
-    assert not report.observable
-    assert np.linalg.det(observability_matrix([sys_bad])) == 0.0
+    assert np.all(np.abs(window_anti_diagonals(sys_ok)) > OBSERVABILITY_TOL)
+    assert not np.all(np.abs(window_anti_diagonals(sys_bad)) > OBSERVABILITY_TOL)
+    assert np.linalg.det(observability_matrix(sys_bad)) == 0.0
 
 
 def _random_frame_systems(rng, n, geom, steps):
-    out = []
-    for _ in range(steps):
-        frame = make_frame(n, rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(100, 800, n),
-                           q0_a=float(rng.uniform(100, 800)))
-        out.append(build_system_measured(frame, geom))
-    return out
+    frames = [make_frame(n, rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(100, 800, n),
+                         q0_a=float(rng.uniform(100, 800)))
+              for _ in range(steps)]
+    return build_system_measured(frames, geom)
 
 
 def test_determinant_equals_antidiagonal_product():

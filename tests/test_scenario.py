@@ -93,3 +93,17 @@ def test_minimal_yaml_uses_defaults(tmp_path):
     assert sc.noise.std_speed == 5.0
     assert sc.entry_demand(2.0) == 1200.0
     assert sc.layout.on_ramp_segments == ()
+
+
+def test_omitted_values_take_coded_defaults(tmp_path):
+    """A file that sets only the entry demand gets every coded model, noise
+    and filter default."""
+    path = tmp_path / "entry_only.yaml"
+    path.write_text("demand:\n  entry: 1200.0\n")
+    sc = load_scenario(path)
+    coded = {f.name: f.default for f in dataclasses.fields(mt.Scenario)}
+    assert sc.params == mt.MetanetParams.defaults()
+    assert sc.noise == dataclasses.replace(mt.NoiseSpec(), seed=sc.seed)
+    for name in ("q_sigma", "r_cov", "x0_value", "p0_sigma", "horizon_h", "offramp_mode",
+                 "init_rho", "init_penetration"):
+        assert getattr(sc, name) == coded[name]
