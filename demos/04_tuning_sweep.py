@@ -1,6 +1,7 @@
 """Filter tuning sensitivity: sweep the process covariance over four decades.
 
-Truth is generated once per mode; only the filter reruns.  The performance
+Truth is generated once per mode and all five tunings run as one batched
+filter pass.  The performance
 index barely moves, so the tuning is forgiving, and dropping the off-ramp
 detectors (exit-rate mode) costs almost nothing here.
 """

@@ -3,8 +3,8 @@
 Verbs: ``simulate`` (ground truth only), ``estimate`` (full pipeline),
 ``sweep`` (process-covariance sweep), ``observability`` (anti-diagonal
 report over a run).  Outputs are CSV files in the chosen directory; scenario
-validation failures, and a run too short for one observability window, exit
-2 with a JSON error object on stderr.
+validation failures, an estimate whose filter diverged, and a run too short
+for one observability window exit 2 with a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .harness import (
     write_sweep,
     write_trajectory,
 )
+from .kalman import PSD_TOL
 from .scenario import Scenario, ScenarioError, default_scenario, load_scenario
 
 DEFAULT_SIGMAS = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -34,6 +36,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -60,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run simulator, measurements, and the filter")
     sweep = sub.add_parser("sweep", parents=[common],
                            help="rerun the filter across process-covariance scales")
-    sweep.add_argument("--sigmas", type=float, nargs="+", default=list(DEFAULT_SIGMAS),
+    sweep.add_argument("--sigmas", type=_positive_finite, nargs="+", default=list(DEFAULT_SIGMAS),
                        help="Q = sigma * I scales to evaluate")
     obs = sub.add_parser("observability", parents=[common],
                          help="report observability anti-diagonals over a run")
@@ -105,6 +114,12 @@ def main(argv: list[str] | None = None) -> int:
               f"-> {out / 'trajectory.csv'}")
     elif args.command == "estimate":
         result = run_experiment(sc)
+        min_eig = result.estimate.min_p_eigenvalue
+        if not math.isfinite(result.p_r) or min_eig < -PSD_TOL:
+            return _refuse({"error": "filter_diverged", "p_r": repr(result.p_r),
+                            "min_p_eigenvalue": repr(min_eig),
+                            "message": f"P_R must be finite and the covariance "
+                                       f"eigenvalues >= {-PSD_TOL:g}"})
         write_trajectory(out / "trajectory.csv", result)
         write_metrics(out / "metrics.csv", result)
         print(f"estimated {result.truth.n_steps} steps in {result.runtime_s:.3f} s; "

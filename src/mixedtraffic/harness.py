@@ -63,22 +63,30 @@ def build_systems(sc: Scenario, truth: TruthRun) -> BandedLtv:
     return build_system_measured(frames, sc.geometry)
 
 
-def run_filter(sc: Scenario, truth: TruthRun,
-               systems: BandedLtv | None = None,
-               config: KalmanConfig | None = None) -> EstimateRun:
-    """Run the filter along a truth trajectory and reconstruct totals."""
-    if systems is None:
-        systems = build_systems(sc, truth)
-    if config is None:
-        config = sc.filter_config()
+@dataclass(frozen=True)
+class FilterPass:
+    """Outputs of a batch of S filters run side by side along one truth run."""
+
+    x_hat: np.ndarray            # (M+1, S, N) inverse-share estimates
+    innovation: np.ndarray       # (M, S) scalar innovations
+    min_p_eigenvalue: np.ndarray  # (S,) most negative covariance eigenvalue seen
+    z_fallback_count: int        # steps that reused the previous output
+
+
+def filter_pass(truth: TruthRun, systems: BandedLtv, config: KalmanConfig) -> FilterPass:
+    """Run the batch ``config`` (see ``KalmanConfig.stack``) along a truth run.
+
+    Every member sees the same realization and measurements, and each equals
+    its own unbatched run bit for bit.  Raises FloatingPointError as soon as
+    any member's state becomes non-finite.
+    """
     m = truth.n_steps
     fs = FilterState.initial(config)
-
-    x_hat = np.empty((m + 1, sc.geometry.n_segments))
-    innovation = np.empty(m)
+    x_hat = np.empty((m + 1,) + fs.x_hat.shape)
+    innovation = np.empty((m,) + fs.x_hat.shape[:-1])
     x_hat[0] = fs.x_hat
 
-    min_eig = float(np.min(np.linalg.eigvalsh(fs.p_cov)))
+    min_eig = np.linalg.eigvalsh(fs.p_cov).min(axis=-1)
     fallbacks = 0
     last_z: float | None = None
     for k in range(m):
@@ -87,15 +95,29 @@ def run_filter(sc: Scenario, truth: TruthRun,
         last_z = z
         fs = filter_step(fs, systems, k, z, config)
         innovation[k] = fs.innovation
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(fs.p_cov))))
+        min_eig = np.minimum(min_eig, np.linalg.eigvalsh(fs.p_cov).min(axis=-1))
         x_hat[k + 1] = fs.x_hat
+    return FilterPass(x_hat=x_hat, innovation=innovation, min_p_eigenvalue=min_eig,
+                      z_fallback_count=fallbacks)
 
+
+def run_filter(sc: Scenario, truth: TruthRun,
+               systems: BandedLtv | None = None,
+               config: KalmanConfig | None = None) -> EstimateRun:
+    """Run the filter along a truth trajectory and reconstruct totals."""
+    if systems is None:
+        systems = build_systems(sc, truth)
+    if config is None:
+        config = sc.filter_config()
+    run = filter_pass(truth, systems, KalmanConfig.stack([config]))
+    x_hat = run.x_hat[:, 0]
     rho_hat, q_hat = reconstruct_totals(x_hat, truth.rho_a_matrix(),
                                         np.stack([s.q_a for s in truth.states]))
     return EstimateRun(x_hat=x_hat, rho_hat=rho_hat, q_hat=q_hat,
-                       innovation=innovation, min_p_eigenvalue=min_eig,
+                       innovation=run.innovation[:, 0],
+                       min_p_eigenvalue=float(run.min_p_eigenvalue[0]),
                        g_clamp_count=systems.n_clamped,
-                       z_fallback_count=fallbacks)
+                       z_fallback_count=run.z_fallback_count)
 
 
 def performance_index(rho: np.ndarray, rho_a: np.ndarray, x_hat: np.ndarray) -> float:
@@ -146,26 +168,29 @@ class SweepPoint:
 
 
 def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
-    """Rerun the filter with Q = sigma*I per point; R stays at the scenario value.
+    """Score the filter with Q = sigma*I for each sigma; R stays at the scenario value.
 
-    The truth trajectory and the realization are generated once and shared,
-    so every point scores against identical data.
+    One truth trajectory and realization are shared, and all points run as
+    one batched ``filter_pass``, so every point scores against identical
+    data and equals ``run_filter`` with its own Q bit for bit.  Raises
+    ValueError, before simulating, unless ``sigmas`` is a nonempty list of
+    finite values > 0.
     """
-    if any(s <= 0 for s in sigmas):
-        raise ValueError("sigma values must be > 0")
+    sigmas = [float(s) for s in sigmas]
+    if not sigmas:
+        raise ValueError("need at least one sigma")
+    if not all(math.isfinite(s) and s > 0 for s in sigmas):
+        raise ValueError(f"sigma values must be finite and > 0, got {sigmas}")
     truth = simulate_truth(sc)
-    systems = build_systems(sc, truth)
+    config = KalmanConfig.stack([
+        KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s, r_cov=sc.r_cov,
+                                     x0_value=sc.x0_value, p0_sigma=sc.p0_sigma)
+        for s in sigmas])
+    x_hat = filter_pass(truth, build_systems(sc, truth), config).x_hat
     rho = truth.rho_matrix()
     rho_a = truth.rho_a_matrix()
-    points = []
-    for sigma in sigmas:
-        config = KalmanConfig.scaled_identity(
-            sc.geometry.n_segments, q_sigma=float(sigma), r_cov=sc.r_cov,
-            x0_value=sc.x0_value, p0_sigma=sc.p0_sigma)
-        est = run_filter(sc, truth, systems=systems, config=config)
-        points.append(SweepPoint(sigma=float(sigma),
-                                 p_r=performance_index(rho, rho_a, est.x_hat)))
-    return points
+    return [SweepPoint(sigma=s, p_r=performance_index(rho, rho_a, x_hat[:, i]))
+            for i, s in enumerate(sigmas)]
 
 
 @dataclass(frozen=True)
@@ -205,39 +230,43 @@ def write_trajectory(path, result: RunResult) -> None:
 
     The scalar innovation of step k is repeated on each of the step's rows
     and left empty on the final step, which has no measurement update.
+    Rows are formatted a step at a time as ``csv.writer`` would write them:
+    comma-separated, CRLF-terminated, and no cell needs quoting.
     """
     truth = result.truth
     est = result.estimate
-    m = truth.n_steps
+    m, n = truth.n_steps, truth.states[0].n_segments
+    fields = [np.stack([getattr(s, name) for s in truth.states])
+              for name in ("rho", "rho_a", "v", "q", "q_a")]
+    if est is not None:
+        fields += [est.rho_hat, est.q_hat, est.x_hat]
+    segments = [str(i + 1) for i in range(n)]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for k, state in enumerate(truth.states):
-            innov = _fmt(est.innovation[k]) if est is not None and k < m else ""
-            for i in range(state.n_segments):
-                row = [str(k), str(i + 1), _fmt(state.rho[i]), _fmt(state.rho_a[i]),
-                       _fmt(state.v[i]), _fmt(state.q[i]), _fmt(state.q_a[i])]
-                if est is not None:
-                    row += [_fmt(est.rho_hat[k, i]), _fmt(est.q_hat[k, i]),
-                            _fmt(est.x_hat[k, i]), innov]
-                else:
-                    row += ["", "", "", ""]
-                writer.writerow(row)
+        handle.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
+        for k in range(m + 1):
+            if est is None:
+                tail = ["", "", "", ""]
+            else:
+                tail = [_fmt(est.innovation[k]) if k < m else ""]
+            cells = ([[str(k)] * n, segments] + [list(map(repr, f[k].tolist())) for f in fields]
+                     + [[cell] * n for cell in tail])
+            handle.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
 
 
 def read_trajectory(path) -> dict[str, np.ndarray]:
-    """Parse a trajectory CSV back into (M+1, N) arrays keyed by column."""
+    """Parse a trajectory CSV back into (M+1, N) arrays keyed by column;
+    empty cells read as NaN."""
     with open(path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        rows = list(reader)
-    steps = sorted({int(r["step"]) for r in rows})
-    segs = sorted({int(r["segment"]) for r in rows})
+        reader = csv.reader(handle)
+        header = next(reader)
+        columns = dict(zip(header, zip(*reader)))
+    step = np.array(columns["step"], dtype=int)
+    segment = np.array(columns["segment"], dtype=int) - 1
+    shape = (step.max() + 1, segment.max() + 1)
     out: dict[str, np.ndarray] = {}
     for col in TRAJECTORY_COLUMNS[2:]:
-        values = np.full((len(steps), len(segs)), np.nan)
-        for r in rows:
-            if r[col] != "":
-                values[int(r["step"]), int(r["segment"]) - 1] = float(r[col])
+        values = np.full(shape, np.nan)
+        values[step, segment] = [float(cell or "nan") for cell in columns[col]]
         out[col] = values
     return out
 

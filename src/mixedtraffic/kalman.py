@@ -9,6 +9,11 @@ One-step predictor form, with the gain applied through the state matrix:
 A(k) and B(k) u(k) come from the banded realization of ``ltv``, so A P A'
 costs two shifted row operations; C selects the exit: C x = x[-1], P C' = P[:, -1].
 
+A leading batch axis runs S filters with their own (Q, R, x0, P0) side by
+side on one realization and one measurement sequence: x is (S, N) and P is
+(S, N, N).  Every operation is elementwise or a row shift, so each member's
+arithmetic, and hence its result, is that of its own unbatched run.
+
 P is re-symmetrized each step; the update above is not in Joseph form and
 drifts over long runs otherwise.  Estimates are deliberately not clamped to
 the physical range (ratio >= 1): clamping would hide filter misbehavior.
@@ -17,6 +22,7 @@ the physical range (ratio >= 1): clamping would hide filter misbehavior.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,11 +31,17 @@ from .ltv import BandedLtv
 from .metanet import MeasurementFrame
 
 
+# Most negative covariance eigenvalue a sound run may reach: the update is not
+# in Joseph form, so rounding alone may take P this far below zero.
+PSD_TOL = 1e-9
+
+
 def _check_spd(mat: np.ndarray, name: str) -> np.ndarray:
+    """A symmetric positive definite matrix, or a stack of them."""
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{name} must be square")
-    if not np.allclose(mat, mat.T, rtol=0, atol=1e-10):
+    if not np.allclose(mat, mat.swapaxes(-1, -2), rtol=0, atol=1e-10):
         raise ValueError(f"{name} must be symmetric")
     if np.min(np.linalg.eigvalsh(mat)) <= 0:
         raise ValueError(f"{name} must be positive definite")
@@ -38,10 +50,14 @@ def _check_spd(mat: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KalmanConfig:
-    """Tuning (Q, R) and initialization (x0, P0) of the filter."""
+    """Tuning (Q, R) and initialization (x0, P0) of one filter, or of a batch.
+
+    A batch of S filters has x0 (S, N), q_cov and p0 (S, N, N) and r_cov (S,);
+    ``stack`` builds one from single configs.
+    """
 
     q_cov: np.ndarray
-    r_cov: float
+    r_cov: float | np.ndarray
     x0: np.ndarray
     p0: np.ndarray
 
@@ -49,10 +65,12 @@ class KalmanConfig:
         object.__setattr__(self, "q_cov", _check_spd(self.q_cov, "q_cov"))
         object.__setattr__(self, "p0", _check_spd(self.p0, "p0"))
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-        n = self.x0.shape[0]
-        if self.q_cov.shape != (n, n) or self.p0.shape != (n, n):
+        n = self.x0.shape[-1]
+        if self.q_cov.shape != self.x0.shape + (n,) or self.p0.shape != self.x0.shape + (n,):
             raise ValueError("q_cov/p0 dimensions must match x0")
-        if self.r_cov <= 0:
+        if np.shape(self.r_cov) != self.x0.shape[:-1]:
+            raise ValueError("r_cov must hold one value per filter")
+        if np.any(np.asarray(self.r_cov) <= 0):
             raise ValueError("r_cov must be > 0")
 
     @classmethod
@@ -62,15 +80,24 @@ class KalmanConfig:
         return cls(q_cov=q_sigma * np.eye(n), r_cov=float(r_cov),
                    x0=np.full(n, float(x0_value)), p0=p0_sigma * np.eye(n))
 
+    @classmethod
+    def stack(cls, configs: Sequence["KalmanConfig"]) -> "KalmanConfig":
+        """The batch whose member s is the single filter ``configs[s]``."""
+        return cls(q_cov=np.stack([c.q_cov for c in configs]),
+                   r_cov=np.array([c.r_cov for c in configs], dtype=float),
+                   x0=np.stack([c.x0 for c in configs]),
+                   p0=np.stack([c.p0 for c in configs]))
+
 
 @dataclass(frozen=True)
 class FilterState:
-    """Estimate, covariance, and the gain and innovation of the latest step."""
+    """Estimate, covariance, and the gain and innovation of the latest step;
+    each with a leading batch axis when the config has one."""
 
     x_hat: np.ndarray
     p_cov: np.ndarray
     k_gain: np.ndarray
-    innovation: float = float("nan")
+    innovation: float | np.ndarray = float("nan")
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.x_hat)):
@@ -79,20 +106,25 @@ class FilterState:
     @classmethod
     def initial(cls, config: KalmanConfig) -> "FilterState":
         return cls(x_hat=config.x0.copy(), p_cov=config.p0.copy(),
-                   k_gain=np.zeros(config.x0.shape[0]))
+                   k_gain=np.zeros_like(config.x0))
 
 
 def filter_step(fs: FilterState, sys: BandedLtv, k: int, z: float,
                 config: KalmanConfig) -> FilterState:
-    """One filter step through step k of ``sys`` against the exit measurement z."""
+    """One filter step through step k of ``sys`` against the exit measurement z.
+
+    Raises FloatingPointError when any member's state becomes non-finite.
+    """
     p = fs.p_cov
-    pc = p[:, -1]
-    gain = pc / (pc[-1] + config.r_cov)
-    innovation = z - fs.x_hat[-1]
-    x_next = sys.propagate(k, fs.x_hat) + sys.apply_a(k, gain) * innovation
-    p_post = p - np.outer(gain, pc)          # (I - K C) P
-    p_next = sys.apply_a(k, sys.apply_a(k, p_post).T).T + config.q_cov
-    p_next = 0.5 * (p_next + p_next.T)
+    pc = p[..., -1]
+    gain = pc / (pc[..., -1:] + np.asarray(config.r_cov)[..., None])
+    innovation = z - fs.x_hat[..., -1]
+    x_next = sys.propagate(k, fs.x_hat) + sys.apply_a(k, gain) * innovation[..., None]
+    p_post = p - gain[..., :, None] * pc[..., None, :]      # (I - K C) P
+    # apply_a maps each row v to A v: on P' it gives (A P)', then on A P, A P A'.
+    a_p = sys.apply_a(k, p_post.swapaxes(-1, -2)).swapaxes(-1, -2)
+    p_next = sys.apply_a(k, a_p) + config.q_cov
+    p_next = 0.5 * (p_next + p_next.swapaxes(-1, -2))
     if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(p_next))):
         raise FloatingPointError("non-finite filter state")
     return FilterState(x_hat=x_next, p_cov=p_next, k_gain=gain, innovation=innovation)

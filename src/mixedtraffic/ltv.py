@@ -72,14 +72,13 @@ class BandedLtv:
         return int(np.count_nonzero(self.g <= EPS_G))
 
     def apply_a(self, k: int, v: np.ndarray) -> np.ndarray:
-        """A(k) v, along the first axis of a vector or matrix v."""
-        shape = (-1,) + (1,) * (np.ndim(v) - 1)
-        out = self.diag[k].reshape(shape) * v
-        out[1:] += self.sub[k].reshape(shape) * v[:-1]
+        """A(k) v along the last axis of v; leading axes are a batch."""
+        out = self.diag[k] * v
+        out[..., 1:] += self.sub[k] * v[..., :-1]
         return out
 
     def propagate(self, k: int, x: np.ndarray) -> np.ndarray:
-        """A(k) x + B(k) u(k)."""
+        """A(k) x + B(k) u(k) along the last axis of x; leading axes are a batch."""
         drive = self.gain[k] * self.u[k, 1:]
         drive[0] += self.gain[k, 0] * self.u[k, 0]
         return self.apply_a(k, x) + drive

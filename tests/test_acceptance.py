@@ -12,7 +12,7 @@ import numpy as np
 import mixedtraffic as mt
 from mixedtraffic.core import HighwayGeometry, inverse_penetration
 from mixedtraffic.harness import build_systems, q_sweep, run_experiment
-from mixedtraffic.kalman import FilterState, KalmanConfig, filter_step, output_measurement
+from mixedtraffic.kalman import PSD_TOL, FilterState, KalmanConfig, filter_step, output_measurement
 from mixedtraffic.ltv import anti_diagonal, build_system_measured, observability_matrix, selector_output
 
 from test_harness import GOLDEN_P_R_MEASURED
@@ -92,7 +92,7 @@ def test_criterion_3_filter_exactness(silent_sc):
         worst_err = max(worst_err, float(np.max(np.abs(fs.x_hat - ref))))
         symmetric &= bool(np.array_equal(fs.p_cov, fs.p_cov.T))
         min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(fs.p_cov))))
-    ok = worst_err <= 1e-9 and symmetric and min_eig >= -1e-9
+    ok = worst_err <= 1e-9 and symmetric and min_eig >= -PSD_TOL
     _report(3, "filter exactness", ok,
             f"max err={worst_err:.2e}, min P eig={min_eig:.2e}")
 

@@ -71,6 +71,32 @@ def test_sweep_csv(tmp_path, short_yaml, capsys):
     assert capsys.readouterr().out.count("sigma =") == 3
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1", "abc"])
+def test_sweep_rejects_bad_sigma_flag(tmp_path, short_yaml, capsys, sigma):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--scenario", str(short_yaml), "--out", str(tmp_path),
+              "--sigmas", "1.0", sigma])
+    assert excinfo.value.code == 2
+    assert "--sigmas" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_estimate_refuses_diverged_filter(tmp_path, capsys):
+    """A 1% initial connected share at the default seed drives the covariance
+    to about -2.75e45 and P_R to about 1.27e18."""
+    text = DEFAULT_YAML.read_text()
+    initial = "initial:\n  rho: 9.0                        # veh/km, uniform\n  penetration: "
+    assert initial + "0.2" in text
+    path = tmp_path / "sparse.yaml"
+    path.write_text(text.replace(initial + "0.2", initial + "0.01"))
+    code = main(["estimate", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "filter_diverged"
+    assert float(err["min_p_eigenvalue"]) < -1e40
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_observability_report(tmp_path, short_yaml, capsys):
     code = main(["observability", "--scenario", str(short_yaml),
                  "--out", str(tmp_path), "--stride", "10"])

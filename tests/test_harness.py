@@ -1,25 +1,32 @@
 """End-to-end pipeline: metrics, sweeps, CSV round-trips, regression values."""
 
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
 import mixedtraffic as mt
+from mixedtraffic import harness
 from mixedtraffic.harness import (
+    TRAJECTORY_COLUMNS,
     build_systems,
+    filter_pass,
     observability_trace,
     performance_index,
     q_sweep,
     read_sweep,
     read_trajectory,
     run_experiment,
+    run_filter,
     simulate_only,
     write_metrics,
     write_sweep,
     write_trajectory,
 )
+from mixedtraffic.kalman import FilterState, KalmanConfig, filter_step, output_measurement
 from mixedtraffic.ltv import anti_diagonal, observability_matrix, window_anti_diagonals
 
 # Regression values produced by this build of the default scenario
@@ -134,6 +141,99 @@ def test_sweep_truth_shared_across_points(default_sc):
 def test_sweep_rejects_nonpositive_sigma(default_sc):
     with pytest.raises(ValueError):
         q_sweep(default_sc, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("sigmas", [[float("nan")], [1.0, float("inf")], []])
+def test_sweep_rejects_nonfinite_or_empty_sigmas_before_simulating(default_sc, monkeypatch,
+                                                                  sigmas):
+    def refuse(sc):
+        raise AssertionError("simulated before validating the sigmas")
+    monkeypatch.setattr(harness, "simulate_truth", refuse)
+    with pytest.raises(ValueError, match="sigma"):
+        q_sweep(default_sc, sigmas)
+
+
+def _serial_run(truth, systems, config):
+    """The unbatched filter loop: x_hat, innovations, most negative P eigenvalue."""
+    fs = FilterState.initial(config)
+    x_hat, innovation = [fs.x_hat], []
+    min_eig = float(np.min(np.linalg.eigvalsh(fs.p_cov)))
+    last_z = None
+    for k in range(truth.n_steps):
+        z, _ = output_measurement(truth.frames[k], last_z)
+        last_z = z
+        fs = filter_step(fs, systems, k, z, config)
+        x_hat.append(fs.x_hat)
+        innovation.append(fs.innovation)
+        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(fs.p_cov))))
+    return np.stack(x_hat), np.array(innovation), min_eig
+
+
+@pytest.mark.parametrize("mode", ["measured", "unmeasured"])
+def test_batch_members_equal_unbatched_runs(default_sc, default_result, mode):
+    """Each member of a batched pass equals run_filter and the unbatched loop
+    with its own config, bit for bit, and the sweep scores those estimates."""
+    sc = dataclasses.replace(default_sc, offramp_mode=mode)
+    truth = default_result.truth
+    systems = build_systems(sc, truth)
+    sigmas = [0.01, 1.0, 100.0]
+    configs = [KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s,
+                                            r_cov=sc.r_cov, x0_value=sc.x0_value,
+                                            p0_sigma=sc.p0_sigma) for s in sigmas]
+    batch = filter_pass(truth, systems, KalmanConfig.stack(configs))
+    assert batch.x_hat.shape == (truth.n_steps + 1, len(sigmas), sc.geometry.n_segments)
+    points = q_sweep(sc, sigmas)
+    for i, config in enumerate(configs):
+        est = run_filter(sc, truth, systems=systems, config=config)
+        x_hat, innovation, min_eig = _serial_run(truth, systems, config)
+        assert np.array_equal(batch.x_hat[:, i], est.x_hat)
+        assert np.array_equal(est.x_hat, x_hat)
+        assert np.array_equal(batch.innovation[:, i], est.innovation)
+        assert np.array_equal(est.innovation, innovation)
+        assert batch.min_p_eigenvalue[i] == est.min_p_eigenvalue == min_eig
+        assert batch.z_fallback_count == est.z_fallback_count
+        assert points[i].p_r == performance_index(truth.rho_matrix(), truth.rho_a_matrix(),
+                                                  est.x_hat)
+
+
+def test_sweep_fails_when_one_member_overflows(default_sc):
+    """Q = 1e308 I overflows the covariance on the first step, alone or batched."""
+    short = dataclasses.replace(default_sc, horizon_h=0.05)
+    huge = KalmanConfig.scaled_identity(short.geometry.n_segments, q_sigma=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError):
+            run_filter(short, mt.simulate_truth(short), config=huge)
+        with pytest.raises(FloatingPointError):
+            q_sweep(short, [1.0, 1e308])
+    assert len(q_sweep(short, [1.0, 1e307])) == 2
+
+
+def _trajectory_text_cell_by_cell(result) -> str:
+    """The trajectory CSV as csv.writer writes it, each float formatted by repr."""
+    truth, est = result.truth, result.estimate
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(TRAJECTORY_COLUMNS)
+    for k, state in enumerate(truth.states):
+        for i in range(state.n_segments):
+            row = [str(k), str(i + 1)] + [repr(float(getattr(state, name)[i]))
+                                          for name in ("rho", "rho_a", "v", "q", "q_a")]
+            if est is None:
+                row += ["", "", "", ""]
+            else:
+                row += [repr(float(est.rho_hat[k, i])), repr(float(est.q_hat[k, i])),
+                        repr(float(est.x_hat[k, i])),
+                        repr(float(est.innovation[k])) if k < truth.n_steps else ""]
+            writer.writerow(row)
+    return buffer.getvalue()
+
+
+def test_trajectory_csv_bytes_match_cell_by_cell_repr(tmp_path, default_sc):
+    short = dataclasses.replace(default_sc, horizon_h=0.05)
+    for result in (run_experiment(short), simulate_only(short)):
+        path = tmp_path / "trajectory.csv"
+        write_trajectory(path, result)
+        assert path.read_bytes() == _trajectory_text_cell_by_cell(result).encode("utf-8")
 
 
 def test_trajectory_csv_roundtrip(tmp_path, default_sc, default_result):

@@ -6,6 +6,7 @@ import pytest
 import mixedtraffic as mt
 from mixedtraffic.core import inverse_penetration
 from mixedtraffic.kalman import (
+    PSD_TOL,
     FilterState,
     KalmanConfig,
     filter_step,
@@ -96,7 +97,7 @@ def test_scalar_recursion_matches_hand_computation():
 
 
 def test_covariance_stays_symmetric_psd(default_sc, default_result):
-    assert default_result.estimate.min_p_eigenvalue >= -1e-9
+    assert default_result.estimate.min_p_eigenvalue >= -PSD_TOL
     # spot-check symmetry on a fresh short run
     truth = default_result.truth
     systems = mt.harness.build_systems(default_sc, truth)
@@ -183,3 +184,41 @@ def test_reconstruct_exact_state_recovers_truth(silent_truth):
     rho_hat, q_hat = reconstruct_totals(x_true, frame.rho_a_seg, frame.q_a_seg)
     assert np.allclose(rho_hat, state.rho, rtol=1e-12)
     assert np.allclose(q_hat, state.q, rtol=1e-12)
+
+
+def _first_failing_step(sys, config, z=5.0):
+    """Step at which filter_step raises FloatingPointError, or None."""
+    fs = FilterState.initial(config)
+    for k in range(len(sys)):
+        try:
+            fs = filter_step(fs, sys, k, z, config)
+        except FloatingPointError:
+            return k
+    return None
+
+
+def test_batch_fails_exactly_when_a_member_fails():
+    """A = 2I leaves the upstream segments unobserved, so their variance grows
+    4x a step and a huge Q overflows after a number of steps set by its size;
+    the batch fails at the first step any member's own run fails, and not at
+    all when none does."""
+    n, m = 4, 60
+    sys = BandedLtv(diag=np.full((m, n), 2.0), sub=np.zeros((m, n - 1)),
+                    gain=np.zeros((m, n)), u=np.zeros((m, n + 1)), g=np.ones((m, n)))
+    configs = [KalmanConfig.scaled_identity(n, q_sigma=q) for q in (1.0, 1e290, 1e300)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [_first_failing_step(sys, c) for c in configs]
+        assert alone[0] is None and alone[1] > alone[2] > 0
+        assert _first_failing_step(sys, KalmanConfig.stack(configs)) == alone[2]
+        assert _first_failing_step(sys, KalmanConfig.stack(configs[:2])) == alone[1]
+    assert _first_failing_step(sys, KalmanConfig.stack(configs[:1])) is None
+
+
+def test_stacked_config_validation():
+    single = KalmanConfig.scaled_identity(3)
+    batch = KalmanConfig.stack([single, KalmanConfig.scaled_identity(3, q_sigma=2.0)])
+    assert batch.x0.shape == (2, 3) and batch.q_cov.shape == (2, 3, 3)
+    with pytest.raises(ValueError):
+        KalmanConfig(q_cov=batch.q_cov, r_cov=100.0, x0=batch.x0, p0=batch.p0)
+    with pytest.raises(ValueError):
+        KalmanConfig(q_cov=batch.q_cov, r_cov=np.array([1.0, 0.0]), x0=batch.x0, p0=batch.p0)
