@@ -32,6 +32,6 @@ for seg in range(1, 9):
     when = f"{hours[np.argmax(above)]:.2f} h" if above.any() else "never"
     print(f"  segment {seg}: {when}")
 
-v = np.stack([s.v for s in truth.states])
+v = truth.states.v
 print(f"\nspeed at segment 2: free-flow {v[:360, 1].mean():.0f} km/h, "
       f"mid-hour minimum {v[:, 1].min():.0f} km/h")

@@ -3,8 +3,8 @@
 Verbs: ``simulate`` (ground truth only), ``estimate`` (full pipeline),
 ``sweep`` (process-covariance sweep), ``observability`` (anti-diagonal
 report over a run).  Outputs are CSV files in the chosen directory; scenario
-validation failures, an estimate whose filter diverged, and a run too short
-for one observability window exit 2 with a JSON error object on stderr.
+validation failures, an estimate or sweep whose filter diverged, and a run too
+short for one observability window exit 2 with a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    diverged,
     observability_trace,
     q_sweep,
     run_experiment,
@@ -94,6 +95,13 @@ def _refuse(error: dict) -> int:
     return 2
 
 
+def _refuse_diverged(details: dict) -> int:
+    """Refuse a run that fails ``harness.diverged`` or whose filter raised."""
+    return _refuse({"error": "filter_diverged", **details,
+                    "message": f"the filter state must stay finite, P_R finite and the "
+                               f"covariance eigenvalues >= {-PSD_TOL:g}"})
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -113,19 +121,27 @@ def main(argv: list[str] | None = None) -> int:
         print(f"simulated {result.truth.n_steps} steps in {result.runtime_s:.3f} s "
               f"-> {out / 'trajectory.csv'}")
     elif args.command == "estimate":
-        result = run_experiment(sc)
-        min_eig = result.estimate.min_p_eigenvalue
-        if not math.isfinite(result.p_r) or min_eig < -PSD_TOL:
-            return _refuse({"error": "filter_diverged", "p_r": repr(result.p_r),
-                            "min_p_eigenvalue": repr(min_eig),
-                            "message": f"P_R must be finite and the covariance "
-                                       f"eigenvalues >= {-PSD_TOL:g}"})
+        try:
+            result = run_experiment(sc)
+        except FloatingPointError as exc:
+            return _refuse_diverged({"raised": str(exc)})
+        if diverged(result.p_r, result.estimate.min_p_eigenvalue):
+            return _refuse_diverged({"p_r": repr(result.p_r), "min_p_eigenvalue":
+                                     repr(result.estimate.min_p_eigenvalue)})
         write_trajectory(out / "trajectory.csv", result)
         write_metrics(out / "metrics.csv", result)
         print(f"estimated {result.truth.n_steps} steps in {result.runtime_s:.3f} s; "
               f"P_R = {100 * result.p_r:.3f}% -> {out / 'trajectory.csv'}")
     elif args.command == "sweep":
-        points = q_sweep(sc, args.sigmas)
+        try:
+            points = q_sweep(sc, args.sigmas)
+        except FloatingPointError as exc:
+            return _refuse_diverged({"raised": str(exc)})
+        bad = [p for p in points if diverged(p.p_r, p.min_p_eigenvalue)]
+        if bad:
+            return _refuse_diverged({"sigmas": [repr(p.sigma) for p in bad],
+                                     "p_r": [repr(p.p_r) for p in bad],
+                                     "min_p_eigenvalue": [repr(p.min_p_eigenvalue) for p in bad]})
         write_sweep(out / "sweep.csv", points)
         for point in points:
             print(f"sigma = {point.sigma:g}: P_R = {100 * point.p_r:.3f}%")

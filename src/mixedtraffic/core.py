@@ -10,6 +10,7 @@ arrays are 0-based, so segment i lives at index i-1.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,18 +21,53 @@ import numpy as np
 EPS_DENSITY = 1e-6
 
 
-def _as_float_array(x, n: int | None = None, name: str = "value") -> np.ndarray:
-    """Coerce scalar or sequence to a float64 vector, broadcasting scalars to n."""
+def _as_step_array(x, shape: tuple, name: str):
+    """Coerce to float64 of ``shape``, broadcasting scalars; shape () gives a float."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
-        if n is None:
-            raise ValueError(f"{name}: expected a sequence")
-        arr = np.full(n, float(arr))
-    if arr.ndim != 1:
-        raise ValueError(f"{name}: expected a 1-d array, got shape {arr.shape}")
-    if n is not None and arr.shape[0] != n:
-        raise ValueError(f"{name}: expected length {n}, got {arr.shape[0]}")
+        return float(arr) if shape == () else np.full(shape, float(arr))
+    if arr.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
     return arr
+
+
+class StepRecord:
+    """A frozen record of one step, or of a run of steps stacked along a leading
+    axis: of a run, ``rec[k]`` is step k, ``rec[a:b]`` those steps, ``len(rec)``
+    their count.  ``_segment_fields`` hold (N,) per step, ``_step_fields`` one value.
+    """
+
+    _segment_fields: tuple[str, ...] = ()
+    _step_fields: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        lead = self._segment_fields[0]
+        shape = np.shape(getattr(self, lead))
+        if len(shape) not in (1, 2):
+            raise ValueError(f"{lead}: expected shape (N,) or (M, N), got {shape}")
+        for names, rows in ((self._segment_fields, shape), (self._step_fields, shape[:-1])):
+            for name in names:
+                object.__setattr__(self, name, _as_step_array(getattr(self, name), rows, name))
+
+    @property
+    def n_segments(self) -> int:
+        return np.shape(getattr(self, self._segment_fields[0]))[-1]
+
+    def __len__(self) -> int:
+        shape = np.shape(getattr(self, self._segment_fields[0]))
+        if len(shape) < 2:
+            raise TypeError(f"a single-step {type(self).__name__} has no length")
+        return shape[0]
+
+    def __getitem__(self, steps):
+        return dataclasses.replace(self, **{f.name: getattr(self, f.name)[steps]
+                                            for f in dataclasses.fields(self)})
+
+    @classmethod
+    def stack(cls, steps):
+        """The run whose step k is ``steps[k]``."""
+        return cls(**{f.name: np.array([getattr(s, f.name) for s in steps], dtype=float)
+                      for f in dataclasses.fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -47,9 +83,9 @@ class HighwayGeometry:
             raise ValueError("n_segments must be >= 2")
         if self.step_h <= 0:
             raise ValueError("step_h must be > 0")
-        lengths = _as_float_array(self.seg_len_km, self.n_segments, "seg_len_km")
-        if np.any(lengths <= 0):
-            raise ValueError("seg_len_km entries must be > 0")
+        lengths = _as_step_array(self.seg_len_km, (self.n_segments,), "seg_len_km")
+        if not np.all(np.isfinite(lengths) & (lengths > 0)):
+            raise ValueError("seg_len_km entries must be finite and > 0")
         object.__setattr__(self, "seg_len_km", lengths)
 
     @property
@@ -91,8 +127,8 @@ class MetanetParams:
 
 
 @dataclass(frozen=True)
-class TrafficState:
-    """Per-segment totals at one time step: densities, speeds, flows.
+class TrafficState(StepRecord):
+    """Per-segment totals at one time step or over a run: densities, speeds, flows.
 
     ``rho_a``/``q_a`` are the connected-vehicle shares of ``rho``/``q``.
     Flows normally satisfy q = rho * v; additive process noise in the
@@ -105,18 +141,14 @@ class TrafficState:
     q: np.ndarray
     q_a: np.ndarray
 
+    _segment_fields = ("rho", "rho_a", "v", "q", "q_a")
+
     def __post_init__(self):
-        n = np.asarray(self.rho).shape[0]
-        for name in ("rho", "rho_a", "v", "q", "q_a"):
-            object.__setattr__(self, name, _as_float_array(getattr(self, name), n, name))
+        super().__post_init__()
         if np.any(self.rho < 0) or np.any(self.v < 0):
             raise ValueError("rho and v must be nonnegative")
         if np.any(self.rho_a < 0) or np.any(self.rho_a > self.rho + 1e-12):
             raise ValueError("rho_a must lie in [0, rho]")
-
-    @property
-    def n_segments(self) -> int:
-        return self.rho.shape[0]
 
     @classmethod
     def from_densities(cls, rho, rho_a, v) -> "TrafficState":
@@ -172,21 +204,22 @@ class RampLayout:
 
 
 @dataclass(frozen=True)
-class BoundaryInputs:
-    """Entry and ramp flows feeding the conservation updates at one step."""
+class BoundaryInputs(StepRecord):
+    """Entry and ramp flows feeding the conservation updates at one step or over a run."""
 
-    q0: float                      # total entry flow
-    q0_a: float                    # connected entry flow
+    q0: float | np.ndarray         # total entry flow
+    q0_a: float | np.ndarray       # connected entry flow
     r: np.ndarray                  # on-ramp total inflow per segment
     r_a: np.ndarray
     s: np.ndarray                  # off-ramp total outflow per segment
     s_a: np.ndarray
 
+    _segment_fields = ("r", "r_a", "s", "s_a")
+    _step_fields = ("q0", "q0_a")
+
     def __post_init__(self):
-        n = np.asarray(self.r).shape[0]
-        for name in ("r", "r_a", "s", "s_a"):
-            object.__setattr__(self, name, _as_float_array(getattr(self, name), n, name))
-        if self.q0 < 0 or self.q0_a < 0 or self.q0_a > self.q0 + 1e-9:
+        super().__post_init__()
+        if np.any(self.q0 < 0) or np.any(self.q0_a < 0) or np.any(self.q0_a > self.q0 + 1e-9):
             raise ValueError("entry flows must satisfy 0 <= q0_a <= q0")
         for total, part, label in ((self.r, self.r_a, "r"), (self.s, self.s_a, "s")):
             if np.any(total < 0) or np.any(part < 0):

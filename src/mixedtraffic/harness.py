@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kalman import FilterState, KalmanConfig, filter_step, output_measurement, reconstruct_totals
+from .kalman import (PSD_TOL, FilterState, KalmanConfig, filter_step, output_measurement,
+                     reconstruct_totals)
 from .ltv import (OBSERVABILITY_TOL, BandedLtv, build_system_measured,
                   build_system_unmeasured_offramps, window_anti_diagonals)
 from .metanet import TruthRun, TruthSimulator
@@ -78,7 +79,8 @@ def filter_pass(truth: TruthRun, systems: BandedLtv, config: KalmanConfig) -> Fi
 
     Every member sees the same realization and measurements, and each equals
     its own unbatched run bit for bit.  Raises FloatingPointError as soon as
-    any member's state becomes non-finite.
+    any member's state becomes non-finite; that check reports an overflow, so
+    numpy's floating-point warnings are silenced inside the loop.
     """
     m = truth.n_steps
     fs = FilterState.initial(config)
@@ -89,14 +91,15 @@ def filter_pass(truth: TruthRun, systems: BandedLtv, config: KalmanConfig) -> Fi
     min_eig = np.linalg.eigvalsh(fs.p_cov).min(axis=-1)
     fallbacks = 0
     last_z: float | None = None
-    for k in range(m):
-        z, used_fallback = output_measurement(truth.frames[k], last_z)
-        fallbacks += used_fallback
-        last_z = z
-        fs = filter_step(fs, systems, k, z, config)
-        innovation[k] = fs.innovation
-        min_eig = np.minimum(min_eig, np.linalg.eigvalsh(fs.p_cov).min(axis=-1))
-        x_hat[k + 1] = fs.x_hat
+    with np.errstate(all="ignore"):
+        for k in range(m):
+            z, used_fallback = output_measurement(truth.frames, k, last_z)
+            fallbacks += used_fallback
+            last_z = z
+            fs = filter_step(fs, systems, k, z, config)
+            innovation[k] = fs.innovation
+            min_eig = np.minimum(min_eig, np.linalg.eigvalsh(fs.p_cov).min(axis=-1))
+            x_hat[k + 1] = fs.x_hat
     return FilterPass(x_hat=x_hat, innovation=innovation, min_p_eigenvalue=min_eig,
                       z_fallback_count=fallbacks)
 
@@ -111,13 +114,18 @@ def run_filter(sc: Scenario, truth: TruthRun,
         config = sc.filter_config()
     run = filter_pass(truth, systems, KalmanConfig.stack([config]))
     x_hat = run.x_hat[:, 0]
-    rho_hat, q_hat = reconstruct_totals(x_hat, truth.rho_a_matrix(),
-                                        np.stack([s.q_a for s in truth.states]))
+    rho_hat, q_hat = reconstruct_totals(x_hat, truth.rho_a_matrix(), truth.states.q_a)
     return EstimateRun(x_hat=x_hat, rho_hat=rho_hat, q_hat=q_hat,
                        innovation=run.innovation[:, 0],
                        min_p_eigenvalue=float(run.min_p_eigenvalue[0]),
                        g_clamp_count=systems.n_clamped,
                        z_fallback_count=run.z_fallback_count)
+
+
+def diverged(p_r: float, min_p_eigenvalue: float) -> bool:
+    """Run health verdict: P_R is not finite, or the covariance lost positive
+    semidefiniteness (an eigenvalue below -PSD_TOL)."""
+    return not math.isfinite(p_r) or min_p_eigenvalue < -PSD_TOL
 
 
 def performance_index(rho: np.ndarray, rho_a: np.ndarray, x_hat: np.ndarray) -> float:
@@ -165,6 +173,7 @@ def simulate_only(sc: Scenario) -> RunResult:
 class SweepPoint:
     sigma: float
     p_r: float
+    min_p_eigenvalue: float = math.nan     # not stored in sweep.csv
 
 
 def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
@@ -186,10 +195,11 @@ def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
         KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s, r_cov=sc.r_cov,
                                      x0_value=sc.x0_value, p0_sigma=sc.p0_sigma)
         for s in sigmas])
-    x_hat = filter_pass(truth, build_systems(sc, truth), config).x_hat
+    run = filter_pass(truth, build_systems(sc, truth), config)
     rho = truth.rho_matrix()
     rho_a = truth.rho_a_matrix()
-    return [SweepPoint(sigma=s, p_r=performance_index(rho, rho_a, x_hat[:, i]))
+    return [SweepPoint(sigma=s, p_r=performance_index(rho, rho_a, run.x_hat[:, i]),
+                       min_p_eigenvalue=float(run.min_p_eigenvalue[i]))
             for i, s in enumerate(sigmas)]
 
 
@@ -235,9 +245,8 @@ def write_trajectory(path, result: RunResult) -> None:
     """
     truth = result.truth
     est = result.estimate
-    m, n = truth.n_steps, truth.states[0].n_segments
-    fields = [np.stack([getattr(s, name) for s in truth.states])
-              for name in ("rho", "rho_a", "v", "q", "q_a")]
+    m, n = truth.n_steps, truth.states.n_segments
+    fields = [getattr(truth.states, name) for name in ("rho", "rho_a", "v", "q", "q_a")]
     if est is not None:
         fields += [est.rho_hat, est.q_hat, est.x_hat]
     segments = [str(i + 1) for i in range(n)]

@@ -41,6 +41,8 @@ def _check_spd(mat: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{name} must be square")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} must be finite")
     if not np.allclose(mat, mat.swapaxes(-1, -2), rtol=0, atol=1e-10):
         raise ValueError(f"{name} must be symmetric")
     if np.min(np.linalg.eigvalsh(mat)) <= 0:
@@ -65,13 +67,15 @@ class KalmanConfig:
         object.__setattr__(self, "q_cov", _check_spd(self.q_cov, "q_cov"))
         object.__setattr__(self, "p0", _check_spd(self.p0, "p0"))
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        if not np.all(np.isfinite(self.x0)):
+            raise ValueError("x0 must be finite")
         n = self.x0.shape[-1]
         if self.q_cov.shape != self.x0.shape + (n,) or self.p0.shape != self.x0.shape + (n,):
             raise ValueError("q_cov/p0 dimensions must match x0")
         if np.shape(self.r_cov) != self.x0.shape[:-1]:
             raise ValueError("r_cov must hold one value per filter")
-        if np.any(np.asarray(self.r_cov) <= 0):
-            raise ValueError("r_cov must be > 0")
+        if not np.all(np.isfinite(self.r_cov) & (np.asarray(self.r_cov) > 0)):
+            raise ValueError("r_cov must be finite and > 0")
 
     @classmethod
     def scaled_identity(cls, n: int, q_sigma: float = 1.0, r_cov: float = 100.0,
@@ -130,20 +134,20 @@ def filter_step(fs: FilterState, sys: BandedLtv, k: int, z: float,
     return FilterState(x_hat=x_next, p_cov=p_next, k_gain=gain, innovation=innovation)
 
 
-def output_measurement(frame: MeasurementFrame, last_z: float | None = None,
+def output_measurement(frames: MeasurementFrame, k: int, last_z: float | None = None,
                        floor: float = EPS_DENSITY) -> tuple[float, bool]:
-    """Scalar output: noisy total exit flow over exact connected exit flow.
+    """Scalar output of step k: noisy total exit flow over exact connected exit flow.
 
     When the connected exit flow is at or below the floor the ratio is
     meaningless; falls back to ``last_z`` and flags it, or raises when no
     fallback is available.
     """
-    q_a_exit = frame.q_a_seg[-1]
+    q_a_exit = frames.q_a_seg[k, -1]
     if q_a_exit <= floor:
         if last_z is None:
             raise ValueError("connected exit flow is empty and no fallback given")
         return last_z, True
-    return frame.qN_meas / q_a_exit, False
+    return frames.qN_meas[k] / q_a_exit, False
 
 
 def reconstruct_totals(x_hat: np.ndarray, rho_a: np.ndarray,

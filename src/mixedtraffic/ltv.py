@@ -9,19 +9,18 @@ aggregates are treated as known time-varying coefficients:
 with A lower bidiagonal and the output reading the exit segment.  A run's
 realization is one ``BandedLtv``: the diagonal and sub-diagonal of every
 A(k) and the inputs of every B(k) u(k), stacked over the steps and built in
-one vectorised pass over the frames.  Two builders are provided: one
-consuming measured total ramp outflows, one substituting exit-rate
+one vectorised pass over a run's stacked frames.  Two builders are provided:
+one consuming measured total ramp outflows, one substituting exit-rate
 fractions for unmeasured off-ramp flows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import HighwayGeometry, _as_float_array
+from .core import HighwayGeometry, StepRecord, _as_step_array
 from .metanet import MeasurementFrame
 
 # Floor for the denominator sequence; measurement noise can push it
@@ -33,7 +32,7 @@ OBSERVABILITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class BandedLtv:
+class BandedLtv(StepRecord):
     """Coefficients of M consecutive steps; row k belongs to step k.
 
     A(k) has ``diag[k]`` on its diagonal and ``sub[k]`` below it, so
@@ -48,23 +47,13 @@ class BandedLtv:
     u: np.ndarray       # (M, N+1)
     g: np.ndarray       # (M, N)
 
+    _segment_fields = ("diag",)
+
     def __post_init__(self):
         m, n = np.shape(self.diag)
         for name, width in (("sub", n - 1), ("gain", n), ("u", n + 1), ("g", n)):
             if np.shape(getattr(self, name)) != (m, width):
                 raise ValueError(f"{name} must have shape {(m, width)}")
-
-    @property
-    def n(self) -> int:
-        return self.diag.shape[1]
-
-    def __len__(self) -> int:
-        return self.diag.shape[0]
-
-    def __getitem__(self, steps: slice) -> "BandedLtv":
-        """The realization restricted to a slice of steps."""
-        return BandedLtv(diag=self.diag[steps], sub=self.sub[steps], gain=self.gain[steps],
-                         u=self.u[steps], g=self.g[steps])
 
     @property
     def n_clamped(self) -> int:
@@ -93,19 +82,14 @@ def selector_output(n: int, segment: int) -> np.ndarray:
     return c
 
 
-def _stack(frames: Sequence[MeasurementFrame], name: str) -> np.ndarray:
-    return np.array([getattr(f, name) for f in frames], dtype=float)
-
-
-def _connected_flows(frames: Sequence[MeasurementFrame], geom: HighwayGeometry):
-    """Stacked (q_a upstream, q_a, rho_a), each (M, N); checks the frame size once."""
-    if not frames:
+def _connected_flows(frames: MeasurementFrame, geom: HighwayGeometry):
+    """(q_a upstream, q_a, rho_a) of the stacked frames, each (M, N)."""
+    if len(frames) == 0:
         raise ValueError("need at least one frame")
-    q_a = _stack(frames, "q_a_seg")
-    if q_a.shape[1] != geom.n_segments:
+    if frames.n_segments != geom.n_segments:
         raise ValueError("frame size does not match geometry")
-    q_a_up = np.column_stack((_stack(frames, "q0_a"), q_a[:, :-1]))
-    return q_a_up, q_a, _stack(frames, "rho_a_seg")
+    q_a = frames.q_a_seg
+    return np.column_stack((frames.q0_a, q_a[:, :-1])), q_a, frames.rho_a_seg
 
 
 def _banded(geom: HighwayGeometry, rho_a: np.ndarray, q_a: np.ndarray,
@@ -117,9 +101,8 @@ def _banded(geom: HighwayGeometry, rho_a: np.ndarray, q_a: np.ndarray,
                      gain=td / g, u=u, g=g)
 
 
-def build_system_measured(frames: Sequence[MeasurementFrame],
-                          geom: HighwayGeometry) -> BandedLtv:
-    """Realization over ``frames`` consuming measured ramp totals.
+def build_system_measured(frames: MeasurementFrame, geom: HighwayGeometry) -> BandedLtv:
+    """Realization over the stacked ``frames`` consuming measured ramp totals.
 
     The denominators are g_i = rho_a_i + (T/Delta_i)(q_a_{i-1} - q_a_i + r_a_i
     - s_a_i), the next-step connected density predicted from the frame,
@@ -128,15 +111,14 @@ def build_system_measured(frames: Sequence[MeasurementFrame],
     """
     q_a_up, q_a, rho_a = _connected_flows(frames, geom)
     td = geom.t_over_delta
-    g_raw = rho_a + td * (q_a_up - q_a + _stack(frames, "r_a") - _stack(frames, "s_a"))
-    u = np.column_stack((_stack(frames, "q0_meas"),
-                         _stack(frames, "r_meas") - _stack(frames, "s_meas")))
+    g_raw = rho_a + td * (q_a_up - q_a + frames.r_a - frames.s_a)
+    u = np.column_stack((frames.q0_meas, frames.r_meas - frames.s_meas))
     return _banded(geom, rho_a, q_a, q_a_up, g_raw, u)
 
 
-def build_system_unmeasured_offramps(frames: Sequence[MeasurementFrame],
-                                     geom: HighwayGeometry, exit_rates_a) -> BandedLtv:
-    """Realization over ``frames`` with off-ramp totals replaced by exit-rate fractions.
+def build_system_unmeasured_offramps(frames: MeasurementFrame, geom: HighwayGeometry,
+                                     exit_rates_a) -> BandedLtv:
+    """Realization over the stacked ``frames``, off-ramp totals replaced by exit-rate fractions.
 
     ``exit_rates_a`` is the per-segment connected exit-rate vector (zero off
     the ramps).  Assumes total and connected exit rates coincide, which
@@ -144,14 +126,14 @@ def build_system_unmeasured_offramps(frames: Sequence[MeasurementFrame],
     coupling; the input vector drops to [entry total flow, r_1, ..., r_N]
     and no off-ramp detector readings are consumed.
     """
-    beta = _as_float_array(exit_rates_a, geom.n_segments, "exit_rates_a")
+    beta = _as_step_array(exit_rates_a, (geom.n_segments,), "exit_rates_a")
     if np.any(beta < 0) or np.any(beta >= 1):
         raise ValueError("exit rates must lie in [0, 1)")
     q_a_up, q_a, rho_a = _connected_flows(frames, geom)
     td = geom.t_over_delta
     scaled_up = (1.0 - beta) * q_a_up
-    g_raw = rho_a + td * (scaled_up - q_a) + td * _stack(frames, "r_a")
-    u = np.column_stack((_stack(frames, "q0_meas"), _stack(frames, "r_meas")))
+    g_raw = rho_a + td * (scaled_up - q_a) + td * frames.r_a
+    u = np.column_stack((frames.q0_meas, frames.r_meas))
     return _banded(geom, rho_a, q_a, scaled_up, g_raw, u)
 
 
@@ -162,7 +144,7 @@ def observability_matrix(sys: BandedLtv, output_row: np.ndarray | None = None) -
     multiplied out.  With the exit output and lower-bidiagonal A the result
     is anti-lower triangular: zero above the anti-diagonal.
     """
-    n = sys.n
+    n = sys.n_segments
     if len(sys) < n - 1:
         raise ValueError(f"need {n - 1} consecutive steps for dimension {n}")
     c = selector_output(n, n) if output_row is None else np.asarray(output_row, dtype=float)
@@ -191,7 +173,7 @@ def window_anti_diagonals(sys: BandedLtv, stride: int = 1) -> np.ndarray:
     earliest step first, the order of the dense chain, so every row equals
     ``anti_diagonal(observability_matrix(sys[k0:k0 + N - 1]))`` bit for bit.
     """
-    n = sys.n
+    n = sys.n_segments
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if len(sys) < n - 1:
@@ -213,5 +195,5 @@ def interior_sensor_dead_columns(sys: BandedLtv, segment: int) -> list[int]:
     J leaves segments J+1..N unreconstructable for every window length;
     empty only when the detector is at the exit.
     """
-    o = observability_matrix(sys, output_row=selector_output(sys.n, segment))
-    return [c + 1 for c in range(sys.n) if not o[:, c].any()]
+    o = observability_matrix(sys, output_row=selector_output(sys.n_segments, segment))
+    return [c + 1 for c in range(sys.n_segments) if not o[:, c].any()]

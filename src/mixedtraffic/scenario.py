@@ -8,6 +8,7 @@ failure with its path before raising, rather than stopping at the first.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -136,6 +137,10 @@ def default_scenario(seed: int = DEFAULT_SEED) -> Scenario:
 
 # --- YAML parsing ---------------------------------------------------------
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class _Collector:
     """Accumulates path-tagged failures while pulling typed values."""
 
@@ -150,8 +155,11 @@ class _Collector:
         if value is None:
             self.fail(f"{path}.{key}", "missing required value")
             return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             self.fail(f"{path}.{key}", f"expected a number, got {value!r}")
+            return None
+        if not math.isfinite(value):
+            self.fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
             return None
         return float(value)
 
@@ -175,16 +183,31 @@ class _Collector:
         return value
 
     def profile(self, value: Any, path: str) -> PiecewiseLinear | None:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return PiecewiseLinear.constant(float(value))
+        if _is_number(value):
+            value = [[0.0, value]]
         if not isinstance(value, list) or not value:
             self.fail(path, "expected a number or a list of [time_h, value] pairs")
             return None
         try:
-            return PiecewiseLinear.from_pairs(value)
+            profile = PiecewiseLinear.from_pairs(value)
         except (TypeError, ValueError) as exc:
             self.fail(path, str(exc))
             return None
+        if not (np.all(np.isfinite(profile.times_h)) and np.all(np.isfinite(profile.values))):
+            self.fail(path, "breakpoints must be finite")
+            return None
+        return profile
+
+    def densities(self, value: Any, path: str, n: int | None):
+        """A uniform density or a list of one per segment, each finite and >= 0."""
+        items = value if isinstance(value, list) else [value]
+        if (isinstance(value, list) and len(value) != n) or not all(map(_is_number, items)):
+            self.fail(path, f"expected a number or a list of {n} numbers, got {value!r}")
+            return None
+        if not all(math.isfinite(x) and x >= 0 for x in items):
+            self.fail(path, f"expected finite densities >= 0, got {value!r}")
+            return None
+        return np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
 
 
 def _scenario_from_dict(data: Mapping[str, Any], name: str) -> Scenario:
@@ -239,7 +262,7 @@ def _scenario_from_dict(data: Mapping[str, Any], name: str) -> Scenario:
         col.fail("run.offramp_mode", f"must be one of {OFFRAMP_MODES}")
 
     initial = col.section(data, "", "initial")
-    init_rho = initial.get("rho", coded["init_rho"])
+    init_rho = col.densities(initial.get("rho", coded["init_rho"]), "initial.rho", n_segments)
     init_pen = col.number(initial, "initial", "penetration", coded["init_penetration"])
 
     if col.failures:
@@ -257,7 +280,7 @@ def _scenario_from_dict(data: Mapping[str, Any], name: str) -> Scenario:
             entry_demand=entry_demand, onramp_demand=onramp_demand,
             penetration_profile=penetration, noise=noise,
             **filter_kwargs, horizon_h=horizon_h, offramp_mode=offramp_mode,
-            init_rho=np.asarray(init_rho, dtype=float) if isinstance(init_rho, list) else init_rho,
+            init_rho=init_rho,
             init_penetration=init_pen,
             name=data.get("name", name),
         )

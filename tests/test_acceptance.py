@@ -14,6 +14,7 @@ from mixedtraffic.core import HighwayGeometry, inverse_penetration
 from mixedtraffic.harness import build_systems, q_sweep, run_experiment
 from mixedtraffic.kalman import PSD_TOL, FilterState, KalmanConfig, filter_step, output_measurement
 from mixedtraffic.ltv import anti_diagonal, build_system_measured, observability_matrix, selector_output
+from mixedtraffic.metanet import MeasurementFrame
 
 from test_harness import GOLDEN_P_R_MEASURED
 from test_ltv import make_frame
@@ -54,10 +55,10 @@ def test_criterion_2_observability():
     for trial in range(100):
         n = int(rng.integers(2, 21))
         geom = HighwayGeometry(n_segments=n, step_h=10 / 3600, seg_len_km=0.5)
-        systems = build_system_measured(
+        systems = build_system_measured(MeasurementFrame.stack(
             [make_frame(n, rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(100, 800, n),
                         q0_a=float(rng.uniform(100, 800)))
-             for _ in range(n - 1)], geom)
+             for _ in range(n - 1)]), geom)
         o = observability_matrix(systems)
         sign, logdet = np.linalg.slogdet(o)
         log_prod = float(np.sum(np.log(np.abs(anti_diagonal(o)))))
@@ -86,7 +87,7 @@ def test_criterion_3_filter_exactness(silent_sc):
     min_eig = float(np.min(np.linalg.eigvalsh(fs.p_cov)))
     symmetric = True
     for k in range(len(systems)):
-        z, _ = output_measurement(truth.frames[k])
+        z, _ = output_measurement(truth.frames, k)
         fs = filter_step(fs, systems, k, z, config)
         ref = inverse_penetration(truth.states[k + 1].rho, truth.states[k + 1].rho_a)
         worst_err = max(worst_err, float(np.max(np.abs(fs.x_hat - ref))))

@@ -1,6 +1,7 @@
 """Command-line verbs, exit codes, and machine-readable failures."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -84,17 +85,51 @@ def test_sweep_rejects_bad_sigma_flag(tmp_path, short_yaml, capsys, sigma):
 def test_estimate_refuses_diverged_filter(tmp_path, capsys):
     """A 1% initial connected share at the default seed drives the covariance
     to about -2.75e45 and P_R to about 1.27e18."""
-    text = DEFAULT_YAML.read_text()
-    initial = "initial:\n  rho: 9.0                        # veh/km, uniform\n  penetration: "
-    assert initial + "0.2" in text
-    path = tmp_path / "sparse.yaml"
-    path.write_text(text.replace(initial + "0.2", initial + "0.01"))
-    code = main(["estimate", "--scenario", str(path), "--out", str(tmp_path)])
+    code = main(["estimate", "--scenario", str(_sparse_yaml(tmp_path)), "--out", str(tmp_path)])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "filter_diverged"
     assert float(err["min_p_eigenvalue"]) < -1e40
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def _sparse_yaml(tmp_path):
+    """The default scenario with a 1% initial connected share."""
+    text = DEFAULT_YAML.read_text()
+    initial = "initial:\n  rho: 9.0                        # veh/km, uniform\n  penetration: "
+    assert initial + "0.2" in text
+    path = tmp_path / "sparse.yaml"
+    path.write_text(text.replace(initial + "0.2", initial + "0.01"))
+    return path
+
+
+def test_sweep_refuses_diverged_members(tmp_path, capsys):
+    """At the default seed a 1% initial connected share drives every sweep
+    member's covariance far below zero (P_R 5.6e15 to 1.27e18)."""
+    code = main(["sweep", "--scenario", str(_sparse_yaml(tmp_path)), "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "filter_diverged"
+    assert [float(s) for s in err["sigmas"]] == [0.01, 0.1, 1.0, 10.0, 100.0]
+    assert float(err["p_r"][2]) > 1e18
+    assert all(float(e) < -1e20 for e in err["min_p_eigenvalue"])
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["estimate", "sweep"])
+def test_filter_overflow_is_refused(tmp_path, capsys, verb):
+    """Every noise sigma x10 at the default seed overflows the filter state."""
+    text, count = re.subn(r"(  std_\w+: )([0-9.]+)",
+                          lambda m: f"{m.group(1)}{10 * float(m.group(2))}", DEFAULT_YAML.read_text())
+    assert count == 6
+    path = tmp_path / "noisy.yaml"
+    path.write_text(text)
+    code = main([verb, "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "filter_diverged"
+    assert err["raised"] == "non-finite filter state"
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_observability_report(tmp_path, short_yaml, capsys):
@@ -136,6 +171,30 @@ def test_invalid_scenario_is_machine_readable(tmp_path, capsys):
     assert err["error"] == "invalid_scenario"
     assert any(f.startswith("geometry.step_h") for f in err["failures"])
     assert any(f.startswith("run.offramp_mode") for f in err["failures"])
+
+
+@pytest.mark.parametrize("line, bad, path", [
+    ("  horizon_h: 3.0", "  horizon_h: .inf", "run.horizon_h"),
+    ("  r_cov: 100.0", "  r_cov: .nan", "filter.r_cov"),
+    ("  std_speed: 5.0 ", "  std_speed: .nan ", "noise.std_speed"),
+    ("  tau_h: 0.005555555555555556", "  tau_h: .nan", "model.tau_h"),
+    ("  rho: 9.0 ", "  rho: [1.0, 2.0] ", "initial.rho"),
+    ("  rho: 9.0 ", "  rho: -5.0 ", "initial.rho"),
+    ("penetration: 0.2 ", "penetration: .nan ", "penetration"),
+])
+def test_bad_scenario_values_are_refused_at_load(tmp_path, capsys, line, bad, path):
+    """Non-finite numbers and a malformed initial density fail with their path,
+    before anything runs."""
+    text = DEFAULT_YAML.read_text()
+    assert text.count(line) == 1
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(text.replace(line, bad))
+    code = main(["estimate", "--scenario", str(scenario), "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid_scenario"
+    assert [f.split(":")[0] for f in err["failures"]] == [path]
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_missing_scenario_file(tmp_path, capsys):

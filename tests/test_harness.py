@@ -160,7 +160,7 @@ def _serial_run(truth, systems, config):
     min_eig = float(np.min(np.linalg.eigvalsh(fs.p_cov)))
     last_z = None
     for k in range(truth.n_steps):
-        z, _ = output_measurement(truth.frames[k], last_z)
+        z, _ = output_measurement(truth.frames, k, last_z)
         last_z = z
         fs = filter_step(fs, systems, k, z, config)
         x_hat.append(fs.x_hat)

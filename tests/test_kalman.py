@@ -14,6 +14,7 @@ from mixedtraffic.kalman import (
     reconstruct_totals,
 )
 from mixedtraffic.ltv import BandedLtv
+from mixedtraffic.metanet import MeasurementFrame
 
 from test_ltv import make_frame
 
@@ -104,7 +105,7 @@ def test_covariance_stays_symmetric_psd(default_sc, default_result):
     config = default_sc.filter_config()
     fs = FilterState.initial(config)
     for k in range(50):
-        z, _ = output_measurement(truth.frames[k])
+        z, _ = output_measurement(truth.frames, k)
         fs = filter_step(fs, systems, k, z, config)
         assert np.array_equal(fs.p_cov, fs.p_cov.T)
 
@@ -118,7 +119,7 @@ def test_exact_initialization_stays_exact(silent_sc, silent_truth):
     worst = 0.0
     last_z = None
     for k in range(len(systems)):
-        z, _ = output_measurement(silent_truth.frames[k], last_z)
+        z, _ = output_measurement(silent_truth.frames, k, last_z)
         last_z = z
         fs = filter_step(fs, systems, k, z, config)
         ref = inverse_penetration(silent_truth.states[k + 1].rho,
@@ -139,24 +140,34 @@ def test_config_validation():
         KalmanConfig(q_cov=np.eye(n), r_cov=0.0, x0=np.zeros(n), p0=np.eye(n))
 
 
+@pytest.mark.parametrize("field", ["q_cov", "p0", "x0", "r_cov"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_values(field, value):
+    n = 3
+    fields = {"q_cov": np.eye(n), "r_cov": 1.0, "x0": np.zeros(n), "p0": np.eye(n)}
+    fields[field] = np.full(np.shape(fields[field]), value)
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        KalmanConfig(**fields)
+
+
 def test_output_measurement_ratio():
     frame = make_frame(3, rho_a=[5.0, 5.0, 8.0], q_a=[500.0, 450.0, 400.0],
                        q0_a=500.0, qN_meas=2000.0)
-    z, fallback = output_measurement(frame)
+    z, fallback = output_measurement(MeasurementFrame.stack([frame]), 0)
     assert z == 5.0 and not fallback
 
 
 def test_output_measurement_linearity():
     frame = make_frame(3, rho_a=[5.0, 5.0, 8.0], q_a=[500.0, 450.0, 400.0],
                        q0_a=500.0, qN_meas=2025.0)
-    z, _ = output_measurement(frame)
+    z, _ = output_measurement(MeasurementFrame.stack([frame]), 0)
     assert z - 5.0 == 0.0625
 
 
 def test_output_measurement_on_silent_run(silent_truth):
     """Noise-free output equals the exit density ratio (shared-speed identity)."""
     for k in range(0, 300, 13):
-        z, fallback = output_measurement(silent_truth.frames[k])
+        z, fallback = output_measurement(silent_truth.frames, k)
         state = silent_truth.states[k]
         assert not fallback
         assert z == pytest.approx(state.rho[-1] / state.rho_a[-1], rel=1e-12)
@@ -165,10 +176,10 @@ def test_output_measurement_on_silent_run(silent_truth):
 def test_output_measurement_fallback():
     empty = make_frame(3, rho_a=[5.0, 5.0, 0.0], q_a=[500.0, 450.0, 0.0],
                        q0_a=500.0, qN_meas=100.0)
-    z, fallback = output_measurement(empty, last_z=4.2)
+    z, fallback = output_measurement(MeasurementFrame.stack([empty]), 0, last_z=4.2)
     assert z == 4.2 and fallback
     with pytest.raises(ValueError):
-        output_measurement(empty)
+        output_measurement(MeasurementFrame.stack([empty]), 0)
 
 
 def test_reconstruct_totals():

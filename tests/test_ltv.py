@@ -42,20 +42,20 @@ def make_frame(n, rho_a, q_a, q0_a, r_a=None, s_a=None, q0_meas=0.0, qN_meas=0.0
 
 def test_build_g_zero_flows():
     frame = make_frame(3, rho_a=[4.0, 7.5, 2.0], q_a=[0.0, 0.0, 0.0], q0_a=0.0)
-    assert build_system_measured([frame], GEOM3).g[0].tolist() == [4.0, 7.5, 2.0]
+    assert build_system_measured(MeasurementFrame.stack([frame]), GEOM3).g[0].tolist() == [4.0, 7.5, 2.0]
 
 
 def test_build_g_worked_example():
     """rho_a=10, upstream 720, own 600, T/Delta=1/180 -> 10 + 120/180."""
     frame = make_frame(3, rho_a=[10.0, 10.0, 10.0], q_a=[600.0, 600.0, 600.0], q0_a=720.0)
-    g = build_system_measured([frame], GEOM3).g[0]
+    g = build_system_measured(MeasurementFrame.stack([frame]), GEOM3).g[0]
     assert g[0] == pytest.approx(10.0 + 120.0 / 180.0, abs=1e-12)
     assert g[1] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_build_g_floors_and_counts(silent_sc):
     frame = make_frame(3, rho_a=[0.1, 5.0, 5.0], q_a=[900.0, 900.0, 900.0], q0_a=0.0)
-    sys = build_system_measured([frame], GEOM3)
+    sys = build_system_measured(MeasurementFrame.stack([frame]), GEOM3)
     assert sys.g[0, 0] == pytest.approx(1e-6)
     assert sys.n_clamped == 1
 
@@ -71,7 +71,7 @@ def test_measured_system_worked_row():
     """Row with rho_a=10, own flow 600, upstream 720: diag 0.625, sub 0.375."""
     frame = make_frame(3, rho_a=[10.0, 10.0, 10.0], q_a=[720.0, 600.0, 600.0],
                        q0_a=720.0, q0_meas=2000.0)
-    sys = build_system_measured([frame], GEOM3)
+    sys = build_system_measured(MeasurementFrame.stack([frame]), GEOM3)
     assert sys.diag[0, 1] == pytest.approx(0.625, abs=1e-12)
     assert sys.sub[0, 0] == pytest.approx(0.375, abs=1e-12)
     assert sys.diag[0, 1] + sys.sub[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -89,7 +89,7 @@ def test_measured_system_worked_row():
 def test_zero_connected_flow_gives_identity():
     frame = make_frame(4, rho_a=[3.0, 4.0, 5.0, 6.0], q_a=np.zeros(4), q0_a=0.0)
     geom = HighwayGeometry(n_segments=4, step_h=1 / 180, seg_len_km=1.0)
-    sys = build_system_measured([frame], geom)
+    sys = build_system_measured(MeasurementFrame.stack([frame]), geom)
     assert np.array_equal(sys.diag, np.ones((1, 4)))
     assert np.array_equal(sys.sub, np.zeros((1, 3)))
 
@@ -108,7 +108,7 @@ def test_row_sums_are_one_without_ramps(seed):
     geom = HighwayGeometry(n_segments=n, step_h=10 / 3600, seg_len_km=0.5)
     frame = make_frame(n, rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(50, 900, n),
                        q0_a=float(rng.uniform(50, 900)))
-    sys = build_system_measured([frame], geom)
+    sys = build_system_measured(MeasurementFrame.stack([frame]), geom)
     assume(sys.n_clamped == 0)  # the floor intentionally breaks the algebra
     assert np.allclose(sys.diag[0, 1:] + sys.sub[0], 1.0, rtol=0, atol=1e-12)
     entry_share = geom.t_over_delta[0] * frame.q0_a / sys.g[0, 0]
@@ -119,8 +119,8 @@ def test_unmeasured_with_zero_exit_rates_matches_measured():
     frame = make_frame(3, rho_a=[10.0, 8.0, 9.0], q_a=[700.0, 650.0, 620.0],
                        q0_a=710.0, r_a=[0.0, 40.0, 0.0], q0_meas=1950.0,
                        r_meas=[0.0, 200.0, 0.0])
-    measured = build_system_measured([frame], GEOM3)
-    unmeasured = build_system_unmeasured_offramps([frame], GEOM3, np.zeros(3))
+    measured = build_system_measured(MeasurementFrame.stack([frame]), GEOM3)
+    unmeasured = build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), GEOM3, np.zeros(3))
     for name in ("diag", "sub", "gain", "u", "g"):
         assert np.array_equal(getattr(measured, name), getattr(unmeasured, name))
 
@@ -136,7 +136,7 @@ def test_unmeasured_exit_rate_rescales_coupling():
                        s_a=[0.0, 0.0, 0.0, s_a_flow, 0.0])
     beta = np.zeros(n)
     beta[3] = 0.1
-    sys = build_system_unmeasured_offramps([frame], geom, beta)
+    sys = build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), geom, beta)
     td = geom.step_h / 0.5
     g4 = rho_a[3] + td * (0.9 * q_a[2] - q_a[3])
     assert sys.g[0, 3] == pytest.approx(g4, abs=1e-12)
@@ -144,7 +144,7 @@ def test_unmeasured_exit_rate_rescales_coupling():
     # rows without an off-ramp keep the plain coupling
     assert sys.sub[0, 0] == pytest.approx(td * q_a[0] / sys.g[0, 1], abs=1e-12)
     with pytest.raises(ValueError):
-        build_system_unmeasured_offramps([frame], geom, np.full(n, 1.0))
+        build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), geom, np.full(n, 1.0))
 
 
 def _textbook_realization(frame, geom, beta=None):
@@ -179,11 +179,12 @@ def test_band_matches_dense_textbook_realization(n, seed, unmeasured):
     """Stacked A(k), B(k) u(k) and one filter step against dense algebra."""
     rng = np.random.default_rng(seed)
     geom = HighwayGeometry(n_segments=n, step_h=10 / 3600, seg_len_km=0.5)
-    frames = [make_frame(n, rho_a=rng.uniform(6, 30, n), q_a=rng.uniform(0, 1000, n),
-                         q0_a=float(rng.uniform(0, 1000)), r_a=rng.uniform(0, 100, n),
-                         s_a=rng.uniform(0, 100, n), q0_meas=float(rng.uniform(0, 5000)),
-                         r_meas=rng.uniform(0, 500, n), s_meas=rng.uniform(0, 500, n))
-              for _ in range(3)]
+    frames = MeasurementFrame.stack([
+        make_frame(n, rho_a=rng.uniform(6, 30, n), q_a=rng.uniform(0, 1000, n),
+                   q0_a=float(rng.uniform(0, 1000)), r_a=rng.uniform(0, 100, n),
+                   s_a=rng.uniform(0, 100, n), q0_meas=float(rng.uniform(0, 5000)),
+                   r_meas=rng.uniform(0, 500, n), s_meas=rng.uniform(0, 500, n))
+        for _ in range(3)])
     beta = rng.uniform(0, 0.5, n) if unmeasured else None
     sys = (build_system_unmeasured_offramps(frames, geom, beta) if unmeasured
            else build_system_measured(frames, geom))
@@ -252,9 +253,10 @@ def test_zero_coupling_kills_observability():
 
 
 def _random_frame_systems(rng, n, geom, steps):
-    frames = [make_frame(n, rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(100, 800, n),
-                         q0_a=float(rng.uniform(100, 800)))
-              for _ in range(steps)]
+    frames = MeasurementFrame.stack([
+        make_frame(n, rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(100, 800, n),
+                   q0_a=float(rng.uniform(100, 800)))
+        for _ in range(steps)])
     return build_system_measured(frames, geom)
 
 
