@@ -4,101 +4,27 @@ A second-order macroscopic simulator provides ground truth; a linear
 time-varying model of the connected-vehicle share, driven by connected-car
 aggregates and a handful of boundary flow detectors, feeds a Kalman filter
 that reconstructs total per-segment densities and flows.
+
+The package namespace holds the entry points of an experiment; every other
+name lives in its submodule (``mixedtraffic.harness.run_filter``,
+``mixedtraffic.kalman.KalmanConfig``, ...).
 """
 
-from .core import (
-    EPS_DENSITY,
-    BoundaryInputs,
-    HighwayGeometry,
-    MetanetParams,
-    RampLayout,
-    TrafficState,
-    flows_from_state,
-    inverse_penetration,
-    nominal_speed,
-    penetration,
-)
-from .harness import (
-    EstimateRun,
-    RunResult,
-    SweepPoint,
-    performance_index,
-    q_sweep,
-    run_experiment,
-    run_filter,
-    simulate_truth,
-)
-from .kalman import (
-    FilterState,
-    KalmanConfig,
-    filter_step,
-    output_measurement,
-    reconstruct_totals,
-)
-from .ltv import (
-    BandedLtv,
-    anti_diagonal,
-    build_system_measured,
-    build_system_unmeasured_offramps,
-    interior_sensor_dead_columns,
-    observability_matrix,
-    selector_output,
-)
-from .metanet import (
-    MeasurementFrame,
-    NoiseSpec,
-    PiecewiseLinear,
-    TruthRun,
-    TruthSimulator,
-    observe,
-    offramp_outflows,
-    step_truth,
-)
-from .scenario import Scenario, ScenarioError, default_scenario, load_scenario
+from .core import MetanetParams, inverse_penetration, nominal_speed
+from .harness import q_sweep, run_experiment, simulate_truth
+from .metanet import NoiseSpec
+from .scenario import Scenario, default_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandedLtv",
-    "BoundaryInputs",
-    "EPS_DENSITY",
-    "EstimateRun",
-    "FilterState",
-    "HighwayGeometry",
-    "KalmanConfig",
-    "MeasurementFrame",
     "MetanetParams",
     "NoiseSpec",
-    "PiecewiseLinear",
-    "RampLayout",
-    "RunResult",
     "Scenario",
-    "ScenarioError",
-    "SweepPoint",
-    "TrafficState",
-    "TruthRun",
-    "TruthSimulator",
-    "anti_diagonal",
-    "build_system_measured",
-    "build_system_unmeasured_offramps",
     "default_scenario",
-    "filter_step",
-    "flows_from_state",
-    "interior_sensor_dead_columns",
     "inverse_penetration",
-    "load_scenario",
     "nominal_speed",
-    "observability_matrix",
-    "observe",
-    "offramp_outflows",
-    "output_measurement",
-    "penetration",
-    "performance_index",
     "q_sweep",
-    "reconstruct_totals",
     "run_experiment",
-    "run_filter",
-    "selector_output",
     "simulate_truth",
-    "step_truth",
 ]

@@ -11,6 +11,7 @@ arrays are 0-based, so segment i lives at index i-1.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,8 @@ class HighwayGeometry:
     def __post_init__(self):
         if self.n_segments < 2:
             raise ValueError("n_segments must be >= 2")
-        if self.step_h <= 0:
-            raise ValueError("step_h must be > 0")
+        if not (math.isfinite(self.step_h) and self.step_h > 0):
+            raise ValueError("step_h must be finite and > 0")
         lengths = _as_step_array(self.seg_len_km, (self.n_segments,), "seg_len_km")
         if not np.all(np.isfinite(lengths) & (lengths > 0)):
             raise ValueError("seg_len_km entries must be finite and > 0")
@@ -116,8 +117,9 @@ class MetanetParams:
     def __post_init__(self):
         for name in ("tau_h", "nu", "kappa", "delta_ramp", "v_free", "rho_crit",
                      "alpha_exp"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
 
     @classmethod
     def defaults(cls) -> "MetanetParams":

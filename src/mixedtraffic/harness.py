@@ -2,8 +2,9 @@
 
 The estimation loop pairs each step's measurement frame with the realization
 step built from that same frame: frame k yields A(k), B(k) u(k), and z(k).
-Ground truth never depends on filter tuning, so sweeps materialize one
-truth trajectory and reuse it for every tuning point.
+Ground truth never depends on filter tuning, so a sweep simulates one truth
+trajectory and runs every tuning point on it as one batch: ``run_filter``
+runs one filter or a batch of them (``KalmanConfig.stack``) in one loop.
 """
 
 from __future__ import annotations
@@ -26,15 +27,19 @@ from .scenario import Scenario
 
 @dataclass(frozen=True)
 class EstimateRun:
-    """Filter outputs over a run; row k is the estimate at step k."""
+    """Filter outputs over a run; row k is the estimate at step k.
 
-    x_hat: np.ndarray          # (M+1, N) inverse-share estimates
-    rho_hat: np.ndarray        # (M+1, N) reconstructed total densities
-    q_hat: np.ndarray          # (M+1, N) reconstructed total flows
-    innovation: np.ndarray     # (M,) scalar innovations
-    min_p_eigenvalue: float    # most negative covariance eigenvalue seen
+    Shapes follow the config: a batch of S filters (``KalmanConfig.stack``)
+    puts the member axis first, so ``x_hat[i]`` is member i's run.
+    """
+
+    x_hat: np.ndarray          # batch + (M+1, N) inverse-share estimates
+    rho_hat: np.ndarray        # batch + (M+1, N) reconstructed total densities
+    q_hat: np.ndarray          # batch + (M+1, N) reconstructed total flows
+    innovation: np.ndarray     # batch + (M,) scalar innovations
+    min_p_eigenvalue: float | np.ndarray  # most negative covariance eigenvalue seen, per member
     g_clamp_count: int
-    z_fallback_count: int
+    z_fallback_count: int      # steps that reused the previous output
 
 
 @dataclass(frozen=True)
@@ -64,29 +69,27 @@ def build_systems(sc: Scenario, truth: TruthRun) -> BandedLtv:
     return build_system_measured(frames, sc.geometry)
 
 
-@dataclass(frozen=True)
-class FilterPass:
-    """Outputs of a batch of S filters run side by side along one truth run."""
+def run_filter(sc: Scenario, truth: TruthRun,
+               systems: BandedLtv | None = None,
+               config: KalmanConfig | None = None) -> EstimateRun:
+    """Run the filter, or the batch ``config``, along a truth run and
+    reconstruct totals.
 
-    x_hat: np.ndarray            # (M+1, S, N) inverse-share estimates
-    innovation: np.ndarray       # (M, S) scalar innovations
-    min_p_eigenvalue: np.ndarray  # (S,) most negative covariance eigenvalue seen
-    z_fallback_count: int        # steps that reused the previous output
-
-
-def filter_pass(truth: TruthRun, systems: BandedLtv, config: KalmanConfig) -> FilterPass:
-    """Run the batch ``config`` (see ``KalmanConfig.stack``) along a truth run.
-
-    Every member sees the same realization and measurements, and each equals
-    its own unbatched run bit for bit.  Raises FloatingPointError as soon as
-    any member's state becomes non-finite; that check reports an overflow, so
-    numpy's floating-point warnings are silenced inside the loop.
+    Every member of a batch sees the same realization and measurements, and
+    each equals its own unbatched run bit for bit.  Raises FloatingPointError
+    as soon as any member's state becomes non-finite; that check reports an
+    overflow, so numpy's floating-point warnings are silenced inside the loop.
     """
+    if systems is None:
+        systems = build_systems(sc, truth)
+    if config is None:
+        config = sc.filter_config()
     m = truth.n_steps
     fs = FilterState.initial(config)
-    x_hat = np.empty((m + 1,) + fs.x_hat.shape)
-    innovation = np.empty((m,) + fs.x_hat.shape[:-1])
-    x_hat[0] = fs.x_hat
+    batch = fs.x_hat.shape[:-1]
+    x_hat = np.empty(batch + (m + 1, fs.x_hat.shape[-1]))
+    innovation = np.empty(batch + (m,))
+    x_hat[..., 0, :] = fs.x_hat
 
     min_eig = np.linalg.eigvalsh(fs.p_cov).min(axis=-1)
     fallbacks = 0
@@ -97,29 +100,13 @@ def filter_pass(truth: TruthRun, systems: BandedLtv, config: KalmanConfig) -> Fi
             fallbacks += used_fallback
             last_z = z
             fs = filter_step(fs, systems, k, z, config)
-            innovation[k] = fs.innovation
+            innovation[..., k] = fs.innovation
             min_eig = np.minimum(min_eig, np.linalg.eigvalsh(fs.p_cov).min(axis=-1))
-            x_hat[k + 1] = fs.x_hat
-    return FilterPass(x_hat=x_hat, innovation=innovation, min_p_eigenvalue=min_eig,
-                      z_fallback_count=fallbacks)
-
-
-def run_filter(sc: Scenario, truth: TruthRun,
-               systems: BandedLtv | None = None,
-               config: KalmanConfig | None = None) -> EstimateRun:
-    """Run the filter along a truth trajectory and reconstruct totals."""
-    if systems is None:
-        systems = build_systems(sc, truth)
-    if config is None:
-        config = sc.filter_config()
-    run = filter_pass(truth, systems, KalmanConfig.stack([config]))
-    x_hat = run.x_hat[:, 0]
-    rho_hat, q_hat = reconstruct_totals(x_hat, truth.rho_a_matrix(), truth.states.q_a)
-    return EstimateRun(x_hat=x_hat, rho_hat=rho_hat, q_hat=q_hat,
-                       innovation=run.innovation[:, 0],
-                       min_p_eigenvalue=float(run.min_p_eigenvalue[0]),
-                       g_clamp_count=systems.n_clamped,
-                       z_fallback_count=run.z_fallback_count)
+            x_hat[..., k + 1, :] = fs.x_hat
+    rho_hat, q_hat = reconstruct_totals(x_hat, truth.states.rho_a, truth.states.q_a)
+    return EstimateRun(x_hat=x_hat, rho_hat=rho_hat, q_hat=q_hat, innovation=innovation,
+                       min_p_eigenvalue=min_eig if batch else float(min_eig),
+                       g_clamp_count=systems.n_clamped, z_fallback_count=fallbacks)
 
 
 def diverged(p_r: float, min_p_eigenvalue: float) -> bool:
@@ -180,7 +167,7 @@ def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
     """Score the filter with Q = sigma*I for each sigma; R stays at the scenario value.
 
     One truth trajectory and realization are shared, and all points run as
-    one batched ``filter_pass``, so every point scores against identical
+    one batch through ``run_filter``, so every point scores against identical
     data and equals ``run_filter`` with its own Q bit for bit.  Raises
     ValueError, before simulating, unless ``sigmas`` is a nonempty list of
     finite values > 0.
@@ -191,14 +178,12 @@ def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
     if not all(math.isfinite(s) and s > 0 for s in sigmas):
         raise ValueError(f"sigma values must be finite and > 0, got {sigmas}")
     truth = simulate_truth(sc)
-    config = KalmanConfig.stack([
+    run = run_filter(sc, truth, config=KalmanConfig.stack([
         KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s, r_cov=sc.r_cov,
                                      x0_value=sc.x0_value, p0_sigma=sc.p0_sigma)
-        for s in sigmas])
-    run = filter_pass(truth, build_systems(sc, truth), config)
-    rho = truth.rho_matrix()
-    rho_a = truth.rho_a_matrix()
-    return [SweepPoint(sigma=s, p_r=performance_index(rho, rho_a, run.x_hat[:, i]),
+        for s in sigmas]))
+    rho, rho_a = truth.rho_matrix(), truth.rho_a_matrix()
+    return [SweepPoint(sigma=s, p_r=performance_index(rho, rho_a, run.x_hat[i]),
                        min_p_eigenvalue=float(run.min_p_eigenvalue[i]))
             for i, s in enumerate(sigmas)]
 

@@ -18,6 +18,7 @@ columns are the state and input arrays themselves.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -61,8 +62,9 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("std_entry_flow", "std_onramp", "std_offramp", "std_speed",
                      "std_flow_proc", "std_flow_proc_a"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit nonnegative integer")
 
@@ -116,6 +118,8 @@ class PiecewiseLinear:
         v = _as_step_array(self.values, t.shape, "values")
         if len(t) == 0:
             raise ValueError("profile needs at least one breakpoint")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("breakpoints must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("breakpoint times must be strictly increasing")
         object.__setattr__(self, "times_h", t)

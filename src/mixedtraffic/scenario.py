@@ -59,8 +59,8 @@ class Scenario:
         self.layout.validate_against(self.geometry.n_segments)
         if self.offramp_mode not in OFFRAMP_MODES:
             raise ValueError(f"offramp_mode must be one of {OFFRAMP_MODES}")
-        if self.horizon_h <= 0:
-            raise ValueError("horizon_h must be > 0")
+        if not (math.isfinite(self.horizon_h) and self.horizon_h > 0):
+            raise ValueError("horizon_h must be finite and > 0")
         steps = self.horizon_h / self.geometry.step_h
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("horizon_h must be an integer number of steps")
@@ -192,9 +192,6 @@ class _Collector:
             profile = PiecewiseLinear.from_pairs(value)
         except (TypeError, ValueError) as exc:
             self.fail(path, str(exc))
-            return None
-        if not (np.all(np.isfinite(profile.times_h)) and np.all(np.isfinite(profile.values))):
-            self.fail(path, "breakpoints must be finite")
             return None
         return profile
 

@@ -13,7 +13,6 @@ from mixedtraffic import harness
 from mixedtraffic.harness import (
     TRAJECTORY_COLUMNS,
     build_systems,
-    filter_pass,
     observability_trace,
     performance_index,
     q_sweep,
@@ -170,9 +169,10 @@ def _serial_run(truth, systems, config):
 
 
 @pytest.mark.parametrize("mode", ["measured", "unmeasured"])
-def test_batch_members_equal_unbatched_runs(default_sc, default_result, mode):
-    """Each member of a batched pass equals run_filter and the unbatched loop
-    with its own config, bit for bit, and the sweep scores those estimates."""
+def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypatch, mode):
+    """Each member of a batched run equals run_filter and the unbatched loop
+    with its own config, bit for bit, and the sweep scores those estimates
+    from one batched run_filter call."""
     sc = dataclasses.replace(default_sc, offramp_mode=mode)
     truth = default_result.truth
     systems = build_systems(sc, truth)
@@ -180,17 +180,33 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, mode):
     configs = [KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s,
                                             r_cov=sc.r_cov, x0_value=sc.x0_value,
                                             p0_sigma=sc.p0_sigma) for s in sigmas]
-    batch = filter_pass(truth, systems, KalmanConfig.stack(configs))
-    assert batch.x_hat.shape == (truth.n_steps + 1, len(sigmas), sc.geometry.n_segments)
+    batch = run_filter(sc, truth, systems=systems, config=KalmanConfig.stack(configs))
+    m, n = truth.n_steps, sc.geometry.n_segments
+    for field in ("x_hat", "rho_hat", "q_hat"):
+        assert getattr(batch, field).shape == (len(sigmas), m + 1, n)
+    assert batch.innovation.shape == (len(sigmas), m)
+    assert batch.min_p_eigenvalue.shape == (len(sigmas),)
+
+    calls = []
+
+    def counting_run_filter(sc, truth, systems=None, config=None):
+        calls.append(config.x0.shape[:-1])
+        return run_filter(sc, truth, systems=systems, config=config)
+    monkeypatch.setattr(harness, "run_filter", counting_run_filter)
     points = q_sweep(sc, sigmas)
+    assert calls == [(len(sigmas),)]
+
     for i, config in enumerate(configs):
         est = run_filter(sc, truth, systems=systems, config=config)
         x_hat, innovation, min_eig = _serial_run(truth, systems, config)
-        assert np.array_equal(batch.x_hat[:, i], est.x_hat)
+        assert np.array_equal(batch.x_hat[i], est.x_hat)
         assert np.array_equal(est.x_hat, x_hat)
-        assert np.array_equal(batch.innovation[:, i], est.innovation)
+        assert np.array_equal(batch.rho_hat[i], est.rho_hat)
+        assert np.array_equal(batch.q_hat[i], est.q_hat)
+        assert np.array_equal(batch.innovation[i], est.innovation)
         assert np.array_equal(est.innovation, innovation)
         assert batch.min_p_eigenvalue[i] == est.min_p_eigenvalue == min_eig
+        assert type(est.min_p_eigenvalue) is float
         assert batch.z_fallback_count == est.z_fallback_count
         assert points[i].p_r == performance_index(truth.rho_matrix(), truth.rho_a_matrix(),
                                                   est.x_hat)

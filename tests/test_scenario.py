@@ -8,6 +8,8 @@ import pytest
 import yaml
 
 import mixedtraffic as mt
+from mixedtraffic.core import HighwayGeometry
+from mixedtraffic.metanet import PiecewiseLinear
 from mixedtraffic.scenario import ScenarioError, default_scenario, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +64,29 @@ def test_horizon_must_be_integral_steps():
     sc = default_scenario()
     with pytest.raises(ValueError):
         dataclasses.replace(sc, horizon_h=3.0001)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda sc: dataclasses.replace(sc.params, tau_h=NAN), "tau_h"),
+    (lambda sc: dataclasses.replace(sc.params, v_free=INF), "v_free"),
+    (lambda sc: dataclasses.replace(sc.noise, std_speed=NAN), "std_speed"),
+    (lambda sc: dataclasses.replace(sc.noise, std_entry_flow=INF), "std_entry_flow"),
+    (lambda sc: HighwayGeometry(20, NAN, 0.5), "step_h"),
+    (lambda sc: HighwayGeometry(20, INF, 0.5), "step_h"),
+    (lambda sc: dataclasses.replace(sc, horizon_h=INF), "horizon_h"),
+    (lambda sc: dataclasses.replace(sc, horizon_h=NAN), "horizon_h"),
+    (lambda sc: PiecewiseLinear.from_pairs([(0.0, 1.0), (NAN, 2.0)]), "breakpoints"),
+    (lambda sc: PiecewiseLinear.from_pairs([(0.0, INF)]), "breakpoints"),
+], ids=["tau_h-nan", "v_free-inf", "std_speed-nan", "std_entry_flow-inf", "step_h-nan",
+        "step_h-inf", "horizon_h-inf", "horizon_h-nan", "profile-time-nan", "profile-value-inf"])
+def test_objects_built_in_code_refuse_non_finite_values(build, field):
+    """Values that never pass through load_scenario are checked too, and the
+    error names the field."""
+    with pytest.raises(ValueError, match=field):
+        build(default_scenario())
 
 
 def test_seed_override():
