@@ -3,8 +3,9 @@
 Verbs: ``simulate`` (ground truth only), ``estimate`` (full pipeline),
 ``sweep`` (process-covariance sweep), ``observability`` (anti-diagonal
 report over a run).  Outputs are CSV files in the chosen directory; scenario
-validation failures, an estimate or sweep whose filter diverged, and a run too
-short for one observability window exit 2 with a JSON error object on stderr.
+validation failures, a simulation that overflowed, an estimate or sweep whose
+filter diverged, and a run too short for one observability window exit 2 with
+a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .harness import (
     write_trajectory,
 )
 from .kalman import PSD_TOL
+from .metanet import TruthDivergedError
 from .scenario import Scenario, ScenarioError, default_scenario, load_scenario
 
 DEFAULT_SIGMAS = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -102,18 +104,8 @@ def _refuse_diverged(details: dict) -> int:
                                f"covariance eigenvalues >= {-PSD_TOL:g}"})
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        sc = _load(args)
-    except ScenarioError as exc:
-        return _refuse({"error": "invalid_scenario", "failures": exc.failures})
-    except OSError as exc:
-        return _refuse({"error": "io", "message": str(exc)})
-
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-
+def _run(args: argparse.Namespace, sc: Scenario, out: Path) -> int:
+    """Run the verb; the filter's and the simulator's faults propagate."""
     if args.command == "simulate":
         result = simulate_only(sc)
         write_trajectory(out / "trajectory.csv", result)
@@ -121,10 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"simulated {result.truth.n_steps} steps in {result.runtime_s:.3f} s "
               f"-> {out / 'trajectory.csv'}")
     elif args.command == "estimate":
-        try:
-            result = run_experiment(sc)
-        except FloatingPointError as exc:
-            return _refuse_diverged({"raised": str(exc)})
+        result = run_experiment(sc)
         if diverged(result.p_r, result.estimate.min_p_eigenvalue):
             return _refuse_diverged({"p_r": repr(result.p_r), "min_p_eigenvalue":
                                      repr(result.estimate.min_p_eigenvalue)})
@@ -133,10 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"estimated {result.truth.n_steps} steps in {result.runtime_s:.3f} s; "
               f"P_R = {100 * result.p_r:.3f}% -> {out / 'trajectory.csv'}")
     elif args.command == "sweep":
-        try:
-            points = q_sweep(sc, args.sigmas)
-        except FloatingPointError as exc:
-            return _refuse_diverged({"raised": str(exc)})
+        points = q_sweep(sc, args.sigmas)
         bad = [p for p in points if diverged(p.p_r, p.min_p_eigenvalue)]
         if bad:
             return _refuse_diverged({"sigmas": [repr(p.sigma) for p in bad],
@@ -156,6 +142,27 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{len(windows)} windows, {n_bad} unobservable, "
               f"smallest anti-diagonal magnitude {worst:.3e}")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        sc = _load(args)
+    except ScenarioError as exc:
+        return _refuse({"error": "invalid_scenario", "failures": exc.failures})
+    except OSError as exc:
+        return _refuse({"error": "io", "message": str(exc)})
+
+    out: Path = args.out
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        return _run(args, sc, out)
+    except TruthDivergedError as exc:
+        return _refuse({"error": "truth_diverged", "raised": str(exc),
+                        "message": "the simulated traffic left the finite range; "
+                                   "check the scenario's demands and parameters"})
+    except FloatingPointError as exc:
+        return _refuse_diverged({"raised": str(exc)})
 
 
 if __name__ == "__main__":

@@ -37,7 +37,9 @@ class EstimateRun:
     rho_hat: np.ndarray        # batch + (M+1, N) reconstructed total densities
     q_hat: np.ndarray          # batch + (M+1, N) reconstructed total flows
     innovation: np.ndarray     # batch + (M,) scalar innovations
-    min_p_eigenvalue: float | np.ndarray  # most negative covariance eigenvalue seen, per member
+    # Per member: min of lambda_min(P0), lambda_min(P_M) and each lambda_min < -PSD_TOL
+    # at a step whose shifted Cholesky failed (see run_filter).
+    min_p_eigenvalue: float | np.ndarray
     g_clamp_count: int
     z_fallback_count: int      # steps that reused the previous output
 
@@ -79,6 +81,17 @@ def run_filter(sc: Scenario, truth: TruthRun,
     each equals its own unbatched run bit for bit.  Raises FloatingPointError
     as soon as any member's state becomes non-finite; that check reports an
     overflow, so numpy's floating-point warnings are silenced inside the loop.
+
+    Positive semidefiniteness is checked each step with one Cholesky
+    factorisation over the whole batch, of P + PSD_TOL*I less a bound on the
+    factorisation's own rounding error, so that success proves every
+    lambda_min(P) > -PSD_TOL; only when it fails are the eigenvalues
+    computed.  ``min_p_eigenvalue`` is therefore the smallest of
+    lambda_min(P0), lambda_min of the final P, and every exact lambda_min
+    below -PSD_TOL found at a failed step.  That is the exact minimum over
+    the run once P has lost semidefiniteness.  Otherwise it may exceed the
+    exact minimum, but every step's lambda_min is then above -PSD_TOL, so
+    ``diverged`` gives the exact minimum's verdict.
     """
     if systems is None:
         systems = build_systems(sc, truth)
@@ -92,6 +105,11 @@ def run_filter(sc: Scenario, truth: TruthRun,
     x_hat[..., 0, :] = fs.x_hat
 
     min_eig = np.linalg.eigvalsh(fs.p_cov).min(axis=-1)
+    n = fs.x_hat.shape[-1]
+    eye = np.eye(n)
+    # Rump's bound on Cholesky's rounding error (BIT 46, 2006): a floating-point
+    # Cholesky of A - c*I with c >= (n+1)*eps*trace(A) proves A positive definite.
+    rounding = (n + 1) * np.finfo(float).eps
     fallbacks = 0
     last_z: float | None = None
     with np.errstate(all="ignore"):
@@ -101,8 +119,16 @@ def run_filter(sc: Scenario, truth: TruthRun,
             last_z = z
             fs = filter_step(fs, systems, k, z, config)
             innovation[..., k] = fs.innovation
-            min_eig = np.minimum(min_eig, np.linalg.eigvalsh(fs.p_cov).min(axis=-1))
             x_hat[..., k + 1, :] = fs.x_hat
+            shift = PSD_TOL - rounding * np.trace(fs.p_cov, axis1=-2, axis2=-1)
+            try:
+                # Succeeds only if every member's lambda_min(P) > -PSD_TOL.
+                np.linalg.cholesky(fs.p_cov + shift[..., None, None] * eye)
+            except np.linalg.LinAlgError:
+                # Fold only the members that failed, so each keeps its unbatched value.
+                step_min = np.linalg.eigvalsh(fs.p_cov).min(axis=-1)
+                min_eig = np.where(step_min < -PSD_TOL, np.minimum(min_eig, step_min), min_eig)
+    min_eig = np.minimum(min_eig, np.linalg.eigvalsh(fs.p_cov).min(axis=-1))
     rho_hat, q_hat = reconstruct_totals(x_hat, truth.states.rho_a, truth.states.q_a)
     return EstimateRun(x_hat=x_hat, rho_hat=rho_hat, q_hat=q_hat, innovation=innovation,
                        min_p_eigenvalue=min_eig if batch else float(min_eig),

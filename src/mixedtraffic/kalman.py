@@ -32,7 +32,8 @@ from .metanet import MeasurementFrame
 
 
 # Most negative covariance eigenvalue a sound run may reach: the update is not
-# in Joseph form, so rounding alone may take P this far below zero.
+# in Joseph form, so rounding alone may take P this far below zero.  The
+# filter loop checks it each step with a Cholesky factorisation (harness.run_filter).
 PSD_TOL = 1e-9
 
 

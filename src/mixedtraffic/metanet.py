@@ -41,6 +41,10 @@ _STREAM_DETECT = 1   # detector measurement noise inside observe
 _STREAM_ENTRY = 2    # entry-flow process noise inside the inputs builder
 
 
+class TruthDivergedError(FloatingPointError):
+    """The ground-truth simulation overflowed or left the finite range."""
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Standard deviations of all noise sources, plus the run seed.
@@ -206,7 +210,7 @@ def step_truth(states: TrafficState, inputs: BoundaryInputs, geom: HighwayGeomet
     for column, row in zip((states.rho, states.rho_a, states.v, states.q, states.q_a),
                            (rho_next, rho_a_next, v_next, q_next, q_a_next)):
         if not np.all(np.isfinite(row)):
-            raise FloatingPointError(f"non-finite state at step {step}")
+            raise FloatingPointError("non-finite state")
         column[step + 1] = row
 
 
@@ -293,15 +297,22 @@ class TruthSimulator:
 
     def run(self, n_steps: int) -> TruthRun:
         """Simulate n_steps transitions into n_steps+1 rows of preallocated arrays,
-        filled a row per step; the records over them are checked once filled."""
+        filled a row per step; the records over them are checked once filled.
+
+        Raises TruthDivergedError on the first overflow or non-finite state.
+        """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         states = TrafficState.stack([self.init_state] * (n_steps + 1))
         inputs = BoundaryInputs(*np.zeros((2, n_steps + 1)), *np.zeros((4,) + states.rho.shape))
         frames = MeasurementFrame.of_run(states, inputs)
-        for k in range(n_steps + 1):
-            self.inputs_at(states, inputs, k)
-            observe(states, inputs, frames, self.layout, self.noise, k)
-            if k < n_steps:
-                step_truth(states, inputs, self.geom, self.params, self.noise, k)
+        try:
+            with np.errstate(over="raise"):
+                for k in range(n_steps + 1):
+                    self.inputs_at(states, inputs, k)
+                    observe(states, inputs, frames, self.layout, self.noise, k)
+                    if k < n_steps:
+                        step_truth(states, inputs, self.geom, self.params, self.noise, k)
+        except FloatingPointError as exc:
+            raise TruthDivergedError(f"{exc} at step {k}") from exc
         return TruthRun(dataclasses.replace(states), dataclasses.replace(inputs), frames)

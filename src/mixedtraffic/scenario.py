@@ -66,6 +66,18 @@ class Scenario:
             raise ValueError("horizon_h must be an integer number of steps")
         if not 0 < self.init_penetration <= 1:
             raise ValueError("init_penetration must lie in (0, 1]")
+        for name in ("q_sigma", "r_cov", "p0_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not math.isfinite(self.x0_value):
+            raise ValueError(f"x0_value must be finite, got {self.x0_value!r}")
+        rho = np.asarray(self.init_rho, dtype=float)
+        if rho.shape not in ((), (self.geometry.n_segments,)):
+            raise ValueError(f"init_rho must be a number or {self.geometry.n_segments} "
+                             f"values, got shape {rho.shape}")
+        if not np.all(np.isfinite(rho) & (rho >= 0)):
+            raise ValueError(f"init_rho must be finite and >= 0, got {self.init_rho!r}")
         if not self.geometry.cfl_ok(self.params.v_free):
             warnings.warn("step_h * v_free exceeds the shortest segment; "
                           "the explicit update may be unstable", stacklevel=2)

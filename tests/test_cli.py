@@ -132,6 +132,30 @@ def test_filter_overflow_is_refused(tmp_path, capsys, verb):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+def _absurd_entry_yaml(tmp_path):
+    """The default scenario with an entry demand of 1e300 veh/h: finite, so it
+    loads, but the simulated densities overflow the speed law at step 1."""
+    text = DEFAULT_YAML.read_text()
+    entry = "  entry:\n  - [0.0, 1300.0]\n"
+    assert entry in text
+    path = tmp_path / "absurd.yaml"
+    path.write_text(text.replace(entry, "  entry:\n  - [0.0, 1.0e+300]\n"))
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verb", ["simulate", "estimate", "sweep", "observability"])
+def test_simulator_overflow_is_refused(tmp_path, capsys, verb):
+    """Blamed on the truth, not the filter, with no warning and no file."""
+    out = tmp_path / "out"
+    code = main([verb, "--scenario", str(_absurd_entry_yaml(tmp_path)), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "truth_diverged"
+    assert err["raised"] == "overflow encountered in power at step 1"
+    assert list(out.iterdir()) == []
+
+
 def test_observability_report(tmp_path, short_yaml, capsys):
     code = main(["observability", "--scenario", str(short_yaml),
                  "--out", str(tmp_path), "--stride", "10"])

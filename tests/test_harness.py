@@ -25,7 +25,7 @@ from mixedtraffic.harness import (
     write_sweep,
     write_trajectory,
 )
-from mixedtraffic.kalman import FilterState, KalmanConfig, filter_step, output_measurement
+from mixedtraffic.kalman import PSD_TOL, FilterState, KalmanConfig, filter_step, output_measurement
 from mixedtraffic.ltv import anti_diagonal, observability_matrix, window_anti_diagonals
 
 # Regression values produced by this build of the default scenario
@@ -153,10 +153,11 @@ def test_sweep_rejects_nonfinite_or_empty_sigmas_before_simulating(default_sc, m
 
 
 def _serial_run(truth, systems, config):
-    """The unbatched filter loop: x_hat, innovations, most negative P eigenvalue."""
+    """The unbatched filter loop: x_hat, innovations, and the exact smallest
+    P eigenvalue of every step (P0 first)."""
     fs = FilterState.initial(config)
     x_hat, innovation = [fs.x_hat], []
-    min_eig = float(np.min(np.linalg.eigvalsh(fs.p_cov)))
+    min_eigs = [np.min(np.linalg.eigvalsh(fs.p_cov))]
     last_z = None
     for k in range(truth.n_steps):
         z, _ = output_measurement(truth.frames, k, last_z)
@@ -164,8 +165,8 @@ def _serial_run(truth, systems, config):
         fs = filter_step(fs, systems, k, z, config)
         x_hat.append(fs.x_hat)
         innovation.append(fs.innovation)
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(fs.p_cov))))
-    return np.stack(x_hat), np.array(innovation), min_eig
+        min_eigs.append(np.min(np.linalg.eigvalsh(fs.p_cov)))
+    return np.stack(x_hat), np.array(innovation), np.array(min_eigs)
 
 
 @pytest.mark.parametrize("mode", ["measured", "unmeasured"])
@@ -198,18 +199,86 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
 
     for i, config in enumerate(configs):
         est = run_filter(sc, truth, systems=systems, config=config)
-        x_hat, innovation, min_eig = _serial_run(truth, systems, config)
+        x_hat, innovation, min_eigs = _serial_run(truth, systems, config)
         assert np.array_equal(batch.x_hat[i], est.x_hat)
         assert np.array_equal(est.x_hat, x_hat)
         assert np.array_equal(batch.rho_hat[i], est.rho_hat)
         assert np.array_equal(batch.q_hat[i], est.q_hat)
         assert np.array_equal(batch.innovation[i], est.innovation)
         assert np.array_equal(est.innovation, innovation)
-        assert batch.min_p_eigenvalue[i] == est.min_p_eigenvalue == min_eig
+        # A sound run's reported minimum skips the steps whose shifted Cholesky
+        # passed, so it bounds the exact minimum from above with the same verdict.
+        assert batch.min_p_eigenvalue[i] == est.min_p_eigenvalue
+        assert min_eigs.min() <= est.min_p_eigenvalue
+        assert (harness.diverged(points[i].p_r, min_eigs.min())
+                == harness.diverged(points[i].p_r, est.min_p_eigenvalue))
         assert type(est.min_p_eigenvalue) is float
         assert batch.z_fallback_count == est.z_fallback_count
         assert points[i].p_r == performance_index(truth.rho_matrix(), truth.rho_a_matrix(),
                                                   est.x_hat)
+
+
+@pytest.mark.parametrize("share, mode, sigmas", [(0.01, "measured", [0.01, 1.0, 1000.0]),
+                                                 (0.03, "unmeasured", [0.01, 1.0, 10000.0])])
+def test_batch_psd_check_on_members_that_lose_semidefiniteness(default_sc, share, mode, sigmas):
+    """Batches whose members lose semidefiniteness at different steps.
+
+    With a 1% initial connected share every member loses it, from step 2 or 3
+    on.  With 3% and unmeasured off-ramps the sigma = 0.01 member stays
+    semidefinite while the others lose it at step 14, where their negative
+    eigenvalues (-110 down to -2e7) lie within Cholesky's rounding error of
+    P + PSD_TOL*I.  Each member equals its unbatched run, though the batch
+    computes eigenvalues at every step where any member failed, and its
+    verdict is that of the exact minimum, which it reports when it diverged.
+    """
+    sc = dataclasses.replace(default_sc, init_penetration=share, offramp_mode=mode)
+    truth = mt.simulate_truth(sc)
+    systems = build_systems(sc, truth)
+    configs = [KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s,
+                                            r_cov=sc.r_cov, x0_value=sc.x0_value,
+                                            p0_sigma=sc.p0_sigma) for s in sigmas]
+    batch = run_filter(sc, truth, systems=systems, config=KalmanConfig.stack(configs))
+    first_lost = []
+    for i, config in enumerate(configs):
+        est = run_filter(sc, truth, systems=systems, config=config)
+        min_eigs = _serial_run(truth, systems, config)[2]
+        lost = np.nonzero(min_eigs < -PSD_TOL)[0]
+        first_lost.append(int(lost[0]) if len(lost) else None)
+        assert batch.min_p_eigenvalue[i] == est.min_p_eigenvalue
+        p_r = performance_index(truth.states.rho, truth.states.rho_a, est.x_hat)
+        assert math.isfinite(p_r)
+        verdict = harness.diverged(p_r, min_eigs.min())
+        assert harness.diverged(p_r, est.min_p_eigenvalue) == verdict
+        if verdict:
+            assert est.min_p_eigenvalue == min_eigs.min()
+        else:
+            assert min_eigs.min() <= est.min_p_eigenvalue
+    assert len(set(first_lost)) > 1 and any(first_lost)
+
+
+def test_member_keeps_its_value_when_another_fails_the_psd_check(default_sc, default_result,
+                                                                monkeypatch):
+    """Member 0's covariance is pushed below zero at step 5.  Member 1 then
+    has its eigenvalues computed there too, but keeps the minimum of its own
+    unbatched run, in which that step's eigenvalue (near sigma = 0.01) is
+    below its reported minimum but not below -PSD_TOL."""
+    truth, n = default_result.truth, default_sc.geometry.n_segments
+    configs = [KalmanConfig.scaled_identity(n, q_sigma=s) for s in (1.0, 0.01)]
+
+    def failing_filter_step(fs, sys, k, z, config):
+        fs = filter_step(fs, sys, k, z, config)
+        if k == 5 and fs.p_cov.ndim == 3:
+            p_cov = fs.p_cov.copy()
+            p_cov[0] -= 2 * np.eye(n)
+            fs = dataclasses.replace(fs, p_cov=p_cov)
+        return fs
+    monkeypatch.setattr(harness, "filter_step", failing_filter_step)
+    batch = run_filter(default_sc, truth, config=KalmanConfig.stack(configs))
+    alone = run_filter(default_sc, truth, config=configs[1])
+    assert batch.min_p_eigenvalue[0] < -PSD_TOL
+    assert batch.min_p_eigenvalue[1] == alone.min_p_eigenvalue
+    min_eigs = _serial_run(truth, build_systems(default_sc, truth), configs[1])[2]
+    assert -PSD_TOL < min_eigs[6] < alone.min_p_eigenvalue
 
 
 def test_sweep_fails_when_one_member_overflows(default_sc):

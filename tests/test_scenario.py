@@ -89,6 +89,17 @@ def test_objects_built_in_code_refuse_non_finite_values(build, field):
         build(default_scenario())
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("q_sigma", NAN), ("q_sigma", 0.0), ("r_cov", 0.0), ("r_cov", INF), ("p0_sigma", -1.0),
+    ("x0_value", NAN), ("x0_value", -INF), ("init_rho", -5.0), ("init_rho", NAN),
+    ("init_rho", np.full(19, 9.0)), ("init_rho", np.r_[np.full(19, 9.0), INF]),
+])
+def test_scenario_built_in_code_refuses_bad_filter_and_initial_values(field, bad):
+    """Checked when the Scenario is built, not when it runs, under the field's name."""
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(default_scenario(), **{field: bad})
+
+
 def test_seed_override():
     sc = default_scenario().with_seed(42)
     assert sc.seed == 42
