@@ -264,6 +264,9 @@ def _scenario_from_dict(data: Mapping[str, Any], name: str) -> Scenario:
     filt = col.section(data, "", "filter")
     filter_kwargs = {key: col.number(filt, "filter", key, coded[key])
                      for key in ("q_sigma", "r_cov", "x0_value", "p0_sigma")}
+    for key in ("q_sigma", "r_cov", "p0_sigma"):
+        if filter_kwargs[key] is not None and filter_kwargs[key] <= 0:
+            col.fail(f"filter.{key}", f"expected a number > 0, got {filter_kwargs[key]!r}")
 
     horizon_h = col.number(run, "run", "horizon_h", coded["horizon_h"])
     offramp_mode = run.get("offramp_mode", coded["offramp_mode"])

@@ -200,6 +200,7 @@ def test_invalid_scenario_is_machine_readable(tmp_path, capsys):
 @pytest.mark.parametrize("line, bad, path", [
     ("  horizon_h: 3.0", "  horizon_h: .inf", "run.horizon_h"),
     ("  r_cov: 100.0", "  r_cov: .nan", "filter.r_cov"),
+    ("  r_cov: 100.0", "  r_cov: -1.0", "filter.r_cov"),
     ("  std_speed: 5.0 ", "  std_speed: .nan ", "noise.std_speed"),
     ("  tau_h: 0.005555555555555556", "  tau_h: .nan", "model.tau_h"),
     ("  rho: 9.0 ", "  rho: [1.0, 2.0] ", "initial.rho"),
@@ -207,8 +208,8 @@ def test_invalid_scenario_is_machine_readable(tmp_path, capsys):
     ("penetration: 0.2 ", "penetration: .nan ", "penetration"),
 ])
 def test_bad_scenario_values_are_refused_at_load(tmp_path, capsys, line, bad, path):
-    """Non-finite numbers and a malformed initial density fail with their path,
-    before anything runs."""
+    """Non-finite numbers, a non-positive covariance and a malformed initial
+    density fail with their path, before anything runs."""
     text = DEFAULT_YAML.read_text()
     assert text.count(line) == 1
     scenario = tmp_path / "bad.yaml"

@@ -226,7 +226,7 @@ def test_batch_psd_check_on_members_that_lose_semidefiniteness(default_sc, share
     With a 1% initial connected share every member loses it, from step 2 or 3
     on.  With 3% and unmeasured off-ramps the sigma = 0.01 member stays
     semidefinite while the others lose it at step 14, where their negative
-    eigenvalues (-110 down to -2e7) lie within Cholesky's rounding error of
+    eigenvalues (-3.7e3 and -1.9e7) lie within Cholesky's rounding error of
     P + PSD_TOL*I.  Each member equals its unbatched run, though the batch
     computes eigenvalues at every step where any member failed, and its
     verdict is that of the exact minimum, which it reports when it diverged.
