@@ -255,13 +255,6 @@ def flows_from_state(rho, rho_a, v) -> tuple[np.ndarray, np.ndarray]:
     return rho * v, rho_a * v
 
 
-def penetration(rho, rho_a) -> np.ndarray:
-    """Connected-vehicle share rho_a/rho per segment, floored at EPS_DENSITY."""
-    rho = np.maximum(np.asarray(rho, dtype=float), EPS_DENSITY)
-    rho_a = np.maximum(np.asarray(rho_a, dtype=float), EPS_DENSITY)
-    return rho_a / rho
-
-
 def inverse_penetration(rho, rho_a) -> np.ndarray:
     """Ratio rho/rho_a per segment (the estimator's state), floored at EPS_DENSITY."""
     rho = np.maximum(np.asarray(rho, dtype=float), EPS_DENSITY)

@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kalman import (PSD_TOL, FilterState, KalmanConfig, filter_step, output_measurement,
-                     reconstruct_totals)
+from .kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement, reconstruct_totals
 from .ltv import (OBSERVABILITY_TOL, BandedLtv, build_system_measured,
                   build_system_unmeasured_offramps, window_anti_diagonals)
 from .metanet import TruthRun, TruthSimulator
@@ -98,14 +97,13 @@ def run_filter(sc: Scenario, truth: TruthRun,
     if config is None:
         config = sc.filter_config()
     m = truth.n_steps
-    fs = FilterState.initial(config)
-    batch = fs.x_hat.shape[:-1]
-    x_hat = np.empty(batch + (m + 1, fs.x_hat.shape[-1]))
+    x, p = config.x0, config.p0            # filter_step never writes to its inputs
+    batch, n = x.shape[:-1], x.shape[-1]
+    x_hat = np.empty(batch + (m + 1, n))
     innovation = np.empty(batch + (m,))
-    x_hat[..., 0, :] = fs.x_hat
+    x_hat[..., 0, :] = x
 
-    min_eig = np.linalg.eigvalsh(fs.p_cov).min(axis=-1)
-    n = fs.x_hat.shape[-1]
+    min_eig = np.linalg.eigvalsh(p).min(axis=-1)
     eye = np.eye(n)
     # Rump's bound on Cholesky's rounding error (BIT 46, 2006): a floating-point
     # Cholesky of A - c*I with c >= (n+1)*eps*trace(A) proves A positive definite.
@@ -117,18 +115,17 @@ def run_filter(sc: Scenario, truth: TruthRun,
             z, used_fallback = output_measurement(truth.frames, k, last_z)
             fallbacks += used_fallback
             last_z = z
-            fs = filter_step(fs, systems, k, z, config)
-            innovation[..., k] = fs.innovation
-            x_hat[..., k + 1, :] = fs.x_hat
-            shift = PSD_TOL - rounding * np.trace(fs.p_cov, axis1=-2, axis2=-1)
+            x, p, innovation[..., k] = filter_step(x, p, systems, k, z, config)
+            x_hat[..., k + 1, :] = x
+            shift = PSD_TOL - rounding * np.trace(p, axis1=-2, axis2=-1)
             try:
                 # Succeeds only if every member's lambda_min(P) > -PSD_TOL.
-                np.linalg.cholesky(fs.p_cov + shift[..., None, None] * eye)
+                np.linalg.cholesky(p + shift[..., None, None] * eye)
             except np.linalg.LinAlgError:
                 # Fold only the members that failed, so each keeps its unbatched value.
-                step_min = np.linalg.eigvalsh(fs.p_cov).min(axis=-1)
+                step_min = np.linalg.eigvalsh(p).min(axis=-1)
                 min_eig = np.where(step_min < -PSD_TOL, np.minimum(min_eig, step_min), min_eig)
-    min_eig = np.minimum(min_eig, np.linalg.eigvalsh(fs.p_cov).min(axis=-1))
+    min_eig = np.minimum(min_eig, np.linalg.eigvalsh(p).min(axis=-1))
     rho_hat, q_hat = reconstruct_totals(x_hat, truth.states.rho_a, truth.states.q_a)
     return EstimateRun(x_hat=x_hat, rho_hat=rho_hat, q_hat=q_hat, innovation=innovation,
                        min_p_eigenvalue=min_eig if batch else float(min_eig),

@@ -94,57 +94,43 @@ class KalmanConfig:
                    p0=np.stack([c.p0 for c in configs]))
 
 
-@dataclass(frozen=True)
-class FilterState:
-    """Estimate, covariance, and the gain and innovation of the latest step;
-    each with a leading batch axis when the config has one."""
-
-    x_hat: np.ndarray
-    p_cov: np.ndarray
-    k_gain: np.ndarray
-    innovation: float | np.ndarray = float("nan")
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.x_hat)):
-            raise FloatingPointError("non-finite estimate")
-
-    @classmethod
-    def initial(cls, config: KalmanConfig) -> "FilterState":
-        return cls(x_hat=config.x0.copy(), p_cov=config.p0.copy(),
-                   k_gain=np.zeros_like(config.x0))
+def kalman_gain(p_cov: np.ndarray, r_cov: float | np.ndarray) -> np.ndarray:
+    """K = P C' / (C P C' + R), with C selecting the exit segment."""
+    pc = p_cov[..., -1]
+    return pc / (pc[..., -1:] + np.asarray(r_cov)[..., None])
 
 
-def filter_step(fs: FilterState, sys: BandedLtv, k: int, z: float,
-                config: KalmanConfig) -> FilterState:
-    """One filter step through step k of ``sys`` against the exit measurement z.
+def filter_step(x_hat: np.ndarray, p_cov: np.ndarray, sys: BandedLtv, k: int, z: float,
+                config: KalmanConfig) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """One filter step through step k of ``sys`` against the exit measurement z:
+    (x^(k+1), P(k+1), innovation), each with the config's batch axis.  The
+    inputs are never written to.
 
     Raises FloatingPointError when any member's state becomes non-finite.
     """
-    p = fs.p_cov
-    pc = p[..., -1]
-    gain = pc / (pc[..., -1:] + np.asarray(config.r_cov)[..., None])
-    innovation = z - fs.x_hat[..., -1]
-    x_next = sys.propagate(k, fs.x_hat) + sys.apply_a(k, gain) * innovation[..., None]
-    p_post = p - gain[..., :, None] * pc[..., None, :]      # (I - K C) P
+    gain = kalman_gain(p_cov, config.r_cov)
+    innovation = z - x_hat[..., -1]
+    x_next = sys.propagate(k, x_hat) + sys.apply_a(k, gain) * innovation[..., None]
+    p_post = p_cov - gain[..., :, None] * p_cov[..., None, :, -1]     # (I - K C) P
     # apply_a maps each row v to A v: on P' it gives (A P)', then on A P, A P A'.
     a_p = sys.apply_a(k, p_post.swapaxes(-1, -2)).swapaxes(-1, -2)
     p_next = sys.apply_a(k, a_p) + config.q_cov
     p_next = 0.5 * (p_next + p_next.swapaxes(-1, -2))
     if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(p_next))):
         raise FloatingPointError("non-finite filter state")
-    return FilterState(x_hat=x_next, p_cov=p_next, k_gain=gain, innovation=innovation)
+    return x_next, p_next, innovation
 
 
-def output_measurement(frames: MeasurementFrame, k: int, last_z: float | None = None,
-                       floor: float = EPS_DENSITY) -> tuple[float, bool]:
+def output_measurement(frames: MeasurementFrame, k: int,
+                       last_z: float | None = None) -> tuple[float, bool]:
     """Scalar output of step k: noisy total exit flow over exact connected exit flow.
 
-    When the connected exit flow is at or below the floor the ratio is
+    When the connected exit flow is at or below EPS_DENSITY the ratio is
     meaningless; falls back to ``last_z`` and flags it, or raises when no
     fallback is available.
     """
     q_a_exit = frames.q_a_seg[k, -1]
-    if q_a_exit <= floor:
+    if q_a_exit <= EPS_DENSITY:
         if last_z is None:
             raise ValueError("connected exit flow is empty and no fallback given")
         return last_z, True

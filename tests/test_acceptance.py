@@ -12,7 +12,7 @@ import numpy as np
 import mixedtraffic as mt
 from mixedtraffic.core import HighwayGeometry, inverse_penetration
 from mixedtraffic.harness import build_systems, q_sweep, run_experiment
-from mixedtraffic.kalman import PSD_TOL, FilterState, KalmanConfig, filter_step, output_measurement
+from mixedtraffic.kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement
 from mixedtraffic.ltv import anti_diagonal, build_system_measured, observability_matrix, selector_output
 from mixedtraffic.metanet import MeasurementFrame
 
@@ -82,17 +82,17 @@ def test_criterion_3_filter_exactness(silent_sc):
     n = silent_sc.geometry.n_segments
     x0 = inverse_penetration(truth.states[0].rho, truth.states[0].rho_a)
     config = KalmanConfig(q_cov=np.eye(n), r_cov=silent_sc.r_cov, x0=x0, p0=np.eye(n))
-    fs = FilterState.initial(config)
+    x, p = config.x0, config.p0
     worst_err = 0.0
-    min_eig = float(np.min(np.linalg.eigvalsh(fs.p_cov)))
+    min_eig = float(np.min(np.linalg.eigvalsh(p)))
     symmetric = True
     for k in range(len(systems)):
         z, _ = output_measurement(truth.frames, k)
-        fs = filter_step(fs, systems, k, z, config)
+        x, p, _ = filter_step(x, p, systems, k, z, config)
         ref = inverse_penetration(truth.states[k + 1].rho, truth.states[k + 1].rho_a)
-        worst_err = max(worst_err, float(np.max(np.abs(fs.x_hat - ref))))
-        symmetric &= bool(np.array_equal(fs.p_cov, fs.p_cov.T))
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(fs.p_cov))))
+        worst_err = max(worst_err, float(np.max(np.abs(x - ref))))
+        symmetric &= bool(np.array_equal(p, p.T))
+        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(p))))
     ok = worst_err <= 1e-9 and symmetric and min_eig >= -PSD_TOL
     _report(3, "filter exactness", ok,
             f"max err={worst_err:.2e}, min P eig={min_eig:.2e}")

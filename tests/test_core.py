@@ -13,7 +13,6 @@ from mixedtraffic.core import (
     flows_from_state,
     inverse_penetration,
     nominal_speed,
-    penetration,
 )
 
 PARAMS = MetanetParams.defaults()
@@ -77,17 +76,6 @@ def test_flows_length_mismatch():
         flows_from_state([1.0, 2.0], [1.0], [50.0, 50.0])
 
 
-def test_penetration_examples():
-    assert penetration([40.0], [8.0]).tolist() == [0.2]
-    assert penetration([30.0], [30.0]).tolist() == [1.0]
-    assert np.allclose(penetration([30.0, 60.0], [3.0, 30.0]), [0.1, 0.5])
-
-
-def test_penetration_floors_degenerate_segments():
-    out = penetration([0.0], [0.0])
-    assert out.tolist() == [1.0]  # both floored to the same epsilon
-
-
 @given(st.floats(min_value=0.5, max_value=200.0),
        st.floats(min_value=0.01, max_value=1.0),
        st.floats(min_value=1.0, max_value=130.0))
@@ -95,7 +83,7 @@ def test_flow_ratio_matches_density_ratio(rho, share, v):
     """Shared speed makes q_a/q and rho_a/rho the same number."""
     rho_a = share * rho
     q, q_a = flows_from_state([rho], [rho_a], [v])
-    assert q_a[0] / q[0] == pytest.approx(penetration([rho], [rho_a])[0], rel=1e-12)
+    assert q_a[0] / q[0] == pytest.approx(rho_a / rho, rel=1e-12)
     assert q[0] / q_a[0] == pytest.approx(inverse_penetration([rho], [rho_a])[0], rel=1e-12)
 
 

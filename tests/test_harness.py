@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from mixedtraffic.harness import (
     write_sweep,
     write_trajectory,
 )
-from mixedtraffic.kalman import PSD_TOL, FilterState, KalmanConfig, filter_step, output_measurement
+from mixedtraffic.kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement
 from mixedtraffic.ltv import anti_diagonal, observability_matrix, window_anti_diagonals
 
 # Regression values produced by this build of the default scenario
@@ -155,17 +156,17 @@ def test_sweep_rejects_nonfinite_or_empty_sigmas_before_simulating(default_sc, m
 def _serial_run(truth, systems, config):
     """The unbatched filter loop: x_hat, innovations, and the exact smallest
     P eigenvalue of every step (P0 first)."""
-    fs = FilterState.initial(config)
-    x_hat, innovation = [fs.x_hat], []
-    min_eigs = [np.min(np.linalg.eigvalsh(fs.p_cov))]
+    x, p = config.x0, config.p0
+    x_hat, innovation = [x], []
+    min_eigs = [np.min(np.linalg.eigvalsh(p))]
     last_z = None
     for k in range(truth.n_steps):
         z, _ = output_measurement(truth.frames, k, last_z)
         last_z = z
-        fs = filter_step(fs, systems, k, z, config)
-        x_hat.append(fs.x_hat)
-        innovation.append(fs.innovation)
-        min_eigs.append(np.min(np.linalg.eigvalsh(fs.p_cov)))
+        x, p, nu = filter_step(x, p, systems, k, z, config)
+        x_hat.append(x)
+        innovation.append(nu)
+        min_eigs.append(np.min(np.linalg.eigvalsh(p)))
     return np.stack(x_hat), np.array(innovation), np.array(min_eigs)
 
 
@@ -265,13 +266,11 @@ def test_member_keeps_its_value_when_another_fails_the_psd_check(default_sc, def
     truth, n = default_result.truth, default_sc.geometry.n_segments
     configs = [KalmanConfig.scaled_identity(n, q_sigma=s) for s in (1.0, 0.01)]
 
-    def failing_filter_step(fs, sys, k, z, config):
-        fs = filter_step(fs, sys, k, z, config)
-        if k == 5 and fs.p_cov.ndim == 3:
-            p_cov = fs.p_cov.copy()
-            p_cov[0] -= 2 * np.eye(n)
-            fs = dataclasses.replace(fs, p_cov=p_cov)
-        return fs
+    def failing_filter_step(x, p, sys, k, z, config):
+        x, p, innovation = filter_step(x, p, sys, k, z, config)
+        if k == 5 and p.ndim == 3:
+            p[0] -= 2 * np.eye(n)      # p is the step's own fresh array
+        return x, p, innovation
     monkeypatch.setattr(harness, "filter_step", failing_filter_step)
     batch = run_filter(default_sc, truth, config=KalmanConfig.stack(configs))
     alone = run_filter(default_sc, truth, config=configs[1])
@@ -291,6 +290,21 @@ def test_sweep_fails_when_one_member_overflows(default_sc):
         with pytest.raises(FloatingPointError):
             q_sweep(short, [1.0, 1e308])
     assert len(q_sweep(short, [1.0, 1e307])) == 2
+
+
+@pytest.mark.parametrize("sigmas", [[1.0], [0.1, 10.0]], ids=["single", "batch"])
+def test_run_filter_leaves_its_config_unchanged(default_sc, default_result, sigmas):
+    """run_filter starts from config.x0 and config.p0 themselves, not copies;
+    neither is written to, so a second run with the same config is identical."""
+    truth, n = default_result.truth, default_sc.geometry.n_segments
+    configs = [KalmanConfig.scaled_identity(n, q_sigma=s) for s in sigmas]
+    config = configs[0] if len(configs) == 1 else KalmanConfig.stack(configs)
+    x0, p0 = config.x0.copy(), config.p0.copy()
+    systems = build_systems(default_sc, truth)
+    first = run_filter(default_sc, truth, systems, config)
+    assert np.array_equal(config.x0, x0) and np.array_equal(config.p0, p0)
+    again = run_filter(default_sc, truth, systems, config)
+    assert np.array_equal(again.x_hat, first.x_hat)
 
 
 def _trajectory_text_cell_by_cell(result) -> str:
@@ -379,3 +393,11 @@ def test_observability_trace_matches_dense_oracle(default_sc, default_result, mo
     assert [w.start_step for w in windows] == list(range(len(oracle)))
     assert [w.min_anti_diag for w in windows] == oracle.min(axis=1).tolist()
     assert [w.max_anti_diag for w in windows] == oracle.max(axis=1).tolist()
+
+
+def test_every_traced_span_resolves(monkeypatch):
+    """The benchmark's tracer finds every library function it wraps; only
+    check_observability, which no longer exists, is reported absent."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.tracer import Tracer
+    assert Tracer().absent == ["mixedtraffic.harness.check_observability"]

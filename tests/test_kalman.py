@@ -7,9 +7,9 @@ import mixedtraffic as mt
 from mixedtraffic.core import inverse_penetration
 from mixedtraffic.kalman import (
     PSD_TOL,
-    FilterState,
     KalmanConfig,
     filter_step,
+    kalman_gain,
     output_measurement,
     reconstruct_totals,
 )
@@ -34,11 +34,9 @@ def test_gain_with_identity_covariance():
     """P=I, C=e_N, R=100: the gain is e_N / 101."""
     n = 6
     config = KalmanConfig.scaled_identity(n, q_sigma=1.0, r_cov=100.0)
-    fs = FilterState.initial(config)
-    nxt = filter_step(fs, _system(np.eye(n)), 0, z=5.0, config=config)
     expected = np.zeros(n)
     expected[-1] = 1.0 / 101.0
-    assert np.array_equal(nxt.k_gain, expected)
+    assert np.array_equal(kalman_gain(config.p0, config.r_cov), expected)
 
 
 def test_gain_fill_in_spreads_upstream():
@@ -47,10 +45,10 @@ def test_gain_fill_in_spreads_upstream():
     a = 0.7 * np.eye(n)
     a[np.arange(1, n), np.arange(n - 1)] = 0.3
     config = KalmanConfig.scaled_identity(n, q_sigma=1.0, r_cov=100.0)
-    fs = FilterState.initial(config)
+    x, p = config.x0, config.p0
     for _ in range(n):
-        fs = filter_step(fs, _system(a), 0, z=5.0, config=config)
-    assert np.count_nonzero(fs.k_gain) > 1
+        x, p, _ = filter_step(x, p, _system(a), 0, z=5.0, config=config)
+    assert np.count_nonzero(kalman_gain(p, config.r_cov)) > 1
 
 
 def test_initial_gain_shape_for_scaled_covariance():
@@ -59,10 +57,9 @@ def test_initial_gain_shape_for_scaled_covariance():
     h = 7.5
     config = KalmanConfig(q_cov=np.eye(n), r_cov=100.0, x0=np.full(n, 10.0),
                           p0=h * np.eye(n))
-    nxt = filter_step(FilterState.initial(config), _system(np.eye(n)), 0, z=5.0,
-                      config=config)
-    assert nxt.k_gain[:-1].tolist() == [0.0] * (n - 1)
-    assert nxt.k_gain[-1] == pytest.approx(h / (h + 100.0), abs=1e-15)
+    gain = kalman_gain(config.p0, config.r_cov)
+    assert gain[:-1].tolist() == [0.0] * (n - 1)
+    assert gain[-1] == pytest.approx(h / (h + 100.0), abs=1e-15)
 
 
 def test_huge_r_reduces_to_pure_prediction():
@@ -73,11 +70,11 @@ def test_huge_r_reduces_to_pure_prediction():
     u = rng.uniform(0, 2000, n + 1)
     sys = _system(a, u)
     config = KalmanConfig.scaled_identity(n, r_cov=1e12)
-    fs = FilterState(x_hat=rng.uniform(1, 9, n), p_cov=np.eye(n), k_gain=np.zeros(n))
-    nxt = filter_step(fs, sys, 0, z=123.0, config=config)
-    prediction = sys.propagate(0, fs.x_hat)
-    assert np.allclose(nxt.x_hat, prediction, rtol=1e-9)
-    assert np.linalg.norm(nxt.k_gain) < 1e-11
+    x = rng.uniform(1, 9, n)
+    x_next, _, _ = filter_step(x, np.eye(n), sys, 0, z=123.0, config=config)
+    prediction = sys.propagate(0, x)
+    assert np.allclose(x_next, prediction, rtol=1e-9)
+    assert np.linalg.norm(kalman_gain(np.eye(n), config.r_cov)) < 1e-11
 
 
 def test_scalar_recursion_matches_hand_computation():
@@ -88,13 +85,13 @@ def test_scalar_recursion_matches_hand_computation():
                     u=np.array([[u, 0.0]]), g=np.array([[1.0]]))
     config = KalmanConfig(q_cov=np.array([[q]]), r_cov=r, x0=np.array([x0]),
                           p0=np.array([[p0]]))
-    nxt = filter_step(FilterState.initial(config), sys, 0, z=z, config=config)
+    x_next, p_next, _ = filter_step(config.x0, config.p0, sys, 0, z=z, config=config)
     k = p0 / (p0 + r)
     x1 = a * x0 + 0.001 * u + a * k * (z - x0)
     p1 = a * (1 - k) * p0 * a + q
-    assert nxt.k_gain[0] == pytest.approx(k, abs=1e-15)
-    assert nxt.x_hat[0] == pytest.approx(x1, abs=1e-12)
-    assert nxt.p_cov[0, 0] == pytest.approx(p1, abs=1e-12)
+    assert kalman_gain(config.p0, config.r_cov)[0] == pytest.approx(k, abs=1e-15)
+    assert x_next[0] == pytest.approx(x1, abs=1e-12)
+    assert p_next[0, 0] == pytest.approx(p1, abs=1e-12)
 
 
 def test_covariance_stays_symmetric_psd(default_sc, default_result):
@@ -103,29 +100,21 @@ def test_covariance_stays_symmetric_psd(default_sc, default_result):
     truth = default_result.truth
     systems = mt.harness.build_systems(default_sc, truth)
     config = default_sc.filter_config()
-    fs = FilterState.initial(config)
+    x, p = config.x0, config.p0
     for k in range(50):
         z, _ = output_measurement(truth.frames, k)
-        fs = filter_step(fs, systems, k, z, config)
-        assert np.array_equal(fs.p_cov, fs.p_cov.T)
+        x, p, _ = filter_step(x, p, systems, k, z, config)
+        assert np.array_equal(p, p.T)
 
 
 def test_exact_initialization_stays_exact(silent_sc, silent_truth):
-    """Zero noise and exact start: the innovation is null and the estimate tracks."""
-    systems = mt.harness.build_systems(silent_sc, silent_truth)
-    x_true0 = inverse_penetration(silent_truth.states[0].rho, silent_truth.states[0].rho_a)
-    config = KalmanConfig(q_cov=np.eye(20), r_cov=100.0, x0=x_true0, p0=np.eye(20))
-    fs = FilterState.initial(config)
-    worst = 0.0
-    last_z = None
-    for k in range(len(systems)):
-        z, _ = output_measurement(silent_truth.frames, k, last_z)
-        last_z = z
-        fs = filter_step(fs, systems, k, z, config)
-        ref = inverse_penetration(silent_truth.states[k + 1].rho,
-                                  silent_truth.states[k + 1].rho_a)
-        worst = max(worst, float(np.max(np.abs(fs.x_hat - ref))))
-    assert worst <= 1e-9
+    """Zero noise and exact start: run_filter's estimate tracks the true ratio."""
+    states = silent_truth.states
+    config = KalmanConfig(q_cov=np.eye(20), r_cov=100.0, x0=inverse_penetration(
+        states[0].rho, states[0].rho_a), p0=np.eye(20))
+    x_hat = mt.harness.run_filter(silent_sc, silent_truth, config=config).x_hat
+    ref = inverse_penetration(states.rho[1:], states.rho_a[1:])
+    assert np.max(np.abs(x_hat[1:] - ref)) <= 1e-9
 
 
 def test_config_validation():
@@ -199,10 +188,10 @@ def test_reconstruct_exact_state_recovers_truth(silent_truth):
 
 def _first_failing_step(sys, config, z=5.0):
     """Step at which filter_step raises FloatingPointError, or None."""
-    fs = FilterState.initial(config)
+    x, p = config.x0, config.p0
     for k in range(len(sys)):
         try:
-            fs = filter_step(fs, sys, k, z, config)
+            x, p, _ = filter_step(x, p, sys, k, z, config)
         except FloatingPointError:
             return k
     return None

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import mixedtraffic as mt
 from mixedtraffic.core import HighwayGeometry, inverse_penetration
-from mixedtraffic.kalman import FilterState, KalmanConfig, filter_step
+from mixedtraffic.kalman import KalmanConfig, filter_step
 from mixedtraffic.ltv import (
     EPS_G,
     OBSERVABILITY_TOL,
@@ -200,15 +200,15 @@ def test_band_matches_dense_textbook_realization(n, seed, unmeasured):
     config = KalmanConfig(q_cov=np.eye(n) + 0.1 * np.ones((n, n)), r_cov=float(rng.uniform(1, 100)),
                           x0=rng.uniform(1, 10, n), p0=root @ root.T + np.eye(n))
     z = float(rng.uniform(1, 10))
-    nxt = filter_step(FilterState.initial(config), sys, k, z, config)
+    x_step, p_step, _ = filter_step(config.x0, config.p0, sys, k, z, config)
     c = np.zeros(n)
     c[-1] = 1.0
     p, x = config.p0, config.x0
     gain = p @ c / (c @ p @ c + config.r_cov)
     p_next = a @ (p - np.outer(gain, c @ p)) @ a.T + config.q_cov
     x_next = a @ x + b @ u + a @ gain * (z - c @ x)
-    np.testing.assert_allclose(nxt.p_cov, p_next, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(nxt.x_hat, x_next, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(p_step, p_next, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(x_step, x_next, rtol=1e-12, atol=1e-12)
 
 
 def _closed_loop_deviation(sc, truth, mode):
