@@ -12,7 +12,7 @@ import mixedtraffic as mt
 
 sc = mt.default_scenario()
 truth = mt.simulate_truth(sc)
-rho = truth.rho_matrix()
+rho = truth.states.rho
 hours = np.arange(truth.n_steps + 1) * sc.geometry.step_h
 rho_crit = sc.params.rho_crit
 

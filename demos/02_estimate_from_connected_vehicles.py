@@ -14,7 +14,7 @@ sc = mt.default_scenario()
 result = mt.run_experiment(sc)
 truth, est = result.truth, result.estimate
 
-pen_true = truth.rho_a_matrix() / np.maximum(truth.rho_matrix(), 1e-6)
+pen_true = truth.states.rho_a / np.maximum(truth.states.rho, 1e-6)
 pen_est = 1.0 / est.x_hat
 hours = np.arange(truth.n_steps + 1) * sc.geometry.step_h
 
@@ -26,11 +26,11 @@ for k in (0, 30, 90, 360, 540, 720, 1080):
     print(f"  t={hours[k]:5.2f} h   true {pen_true[k, 1]:.3f}   est {pen_est[k, 1]:.3f}")
 
 print("\ntotal density at segment 2 through the congestion wave:")
-rho2 = truth.rho_matrix()[:, 1]
+rho2 = truth.states.rho[:, 1]
 for k in range(360, 721, 60):
     print(f"  t={hours[k]:5.2f} h   true {rho2[k]:6.1f}   est {est.rho_hat[k, 1]:6.1f} veh/km")
 
 worst_seg = int(np.argmax(np.sqrt(np.mean(
-    (truth.rho_matrix() - est.rho_hat) ** 2, axis=0)))) + 1
+    (truth.states.rho - est.rho_hat) ** 2, axis=0)))) + 1
 print(f"\nlargest density RMS error is at segment {worst_seg}; "
       f"innovation RMS {np.sqrt(np.mean(est.innovation ** 2)):.3f}")

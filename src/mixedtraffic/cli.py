@@ -42,6 +42,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {text}")
+    return value
+
+
 def _positive_finite(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -59,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", type=Path, default=None,
                         help="YAML scenario file (default: built-in scenario)")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_seed, default=None,
                         help="override the scenario seed")
     common.add_argument("--out", type=Path, default=Path("."),
                         help="output directory for CSV files")

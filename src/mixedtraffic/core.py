@@ -127,6 +127,12 @@ class MetanetParams:
         return cls(tau_h=20 / 3600, nu=35.0, kappa=13.0, delta_ramp=1.4,
                    v_free=120.0, rho_crit=33.5, alpha_exp=1.4324)
 
+    def stationary_speed(self, rho: np.ndarray) -> np.ndarray:
+        """The speed law of ``nominal_speed`` on an array of densities already
+        known to be >= 0, without its check."""
+        a = self.alpha_exp
+        return self.v_free * np.exp(-(1.0 / a) * (rho / self.rho_crit) ** a)
+
 
 @dataclass(frozen=True)
 class TrafficState(StepRecord):
@@ -238,8 +244,7 @@ def nominal_speed(rho, params: MetanetParams):
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0):
         raise ValueError("rho must be nonnegative")
-    a = params.alpha_exp
-    out = params.v_free * np.exp(-(1.0 / a) * (rho_arr / params.rho_crit) ** a)
+    out = params.stationary_speed(rho_arr)
     return float(out) if np.ndim(rho) == 0 else out
 
 

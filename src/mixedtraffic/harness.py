@@ -167,7 +167,7 @@ def run_experiment(sc: Scenario) -> RunResult:
     start = time.perf_counter()
     truth = simulate_truth(sc)
     estimate = run_filter(sc, truth)
-    p_r = performance_index(truth.rho_matrix(), truth.rho_a_matrix(), estimate.x_hat)
+    p_r = performance_index(truth.states.rho, truth.states.rho_a, estimate.x_hat)
     return RunResult(scenario=sc, truth=truth, estimate=estimate, p_r=p_r,
                      runtime_s=time.perf_counter() - start)
 
@@ -183,7 +183,7 @@ def simulate_only(sc: Scenario) -> RunResult:
 class SweepPoint:
     sigma: float
     p_r: float
-    min_p_eigenvalue: float = math.nan     # not stored in sweep.csv
+    min_p_eigenvalue: float     # not stored in sweep.csv
 
 
 def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
@@ -205,7 +205,7 @@ def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
         KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s, r_cov=sc.r_cov,
                                      x0_value=sc.x0_value, p0_sigma=sc.p0_sigma)
         for s in sigmas]))
-    rho, rho_a = truth.rho_matrix(), truth.rho_a_matrix()
+    rho, rho_a = truth.states.rho, truth.states.rho_a
     return [SweepPoint(sigma=s, p_r=performance_index(rho, rho_a, run.x_hat[i]),
                        min_p_eigenvalue=float(run.min_p_eigenvalue[i]))
             for i, s in enumerate(sigmas)]
@@ -311,12 +311,6 @@ def write_sweep(path, points: Sequence[SweepPoint]) -> None:
         writer.writerow(("sigma", "p_r"))
         for point in points:
             writer.writerow((_fmt(point.sigma), _fmt(point.p_r)))
-
-
-def read_sweep(path) -> list[SweepPoint]:
-    with open(path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        return [SweepPoint(sigma=float(r["sigma"]), p_r=float(r["p_r"])) for r in reader]
 
 
 def write_observability(path, windows: Sequence[ObservabilityWindow]) -> None:

@@ -10,9 +10,12 @@ All randomness is derived from (seed, step, purpose) so repeated calls for
 the same step are identical and runs are reproducible bit for bit.
 
 A run is held as whole-run arrays, one record each for the states, inputs
-and frames: the per-step functions (``TruthSimulator.inputs_at``,
-``observe``, ``step_truth``) each fill one row, and the frames' connected
-columns are the state and input arrays themselves.
+and frames.  Everything that does not depend on the state is computed for
+the whole run at once: ``TruthSimulator.inputs_at`` gives every step's
+demands and entry flows before the step loop, and ``observe`` reads every
+step's detectors after it.  The loop calls ``step_truth`` once per step to
+fill the next state row and that step's off-ramp outflows.  The frames'
+connected columns are the state and input arrays themselves.
 """
 
 from __future__ import annotations
@@ -32,13 +35,12 @@ from .core import (
     StepRecord,
     TrafficState,
     _as_step_array,
-    nominal_speed,
 )
 
 # Stream purposes; one independent generator per (seed, step, purpose).
 _STREAM_STATE = 0    # speed/flow process noise inside step_truth
 _STREAM_DETECT = 1   # detector measurement noise inside observe
-_STREAM_ENTRY = 2    # entry-flow process noise inside the inputs builder
+_STREAM_ENTRY = 2    # entry-flow process noise inside TruthSimulator.inputs_at
 
 
 class TruthDivergedError(FloatingPointError):
@@ -100,13 +102,6 @@ class MeasurementFrame(StepRecord):
     _segment_fields = ("q_a_seg", "rho_a_seg", "r_a", "s_a", "r_meas", "s_meas")
     _step_fields = ("q0_a", "q0_meas", "qN_meas")
 
-    @classmethod
-    def of_run(cls, states: TrafficState, inputs: BoundaryInputs) -> "MeasurementFrame":
-        """A run's frames: connected columns are its state and input arrays, not
-        copies; detector columns start at zero."""
-        return cls(inputs.q0_a, states.q_a, states.rho_a, inputs.r_a, inputs.s_a,
-                   *np.zeros((2, len(states))), *np.zeros((2,) + states.q.shape))
-
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
@@ -138,34 +133,84 @@ class PiecewiseLinear:
         pts = [(float(t), float(v)) for t, v in pairs]
         return cls(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
 
-    def __call__(self, t_h: float) -> float:
-        if t_h < 0:
+    def __call__(self, t_h):
+        """The profile at time ``t_h``: a float, or an array for an array of times."""
+        if np.any(np.asarray(t_h) < 0):
             raise ValueError("t_h must be >= 0")
-        return float(np.interp(t_h, self.times_h, self.values))
+        out = np.interp(t_h, self.times_h, self.values)
+        return float(out) if np.ndim(t_h) == 0 else out
 
 
-def _stream(noise: NoiseSpec, step: int, purpose: int) -> np.random.Generator:
-    return np.random.default_rng((noise.seed, step, purpose))
+def _stream(seed: int, step: int, purpose: int) -> np.random.Generator:
+    return np.random.default_rng((seed, step, purpose))
 
 
-def offramp_outflows(q: np.ndarray, q_a: np.ndarray, q0: float, q0_a: float,
-                     layout: RampLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Off-ramp outflows as exit-rate fractions of the upstream flow.
-
-    s_i = beta_i * q_{i-1} and s_a_i = beta_a_i * q_a_{i-1} for one step's
-    flows, with the entry flow standing in for q_0 at segment 1.
-    """
-    idx = [seg - 1 for seg in layout.off_ramp_segments]
-    s, s_a = np.zeros(q.shape[0]), np.zeros(q.shape[0])
-    s[idx] = np.asarray(layout.exit_rate) * np.concatenate(([q0], q[:-1]))[idx]
-    s_a[idx] = np.asarray(layout.exit_rate_a) * np.concatenate(([q0_a], q_a[:-1]))[idx]
-    return s, s_a
+def _draws(seed: int, purpose: int, steps: int, size: int, kept=slice(None)) -> np.ndarray:
+    """Row k holds the ``kept`` entries of ``size`` standard normals drawn in one
+    call from step k's own stream."""
+    block = np.empty(size)
+    out = np.empty((steps,) + block[kept].shape)
+    for k in range(steps):
+        _stream(seed, k, purpose).standard_normal(out=block)
+        out[k] = block[kept]
+    return out
 
 
-def step_truth(states: TrafficState, inputs: BoundaryInputs, geom: HighwayGeometry,
-               params: MetanetParams, noise: NoiseSpec, step: int) -> None:
-    """Advance the ground truth one step: fill row step+1 of the run ``states``
-    from row ``step`` of ``states`` and of the run ``inputs``.
+def _first_non_finite(*columns: np.ndarray) -> int:
+    """The first step (leading index) at which any column holds a non-finite
+    value, or the step count if none does."""
+    finite = np.logical_and.reduce([np.isfinite(c).reshape(len(c), -1).all(axis=1)
+                                    for c in columns])
+    return len(finite) if finite.all() else int(finite.argmin())
+
+
+@dataclass(frozen=True)
+class StepConstants:
+    """The loop-invariant factors of ``step_truth``, computed once per run by
+    the same operations, in the same order, as its formulas apply them."""
+
+    params: MetanetParams
+    td: np.ndarray             # T/Delta_i, h/km
+    relax: float               # T/tau
+    anticipation: np.ndarray   # (nu T/tau)/Delta_i
+    friction: np.ndarray       # delta_ramp T/Delta_i
+    beta: np.ndarray           # (2, N) exit rates beta, beta_a; zero where there is no off-ramp
+    noise_std: np.ndarray      # (3, 1): speed, flow and connected-flow process noise
+    seed: int
+
+    @classmethod
+    def of(cls, geom: HighwayGeometry, params: MetanetParams, layout: RampLayout,
+           noise: NoiseSpec) -> "StepConstants":
+        n, t, td = geom.n_segments, geom.step_h, geom.t_over_delta
+        return cls(params=params, td=td, relax=t / params.tau_h,
+                   anticipation=(params.nu * t / params.tau_h) / geom.seg_len_km,
+                   friction=params.delta_ramp * td,
+                   beta=np.array([layout.exit_rate_vector(n),
+                                  layout.exit_rate_vector(n, connected=True)]),
+                   noise_std=np.array([[noise.std_speed], [noise.std_flow_proc],
+                                       [noise.std_flow_proc_a]]),
+                   seed=noise.seed)
+
+
+def _upstream(entry: np.ndarray, flows: np.ndarray) -> np.ndarray:
+    """Each segment's inflow for a (2, N) pair of total and connected flows:
+    the pair of ``entry`` flows at segment 1, then ``flows[:, :-1]``."""
+    up = np.empty_like(flows)
+    up[:, 0] = entry
+    up[:, 1:] = flows[:, :-1]
+    return up
+
+
+def step_truth(x: np.ndarray, entry: np.ndarray, flows: np.ndarray, c: StepConstants,
+               k: int) -> None:
+    """Advance the ground truth one step: fill ``x[:, k+1]`` from ``x[:, k]``
+    and step k of the inputs, after filling that step's off-ramp outflows
+    s = beta * q_up and s_a = beta_a * q_a_up.
+
+    ``x`` is the run's (5, M+1, N) state block (rho, rho_a, v, q, q_a),
+    ``entry`` its (2, M+1) entry flows (q0, q0_a) and ``flows`` its
+    (4, M+1, N) segment flows (r, r_a, s, s_a), as ``TruthSimulator.run``
+    holds them; each total and its connected part update as one pair.
 
     Densities update by exact conservation; the speed update uses the
     upstream-copy convention at the entry (v_0 = v_1) and the flat-density
@@ -174,67 +219,66 @@ def step_truth(states: TrafficState, inputs: BoundaryInputs, geom: HighwayGeomet
     nonnegative afterwards and the connected density at or below the total.
     Raises FloatingPointError on a non-finite value.
     """
-    n = geom.n_segments
-    td = geom.t_over_delta
-    rng = _stream(noise, step, _STREAM_STATE)
-    xi_v = noise.std_speed * rng.standard_normal(n)
-    xi_q = noise.std_flow_proc * rng.standard_normal(n)
-    xi_q_a = noise.std_flow_proc_a * rng.standard_normal(n)
-
-    rho, rho_a, v, q, q_a = (states.rho[step], states.rho_a[step], states.v[step],
-                             states.q[step], states.q_a[step])
-    q_up = np.concatenate(([inputs.q0[step]], q[:-1]))
-    q_a_up = np.concatenate(([inputs.q0_a[step]], q_a[:-1]))
-    rho_next = rho + td * (q_up - q + inputs.r[step] - inputs.s[step])
-    rho_a_next = rho_a + td * (q_a_up - q_a + inputs.r_a[step] - inputs.s_a[step])
-    rho_next = np.maximum(rho_next, 0.0)
-    rho_a_next = np.clip(rho_a_next, 0.0, rho_next)
+    dens, v, flow = x[0:2, k], x[2, k], x[3:5, k]
+    rho = dens[0]
+    nxt = x[:, k + 1]
+    xi = c.noise_std * _stream(c.seed, k, _STREAM_STATE).standard_normal((3, len(rho)))
+    up = _upstream(entry[:, k], flow)
+    outflow = np.multiply(c.beta, up, out=flows[2:4, k])
+    dens_next = dens + c.td * (up - flow + flows[0:2, k] - outflow)
+    np.maximum(dens_next[0], 0.0, out=nxt[0])
+    dens_next[1].clip(0.0, nxt[0], out=nxt[1])
 
     v_up = np.concatenate(([v[0]], v[:-1]))
     rho_down = np.concatenate((rho[1:], [rho[-1]]))
-    rho_k = rho + params.kappa
-    t = geom.step_h
+    rho_k = rho + c.params.kappa
     v_next = (
         v
-        + (t / params.tau_h) * (nominal_speed(rho, params) - v)
-        + td * v * (v_up - v)
-        - (params.nu * t / params.tau_h) / geom.seg_len_km * (rho_down - rho) / rho_k
-        - params.delta_ramp * td * inputs.r[step] * v / rho_k
-        + xi_v
+        + c.relax * (c.params.stationary_speed(rho) - v)
+        + c.td * v * (v_up - v)
+        - c.anticipation * (rho_down - rho) / rho_k
+        - c.friction * flows[0, k] * v / rho_k
+        + xi[0]
     )
-    v_next = np.clip(v_next, 0.0, 1.5 * params.v_free)
+    v_next.clip(0.0, 1.5 * c.params.v_free, out=nxt[2])
 
-    q_next = np.maximum(rho_next * v_next + xi_q, 0.0)
-    q_a_next = np.clip(rho_a_next * v_next + xi_q_a, 0.0, q_next)
-
-    for column, row in zip((states.rho, states.rho_a, states.v, states.q, states.q_a),
-                           (rho_next, rho_a_next, v_next, q_next, q_a_next)):
-        if not np.all(np.isfinite(row)):
-            raise FloatingPointError("non-finite state")
-        column[step + 1] = row
+    flow_next = nxt[0:2] * nxt[2] + xi[1:]
+    np.maximum(flow_next[0], 0.0, out=nxt[3])
+    flow_next[1].clip(0.0, nxt[3], out=nxt[4])
+    if not np.isfinite(nxt).all():
+        raise FloatingPointError("non-finite state")
 
 
-def observe(states: TrafficState, inputs: BoundaryInputs, frames: MeasurementFrame,
-            layout: RampLayout, noise: NoiseSpec, step: int) -> None:
-    """Fill row ``step`` of the detector columns of ``frames`` from that row of
-    the runs ``states`` and ``inputs``.
+def observe(states: TrafficState, inputs: BoundaryInputs, layout: RampLayout,
+            noise: NoiseSpec) -> MeasurementFrame:
+    """The frames of a run, read from every step of ``states`` and ``inputs``
+    at once: the connected columns are the run's own arrays, not copies.
 
     Detector noise applies only where detectors exist: entry, exit, and the
-    layout's ramp segments.  Noisy flows are clamped at zero.
+    layout's ramp segments.  Noisy flows are clamped at zero.  Raises
+    TruthDivergedError naming the first step with a non-finite detector
+    noise value or reading.
     """
-    n = states.n_segments
-    rng = _stream(noise, step, _STREAM_DETECT)
-    gamma_0 = noise.std_entry_flow * rng.standard_normal()
-    gamma_n = noise.std_entry_flow * rng.standard_normal()
-    gamma_r = noise.std_onramp * rng.standard_normal(n)
-    gamma_s = noise.std_offramp * rng.standard_normal(n)
-
+    steps, n = states.q.shape
     on = [seg - 1 for seg in layout.on_ramp_segments]
-    frames.r_meas[step, on] = np.maximum(inputs.r[step, on] + gamma_r[on], 0.0)
     off = [seg - 1 for seg in layout.off_ramp_segments]
-    frames.s_meas[step, off] = np.maximum(inputs.s[step, off] + gamma_s[off], 0.0)
-    frames.q0_meas[step] = max(inputs.q0[step] + gamma_0, 0.0)
-    frames.qN_meas[step] = max(states.q[step, -1] + gamma_n, 0.0)
+    # Each step draws entry, exit, on-ramp and off-ramp noise for every segment;
+    # only the detectors' columns are kept.
+    kept = np.r_[0, 1, 2 + np.array(on, dtype=int), 2 + n + np.array(off, dtype=int)]
+    gamma = _draws(noise.seed, _STREAM_DETECT, steps, 2 + 2 * n, kept)
+    r_meas, s_meas = np.zeros((2, steps, n))
+    with np.errstate(over="ignore"):       # an overflow leaves a non-finite value, refused below
+        gamma *= np.repeat([noise.std_entry_flow, noise.std_onramp, noise.std_offramp],
+                           [2, len(on), len(off)])
+        q0_meas = np.maximum(inputs.q0 + gamma[:, 0], 0.0)
+        qN_meas = np.maximum(states.q[:, -1] + gamma[:, 1], 0.0)
+        r_meas[:, on] = np.maximum(inputs.r[:, on] + gamma[:, 2:2 + len(on)], 0.0)
+        s_meas[:, off] = np.maximum(inputs.s[:, off] + gamma[:, 2 + len(on):], 0.0)
+    bad = _first_non_finite(gamma, q0_meas, qN_meas, r_meas, s_meas)
+    if bad < steps:
+        raise TruthDivergedError(f"non-finite detector reading at step {bad}")
+    return MeasurementFrame(inputs.q0_a, states.q_a, states.rho_a, inputs.r_a, inputs.s_a,
+                            q0_meas, qN_meas, r_meas, s_meas)
 
 
 @dataclass(frozen=True)
@@ -250,9 +294,11 @@ class TruthRun:
         return len(self.states) - 1
 
     def rho_matrix(self) -> np.ndarray:
+        """Alias of ``states.rho``."""
         return self.states.rho
 
     def rho_a_matrix(self) -> np.ndarray:
+        """Alias of ``states.rho_a``."""
         return self.states.rho_a
 
 
@@ -277,42 +323,60 @@ class TruthSimulator:
         if self.init_state.n_segments != self.geom.n_segments:
             raise ValueError("initial state size does not match geometry")
 
-    def inputs_at(self, states: TrafficState, inputs: BoundaryInputs, step: int) -> None:
-        """Fill row ``step`` of the run ``inputs``: demands at the step's clock
-        time, entry process noise, and exit-rate outflows of that row of ``states``."""
-        t = step * self.geom.step_h
-        pen = min(max(self.penetration_profile(t), 0.0), 1.0)
-        q0_nom = self.entry_demand(t)
-        r = inputs.r[step]
-        for seg, profile in self.onramp_demand.items():
-            r[seg - 1] = profile(t)
-        inputs.r_a[step] = pen * r
+    def inputs_at(self, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """The boundary inputs at steps 0..n_steps as two blocks: the entry flows
+        (q0, q0_a), shape (2, n_steps+1), and the segment flows (r, r_a, s, s_a),
+        shape (4, n_steps+1, N).
 
-        rng = _stream(self.noise, step, _STREAM_ENTRY)
-        q0 = max(q0_nom + self.noise.std_flow_proc * rng.standard_normal(), 0.0)
-        q0_a = min(max(pen * q0_nom + self.noise.std_flow_proc_a * rng.standard_normal(), 0.0), q0)
-        inputs.q0[step], inputs.q0_a[step] = q0, q0_a
-        inputs.s[step], inputs.s_a[step] = offramp_outflows(states.q[step], states.q_a[step],
-                                                            q0, q0_a, self.layout)
+        Demands and connected shares are taken at each step's clock time, and
+        the entry flows carry their process noise.  The off-ramp outflows
+        depend on the state and are left at zero for ``step_truth``.  The
+        arithmetic follows Python floats: an overflow leaves an entry flow
+        infinite, for the run to refuse.
+        """
+        steps = n_steps + 1
+        t = np.arange(steps) * self.geom.step_h
+        pen = np.clip(self.penetration_profile(t), 0.0, 1.0)
+        q0_nom = self.entry_demand(t)
+        xi_0, xi_0a = _draws(self.noise.seed, _STREAM_ENTRY, steps, 2).T
+        entry = np.empty((2, steps))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.maximum(q0_nom + self.noise.std_flow_proc * xi_0, 0.0, out=entry[0])
+            np.minimum(np.maximum(pen * q0_nom + self.noise.std_flow_proc_a * xi_0a, 0.0),
+                       entry[0], out=entry[1])
+        flows = np.zeros((4, steps, self.geom.n_segments))
+        for seg, profile in self.onramp_demand.items():
+            flows[0, :, seg - 1] = profile(t)
+        np.multiply(pen[:, None], flows[0], out=flows[1])
+        return entry, flows
 
     def run(self, n_steps: int) -> TruthRun:
-        """Simulate n_steps transitions into n_steps+1 rows of preallocated arrays,
-        filled a row per step; the records over them are checked once filled.
+        """Simulate n_steps transitions into n_steps+1 rows of whole-run arrays.
 
-        Raises TruthDivergedError on the first overflow or non-finite state.
+        The inputs are computed for every step before the step loop and the
+        detector readings after it; the loop advances only the state.  Raises
+        TruthDivergedError naming the first step whose inputs are not finite
+        or whose state update overflows or leaves the finite range, and, for a
+        run that gets through, the first step with a non-finite detector reading.
         """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        states = TrafficState.stack([self.init_state] * (n_steps + 1))
-        inputs = BoundaryInputs(*np.zeros((2, n_steps + 1)), *np.zeros((4,) + states.rho.shape))
-        frames = MeasurementFrame.of_run(states, inputs)
+        entry, flows = self.inputs_at(n_steps)
+        bad_input = _first_non_finite(*entry, *flows[:2])
+        x = np.zeros((5, n_steps + 1, self.geom.n_segments))
+        init = self.init_state
+        x[:, 0] = init.rho, init.rho_a, init.v, init.q, init.q_a
+        constants = StepConstants.of(self.geom, self.params, self.layout, self.noise)
+        k = 0
         try:
             with np.errstate(over="raise"):
-                for k in range(n_steps + 1):
-                    self.inputs_at(states, inputs, k)
-                    observe(states, inputs, frames, self.layout, self.noise, k)
-                    if k < n_steps:
-                        step_truth(states, inputs, self.geom, self.params, self.noise, k)
+                for k in range(min(bad_input, n_steps)):
+                    step_truth(x, entry, flows, constants, k)
         except FloatingPointError as exc:
             raise TruthDivergedError(f"{exc} at step {k}") from exc
-        return TruthRun(dataclasses.replace(states), dataclasses.replace(inputs), frames)
+        if bad_input <= n_steps:
+            raise TruthDivergedError(f"non-finite boundary input at step {bad_input}")
+        # The last step's outflows, which no step_truth call fills.
+        np.multiply(constants.beta, _upstream(entry[:, -1], x[3:5, -1]), out=flows[2:4, -1])
+        states, inputs = TrafficState(*x), BoundaryInputs(*entry, *flows)
+        return TruthRun(states, inputs, observe(states, inputs, self.layout, self.noise))

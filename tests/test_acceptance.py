@@ -101,7 +101,7 @@ def test_criterion_3_filter_exactness(silent_sc):
 def test_criterion_4_convergence(default_sc, default_result):
     """From remote initialization, the share estimate locks on within 15 min."""
     truth, est = default_result.truth, default_result.estimate
-    pen_true = truth.rho_a_matrix() / np.maximum(truth.rho_matrix(), 1e-6)
+    pen_true = truth.states.rho_a / np.maximum(truth.states.rho, 1e-6)
     pen_est = 1.0 / np.maximum(est.x_hat, 1e-6)
     settle_steps = round(0.25 / default_sc.geometry.step_h)  # 15 minutes
     details = []
@@ -117,7 +117,7 @@ def test_criterion_4_convergence(default_sc, default_result):
 
 def test_criterion_5_congestion_reproduction(default_sc, default_result):
     """Middle-hour congestion at segment 2; onset at the merge, moving upstream."""
-    rho = default_result.truth.rho_matrix()
+    rho = default_result.truth.states.rho
     hours = np.arange(rho.shape[0]) * default_sc.geometry.step_h
     rho_crit = default_sc.params.rho_crit
     rho2 = rho[:, 1]

@@ -1,5 +1,6 @@
 """Command-line verbs, exit codes, and machine-readable failures."""
 
+import csv
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from mixedtraffic.cli import main
-from mixedtraffic.harness import read_sweep, read_trajectory
+from mixedtraffic.harness import read_trajectory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_YAML = REPO_ROOT / "scenarios" / "default.yaml"
@@ -67,9 +68,25 @@ def test_sweep_csv(tmp_path, short_yaml, capsys):
     code = main(["sweep", "--scenario", str(short_yaml), "--out", str(tmp_path),
                  "--sigmas", "0.5", "1.0", "2.0"])
     assert code == 0
-    points = read_sweep(tmp_path / "sweep.csv")
-    assert [p.sigma for p in points] == [0.5, 1.0, 2.0]
+    with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as handle:
+        assert [float(row["sigma"]) for row in csv.DictReader(handle)] == [0.5, 1.0, 2.0]
     assert capsys.readouterr().out.count("sigma =") == 3
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5", "abc"])
+def test_simulate_rejects_bad_seed_flag(tmp_path, short_yaml, capsys, seed):
+    """The flag takes the seeds a scenario file takes: integers in [0, 2**64)."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--scenario", str(short_yaml), "--out", str(tmp_path), "--seed", seed])
+    assert excinfo.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_simulate_accepts_the_largest_seed(tmp_path, short_yaml):
+    code = main(["simulate", "--scenario", str(short_yaml), "--out", str(tmp_path),
+                 "--seed", str(2**64 - 1)])
+    assert code == 0
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1", "abc"])

@@ -17,7 +17,6 @@ from mixedtraffic.harness import (
     observability_trace,
     performance_index,
     q_sweep,
-    read_sweep,
     read_trajectory,
     run_experiment,
     run_filter,
@@ -96,7 +95,7 @@ def test_estimated_density_tracks_congestion_wave(default_sc, default_result):
     truth, est = default_result.truth, default_result.estimate
     hours = np.arange(truth.n_steps + 1) * default_sc.geometry.step_h
     mid = (hours >= 1.0) & (hours <= 2.0)
-    rho2 = truth.rho_matrix()[:, 1]
+    rho2 = truth.states.rho[:, 1]
     rho2_hat = est.rho_hat[:, 1]
     rel_rms = np.sqrt(np.mean((rho2_hat[mid] - rho2[mid]) ** 2)) / rho2[mid].mean()
     assert rel_rms < 0.05
@@ -105,7 +104,7 @@ def test_estimated_density_tracks_congestion_wave(default_sc, default_result):
 
 
 def test_congestion_signature(default_sc, default_result):
-    rho = default_result.truth.rho_matrix()
+    rho = default_result.truth.states.rho
     hours = np.arange(rho.shape[0]) * default_sc.geometry.step_h
     rho2 = rho[:, 1]
     rho_crit = default_sc.params.rho_crit
@@ -215,7 +214,7 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
                 == harness.diverged(points[i].p_r, est.min_p_eigenvalue))
         assert type(est.min_p_eigenvalue) is float
         assert batch.z_fallback_count == est.z_fallback_count
-        assert points[i].p_r == performance_index(truth.rho_matrix(), truth.rho_a_matrix(),
+        assert points[i].p_r == performance_index(truth.states.rho, truth.states.rho_a,
                                                   est.x_hat)
 
 
@@ -340,8 +339,8 @@ def test_trajectory_csv_roundtrip(tmp_path, default_sc, default_result):
     write_trajectory(path, default_result)
     data = read_trajectory(path)
     truth, est = default_result.truth, default_result.estimate
-    assert np.array_equal(data["rho"], truth.rho_matrix())
-    assert np.array_equal(data["rho_a"], truth.rho_a_matrix())
+    assert np.array_equal(data["rho"], truth.states.rho)
+    assert np.array_equal(data["rho_a"], truth.states.rho_a)
     assert np.array_equal(data["v"], np.stack([s.v for s in truth.states]))
     assert np.array_equal(data["q"], np.stack([s.q for s in truth.states]))
     assert np.array_equal(data["p_bar_hat"], est.x_hat)
@@ -367,8 +366,9 @@ def test_metrics_and_sweep_files(tmp_path, default_sc, default_result):
     assert "p_r" in text and repr(default_result.p_r) in text
     points = q_sweep(default_sc, [0.5, 2.0])
     write_sweep(tmp_path / "sweep.csv", points)
-    back = read_sweep(tmp_path / "sweep.csv")
-    assert [(p.sigma, p.p_r) for p in back] == [(p.sigma, p.p_r) for p in points]
+    with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as handle:
+        back = [(float(row["sigma"]), float(row["p_r"])) for row in csv.DictReader(handle)]
+    assert back == [(p.sigma, p.p_r) for p in points]
 
 
 def test_observability_trace_windows(default_sc):

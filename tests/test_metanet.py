@@ -13,9 +13,10 @@ from mixedtraffic.metanet import (
     MeasurementFrame,
     NoiseSpec,
     PiecewiseLinear,
+    StepConstants,
+    TruthDivergedError,
     TruthSimulator,
     observe,
-    offramp_outflows,
     step_truth,
 )
 
@@ -35,11 +36,14 @@ def _repeated(record, steps):
                            for f in dataclasses.fields(record)})
 
 
-def _step(state, inputs, geom):
-    """The state after one noise-free step from ``state`` under ``inputs``."""
-    states = TrafficState.stack([state, state])
-    step_truth(states, _repeated(inputs, 1), geom, PARAMS, SILENT, step=0)
-    return states[1]
+def _step(state, inputs, geom, layout=RampLayout()):
+    """The state after one noise-free step from ``state`` under ``inputs``, and
+    the inputs with the off-ramp outflows that the step fills from ``layout``."""
+    x = np.array([[getattr(state, f.name)] * 2 for f in dataclasses.fields(state)])
+    entry = np.array([[inputs.q0], [inputs.q0_a]])
+    flows = np.array([[inputs.r], [inputs.r_a], [inputs.s], [inputs.s_a]])
+    step_truth(x, entry, flows, StepConstants.of(geom, PARAMS, layout, SILENT), 0)
+    return TrafficState(*x[:, 1]), BoundaryInputs(*entry[:, 0], *flows[:, 0])
 
 
 def test_uniform_equilibrium_is_fixed_point():
@@ -49,7 +53,7 @@ def test_uniform_equilibrium_is_fixed_point():
     v = mt.nominal_speed(rho, PARAMS)
     state = TrafficState.from_densities(rho, 0.2 * rho, v)
     inputs = _no_ramp_inputs(5, q0=float(rho[0] * v[0]), q0_a=float(0.2 * rho[0] * v[0]))
-    nxt = _step(state, inputs, geom)
+    nxt, _ = _step(state, inputs, geom)
     assert np.array_equal(nxt.rho, state.rho)
     assert np.array_equal(nxt.v, state.v)
     assert np.array_equal(nxt.q, state.q)
@@ -67,7 +71,8 @@ def test_conservation_telescopes_to_boundary_flows():
     s = np.zeros(6)
     s[3] = 0.1 * state.q[2]
     inputs = BoundaryInputs(q0=1500.0, q0_a=300.0, r=r, r_a=0.2 * r, s=s, s_a=0.2 * s)
-    nxt = _step(state, inputs, geom)
+    nxt, stepped = _step(state, inputs, geom, RampLayout(off_ramp_segments=(4,), exit_rate=(0.1,)))
+    assert np.array_equal(stepped.s, s)
     gained = np.sum(geom.seg_len_km * nxt.rho) - np.sum(geom.seg_len_km * state.rho)
     boundary = geom.step_h * (inputs.q0 - state.q[-1] + r.sum() - s.sum())
     assert gained == pytest.approx(boundary, abs=1e-9)
@@ -81,9 +86,10 @@ def test_one_step_matches_scalar_evaluation():
     v = [95.0, 70.0, 88.0]
     state = TrafficState.from_densities(rho, rho_a, v)
     r = np.array([0.0, 350.0, 0.0])
-    s = np.array([0.0, 0.0, 150.0])
-    inputs = BoundaryInputs(q0=2000.0, q0_a=420.0, r=r, r_a=0.2 * r, s=s, s_a=0.25 * s)
-    nxt = _step(state, inputs, geom)
+    zeros = np.zeros(3)
+    inputs = BoundaryInputs(q0=2000.0, q0_a=420.0, r=r, r_a=0.2 * r, s=zeros, s_a=zeros)
+    layout = RampLayout(off_ramp_segments=(3,), exit_rate=(0.05,), exit_rate_a=(0.08,))
+    nxt, _ = _step(state, inputs, geom, layout)
 
     # Independent oracle: plain-float loops, formulas written out term by term.
     T = 10 / 3600
@@ -93,10 +99,12 @@ def test_one_step_matches_scalar_evaluation():
     q_a = [rho_a[i] * v[i] for i in range(3)]
     q_up = [2000.0, q[0], q[1]]
     q_a_up = [420.0, q_a[0], q_a[1]]
+    s = [0.0, 0.0, 0.05 * q_up[2]]
+    s_a = [0.0, 0.0, 0.08 * q_a_up[2]]
     exp_rho, exp_rho_a, exp_v = [], [], []
     for i in range(3):
         exp_rho.append(rho[i] + (T / delta) * (q_up[i] - q[i] + r[i] - s[i]))
-        exp_rho_a.append(rho_a[i] + (T / delta) * (q_a_up[i] - q_a[i] + 0.2 * r[i] - 0.25 * s[i]))
+        exp_rho_a.append(rho_a[i] + (T / delta) * (q_a_up[i] - q_a[i] + 0.2 * r[i] - s_a[i]))
         v_upstream = v[i - 1] if i > 0 else v[0]
         rho_downstream = rho[i + 1] if i < 2 else rho[2]
         stationary = 120.0 * math.exp(-(1 / 1.4324) * (rho[i] / 33.5) ** 1.4324)
@@ -115,19 +123,23 @@ def test_one_step_matches_scalar_evaluation():
 
 def test_offramp_outflows_use_upstream_flow():
     layout = RampLayout(off_ramp_segments=(1, 3), exit_rate=(0.2, 0.1))
+    geom = HighwayGeometry(n_segments=3, step_h=10 / 3600, seg_len_km=0.5)
     state = TrafficState.from_densities([10.0, 20.0, 30.0], [1.0, 2.0, 3.0],
                                         [100.0, 90.0, 80.0])
-    s, s_a = offramp_outflows(state.q, state.q_a, q0=1500.0, q0_a=300.0, layout=layout)
-    assert s.tolist() == [0.2 * 1500.0, 0.0, 0.1 * 20.0 * 90.0]
-    assert s_a.tolist() == [0.2 * 300.0, 0.0, 0.1 * 2.0 * 90.0]
+    _, stepped = _step(state, _no_ramp_inputs(3, q0=1500.0, q0_a=300.0), geom, layout)
+    assert stepped.s.tolist() == [0.2 * 1500.0, 0.0, 0.1 * 20.0 * 90.0]
+    assert stepped.s_a.tolist() == [0.2 * 300.0, 0.0, 0.1 * 2.0 * 90.0]
 
 
-def test_non_finite_input_faults():
-    geom = HighwayGeometry(n_segments=3, step_h=10 / 3600, seg_len_km=0.5)
-    state = TrafficState.from_densities([10.0] * 3, [2.0] * 3, [100.0] * 3)
-    inputs = _no_ramp_inputs(3, q0=float("inf"), q0_a=100.0)
-    with pytest.raises(FloatingPointError):
-        _step(state, inputs, geom)
+def _infinite_entry(sc):
+    """``sc`` with an entry demand whose interpolation overflows to +inf from step 1 on."""
+    return dataclasses.replace(sc, entry_demand=PiecewiseLinear.from_pairs(
+        [(0.0, -1.7e308), (1.0, 1.7e308)]), horizon_h=0.25)
+
+
+def test_non_finite_input_faults(default_sc):
+    with pytest.raises(FloatingPointError, match="^non-finite boundary input at step 1$"):
+        mt.simulate_truth(_infinite_entry(default_sc))
 
 
 class TestObserve:
@@ -144,11 +156,7 @@ class TestObserve:
 
     def _observe(self, state, inputs, noise, steps):
         """Frames observed at steps 0..steps-1 of a run that repeats ``state`` and ``inputs``."""
-        states, run_inputs = _repeated(state, steps), _repeated(inputs, steps)
-        frames = MeasurementFrame.of_run(states, run_inputs)
-        for k in range(steps):
-            observe(states, run_inputs, frames, self.layout, noise, step=k)
-        return frames
+        return observe(_repeated(state, steps), _repeated(inputs, steps), self.layout, noise)
 
     def test_silent_frame_equals_truth(self):
         state, inputs = self._setup()
@@ -262,14 +270,19 @@ def _variant(sc, n, share, demand, noise):
 @given(n=st.integers(min_value=2, max_value=40), share=st.floats(min_value=0.01, max_value=1.0),
        demand=st.floats(min_value=0.5, max_value=3.0), noise=st.floats(min_value=0.0, max_value=10.0))
 def test_array_simulator_properties(default_sc, n, share, demand, noise):
-    """Only FloatingPointError may escape; the frames' connected columns are the
-    run's own arrays; without noise every step balances its boundary flows."""
+    """Only FloatingPointError may escape, with the oracle's message; a run equals
+    the oracle bit for bit; the frames' connected columns are the run's own
+    arrays; without noise every step balances its boundary flows."""
     for noise_scale in (noise, 0.0):
         sc = _variant(default_sc, n, share, demand, noise_scale)
         try:
             truth = mt.simulate_truth(sc)
-        except FloatingPointError:
+        except FloatingPointError as exc:
+            with pytest.raises(FloatingPointError) as oracle:
+                _reference_run(sc)
+            assert str(exc) == str(oracle.value)
             continue
+        _assert_same_run(truth, _reference_run(sc))
         states, inputs, frames = truth.states, truth.inputs, truth.frames
         for view, base in ((frames.q0_a, inputs.q0_a), (frames.q_a_seg, states.q_a),
                            (frames.rho_a_seg, states.rho_a), (frames.r_a, inputs.r_a),
@@ -281,3 +294,164 @@ def test_array_simulator_properties(default_sc, n, share, demand, noise):
             boundary = sc.geometry.step_h * (inputs.q0[:-1] - states.q[:-1, -1]
                                              + inputs.r[:-1].sum(axis=1) - inputs.s[:-1].sum(axis=1))
             assert np.max(np.abs(gained - boundary)) < 1e-9
+
+
+# --- Oracle: the simulator as it was, stepping every function a row at a time ---
+# A literal copy of the per-step loop that whole-run passes replaced; the
+# simulator must equal it bit for bit and fail at the same step.
+
+def _ref_stream(noise, step, purpose):
+    return np.random.default_rng((noise.seed, step, purpose))
+
+
+def _ref_offramp_outflows(q, q_a, q0, q0_a, layout):
+    idx = [seg - 1 for seg in layout.off_ramp_segments]
+    s, s_a = np.zeros(q.shape[0]), np.zeros(q.shape[0])
+    s[idx] = np.asarray(layout.exit_rate) * np.concatenate(([q0], q[:-1]))[idx]
+    s_a[idx] = np.asarray(layout.exit_rate_a) * np.concatenate(([q0_a], q_a[:-1]))[idx]
+    return s, s_a
+
+
+def _ref_step_truth(states, inputs, geom, params, noise, step):
+    n = geom.n_segments
+    td = geom.t_over_delta
+    rng = _ref_stream(noise, step, 0)
+    xi_v = noise.std_speed * rng.standard_normal(n)
+    xi_q = noise.std_flow_proc * rng.standard_normal(n)
+    xi_q_a = noise.std_flow_proc_a * rng.standard_normal(n)
+
+    rho, rho_a, v, q, q_a = (states.rho[step], states.rho_a[step], states.v[step],
+                             states.q[step], states.q_a[step])
+    q_up = np.concatenate(([inputs.q0[step]], q[:-1]))
+    q_a_up = np.concatenate(([inputs.q0_a[step]], q_a[:-1]))
+    rho_next = rho + td * (q_up - q + inputs.r[step] - inputs.s[step])
+    rho_a_next = rho_a + td * (q_a_up - q_a + inputs.r_a[step] - inputs.s_a[step])
+    rho_next = np.maximum(rho_next, 0.0)
+    rho_a_next = np.clip(rho_a_next, 0.0, rho_next)
+
+    v_up = np.concatenate(([v[0]], v[:-1]))
+    rho_down = np.concatenate((rho[1:], [rho[-1]]))
+    rho_k = rho + params.kappa
+    t = geom.step_h
+    v_next = (
+        v
+        + (t / params.tau_h) * (mt.nominal_speed(rho, params) - v)
+        + td * v * (v_up - v)
+        - (params.nu * t / params.tau_h) / geom.seg_len_km * (rho_down - rho) / rho_k
+        - params.delta_ramp * td * inputs.r[step] * v / rho_k
+        + xi_v
+    )
+    v_next = np.clip(v_next, 0.0, 1.5 * params.v_free)
+
+    q_next = np.maximum(rho_next * v_next + xi_q, 0.0)
+    q_a_next = np.clip(rho_a_next * v_next + xi_q_a, 0.0, q_next)
+
+    for column, row in zip((states.rho, states.rho_a, states.v, states.q, states.q_a),
+                           (rho_next, rho_a_next, v_next, q_next, q_a_next)):
+        if not np.all(np.isfinite(row)):
+            raise FloatingPointError("non-finite state")
+        column[step + 1] = row
+
+
+def _ref_observe(states, inputs, frames, layout, noise, step):
+    n = states.n_segments
+    rng = _ref_stream(noise, step, 1)
+    gamma_0 = noise.std_entry_flow * rng.standard_normal()
+    gamma_n = noise.std_entry_flow * rng.standard_normal()
+    gamma_r = noise.std_onramp * rng.standard_normal(n)
+    gamma_s = noise.std_offramp * rng.standard_normal(n)
+
+    on = [seg - 1 for seg in layout.on_ramp_segments]
+    frames.r_meas[step, on] = np.maximum(inputs.r[step, on] + gamma_r[on], 0.0)
+    off = [seg - 1 for seg in layout.off_ramp_segments]
+    frames.s_meas[step, off] = np.maximum(inputs.s[step, off] + gamma_s[off], 0.0)
+    frames.q0_meas[step] = max(inputs.q0[step] + gamma_0, 0.0)
+    frames.qN_meas[step] = max(states.q[step, -1] + gamma_n, 0.0)
+
+
+def _ref_inputs_at(sim, states, inputs, step):
+    t = step * sim.geom.step_h
+    pen = min(max(sim.penetration_profile(t), 0.0), 1.0)
+    q0_nom = sim.entry_demand(t)
+    r = inputs.r[step]
+    for seg, profile in sim.onramp_demand.items():
+        r[seg - 1] = profile(t)
+    inputs.r_a[step] = pen * r
+
+    rng = _ref_stream(sim.noise, step, 2)
+    q0 = max(q0_nom + sim.noise.std_flow_proc * rng.standard_normal(), 0.0)
+    q0_a = min(max(pen * q0_nom + sim.noise.std_flow_proc_a * rng.standard_normal(), 0.0), q0)
+    inputs.q0[step], inputs.q0_a[step] = q0, q0_a
+    inputs.s[step], inputs.s_a[step] = _ref_offramp_outflows(states.q[step], states.q_a[step],
+                                                             q0, q0_a, sim.layout)
+
+
+def _reference_run(sc):
+    sim = TruthSimulator(geom=sc.geometry, params=sc.params, layout=sc.layout,
+                         noise=sc.noise, entry_demand=sc.entry_demand,
+                         onramp_demand=sc.onramp_demand,
+                         penetration_profile=sc.penetration_profile,
+                         init_state=sc.initial_state())
+    n_steps = sc.n_steps
+    states = TrafficState.stack([sim.init_state] * (n_steps + 1))
+    inputs = BoundaryInputs(*np.zeros((2, n_steps + 1)), *np.zeros((4,) + states.rho.shape))
+    frames = MeasurementFrame(inputs.q0_a, states.q_a, states.rho_a, inputs.r_a, inputs.s_a,
+                              *np.zeros((2, n_steps + 1)), *np.zeros((2,) + states.q.shape))
+    try:
+        with np.errstate(over="raise"):
+            for k in range(n_steps + 1):
+                _ref_inputs_at(sim, states, inputs, k)
+                _ref_observe(states, inputs, frames, sim.layout, sim.noise, k)
+                if k < n_steps:
+                    _ref_step_truth(states, inputs, sim.geom, sim.params, sim.noise, k)
+    except FloatingPointError as exc:
+        raise TruthDivergedError(f"{exc} at step {k}") from exc
+    return mt.metanet.TruthRun(dataclasses.replace(states), dataclasses.replace(inputs), frames)
+
+
+def _assert_same_run(truth, reference):
+    """Every column of the states, inputs and frames equal byte for byte, so a
+    -0.0 against a 0.0 fails too."""
+    for record in ("states", "inputs", "frames"):
+        got, want = getattr(truth, record), getattr(reference, record)
+        for field in dataclasses.fields(want):
+            a, b = np.asarray(getattr(got, field.name)), np.asarray(getattr(want, field.name))
+            assert a.shape == b.shape and a.dtype == b.dtype, f"{record}.{field.name}"
+            assert a.tobytes() == b.tobytes(), f"{record}.{field.name}"
+
+
+def _corridor(sc, n=200, horizon_h=0.5):
+    return dataclasses.replace(
+        sc, geometry=HighwayGeometry(n_segments=n, step_h=sc.geometry.step_h, seg_len_km=0.5),
+        horizon_h=horizon_h)
+
+
+@pytest.mark.parametrize("case", ["default", "seed 7", "corridor"])
+def test_run_equals_the_per_step_oracle(default_sc, case):
+    sc = {"default": default_sc, "seed 7": default_sc.with_seed(7),
+          "corridor": _corridor(default_sc)}[case]
+    _assert_same_run(mt.simulate_truth(sc), _reference_run(sc))
+
+
+def _absurd_entry(sc):
+    """An entry demand of 1e300 veh/h overflows the speed law at step 1."""
+    return dataclasses.replace(sc, entry_demand=PiecewiseLinear.constant(1e300), horizon_h=0.25)
+
+
+def test_overflow_fails_like_the_oracle(default_sc):
+    """A state overflow raises at the oracle's step with the oracle's message."""
+    with pytest.raises(TruthDivergedError) as want:
+        _reference_run(_absurd_entry(default_sc))
+    with pytest.raises(TruthDivergedError) as got:
+        mt.simulate_truth(_absurd_entry(default_sc))
+    assert str(got.value) == str(want.value) == "overflow encountered in power at step 1"
+
+
+def test_non_finite_input_fails_at_the_oracles_step(default_sc):
+    """An infinite entry flow is refused before the loop reaches it, at the step
+    where the oracle's state went non-finite."""
+    with pytest.raises(TruthDivergedError) as want:
+        _reference_run(_infinite_entry(default_sc))
+    assert str(want.value) == "non-finite state at step 1"
+    with pytest.raises(TruthDivergedError, match="^non-finite boundary input at step 1$"):
+        mt.simulate_truth(_infinite_entry(default_sc))
