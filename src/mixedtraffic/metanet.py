@@ -20,7 +20,6 @@ connected columns are the state and input arrays themselves.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping

@@ -138,6 +138,11 @@ def _infinite_entry(sc):
 
 
 def test_non_finite_input_faults(default_sc):
+    """An infinite entry flow is refused before the loop reaches it, at the step
+    where the per-step oracle's state went non-finite."""
+    with pytest.raises(TruthDivergedError) as oracle:
+        _reference_run(_infinite_entry(default_sc))
+    assert str(oracle.value) == "non-finite state at step 1"
     with pytest.raises(FloatingPointError, match="^non-finite boundary input at step 1$"):
         mt.simulate_truth(_infinite_entry(default_sc))
 
@@ -445,13 +450,3 @@ def test_overflow_fails_like_the_oracle(default_sc):
     with pytest.raises(TruthDivergedError) as got:
         mt.simulate_truth(_absurd_entry(default_sc))
     assert str(got.value) == str(want.value) == "overflow encountered in power at step 1"
-
-
-def test_non_finite_input_fails_at_the_oracles_step(default_sc):
-    """An infinite entry flow is refused before the loop reaches it, at the step
-    where the oracle's state went non-finite."""
-    with pytest.raises(TruthDivergedError) as want:
-        _reference_run(_infinite_entry(default_sc))
-    assert str(want.value) == "non-finite state at step 1"
-    with pytest.raises(TruthDivergedError, match="^non-finite boundary input at step 1$"):
-        mt.simulate_truth(_infinite_entry(default_sc))
