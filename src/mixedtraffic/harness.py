@@ -37,7 +37,7 @@ class EstimateRun:
     q_hat: np.ndarray          # batch + (M+1, N) reconstructed total flows
     innovation: np.ndarray     # batch + (M,) scalar innovations
     # Per member: min of lambda_min(P0), lambda_min(P_M) and each lambda_min < -PSD_TOL
-    # at a step whose shifted Cholesky failed (see run_filter).
+    # at a step that neither the O(N) bound nor the shifted Cholesky cleared (see run_filter).
     min_p_eigenvalue: float | np.ndarray
     g_clamp_count: int
     z_fallback_count: int      # steps that reused the previous output
@@ -70,6 +70,34 @@ def build_systems(sc: Scenario, truth: TruthRun) -> BandedLtv:
     return build_system_measured(frames, sc.geometry)
 
 
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _weyl_floor(top, p_nn, floor, a: float, q_floor, q_max, r_cov, n: int):
+    """A lower bound on lambda_min of the covariance that ``filter_step`` makes
+    from P, per member, given that P is exactly symmetric with lambda_min(P)
+    >= ``floor``, ``top`` = max|P_ii| and ``p_nn`` = P_NN.
+
+    ``a`` bounds every row and column sum of |A(k)|, ``q_floor`` bounds
+    lambda_min(Q) from below (less its share of the slack below) and
+    ``q_max`` is max|Q_ij|.  The derivation is
+    in ``run_filter``; the factor 1 + 32 eps covers this function's own
+    rounding.  Where no bound follows (a NaN or infinite input, or
+    P_NN + R <= 0) the result is -inf or NaN, which every comparison treats
+    as no bound.
+    """
+    lost = np.maximum(-floor, 0.0)            # max(0, -l); NaN stays NaN
+    m = top + lost                             # >= every |P_ij|
+    denom = p_nn + r_cov
+    gain = np.sqrt(m * (abs(p_nn) + lost) / denom) / np.sqrt(denom)    # >= every |K_i|
+    a2 = a * a
+    weyl = lost * (1.0 + math.sqrt(n) * gain) ** 2 * a2
+    rounding = 16 * n * (_EPS * (a2 * (1.0 + gain) * m + q_max)
+                         + _TINY * (1.0 + a) ** 2 * (1.0 + m))
+    return q_floor - (weyl + rounding) * (1 + 32 * _EPS)
+
+
 def run_filter(sc: Scenario, truth: TruthRun,
                systems: BandedLtv | None = None,
                config: KalmanConfig | None = None) -> EstimateRun:
@@ -81,16 +109,48 @@ def run_filter(sc: Scenario, truth: TruthRun,
     as soon as any member's state becomes non-finite; that check reports an
     overflow, so numpy's floating-point warnings are silenced inside the loop.
 
-    Positive semidefiniteness is checked each step with one Cholesky
-    factorisation over the whole batch, of P + PSD_TOL*I less a bound on the
-    factorisation's own rounding error, so that success proves every
-    lambda_min(P) > -PSD_TOL; only when it fails are the eigenvalues
-    computed.  ``min_p_eigenvalue`` is therefore the smallest of
+    Positive semidefiniteness: ``min_p_eigenvalue`` is the smallest of
     lambda_min(P0), lambda_min of the final P, and every exact lambda_min
-    below -PSD_TOL found at a failed step.  That is the exact minimum over
-    the run once P has lost semidefiniteness.  Otherwise it may exceed the
-    exact minimum, but every step's lambda_min is then above -PSD_TOL, so
-    ``diverged`` gives the exact minimum's verdict.
+    below -PSD_TOL at a step whose shifted Cholesky fails.  The Cholesky is
+    of P + PSD_TOL*I less Rump's bound on its own rounding error, one call
+    over the whole batch, so its success proves every lambda_min(P) >
+    -PSD_TOL; only when it fails are the eigenvalues computed.  The value is
+    the exact minimum over the run once P has lost semidefiniteness;
+    otherwise it may exceed the exact minimum, but every step's lambda_min is
+    then above -PSD_TOL, so ``diverged`` gives the exact minimum's verdict.
+
+    The factorisation runs only at steps where an O(N) lower bound l(k) on
+    lambda_min(P(k)) cannot show that it would succeed.  Let P(k) be exactly
+    symmetric (the symmetrisation makes it so from step 1 on) with
+    lambda_min >= l(k), and write l- = max(0, -l(k)).  With
+    K = P C'/(P_NN + R) the update P - K C P is the Joseph form
+    (I-KC) P (I-KC)' + K R K', which is >= -l- ||I-KC||^2 I.  Let
+    a = max|A_ii| + max|A_i+1,i|, which bounds every row and column sum of
+    |A(k)|, so ||A||_2 <= a; M = max|P_ii| + l-, which by Cauchy-Schwarz
+    bounds every |P_ij|; and g = sqrt(M (|P_NN| + l-)) / (P_NN + R), which
+    bounds every |K_i|, so ||I-KC||_2 <= 1 + sqrt(N) g.  Weyl's inequality
+    then gives
+
+        lambda_min(P(k+1)) >= lambda_min(Q) - l- (1 + sqrt(N) g)^2 a^2
+                              - 16 N (eps (a^2 (1+g) M + max|Q|) + tiny (1+M)(1+a)^2)
+
+    for the computed P(k+1): the last term bounds the spectral norm of the
+    rounding error of the gain, of (I-KC)P, of both ``apply_a`` passes, of
+    + Q and of the symmetrisation (no entry's error reaches
+    12 eps a^2 (1+g) M + 3 eps max|Q| plus underflow, and ||E||_2 <=
+    N max|E_ij|).  lambda_min(Q) is bounded by Gershgorin's discs, so a Q
+    that is not diagonally dominant never certifies a step.  A step is
+    certified when l(k+1) + PSD_TOL > 16 N (N+1) eps (max|P_ii| + PSD_TOL):
+    the shift differs from PSD_TOL by at most N (N+1) eps max|P_ii|, so
+    P + shift*I then meets Demmel's condition for the factorisation to
+    succeed (Higham, Accuracy and Stability, Thm 10.7) with a factor of 8
+    to spare.  A certified step also needs l(k+1) <= min P_ii, which every
+    true bound meets; a P that the update did not produce may fail it.
+    When any member of a batch is not certified, the whole batch is
+    factorised, so every output equals that of factorising at every step.
+    P0 carries no bound (it need not be exactly symmetric), so the first
+    step is always factorised; a factorisation sets every member's bound to
+    -PSD_TOL when it succeeds and drops it when it fails.
     """
     if systems is None:
         systems = build_systems(sc, truth)
@@ -107,7 +167,23 @@ def run_filter(sc: Scenario, truth: TruthRun,
     eye = np.eye(n)
     # Rump's bound on Cholesky's rounding error (BIT 46, 2006): a floating-point
     # Cholesky of A - c*I with c >= (n+1)*eps*trace(A) proves A positive definite.
-    rounding = (n + 1) * np.finfo(float).eps
+    rounding = (n + 1) * _EPS
+    margin = 16 * n * (n + 1) * _EPS
+    # The inputs of _weyl_floor that do not depend on the state: per step,
+    # max|A_ii| + max|A_i+1,i|, which bounds every row and column sum of |A(k)|
+    # (each holds at most one entry of either band); and Gershgorin's bound on
+    # lambda_min(Q), with (1 + 4 N eps) covering the rounding of its sums, less
+    # 32 eps of it for the rounding of _weyl_floor's last subtraction.
+    a_max = sum(np.maximum(band.max(axis=1, initial=0.0), -band.min(axis=1, initial=0.0))
+                for band in (systems.diag, systems.sub)).tolist()
+    q_off = np.abs(config.q_cov)
+    q_max = q_off.max(axis=(-2, -1))
+    q_off[..., range(n), range(n)] = 0.0
+    q_floor = (config.q_cov.diagonal(0, -2, -1)
+               - 0.5 * (1 + 4 * n * _EPS) * (q_off.sum(axis=-1) + q_off.sum(axis=-2))).min(axis=-1)
+    q_floor = q_floor - 32 * _EPS * abs(q_floor)
+    floor = -np.inf                        # lambda_min(P) >= floor; none for P0
+    top = np.abs(p.diagonal(0, -2, -1)).max(axis=-1)
     fallbacks = 0
     last_z: float | None = None
     with np.errstate(all="ignore"):
@@ -115,12 +191,20 @@ def run_filter(sc: Scenario, truth: TruthRun,
             z, used_fallback = output_measurement(truth.frames, k, last_z)
             fallbacks += used_fallback
             last_z = z
+            floor = _weyl_floor(top, p[..., -1, -1], floor, a_max[k], q_floor, q_max,
+                                config.r_cov, n)
             x, p, innovation[..., k] = filter_step(x, p, systems, k, z, config)
             x_hat[..., k + 1, :] = x
+            diag = p.diagonal(0, -2, -1)
+            top = np.abs(diag).max(axis=-1)
+            if ((floor <= diag.min(axis=-1)) & (floor + PSD_TOL > margin * (top + PSD_TOL))).all():
+                continue                   # the factorisation below would succeed
             shift = PSD_TOL - rounding * np.trace(p, axis1=-2, axis2=-1)
+            floor = -np.inf
             try:
                 # Succeeds only if every member's lambda_min(P) > -PSD_TOL.
                 np.linalg.cholesky(p + shift[..., None, None] * eye)
+                floor = -PSD_TOL
             except np.linalg.LinAlgError:
                 # Fold only the members that failed, so each keeps its unbatched value.
                 step_min = np.linalg.eigvalsh(p).min(axis=-1)

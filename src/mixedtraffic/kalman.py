@@ -32,8 +32,9 @@ from .metanet import MeasurementFrame
 
 
 # Most negative covariance eigenvalue a sound run may reach: the update is not
-# in Joseph form, so rounding alone may take P this far below zero.  The
-# filter loop checks it each step with a Cholesky factorisation (harness.run_filter).
+# computed in Joseph form, so rounding alone may take P this far below zero.
+# harness.run_filter checks it at every step: an O(N) lower bound on
+# lambda_min(P) clears most steps, and a Cholesky factorisation the rest.
 PSD_TOL = 1e-9
 
 

@@ -66,6 +66,11 @@ class Scenario:
             raise ValueError("horizon_h must be an integer number of steps")
         if not 0 < self.init_penetration <= 1:
             raise ValueError("init_penetration must lie in (0, 1]")
+        demands = {"entry_demand": self.entry_demand}
+        demands.update((f"onramp_demand[{seg}]", d) for seg, d in self.onramp_demand.items())
+        for name, demand in demands.items():
+            if np.any(demand.values < 0):
+                raise ValueError(f"{name} must be >= 0, got {demand.values.min()!r}")
         for name in ("q_sigma", "r_cov", "p0_sigma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -207,6 +212,14 @@ class _Collector:
             return None
         return profile
 
+    def demand(self, value: Any, path: str) -> PiecewiseLinear | None:
+        """A profile of demands, each >= 0."""
+        profile = self.profile(value, path)
+        if profile is not None and np.any(profile.values < 0):
+            self.fail(path, f"expected demands >= 0, got {profile.values.min()!r}")
+            return None
+        return profile
+
     def densities(self, value: Any, path: str, n: int | None):
         """A uniform density or a list of one per segment, each finite and >= 0."""
         items = value if isinstance(value, list) else [value]
@@ -244,11 +257,11 @@ def _scenario_from_dict(data: Mapping[str, Any], name: str) -> Scenario:
         exit_rate_a = [exit_rate_a] * len(off_ramps)
 
     demand = col.section(data, "", "demand")
-    entry_demand = col.profile(demand.get("entry"), "demand.entry")
+    entry_demand = col.demand(demand.get("entry"), "demand.entry")
     onramp_demand: dict[int, PiecewiseLinear] = {}
     onramp_section = col.section(demand, "demand", "on_ramps")
     for seg, raw in onramp_section.items():
-        profile = col.profile(raw, f"demand.on_ramps.{seg}")
+        profile = col.demand(raw, f"demand.on_ramps.{seg}")
         if not isinstance(seg, int):
             col.fail(f"demand.on_ramps.{seg}", "segment keys must be integers")
         elif profile is not None:

@@ -239,6 +239,25 @@ def test_bad_scenario_values_are_refused_at_load(tmp_path, capsys, line, bad, pa
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("line, bad, path", [
+    ("    - [0.0, 150.0]", "    - [0.0, -150.0]", "demand.on_ramps.2"),
+    ("  - [0.0, 1300.0]", "  - [0.0, -1300.0]", "demand.entry"),
+], ids=["on-ramp", "entry"])
+def test_negative_demands_are_refused_at_load(tmp_path, capsys, line, bad, path):
+    """A negative demand breakpoint fails with its path instead of crashing
+    the simulator (on-ramp) or being clamped to zero (entry)."""
+    text = DEFAULT_YAML.read_text()
+    assert text.count(line) == 1
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(text.replace(line, bad))
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid_scenario"
+    assert [f.split(":")[0] for f in err["failures"]] == [path]
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(tmp_path / "absent.yaml"),
                  "--out", str(tmp_path)])

@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mixedtraffic as mt
 from mixedtraffic import harness
+from mixedtraffic.core import HighwayGeometry, RampLayout
 from mixedtraffic.harness import (
     TRAJECTORY_COLUMNS,
+    EstimateRun,
     build_systems,
     observability_trace,
     performance_index,
@@ -25,8 +28,10 @@ from mixedtraffic.harness import (
     write_sweep,
     write_trajectory,
 )
-from mixedtraffic.kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement
+from mixedtraffic.kalman import (PSD_TOL, KalmanConfig, filter_step, output_measurement,
+                                 reconstruct_totals)
 from mixedtraffic.ltv import anti_diagonal, observability_matrix, window_anti_diagonals
+from mixedtraffic.metanet import NoiseSpec, PiecewiseLinear
 
 # Regression values produced by this build of the default scenario
 # (seed 20260810) and pinned; see also the acceptance suite.
@@ -277,6 +282,145 @@ def test_member_keeps_its_value_when_another_fails_the_psd_check(default_sc, def
     assert batch.min_p_eigenvalue[1] == alone.min_p_eigenvalue
     min_eigs = _serial_run(truth, build_systems(default_sc, truth), configs[1])[2]
     assert -PSD_TOL < min_eigs[6] < alone.min_p_eigenvalue
+
+
+# --- Oracle: the filter loop as it was, factorising P at every step ---
+# A literal copy of run_filter's loop before the Weyl certificate let it skip
+# the factorisation; run_filter must equal it bit for bit on every output.
+
+def _reference_run_filter(sc, truth, systems, config):
+    m = truth.n_steps
+    x, p = config.x0, config.p0
+    batch, n = x.shape[:-1], x.shape[-1]
+    x_hat = np.empty(batch + (m + 1, n))
+    innovation = np.empty(batch + (m,))
+    x_hat[..., 0, :] = x
+
+    min_eig = np.linalg.eigvalsh(p).min(axis=-1)
+    eye = np.eye(n)
+    rounding = (n + 1) * np.finfo(float).eps
+    fallbacks = 0
+    last_z = None
+    with np.errstate(all="ignore"):
+        for k in range(m):
+            z, used_fallback = output_measurement(truth.frames, k, last_z)
+            fallbacks += used_fallback
+            last_z = z
+            x, p, innovation[..., k] = filter_step(x, p, systems, k, z, config)
+            x_hat[..., k + 1, :] = x
+            shift = PSD_TOL - rounding * np.trace(p, axis1=-2, axis2=-1)
+            try:
+                np.linalg.cholesky(p + shift[..., None, None] * eye)
+            except np.linalg.LinAlgError:
+                step_min = np.linalg.eigvalsh(p).min(axis=-1)
+                min_eig = np.where(step_min < -PSD_TOL, np.minimum(min_eig, step_min), min_eig)
+    min_eig = np.minimum(min_eig, np.linalg.eigvalsh(p).min(axis=-1))
+    rho_hat, q_hat = reconstruct_totals(x_hat, truth.states.rho_a, truth.states.q_a)
+    return EstimateRun(x_hat=x_hat, rho_hat=rho_hat, q_hat=q_hat, innovation=innovation,
+                       min_p_eigenvalue=min_eig if batch else float(min_eig),
+                       g_clamp_count=systems.n_clamped, z_fallback_count=fallbacks)
+
+
+def _assert_same_estimate(est, reference):
+    """Every field equal byte for byte, and of the same type."""
+    for field in dataclasses.fields(EstimateRun):
+        got, want = getattr(est, field.name), getattr(reference, field.name)
+        assert type(got) is type(want), field.name
+        a, b = np.asarray(got), np.asarray(want)
+        assert a.shape == b.shape and a.dtype == b.dtype, field.name
+        assert a.tobytes() == b.tobytes(), field.name
+
+
+def _sigma_batch(sc, sigmas):
+    return KalmanConfig.stack([KalmanConfig.scaled_identity(
+        sc.geometry.n_segments, q_sigma=s, r_cov=sc.r_cov, x0_value=sc.x0_value,
+        p0_sigma=sc.p0_sigma) for s in sigmas])
+
+
+def _on_segments(sc, n, horizon_h=None):
+    """``sc`` on n segments, ramps beyond n dropped."""
+    off = [(seg, b) for seg, b in zip(sc.layout.off_ramp_segments, sc.layout.exit_rate) if seg <= n]
+    return dataclasses.replace(
+        sc, geometry=HighwayGeometry(n_segments=n, step_h=sc.geometry.step_h, seg_len_km=0.5),
+        layout=RampLayout(on_ramp_segments=[seg for seg in sc.layout.on_ramp_segments if seg <= n],
+                          off_ramp_segments=[seg for seg, _ in off], exit_rate=[b for _, b in off]),
+        onramp_demand={seg: d for seg, d in sc.onramp_demand.items() if seg <= n},
+        horizon_h=horizon_h or sc.horizon_h)
+
+
+_ORACLE_CASES = {
+    "default": lambda sc: (sc, None),
+    "unmeasured sweep": lambda sc: (dataclasses.replace(sc, offramp_mode="unmeasured"),
+                                    (0.01, 0.1, 1.0, 10.0, 100.0)),
+    "corridor": lambda sc: (_on_segments(sc, 200), None),
+    "share 1%": lambda sc: (dataclasses.replace(sc, init_penetration=0.01), (0.01, 1.0, 1000.0)),
+    "share 3%": lambda sc: (dataclasses.replace(sc, init_penetration=0.03,
+                                                offramp_mode="unmeasured"), (0.01, 1.0, 10000.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_run_filter_equals_the_per_step_factorisation(default_sc, case):
+    """Skipping the factorisation where the Weyl bound certifies it changes no
+    output: healthy runs, a sweep, the N = 200 corridor, and batches whose
+    members lose semidefiniteness at different steps."""
+    sc, sigmas = _ORACLE_CASES[case](default_sc)
+    truth = mt.simulate_truth(sc)
+    systems = build_systems(sc, truth)
+    config = sc.filter_config() if sigmas is None else _sigma_batch(sc, sigmas)
+    _assert_same_estimate(run_filter(sc, truth, systems, config),
+                          _reference_run_filter(sc, truth, systems, config))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40), share=st.floats(min_value=0.01, max_value=1.0),
+       noise=st.floats(min_value=0.0, max_value=10.0),
+       sigma=st.floats(min_value=0.01, max_value=100.0))
+def test_run_filter_equals_the_oracle_on_varied_runs(default_sc, n, share, noise, sigma):
+    """Half-hour runs on 2 to 40 segments at any connected share, noise scale
+    and Q; one filter and a batch alike.  A filter that overflows must do so
+    in the oracle too."""
+    stds = [noise * getattr(default_sc.noise, f.name)
+            for f in dataclasses.fields(NoiseSpec) if f.name != "seed"]
+    sc = dataclasses.replace(_on_segments(default_sc, n, horizon_h=0.5), init_penetration=share,
+                             penetration_profile=PiecewiseLinear.constant(share),
+                             noise=NoiseSpec(*stds, seed=default_sc.seed), q_sigma=sigma)
+    try:
+        truth = mt.simulate_truth(sc)
+    except FloatingPointError:
+        return
+    systems = build_systems(sc, truth)
+    for config in (sc.filter_config(), _sigma_batch(sc, [sigma, 1.0])):
+        try:
+            est = run_filter(sc, truth, systems, config)
+        except FloatingPointError as exc:
+            with pytest.raises(FloatingPointError) as oracle:
+                _reference_run_filter(sc, truth, systems, config)
+            assert str(exc) == str(oracle.value)
+            continue
+        _assert_same_estimate(est, _reference_run_filter(sc, truth, systems, config))
+
+
+@pytest.mark.parametrize("case, most, least", [("default", 1, 0), ("corridor", 1, 0),
+                                               ("share 1%", None, 2)],
+                         ids=["default", "corridor", "share 1%"])
+def test_factorisation_runs_only_where_the_bound_fails(default_sc, monkeypatch, case, most,
+                                                       least):
+    """A healthy run factorises P once, at the first step, whose P0 carries no
+    bound; a run whose covariance loses semidefiniteness keeps factorising."""
+    sc = {"default": default_sc, "corridor": _on_segments(default_sc, 200, horizon_h=0.25),
+          "share 1%": dataclasses.replace(default_sc, init_penetration=0.01)}[case]
+    truth = mt.simulate_truth(sc)
+    calls = []
+
+    def counting_cholesky(a):
+        calls.append(a.shape)
+        return cholesky(a)
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    run_filter(sc, truth)
+    assert most is None or len(calls) <= most
+    assert len(calls) >= least
 
 
 def test_sweep_fails_when_one_member_overflows(default_sc):

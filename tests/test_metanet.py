@@ -132,9 +132,10 @@ def test_offramp_outflows_use_upstream_flow():
 
 
 def _infinite_entry(sc):
-    """``sc`` with an entry demand whose interpolation overflows to +inf from step 1 on."""
+    """``sc`` with an entry demand whose interpolation overflows to +inf from step 1 on:
+    its slope, 1.7e308 per half hour, is itself infinite."""
     return dataclasses.replace(sc, entry_demand=PiecewiseLinear.from_pairs(
-        [(0.0, -1.7e308), (1.0, 1.7e308)]), horizon_h=0.25)
+        [(0.0, 0.0), (0.5, 1.7e308)]), horizon_h=0.25)
 
 
 def test_non_finite_input_faults(default_sc):

@@ -1,6 +1,7 @@
 """Scenario construction, YAML parsing, and validation reporting."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,18 @@ def test_scenario_built_in_code_refuses_bad_filter_and_initial_values(field, bad
     """Checked when the Scenario is built, not when it runs, under the field's name."""
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(default_scenario(), **{field: bad})
+
+
+@pytest.mark.parametrize("field", ["entry_demand", "onramp_demand[6]"])
+def test_scenario_built_in_code_refuses_negative_demands(field):
+    sc = default_scenario()
+    negative = PiecewiseLinear.from_pairs([(0.0, 100.0), (1.0, -1.0)])
+    if field == "entry_demand":
+        change = {"entry_demand": negative}
+    else:
+        change = {"onramp_demand": {**sc.onramp_demand, 6: negative}}
+    with pytest.raises(ValueError, match=re.escape(field)):
+        dataclasses.replace(sc, **change)
 
 
 def test_seed_override():
