@@ -81,11 +81,10 @@ def _weyl_floor(top, p_nn, floor, a: float, q_floor, q_max, r_cov, n: int):
 
     ``a`` bounds every row and column sum of |A(k)|, ``q_floor`` bounds
     lambda_min(Q) from below (less its share of the slack below) and
-    ``q_max`` is max|Q_ij|.  The derivation is
-    in ``run_filter``; the factor 1 + 32 eps covers this function's own
-    rounding.  Where no bound follows (a NaN or infinite input, or
-    P_NN + R <= 0) the result is -inf or NaN, which every comparison treats
-    as no bound.
+    ``q_max`` is max|Q_ij|.  The derivation is in ``run_filter``; the factor
+    1 + 32 eps covers this function's own rounding.  Where no bound follows
+    (a NaN or infinite input, or P_NN + R <= 0) the result is -inf or NaN,
+    which every comparison treats as no bound.
     """
     lost = np.maximum(-floor, 0.0)            # max(0, -l); NaN stays NaN
     m = top + lost                             # >= every |P_ij|
