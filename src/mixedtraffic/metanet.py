@@ -7,7 +7,12 @@ exit, and ramp total flows) carry additive Gaussian measurement noise;
 connected-vehicle aggregates are reported exactly.
 
 All randomness is derived from (seed, step, purpose) so repeated calls for
-the same step are identical and runs are reproducible bit for bit.
+the same step are identical and runs are reproducible bit for bit.  Step k's
+draws for a purpose are those of ``np.random.default_rng((seed, k, purpose))``,
+but no generator is built per step: ``_stream_words`` runs NumPy's SeedSequence
+hash for every step of a run in one uint32 array pass, and ``_Streams`` applies
+PCG64's seeding to step k's words and sets them as the state of one reused
+generator before that step draws.
 
 A run is held as whole-run arrays, one record each for the states, inputs
 and frames.  Everything that does not depend on the state is computed for
@@ -140,17 +145,106 @@ class PiecewiseLinear:
         return float(out) if np.ndim(t_h) == 0 else out
 
 
-def _stream(seed: int, step: int, purpose: int) -> np.random.Generator:
-    return np.random.default_rng((seed, step, purpose))
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's running hash: each call xors its value with the current
+    constant, advances the constant by ``mult`` and multiplies by the new one."""
+    const = init
+
+    def hash_(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return hash_
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ result >> np.uint32(16)
+
+
+def _stream_words(seed: int, purpose: int, steps) -> np.ndarray:
+    """Row i holds ``SeedSequence((seed, k, purpose)).generate_state(4, np.uint64)``
+    for the i-th step k of ``steps``: a step count n, meaning steps 0..n-1, or an
+    array of step indices.
+
+    The entropy words are the seed's little-endian 32-bit words, then k, then
+    ``purpose``; the hash runs over uint32 arrays, wrapping as NumPy's does.
+    A step index of 2**32 or more would add an entropy word, so it is refused,
+    and so is a step count of 2**32 or more, before anything is allocated.
+    """
+    if np.ndim(steps) == 0:
+        if not 0 <= steps < 2**32:
+            raise ValueError(f"step count must lie in [0, 2**32), got {steps!r}")
+        k = np.arange(steps, dtype=np.uint32)
+    else:
+        k = np.asarray(steps)
+        if k.size and not (k.min() >= 0 and k.max() < 2**32):
+            raise ValueError("step indices must lie in [0, 2**32)")
+        k = k.astype(np.uint32)
+    seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.uint32(w) for w in seed_words] + [k, np.uint32(purpose)]
+    with np.errstate(over="ignore"):
+        hash_a = _hasher(_INIT_A, _MULT_A)
+        pool = [hash_a(w) for w in entropy + [np.uint32(0)] * (4 - len(entropy))]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hash_a(pool[src]))
+        hash_b = _hasher(_INIT_B, _MULT_B)
+        state = [hash_b(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    out = np.empty((len(k), 4), dtype=np.uint64)
+    for j in range(4):
+        out[:, j] = state[2 * j] | state[2 * j + 1] << np.uint64(32)
+    return out
+
+
+def _pcg64_state(words: np.ndarray) -> dict:
+    """The state of ``PCG64`` seeded with one row of ``_stream_words``: initstate
+    and initseq are its word pairs, high word first; inc = 2 initseq + 1 and
+    state = ((inc + initstate) MULT + inc) mod 2**128."""
+    s_hi, s_lo, i_hi, i_lo = words.tolist()
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+class _Streams:
+    """One purpose's generators over a run: ``streams[i]`` draws exactly as
+    ``np.random.default_rng((seed, k, purpose))`` for the i-th step k of ``steps``.
+
+    Every index returns the same generator, reset to that step's state, so
+    each draw must be taken before the next index.
+    """
+
+    def __init__(self, seed: int, purpose: int, steps):
+        self._words = _stream_words(seed, purpose, steps)
+        self._generator = np.random.Generator(np.random.PCG64(0))  # state set per step
+
+    def __getitem__(self, i: int) -> np.random.Generator:
+        self._generator.bit_generator.state = _pcg64_state(self._words[i])
+        return self._generator
 
 
 def _draws(seed: int, purpose: int, steps: int, size: int, kept=slice(None)) -> np.ndarray:
     """Row k holds the ``kept`` entries of ``size`` standard normals drawn in one
     call from step k's own stream."""
+    streams = _Streams(seed, purpose, steps)
     block = np.empty(size)
     out = np.empty((steps,) + block[kept].shape)
     for k in range(steps):
-        _stream(seed, k, purpose).standard_normal(out=block)
+        streams[k].standard_normal(out=block)
         out[k] = block[kept]
     return out
 
@@ -175,11 +269,11 @@ class StepConstants:
     friction: np.ndarray       # delta_ramp T/Delta_i
     beta: np.ndarray           # (2, N) exit rates beta, beta_a; zero where there is no off-ramp
     noise_std: np.ndarray      # (3, 1): speed, flow and connected-flow process noise
-    seed: int
+    streams: _Streams          # process-noise streams of steps 0..n_steps-1
 
     @classmethod
     def of(cls, geom: HighwayGeometry, params: MetanetParams, layout: RampLayout,
-           noise: NoiseSpec) -> "StepConstants":
+           noise: NoiseSpec, n_steps: int) -> "StepConstants":
         n, t, td = geom.n_segments, geom.step_h, geom.t_over_delta
         return cls(params=params, td=td, relax=t / params.tau_h,
                    anticipation=(params.nu * t / params.tau_h) / geom.seg_len_km,
@@ -188,7 +282,7 @@ class StepConstants:
                                   layout.exit_rate_vector(n, connected=True)]),
                    noise_std=np.array([[noise.std_speed], [noise.std_flow_proc],
                                        [noise.std_flow_proc_a]]),
-                   seed=noise.seed)
+                   streams=_Streams(noise.seed, _STREAM_STATE, n_steps))
 
 
 def _upstream(entry: np.ndarray, flows: np.ndarray) -> np.ndarray:
@@ -221,7 +315,7 @@ def step_truth(x: np.ndarray, entry: np.ndarray, flows: np.ndarray, c: StepConst
     dens, v, flow = x[0:2, k], x[2, k], x[3:5, k]
     rho = dens[0]
     nxt = x[:, k + 1]
-    xi = c.noise_std * _stream(c.seed, k, _STREAM_STATE).standard_normal((3, len(rho)))
+    xi = c.noise_std * c.streams[k].standard_normal((3, len(rho)))
     up = _upstream(entry[:, k], flow)
     outflow = np.multiply(c.beta, up, out=flows[2:4, k])
     dens_next = dens + c.td * (up - flow + flows[0:2, k] - outflow)
@@ -334,10 +428,12 @@ class TruthSimulator:
         infinite, for the run to refuse.
         """
         steps = n_steps + 1
+        # Drawn first: a run too long for its streams is refused before any
+        # whole-run array is allocated.
+        xi_0, xi_0a = _draws(self.noise.seed, _STREAM_ENTRY, steps, 2).T
         t = np.arange(steps) * self.geom.step_h
         pen = np.clip(self.penetration_profile(t), 0.0, 1.0)
         q0_nom = self.entry_demand(t)
-        xi_0, xi_0a = _draws(self.noise.seed, _STREAM_ENTRY, steps, 2).T
         entry = np.empty((2, steps))
         with np.errstate(over="ignore", invalid="ignore"):
             np.maximum(q0_nom + self.noise.std_flow_proc * xi_0, 0.0, out=entry[0])
@@ -365,7 +461,7 @@ class TruthSimulator:
         x = np.zeros((5, n_steps + 1, self.geom.n_segments))
         init = self.init_state
         x[:, 0] = init.rho, init.rho_a, init.v, init.q, init.q_a
-        constants = StepConstants.of(self.geom, self.params, self.layout, self.noise)
+        constants = StepConstants.of(self.geom, self.params, self.layout, self.noise, n_steps)
         k = 0
         try:
             with np.errstate(over="raise"):

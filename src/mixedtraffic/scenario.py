@@ -71,6 +71,9 @@ class Scenario:
         for name, demand in demands.items():
             if np.any(demand.values < 0):
                 raise ValueError(f"{name} must be >= 0, got {demand.values.min()!r}")
+        shares = self.penetration_profile.values
+        if np.any((shares < 0) | (shares > 1)):
+            raise ValueError(f"penetration_profile must lie in [0, 1], got {shares!r}")
         for name in ("q_sigma", "r_cov", "p0_sigma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -220,6 +223,14 @@ class _Collector:
             return None
         return profile
 
+    def shares(self, value: Any, path: str) -> PiecewiseLinear | None:
+        """A profile of connected shares, each in [0, 1]."""
+        profile = self.profile(value, path)
+        if profile is not None and np.any((profile.values < 0) | (profile.values > 1)):
+            self.fail(path, f"expected shares in [0, 1], got {profile.values.tolist()!r}")
+            return None
+        return profile
+
     def densities(self, value: Any, path: str, n: int | None):
         """A uniform density or a list of one per segment, each finite and >= 0."""
         items = value if isinstance(value, list) else [value]
@@ -266,7 +277,7 @@ def _scenario_from_dict(data: Mapping[str, Any], name: str) -> Scenario:
             col.fail(f"demand.on_ramps.{seg}", "segment keys must be integers")
         elif profile is not None:
             onramp_demand[seg] = profile
-    penetration = col.profile(data.get("penetration", 0.2), "penetration")
+    penetration = col.shares(data.get("penetration", 0.2), "penetration")
 
     noise_sec = col.section(data, "", "noise")
     run = col.section(data, "", "run")

@@ -258,6 +258,23 @@ def test_negative_demands_are_refused_at_load(tmp_path, capsys, line, bad, path)
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("bad", ["penetration: 1.5 ", "penetration: [[0.0, 0.2], [1.0, -0.1]] "],
+                         ids=["above 1", "below 0"])
+def test_penetration_outside_unit_interval_is_refused_at_load(tmp_path, capsys, bad):
+    """A connected share outside [0, 1] fails with its path instead of being
+    clipped by the simulator."""
+    text = DEFAULT_YAML.read_text()
+    assert text.count("penetration: 0.2 ") == 1
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(text.replace("penetration: 0.2 ", bad))
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid_scenario"
+    assert [f.split(":")[0] for f in err["failures"]] == ["penetration"]
+    assert list(tmp_path.iterdir()) == [scenario]
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(tmp_path / "absent.yaml"),
                  "--out", str(tmp_path)])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from mixedtraffic.metanet import (
     StepConstants,
     TruthDivergedError,
     TruthSimulator,
+    _pcg64_state,
+    _stream_words,
+    _Streams,
     observe,
     step_truth,
 )
@@ -42,7 +46,7 @@ def _step(state, inputs, geom, layout=RampLayout()):
     x = np.array([[getattr(state, f.name)] * 2 for f in dataclasses.fields(state)])
     entry = np.array([[inputs.q0], [inputs.q0_a]])
     flows = np.array([[inputs.r], [inputs.r_a], [inputs.s], [inputs.s_a]])
-    step_truth(x, entry, flows, StepConstants.of(geom, PARAMS, layout, SILENT), 0)
+    step_truth(x, entry, flows, StepConstants.of(geom, PARAMS, layout, SILENT, 1), 0)
     return TrafficState(*x[:, 1]), BoundaryInputs(*entry[:, 0], *flows[:, 0])
 
 
@@ -451,3 +455,72 @@ def test_overflow_fails_like_the_oracle(default_sc):
     with pytest.raises(TruthDivergedError) as got:
         mt.simulate_truth(_absurd_entry(default_sc))
     assert str(got.value) == str(want.value) == "overflow encountered in power at step 1"
+
+
+# --- Streams: derived for a whole run, equal to default_rng((seed, step, purpose)) ---
+
+STREAM_STEPS = [0, 1, 1079, 2**16, 2**32 - 1]
+
+
+def _assert_stream_equals_default_rng(seed, purpose, steps):
+    words = _stream_words(seed, purpose, np.array(steps))
+    streams = _Streams(seed, purpose, np.array(steps))
+    for i, step in enumerate(steps):
+        key = (seed, step, purpose)
+        want = np.random.SeedSequence(key).generate_state(4, np.uint64)
+        assert words[i].tobytes() == want.tobytes(), key
+        assert _pcg64_state(words[i]) == np.random.default_rng(key).bit_generator.state, key
+        drawn = streams[i].standard_normal(7)
+        assert drawn.tobytes() == np.random.default_rng(key).standard_normal(7).tobytes(), key
+
+
+@pytest.mark.parametrize("purpose", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 7, 20260810, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_streams_equal_default_rng(seed, purpose):
+    """One- and two-word seeds, and steps up to the last one-word index."""
+    _assert_stream_equals_default_rng(seed, purpose, STREAM_STEPS)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+       steps=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=4),
+       purpose=st.integers(min_value=0, max_value=2))
+def test_streams_equal_default_rng_anywhere(seed, steps, purpose):
+    _assert_stream_equals_default_rng(seed, purpose, steps)
+
+
+def test_run_streams_are_the_run_steps():
+    """A step count derives the rows of steps 0..n-1."""
+    assert _stream_words(5, 1, 9).tobytes() == _stream_words(5, 1, np.arange(9)).tobytes()
+
+
+@pytest.mark.parametrize("steps", [2**32, 2**32 + 1, 2**64, -1,
+                                   np.array([0, 2**32]), np.array([-1, 3])],
+                         ids=["2**32", "2**32+1", "2**64", "-1", "index 2**32", "index -1"])
+def test_stream_steps_past_one_entropy_word_are_refused(monkeypatch, steps):
+    """A count or index that would give a step two entropy words is refused
+    before anything is allocated: ``np.arange`` is made to fail, so an
+    accepted count could not build its index array."""
+    def no_index_array(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(np, "arange", no_index_array)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            _stream_words(20260810, 0, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_simulator_builds_no_generator_per_step(default_sc, monkeypatch):
+    """The truth run draws through derived streams, never ``default_rng``."""
+    def refused(*args, **kwargs):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    assert mt.simulate_truth(default_sc).n_steps == default_sc.n_steps
+    corridor = _corridor(default_sc, horizon_h=0.25)
+    assert mt.simulate_truth(corridor).states.rho.shape == (corridor.n_steps + 1, 200)

@@ -113,6 +113,13 @@ def test_scenario_built_in_code_refuses_negative_demands(field):
         dataclasses.replace(sc, **change)
 
 
+@pytest.mark.parametrize("share", [1.5, -0.1])
+def test_scenario_built_in_code_refuses_penetration_outside_unit_interval(share):
+    profile = PiecewiseLinear.from_pairs([(0.0, 0.2), (1.0, share)])
+    with pytest.raises(ValueError, match="penetration_profile"):
+        dataclasses.replace(default_scenario(), penetration_profile=profile)
+
+
 def test_seed_override():
     sc = default_scenario().with_seed(42)
     assert sc.seed == 42
