@@ -169,6 +169,7 @@ def _hasher(init: int, mult: int):
 
 
 def _mix(x, y):
+    """SeedSequence's mix of a pool word ``x`` with a hashed word ``y``."""
     result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
     return result ^ result >> np.uint32(16)
 
@@ -194,6 +195,7 @@ def _stream_words(seed: int, purpose: int, steps) -> np.ndarray:
         k = k.astype(np.uint32)
     seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
     entropy = [np.uint32(w) for w in seed_words] + [k, np.uint32(purpose)]
+    out = np.empty((len(k), 8), dtype="<u4")
     with np.errstate(over="ignore"):
         hash_a = _hasher(_INIT_A, _MULT_A)
         pool = [hash_a(w) for w in entropy + [np.uint32(0)] * (4 - len(entropy))]
@@ -202,11 +204,10 @@ def _stream_words(seed: int, purpose: int, steps) -> np.ndarray:
                 if src != dst:
                     pool[dst] = _mix(pool[dst], hash_a(pool[src]))
         hash_b = _hasher(_INIT_B, _MULT_B)
-        state = [hash_b(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    out = np.empty((len(k), 4), dtype=np.uint64)
-    for j in range(4):
-        out[:, j] = state[2 * j] | state[2 * j + 1] << np.uint64(32)
-    return out
+        for i in range(8):
+            out[:, i] = hash_b(pool[i % 4])
+    # Word pairs read as little-endian uint64, as generate_state reads them.
+    return out.view("<u8")
 
 
 def _pcg64_state(words: np.ndarray) -> dict:
