@@ -75,8 +75,8 @@ class NoiseSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit nonnegative integer")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
 
     @classmethod
     def silent(cls, seed: int = 0) -> "NoiseSpec":

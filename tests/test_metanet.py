@@ -515,6 +515,13 @@ def test_stream_steps_past_one_entropy_word_are_refused(monkeypatch, steps):
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("seed", [1.5, "7", -1, 2**64])
+def test_noise_spec_refuses_a_seed_that_is_no_64_bit_integer(seed):
+    """The streams hash the seed's 32-bit words, so only such an integer is a seed."""
+    with pytest.raises(ValueError, match="seed must be a 64-bit nonnegative integer"):
+        NoiseSpec(seed=seed)
+
+
 def test_simulator_builds_no_generator_per_step(default_sc, monkeypatch):
     """The truth run draws through derived streams, never ``default_rng``."""
     def refused(*args, **kwargs):
