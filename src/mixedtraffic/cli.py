@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
+from .core import broken_rules
 from .harness import (
     diverged,
     observability_trace,
@@ -29,8 +29,8 @@ from .harness import (
     write_trajectory,
 )
 from .kalman import PSD_TOL
-from .metanet import TruthDivergedError
-from .scenario import Scenario, ScenarioError, default_scenario, load_scenario
+from .metanet import NoiseSpec, TruthDivergedError
+from .scenario import OFFRAMP_MODES, Scenario, ScenarioError, default_scenario, load_scenario
 
 DEFAULT_SIGMAS = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -42,18 +42,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {text}")
-    return value
-
-
-def _positive_finite(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+def _ruled(parse, cls, field: str):
+    """An argument type: ``parse`` the text, then apply the rules of ``cls.field``."""
+    def checked(text: str):
+        value = parse(text)
+        for name, message in broken_rules(cls.rules, {field: value}):
+            raise argparse.ArgumentTypeError(f"{name} {message}, got {text}")
+        return value
+    checked.__name__ = parse.__name__   # argparse names it when parse fails
+    return checked
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,11 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", type=Path, default=None,
                         help="YAML scenario file (default: built-in scenario)")
-    common.add_argument("--seed", type=_seed, default=None,
+    common.add_argument("--seed", type=_ruled(int, NoiseSpec, "seed"), default=None,
                         help="override the scenario seed")
     common.add_argument("--out", type=Path, default=Path("."),
                         help="output directory for CSV files")
-    common.add_argument("--offramp-mode", choices=("measured", "unmeasured"),
+    common.add_argument("--offramp-mode", choices=OFFRAMP_MODES,
                         default=None, help="override the scenario's off-ramp mode")
 
     sub.add_parser("simulate", parents=[common],
@@ -79,8 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run simulator, measurements, and the filter")
     sweep = sub.add_parser("sweep", parents=[common],
                            help="rerun the filter across process-covariance scales")
-    sweep.add_argument("--sigmas", type=_positive_finite, nargs="+", default=list(DEFAULT_SIGMAS),
-                       help="Q = sigma * I scales to evaluate")
+    sweep.add_argument("--sigmas", type=_ruled(float, Scenario, "q_sigma"), nargs="+",
+                       default=list(DEFAULT_SIGMAS), help="Q = sigma * I scales to evaluate")
     obs = sub.add_parser("observability", parents=[common],
                          help="report observability anti-diagonals over a run")
     obs.add_argument("--stride", type=_positive_int, default=1,

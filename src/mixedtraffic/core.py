@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,45 @@ def _as_step_array(x, shape: tuple, name: str):
     if arr.shape != shape:
         raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
     return arr
+
+
+class Rule(NamedTuple):
+    """``test(value, *values of needs)`` must hold for ``field``.  A mapping is
+    tested entry by entry, as ``test(key, value, ...)``, failing as ``field[key]``."""
+
+    field: str
+    test: Callable[..., bool]
+    message: str
+    needs: tuple[str, ...] = ()
+
+
+def broken_rules(rules, values: Mapping) -> list[tuple[str, str]]:
+    """The (field, message) of each rule ``values`` breaks.  A rule runs once its
+    field and needs are in ``values`` and passed the rules before it."""
+    failures, failed = [], set()
+    for field, test, message, needs in rules:
+        if failed.intersection((field, *needs)) or not values.keys() >= {field, *needs}:
+            continue
+        value, needed = values[field], [values[name] for name in needs]
+        if isinstance(value, Mapping):
+            broken = [f"{field}[{key}]" for key, item in value.items()
+                      if f"{field}[{key}]" not in failed and not test(key, item, *needed)]
+        else:
+            broken = [] if test(value, *needed) else [field]
+        failed.update(broken)
+        failures += [(name, message) for name in broken]
+    return failures
+
+
+def enforce(rules, values: Mapping) -> None:
+    """Raise one ValueError naming every field of ``values`` that breaks a rule."""
+    failures = broken_rules(rules, values)
+    if failures:
+        raise ValueError("; ".join(f"{field} {message}" for field, message in failures))
+
+
+def _positive(x) -> bool:
+    return math.isfinite(x) and x > 0
 
 
 class StepRecord:
@@ -79,15 +119,19 @@ class HighwayGeometry:
     step_h: float
     seg_len_km: np.ndarray
 
+    rules = (
+        Rule("n_segments", lambda n: n >= 2, "must be >= 2"),
+        Rule("step_h", _positive, "must be finite and > 0"),
+        Rule("seg_len_km", lambda x: np.all(np.isfinite(x) & (np.asarray(x, dtype=float) > 0)),
+             "entries must be finite and > 0"),
+        Rule("seg_len_km", lambda x, n: np.ndim(x) == 0 or np.shape(x) == (n,),
+             "must be one length or one per segment", needs=("n_segments",)),
+    )
+
     def __post_init__(self):
-        if self.n_segments < 2:
-            raise ValueError("n_segments must be >= 2")
-        if not (math.isfinite(self.step_h) and self.step_h > 0):
-            raise ValueError("step_h must be finite and > 0")
-        lengths = _as_step_array(self.seg_len_km, (self.n_segments,), "seg_len_km")
-        if not np.all(np.isfinite(lengths) & (lengths > 0)):
-            raise ValueError("seg_len_km entries must be finite and > 0")
-        object.__setattr__(self, "seg_len_km", lengths)
+        enforce(self.rules, vars(self))
+        object.__setattr__(self, "seg_len_km",
+                           _as_step_array(self.seg_len_km, (self.n_segments,), "seg_len_km"))
 
     @property
     def t_over_delta(self) -> np.ndarray:
@@ -114,12 +158,11 @@ class MetanetParams:
     rho_crit: float     # critical density, veh/km
     alpha_exp: float    # stationary speed exponent, dimensionless
 
+    rules = tuple(Rule(name, _positive, "must be finite and > 0") for name in (
+        "tau_h", "nu", "kappa", "delta_ramp", "v_free", "rho_crit", "alpha_exp"))
+
     def __post_init__(self):
-        for name in ("tau_h", "nu", "kappa", "delta_ramp", "v_free", "rho_crit",
-                     "alpha_exp"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
+        enforce(self.rules, vars(self))
 
     @classmethod
     def defaults(cls) -> "MetanetParams":
@@ -177,29 +220,37 @@ class RampLayout:
     exit_rate: tuple[float, ...] = ()      # beta_i, aligned with off_ramp_segments
     exit_rate_a: tuple[float, ...] = ()    # beta^a_i, defaults to exit_rate
 
+    rules = (
+        *(Rule(name, lambda segs: len(set(segs)) == len(segs), "must not repeat a segment")
+          for name in ("on_ramp_segments", "off_ramp_segments")),
+        *(Rule(name, lambda rates: all(0 <= b < 1 for b in rates), "entries must lie in [0, 1)")
+          for name in ("exit_rate", "exit_rate_a")),
+        *(Rule(name, lambda rates, segs: len(rates) in (0, len(segs)),
+               "must hold one rate per off-ramp", needs=("off_ramp_segments",))
+          for name in ("exit_rate", "exit_rate_a")),
+    )
+    # The layout on a road of ``n_segments`` fed by ``onramp_demand``, a
+    # mapping from segment to demand profile.
+    placement_rules = (
+        *(Rule(name, lambda segs, n: all(1 <= s <= n for s in segs),
+               "must lie within 1..n_segments", needs=("n_segments",))
+          for name in ("on_ramp_segments", "off_ramp_segments")),
+        Rule("onramp_demand", lambda seg, _, ramps: seg in ramps,
+             "is given for a segment without an on-ramp", needs=("on_ramp_segments",)),
+    )
+
     def __post_init__(self):
-        object.__setattr__(self, "on_ramp_segments", tuple(int(s) for s in self.on_ramp_segments))
-        object.__setattr__(self, "off_ramp_segments", tuple(int(s) for s in self.off_ramp_segments))
-        rates = tuple(float(b) for b in self.exit_rate)
-        if not rates:
-            rates = (0.0,) * len(self.off_ramp_segments)
-        if len(rates) != len(self.off_ramp_segments):
-            raise ValueError("exit_rate must align with off_ramp_segments")
-        rates_a = tuple(float(b) for b in self.exit_rate_a)
-        if not rates_a:
-            rates_a = rates
-        if len(rates_a) != len(self.off_ramp_segments):
-            raise ValueError("exit_rate_a must align with off_ramp_segments")
-        for b in rates + rates_a:
-            if not 0.0 <= b < 1.0:
-                raise ValueError("exit rates must lie in [0, 1)")
+        for name, kind in (("on_ramp_segments", int), ("off_ramp_segments", int),
+                           ("exit_rate", float), ("exit_rate_a", float)):
+            object.__setattr__(self, name, tuple(kind(x) for x in getattr(self, name)))
+        enforce(self.rules, vars(self))
+        # Omitted rates: none exit, and connected vehicles exit as all do.
+        rates = self.exit_rate or (0.0,) * len(self.off_ramp_segments)
         object.__setattr__(self, "exit_rate", rates)
-        object.__setattr__(self, "exit_rate_a", rates_a)
+        object.__setattr__(self, "exit_rate_a", self.exit_rate_a or rates)
 
     def validate_against(self, n_segments: int) -> None:
-        for s in self.on_ramp_segments + self.off_ramp_segments:
-            if not 1 <= s <= n_segments:
-                raise ValueError(f"ramp segment {s} outside 1..{n_segments}")
+        enforce(self.placement_rules, {**vars(self), "n_segments": n_segments})
 
     def exit_rate_vector(self, n_segments: int, connected: bool = False) -> np.ndarray:
         """Length-N vector of exit rates, zero where there is no off-ramp."""

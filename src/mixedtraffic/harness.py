@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import enforce
 from .kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement, reconstruct_totals
 from .ltv import (OBSERVABILITY_TOL, BandedLtv, build_system_measured,
                   build_system_unmeasured_offramps, window_anti_diagonals)
@@ -276,13 +277,13 @@ def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
     one batch through ``run_filter``, so every point scores against identical
     data and equals ``run_filter`` with its own Q bit for bit.  Raises
     ValueError, before simulating, unless ``sigmas`` is a nonempty list of
-    finite values > 0.
+    values that pass the rules of ``Scenario.q_sigma``.
     """
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
         raise ValueError("need at least one sigma")
-    if not all(math.isfinite(s) and s > 0 for s in sigmas):
-        raise ValueError(f"sigma values must be finite and > 0, got {sigmas}")
+    for sigma in sigmas:
+        enforce(Scenario.rules, {"q_sigma": sigma})
     truth = simulate_truth(sc)
     run = run_filter(sc, truth, config=KalmanConfig.stack([
         KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s, r_cov=sc.r_cov,

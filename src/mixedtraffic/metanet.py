@@ -36,9 +36,11 @@ from .core import (
     HighwayGeometry,
     MetanetParams,
     RampLayout,
+    Rule,
     StepRecord,
     TrafficState,
     _as_step_array,
+    enforce,
 )
 
 # Stream purposes; one independent generator per (seed, step, purpose).
@@ -69,14 +71,16 @@ class NoiseSpec:
     std_flow_proc_a: float = 15.0
     seed: int = 0
 
+    rules = (
+        *(Rule(name, lambda x: math.isfinite(x) and x >= 0, "must be finite and >= 0")
+          for name in ("std_entry_flow", "std_onramp", "std_offramp", "std_speed",
+                       "std_flow_proc", "std_flow_proc_a")),
+        Rule("seed", lambda s: isinstance(s, (int, np.integer)) and 0 <= s < 2**64,
+             "must be a 64-bit nonnegative integer"),
+    )
+
     def __post_init__(self):
-        for name in ("std_entry_flow", "std_onramp", "std_offramp", "std_speed",
-                     "std_flow_proc", "std_flow_proc_a"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
+        enforce(self.rules, vars(self))
 
     @classmethod
     def silent(cls, seed: int = 0) -> "NoiseSpec":
@@ -410,10 +414,9 @@ class TruthSimulator:
     init_state: TrafficState
 
     def __post_init__(self):
-        self.layout.validate_against(self.geom.n_segments)
-        for seg in self.onramp_demand:
-            if seg not in self.layout.on_ramp_segments:
-                raise ValueError(f"demand given for segment {seg} without an on-ramp")
+        enforce(RampLayout.placement_rules, {
+            **vars(self.layout), "n_segments": self.geom.n_segments,
+            "onramp_demand": self.onramp_demand})
         if self.init_state.n_segments != self.geom.n_segments:
             raise ValueError("initial state size does not match geometry")
 

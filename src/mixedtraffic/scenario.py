@@ -1,8 +1,10 @@
 """Experiment scenarios: geometry, demands, noise, filter tuning, horizon.
 
 Scenario files are YAML (nested keys plus arrays) so experiment configs stay
-reviewable and diff-friendly.  ``load_scenario`` collects every validation
-failure with its path before raising, rather than stopping at the first.
+reviewable and diff-friendly.  Each field's rules are written once, in the
+``rules`` of the dataclass that holds it; ``load_scenario`` applies the same
+rules to a parsed file and reports every failure with its path before raising,
+rather than stopping at the first.
 """
 
 from __future__ import annotations
@@ -17,7 +19,17 @@ from typing import Any, Mapping
 import numpy as np
 import yaml
 
-from .core import HighwayGeometry, MetanetParams, RampLayout, TrafficState, nominal_speed
+from .core import (
+    HighwayGeometry,
+    MetanetParams,
+    RampLayout,
+    Rule,
+    TrafficState,
+    _positive,
+    broken_rules,
+    enforce,
+    nominal_speed,
+)
 from .kalman import KalmanConfig
 from .metanet import NoiseSpec, PiecewiseLinear
 
@@ -55,37 +67,29 @@ class Scenario:
     init_penetration: float = 0.2
     name: str = "scenario"
 
+    rules = (
+        Rule("entry_demand", lambda p: np.all(p.values >= 0), "must be >= 0"),
+        Rule("onramp_demand", lambda _, p: np.all(p.values >= 0), "must be >= 0"),
+        Rule("penetration_profile", lambda p: np.all((p.values >= 0) & (p.values <= 1)),
+             "must lie in [0, 1]"),
+        *(Rule(name, _positive, "must be finite and > 0")
+          for name in ("q_sigma", "r_cov", "p0_sigma", "horizon_h")),
+        Rule("x0_value", math.isfinite, "must be finite"),
+        Rule("offramp_mode", lambda mode: mode in OFFRAMP_MODES, f"must be one of {OFFRAMP_MODES}"),
+        Rule("init_rho", lambda rho: np.all(np.isfinite(rho) & (np.asarray(rho, dtype=float) >= 0)),
+             "must be finite and >= 0"),
+        Rule("init_penetration", lambda share: 0 < share <= 1, "must lie in (0, 1]"),
+        # Rules across the parts, each run once its inputs passed their own.
+        Rule("horizon_h", lambda h, step: math.isfinite(h / step)
+             and abs(h / step - round(h / step)) <= 1e-9,
+             "must be an integer number of steps", needs=("step_h",)),
+        Rule("init_rho", lambda rho, n: np.shape(rho) in ((), (n,)),
+             "must be one density or one per segment", needs=("n_segments",)),
+        *RampLayout.placement_rules,
+    )
+
     def __post_init__(self):
-        self.layout.validate_against(self.geometry.n_segments)
-        if self.offramp_mode not in OFFRAMP_MODES:
-            raise ValueError(f"offramp_mode must be one of {OFFRAMP_MODES}")
-        if not (math.isfinite(self.horizon_h) and self.horizon_h > 0):
-            raise ValueError("horizon_h must be finite and > 0")
-        steps = self.horizon_h / self.geometry.step_h
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("horizon_h must be an integer number of steps")
-        if not 0 < self.init_penetration <= 1:
-            raise ValueError("init_penetration must lie in (0, 1]")
-        demands = {"entry_demand": self.entry_demand}
-        demands.update((f"onramp_demand[{seg}]", d) for seg, d in self.onramp_demand.items())
-        for name, demand in demands.items():
-            if np.any(demand.values < 0):
-                raise ValueError(f"{name} must be >= 0, got {demand.values.min()!r}")
-        shares = self.penetration_profile.values
-        if np.any((shares < 0) | (shares > 1)):
-            raise ValueError(f"penetration_profile must lie in [0, 1], got {shares!r}")
-        for name in ("q_sigma", "r_cov", "p0_sigma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not math.isfinite(self.x0_value):
-            raise ValueError(f"x0_value must be finite, got {self.x0_value!r}")
-        rho = np.asarray(self.init_rho, dtype=float)
-        if rho.shape not in ((), (self.geometry.n_segments,)):
-            raise ValueError(f"init_rho must be a number or {self.geometry.n_segments} "
-                             f"values, got shape {rho.shape}")
-        if not np.all(np.isfinite(rho) & (rho >= 0)):
-            raise ValueError(f"init_rho must be finite and >= 0, got {self.init_rho!r}")
+        enforce(self.rules, {**vars(self.geometry), **vars(self.layout), **vars(self)})
         if not self.geometry.cfl_ok(self.params.v_free):
             warnings.warn("step_h * v_free exceeds the shortest segment; "
                           "the explicit update may be unstable", stacklevel=2)
@@ -157,12 +161,70 @@ def default_scenario(seed: int = DEFAULT_SEED) -> Scenario:
 
 # --- YAML parsing ---------------------------------------------------------
 
+# The keys a scenario file may set, by section ("" is the top level): each sets
+# a field of HighwayGeometry, MetanetParams, RampLayout, NoiseSpec or Scenario
+# from a value of the kind named beside it (see _Collector.parse).
+_KEYS = {
+    "": {"name": ("name", "text"), "penetration": ("penetration_profile", "profile")},
+    "geometry": {"n_segments": ("n_segments", "integer"), "step_h": ("step_h", "number"),
+                 "seg_len_km": ("seg_len_km", "numbers")},
+    "model": {f.name: (f.name, "number") for f in dataclasses.fields(MetanetParams)},
+    "ramps": {"on_ramps": ("on_ramp_segments", "segments"),
+              "off_ramps": ("off_ramp_segments", "segments"),
+              "exit_rate": ("exit_rate", "numbers"), "exit_rate_a": ("exit_rate_a", "numbers")},
+    "demand": {"entry": ("entry_demand", "profile"), "on_ramps": ("onramp_demand", "profiles")},
+    "noise": {f.name: (f.name, "number") for f in dataclasses.fields(NoiseSpec)
+              if f.name != "seed"},
+    "filter": {key: (key, "number") for key in ("q_sigma", "r_cov", "x0_value", "p0_sigma")},
+    "run": {"horizon_h": ("horizon_h", "number"), "seed": ("seed", "integer"),
+            "offramp_mode": ("offramp_mode", "text")},
+    "initial": {"rho": ("init_rho", "numbers"), "penetration": ("init_penetration", "number")},
+}
+_PATHS = {field: f"{section}.{key}" if section else key
+          for section, keys in _KEYS.items() for key, (field, _) in keys.items()}
+_PARTS = {"geometry": HighwayGeometry, "params": MetanetParams, "layout": RampLayout,
+          "noise": NoiseSpec}
+_RULES = sum((cls.rules for cls in _PARTS.values()), ()) + Scenario.rules
+
+# Omitted values: the default experiment's geometry, model and noise, the coded
+# defaults of the rest, no ramps, no on-ramp demand (set per load) and a 20%
+# connected share.  The entry demand has none.
+_DEFAULTS = {
+    **{f.name: f.default for cls in (RampLayout, NoiseSpec, Scenario)
+       for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING},
+    **vars(MetanetParams.defaults()),
+    "n_segments": 20, "step_h": 10 / 3600, "seg_len_km": 0.5, "seed": DEFAULT_SEED,
+    "penetration_profile": PiecewiseLinear.constant(0.2),
+}
+
+
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(test, value: Any) -> bool:
+    return isinstance(value, list) and all(map(test, value))
+
+
+# The plain kinds of value: what each is called, its test, and how it is kept.
+_KINDS = {
+    "number": ("a number", _is_number, float),
+    "integer": ("an integer", _is_integer, int),
+    "text": ("a string", lambda value: isinstance(value, str), str),
+    "numbers": ("a number or a list of numbers",
+                lambda value: _is_number(value) or _list_of(_is_number, value),
+                lambda value: float(value) if _is_number(value) else np.array(value, dtype=float)),
+    "segments": ("a list of integer segments", lambda value: _list_of(_is_integer, value), list),
+}
+
+
 class _Collector:
-    """Accumulates path-tagged failures while pulling typed values."""
+    """Accumulates path-tagged failures while parsing YAML values into Python
+    ones; each parser returns None for a value it refuses."""
 
     def __init__(self):
         self.failures: list[str] = []
@@ -170,36 +232,27 @@ class _Collector:
     def fail(self, path: str, message: str) -> None:
         self.failures.append(f"{path}: {message}")
 
-    def number(self, data: Mapping, path: str, key: str, default=None):
-        value = data.get(key, default)
+    def parse(self, kind: str, value: Any, path: str):
+        """``value`` as a ``kind`` of _KINDS, or by the method named ``kind``."""
         if value is None:
-            self.fail(f"{path}.{key}", "missing required value")
-            return None
-        if not _is_number(value):
-            self.fail(f"{path}.{key}", f"expected a number, got {value!r}")
-            return None
-        if not math.isfinite(value):
-            self.fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
-            return None
-        return float(value)
+            self.fail(path, "missing required value")
+        elif kind in _KINDS:
+            expected, fits, convert = _KINDS[kind]
+            if fits(value):
+                return convert(value)
+            self.fail(path, f"expected {expected}, got {value!r}")
+        else:
+            return getattr(self, kind)(value, path)
 
-    def integer(self, data: Mapping, path: str, key: str, default=None):
-        value = data.get(key, default)
-        if value is None:
-            self.fail(f"{path}.{key}", "missing required value")
-            return None
-        if not isinstance(value, int) or isinstance(value, bool):
-            self.fail(f"{path}.{key}", f"expected an integer, got {value!r}")
-            return None
-        return value
-
-    def section(self, data: Mapping, path: str, key: str) -> Mapping:
-        value = data.get(key)
+    def section(self, value: Any, path: str, keys) -> Mapping:
+        """A mapping whose keys are all among ``keys``; None reads as empty."""
         if value is None:
             return {}
         if not isinstance(value, Mapping):
-            self.fail(f"{path}.{key}" if path else key, "expected a mapping")
+            self.fail(path, "expected a mapping")
             return {}
+        for key in value.keys() - set(keys):
+            self.fail(f"{path}.{key}" if path else str(key), "unknown key")
         return value
 
     def profile(self, value: Any, path: str) -> PiecewiseLinear | None:
@@ -209,119 +262,51 @@ class _Collector:
             self.fail(path, "expected a number or a list of [time_h, value] pairs")
             return None
         try:
-            profile = PiecewiseLinear.from_pairs(value)
+            return PiecewiseLinear.from_pairs(value)
         except (TypeError, ValueError) as exc:
             self.fail(path, str(exc))
-            return None
-        return profile
 
-    def demand(self, value: Any, path: str) -> PiecewiseLinear | None:
-        """A profile of demands, each >= 0."""
-        profile = self.profile(value, path)
-        if profile is not None and np.any(profile.values < 0):
-            self.fail(path, f"expected demands >= 0, got {profile.values.min()!r}")
+    def profiles(self, value: Any, path: str) -> dict[int, PiecewiseLinear] | None:
+        """One profile per integer segment key."""
+        if not isinstance(value, Mapping):
+            self.fail(path, "expected a mapping from segment to profile")
             return None
-        return profile
-
-    def shares(self, value: Any, path: str) -> PiecewiseLinear | None:
-        """A profile of connected shares, each in [0, 1]."""
-        profile = self.profile(value, path)
-        if profile is not None and np.any((profile.values < 0) | (profile.values > 1)):
-            self.fail(path, f"expected shares in [0, 1], got {profile.values.tolist()!r}")
-            return None
-        return profile
-
-    def densities(self, value: Any, path: str, n: int | None):
-        """A uniform density or a list of one per segment, each finite and >= 0."""
-        items = value if isinstance(value, list) else [value]
-        if (isinstance(value, list) and len(value) != n) or not all(map(_is_number, items)):
-            self.fail(path, f"expected a number or a list of {n} numbers, got {value!r}")
-            return None
-        if not all(math.isfinite(x) and x >= 0 for x in items):
-            self.fail(path, f"expected finite densities >= 0, got {value!r}")
-            return None
-        return np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
+        out = {}
+        for seg, raw in value.items():
+            profile = self.profile(raw, f"{path}.{seg}")
+            if not _is_integer(seg):
+                self.fail(f"{path}.{seg}", "segment keys must be integers")
+            elif profile is not None:
+                out[seg] = profile
+        return out
 
 
 def _scenario_from_dict(data: Mapping[str, Any], name: str) -> Scenario:
     col = _Collector()
-    geo = col.section(data, "", "geometry")
-    n_segments = col.integer(geo, "geometry", "n_segments", 20)
-    step_h = col.number(geo, "geometry", "step_h", 10 / 3600)
-    seg_len = geo.get("seg_len_km", 0.5)
-
-    # Omitted model, noise, filter, run and initial values take the coded
-    # defaults of MetanetParams, NoiseSpec and Scenario.
-    coded = {f.name: f.default for f in dataclasses.fields(Scenario)}
-    model = col.section(data, "", "model")
-    model_kwargs = {key: col.number(model, "model", key, default)
-                    for key, default in dataclasses.asdict(MetanetParams.defaults()).items()}
-
-    ramps = col.section(data, "", "ramps")
-    on_ramps = ramps.get("on_ramps", [])
-    off_ramps = ramps.get("off_ramps", [])
-    exit_rate = ramps.get("exit_rate", 0.0)
-    if not isinstance(exit_rate, list):
-        exit_rate = [exit_rate] * len(off_ramps)
-    exit_rate_a = ramps.get("exit_rate_a", exit_rate)
-    if not isinstance(exit_rate_a, list):
-        exit_rate_a = [exit_rate_a] * len(off_ramps)
-
-    demand = col.section(data, "", "demand")
-    entry_demand = col.demand(demand.get("entry"), "demand.entry")
-    onramp_demand: dict[int, PiecewiseLinear] = {}
-    onramp_section = col.section(demand, "demand", "on_ramps")
-    for seg, raw in onramp_section.items():
-        profile = col.demand(raw, f"demand.on_ramps.{seg}")
-        if not isinstance(seg, int):
-            col.fail(f"demand.on_ramps.{seg}", "segment keys must be integers")
-        elif profile is not None:
-            onramp_demand[seg] = profile
-    penetration = col.shares(data.get("penetration", 0.2), "penetration")
-
-    noise_sec = col.section(data, "", "noise")
-    run = col.section(data, "", "run")
-    seed = col.integer(run, "run", "seed", DEFAULT_SEED)
-    noise_kwargs = {f.name: col.number(noise_sec, "noise", f.name, f.default)
-                    for f in dataclasses.fields(NoiseSpec) if f.name != "seed"}
-
-    filt = col.section(data, "", "filter")
-    filter_kwargs = {key: col.number(filt, "filter", key, coded[key])
-                     for key in ("q_sigma", "r_cov", "x0_value", "p0_sigma")}
-    for key in ("q_sigma", "r_cov", "p0_sigma"):
-        if filter_kwargs[key] is not None and filter_kwargs[key] <= 0:
-            col.fail(f"filter.{key}", f"expected a number > 0, got {filter_kwargs[key]!r}")
-
-    horizon_h = col.number(run, "run", "horizon_h", coded["horizon_h"])
-    offramp_mode = run.get("offramp_mode", coded["offramp_mode"])
-    if offramp_mode not in OFFRAMP_MODES:
-        col.fail("run.offramp_mode", f"must be one of {OFFRAMP_MODES}")
-
-    initial = col.section(data, "", "initial")
-    init_rho = col.densities(initial.get("rho", coded["init_rho"]), "initial.rho", n_segments)
-    init_pen = col.number(initial, "initial", "penetration", coded["init_penetration"])
-
+    values = {**_DEFAULTS, "onramp_demand": {}, "name": name}
+    top = col.section(data, "", {*_KEYS[""], *_KEYS} - {""})
+    for section, keys in _KEYS.items():
+        given = top if not section else col.section(top.get(section), section, keys)
+        for key, (field, kind) in keys.items():
+            if key in given or field not in values:
+                values[field] = col.parse(kind, given.get(key), _PATHS[field])
+    # A value that failed to parse is left out, and so are the rules that need it.
+    values = {field: value for field, value in values.items() if value is not None}
+    # One exit rate applies to every off-ramp.
+    for field in ("exit_rate", "exit_rate_a"):
+        if isinstance(values.get(field), float):
+            values[field] = [values[field]] * len(values.get("off_ramp_segments", [None]))
+    for field, message in broken_rules(_RULES, values):
+        base, _, seg = field.partition("[")
+        col.fail(_PATHS[base] + (f".{seg[:-1]}" if seg else ""), f"{message} ({field})")
     if col.failures:
         raise ScenarioError(col.failures)
+    values.update((part, _build(cls, values)) for part, cls in _PARTS.items())
+    return _build(Scenario, values)
 
-    try:
-        geometry = HighwayGeometry(n_segments=n_segments, step_h=step_h,
-                                   seg_len_km=seg_len)
-        params = MetanetParams(**model_kwargs)
-        layout = RampLayout(on_ramp_segments=on_ramps, off_ramp_segments=off_ramps,
-                            exit_rate=exit_rate, exit_rate_a=exit_rate_a)
-        noise = NoiseSpec(seed=seed, **noise_kwargs)
-        return Scenario(
-            geometry=geometry, params=params, layout=layout,
-            entry_demand=entry_demand, onramp_demand=onramp_demand,
-            penetration_profile=penetration, noise=noise,
-            **filter_kwargs, horizon_h=horizon_h, offramp_mode=offramp_mode,
-            init_rho=init_rho,
-            init_penetration=init_pen,
-            name=data.get("name", name),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError([str(exc)]) from exc
+
+def _build(cls, values: Mapping[str, Any]):
+    return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
 
 
 def load_scenario(path) -> Scenario:

@@ -275,6 +275,21 @@ def test_penetration_outside_unit_interval_is_refused_at_load(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == [scenario]
 
 
+def test_on_ramp_demand_without_an_on_ramp_is_refused_at_load(tmp_path, capsys):
+    """Before, the file loaded and the simulator raised after --out was made."""
+    text = DEFAULT_YAML.read_text()
+    assert text.count("    10:\n") == 1
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(text.replace("    10:\n", "    7:\n"))
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid_scenario"
+    assert [f.split(":")[0] for f in err["failures"]] == ["demand.on_ramps.7"]
+    assert not out.exists()
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(tmp_path / "absent.yaml"),
                  "--out", str(tmp_path)])

@@ -9,9 +9,9 @@ import pytest
 import yaml
 
 import mixedtraffic as mt
-from mixedtraffic.core import HighwayGeometry
-from mixedtraffic.metanet import PiecewiseLinear
-from mixedtraffic.scenario import ScenarioError, default_scenario, load_scenario
+from mixedtraffic.core import HighwayGeometry, MetanetParams, RampLayout
+from mixedtraffic.metanet import NoiseSpec, PiecewiseLinear, TruthSimulator
+from mixedtraffic.scenario import Scenario, ScenarioError, default_scenario, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_YAML = REPO_ROOT / "scenarios" / "default.yaml"
@@ -163,3 +163,165 @@ def test_omitted_values_take_coded_defaults(tmp_path):
     for name in ("q_sigma", "r_cov", "x0_value", "p0_sigma", "horizon_h", "offramp_mode",
                  "init_rho", "init_penetration"):
         assert getattr(sc, name) == coded[name]
+
+
+# --- One rule table, two construction paths -------------------------------
+
+RULES = (HighwayGeometry.rules + MetanetParams.rules + RampLayout.rules + NoiseSpec.rules
+         + Scenario.rules)
+MODEL = [f.name for f in dataclasses.fields(MetanetParams)]
+STDS = [f.name for f in dataclasses.fields(NoiseSpec) if f.name != "seed"]
+DEMAND = [[0.0, 100.0], [1.0, -1.0]]
+NEGATIVE = PiecewiseLinear.from_pairs(DEMAND)
+
+# One bad value per rule in a copy of scenarios/default.yaml: (path, value).
+FILE_ROWS = [
+    ("geometry.n_segments", 1), ("geometry.step_h", 0.0), ("geometry.seg_len_km", -0.5),
+    ("geometry.seg_len_km", [0.5] * 19),
+    *((f"model.{name}", -1.0) for name in MODEL),
+    ("ramps.on_ramps", [2, 2, 6, 10]), ("ramps.off_ramps", [4, 4]),
+    ("ramps.exit_rate", 1.0), ("ramps.exit_rate_a", -0.1),
+    ("ramps.exit_rate", [0.1, 0.1]), ("ramps.exit_rate_a", [0.1]),
+    *((f"noise.{name}", -1.0) for name in STDS), ("run.seed", 2**64),
+    ("demand.entry", DEMAND), ("demand.on_ramps.2", DEMAND), ("penetration", 1.5),
+    ("filter.q_sigma", 0.0), ("filter.r_cov", -1.0), ("filter.p0_sigma", NAN),
+    ("run.horizon_h", -1.0), ("filter.x0_value", INF), ("run.offramp_mode", "guessed"),
+    ("initial.rho", -5.0), ("initial.penetration", 0.0), ("run.horizon_h", 3.0001),
+    ("initial.rho", [1.0, 2.0]), ("ramps.on_ramps", [2, 6, 10, 21]),
+    ("ramps.off_ramps", [0, 8, 12]), ("demand.on_ramps.7", 100.0),
+]
+
+
+# One bad value per rule in an object built in code: (field, build from the default).
+CODE_ROWS = [
+    ("n_segments", lambda sc: HighwayGeometry(1, 0.01, 0.5)),
+    ("step_h", lambda sc: HighwayGeometry(20, 0.0, 0.5)),
+    ("seg_len_km", lambda sc: HighwayGeometry(20, 0.01, -0.5)),
+    ("seg_len_km", lambda sc: HighwayGeometry(20, 0.01, [0.5] * 19)),
+    *((name, lambda sc, name=name: dataclasses.replace(sc.params, **{name: -1.0}))
+      for name in MODEL),
+    ("on_ramp_segments", lambda sc: RampLayout(on_ramp_segments=(2, 2))),
+    ("off_ramp_segments", lambda sc: RampLayout(off_ramp_segments=(4, 4))),
+    ("exit_rate", lambda sc: RampLayout(off_ramp_segments=(4,), exit_rate=(1.0,))),
+    ("exit_rate_a", lambda sc: RampLayout(off_ramp_segments=(4,), exit_rate_a=(-0.1,))),
+    ("exit_rate", lambda sc: RampLayout(off_ramp_segments=(4, 8), exit_rate=(0.1,))),
+    ("exit_rate_a", lambda sc: RampLayout(off_ramp_segments=(4, 8), exit_rate_a=(0.1,))),
+    *((name, lambda sc, name=name: dataclasses.replace(sc.noise, **{name: -1.0}))
+      for name in STDS),
+    ("seed", lambda sc: sc.with_seed(-1)),
+    ("entry_demand", lambda sc: dataclasses.replace(sc, entry_demand=NEGATIVE)),
+    ("onramp_demand[6]", lambda sc: dataclasses.replace(
+        sc, onramp_demand={**sc.onramp_demand, 6: NEGATIVE})),
+    ("penetration_profile", lambda sc: dataclasses.replace(
+        sc, penetration_profile=PiecewiseLinear.constant(1.5))),
+    *((name, lambda sc, name=name, bad=bad: dataclasses.replace(sc, **{name: bad}))
+      for name, bad in [("q_sigma", 0.0), ("r_cov", -1.0), ("p0_sigma", NAN),
+                        ("horizon_h", -1.0), ("x0_value", INF), ("offramp_mode", "guessed"),
+                        ("init_rho", -5.0), ("init_penetration", 0.0), ("horizon_h", 3.0001),
+                        ("init_rho", np.full(19, 9.0))]),
+    ("on_ramp_segments", lambda sc: dataclasses.replace(
+        sc, layout=dataclasses.replace(sc.layout, on_ramp_segments=(2, 6, 10, 21)))),
+    ("off_ramp_segments", lambda sc: dataclasses.replace(
+        sc, layout=dataclasses.replace(sc.layout, off_ramp_segments=(0, 8, 12)))),
+    ("onramp_demand[7]", lambda sc: dataclasses.replace(
+        sc, onramp_demand={**sc.onramp_demand, 7: PiecewiseLinear.constant(100.0)})),
+]
+
+
+def _file_failures(tmp_path, changes: dict) -> list[str]:
+    """The failures of scenarios/default.yaml with each dotted path in ``changes`` set."""
+    data = yaml.safe_load(DEFAULT_YAML.read_text())
+    for path, value in changes.items():
+        *parents, key = [int(k) if k.isdigit() else k for k in path.split(".")]
+        node = data
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = value
+    scenario = tmp_path / "changed.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(scenario)
+    return excinfo.value.failures
+
+
+def _code_failure(build) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        build(default_scenario())
+    return str(excinfo.value)
+
+
+def _rule(field: str, message: str) -> tuple[str, str]:
+    """The rule's (field, message), an on-ramp demand's ``[segment]`` dropped."""
+    return re.sub(r"\[\d+\]$", "", field), message
+
+
+@pytest.mark.parametrize("path, bad", FILE_ROWS)
+def test_each_rule_refuses_its_bad_file_value_with_its_path(tmp_path, path, bad):
+    assert [f.split(":")[0] for f in _file_failures(tmp_path, {path: bad})] == [path]
+
+
+@pytest.mark.parametrize("field, build", CODE_ROWS, ids=[field for field, _ in CODE_ROWS])
+def test_each_rule_refuses_its_bad_code_built_value_by_field(field, build):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} [^;]*$"):
+        build(default_scenario())
+
+
+def test_every_rule_has_a_file_row_and_a_code_row(tmp_path):
+    """Each row breaks exactly one rule, and together they break every rule."""
+    rules = {(rule.field, rule.message) for rule in RULES}
+    assert len(rules) == len(RULES)
+    by_file = [_rule(*re.fullmatch(r"[^:]+: (.*) \((\S+)\)", failure).groups()[::-1])
+               for path, bad in FILE_ROWS for failure in _file_failures(tmp_path, {path: bad})]
+    by_code = [_rule(*_code_failure(build).split(" ", 1)) for _, build in CODE_ROWS]
+    assert sorted(by_file) == sorted(by_code) == sorted(rules)
+
+
+@pytest.mark.parametrize("changes, expected", [
+    ({"model.tau_h": -1.0, "noise.std_speed": -2.0, "initial.penetration": 1.5},
+     ["model.tau_h: must be finite and > 0 (tau_h)",
+      "noise.std_speed: must be finite and >= 0 (std_speed)",
+      "initial.penetration: must lie in (0, 1] (init_penetration)"]),
+    ({"geometry.seg_len_km": -0.5, "ramps.on_ramps": [30], "ramps.off_ramps": [4],
+      "ramps.exit_rate": 1.5, "run.horizon_h": 0.0001},
+     ["geometry.seg_len_km: entries must be finite and > 0 (seg_len_km)",
+      "ramps.on_ramps: must lie within 1..n_segments (on_ramp_segments)",
+      "ramps.exit_rate: entries must lie in [0, 1) (exit_rate)",
+      "run.horizon_h: must be an integer number of steps (horizon_h)"]),
+], ids=["three", "four"])
+def test_a_file_reports_every_broken_rule(tmp_path, changes, expected):
+    """The omitted exit_rate_a inherits exit_rate and is not reported again."""
+    assert sorted(_file_failures(tmp_path, changes)) == sorted(expected)
+
+
+@pytest.mark.parametrize("path, bad", [
+    ("ramps.off_ramps", [4.7]), ("ramps.on_ramps", "12"), ("ramps.off_ramps", [True]),
+    ("ramps.exit_rate", "high"), ("ramps.exit_rate_a", [0.1, "x", 0.1]),
+    ("geometry.seg_len_km", "long"), ("demand.on_ramps", [2, 6]),
+])
+def test_values_of_the_wrong_type_are_refused_with_their_path(tmp_path, path, bad):
+    """Before, [4.7] read as segment 4, "12" as segments 1 and 2, [true] as
+    segment 1, and "long" failed without a path."""
+    assert [f.split(":")[0] for f in _file_failures(tmp_path, {path: bad})] == [path]
+
+
+@pytest.mark.parametrize("path", ["filter.q_sgima", "modle", "ramps.exit_rates",
+                                  "geometry.n_segment"])
+def test_unknown_keys_are_refused_with_their_path(tmp_path, path):
+    assert _file_failures(tmp_path, {path: 5}) == [f"{path}: unknown key"]
+
+
+def test_duplicated_off_ramp_is_refused_not_overwritten(tmp_path):
+    """[4, 4] with two rates used to keep only the second."""
+    failures = _file_failures(tmp_path, {"ramps.off_ramps": [4, 4], "ramps.exit_rate": [0.1, 0.2]})
+    assert failures == ["ramps.off_ramps: must not repeat a segment (off_ramp_segments)"]
+
+
+def test_simulator_applies_the_on_ramp_demand_rule(default_sc):
+    """TruthSimulator checks a demand's on-ramp with the scenario's own rule."""
+    demand = {**default_sc.onramp_demand, 7: PiecewiseLinear.constant(100.0)}
+    with pytest.raises(ValueError, match=re.escape("onramp_demand[7] is given for a segment")):
+        TruthSimulator(geom=default_sc.geometry, params=default_sc.params,
+                       layout=default_sc.layout, noise=default_sc.noise,
+                       entry_demand=default_sc.entry_demand, onramp_demand=demand,
+                       penetration_profile=default_sc.penetration_profile,
+                       init_state=default_sc.initial_state())
