@@ -10,6 +10,7 @@ runs one filter or a batch of them (``KalmanConfig.stack``) in one loop.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import enforce
 from .kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement, reconstruct_totals
 from .ltv import (OBSERVABILITY_TOL, BandedLtv, build_system_measured,
                   build_system_unmeasured_offramps, window_anti_diagonals)
@@ -282,13 +282,10 @@ def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
         raise ValueError("need at least one sigma")
-    for sigma in sigmas:
-        enforce(Scenario.rules, {"q_sigma": sigma})
+    config = KalmanConfig.stack([dataclasses.replace(sc, q_sigma=s).filter_config()
+                                 for s in sigmas])
     truth = simulate_truth(sc)
-    run = run_filter(sc, truth, config=KalmanConfig.stack([
-        KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s, r_cov=sc.r_cov,
-                                     x0_value=sc.x0_value, p0_sigma=sc.p0_sigma)
-        for s in sigmas]))
+    run = run_filter(sc, truth, config=config)
     rho, rho_a = truth.states.rho, truth.states.rho_a
     return [SweepPoint(sigma=s, p_r=performance_index(rho, rho_a, run.x_hat[i]),
                        min_p_eigenvalue=float(run.min_p_eigenvalue[i]))
@@ -354,19 +351,56 @@ def write_trajectory(path, result: RunResult) -> None:
             handle.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
 
 
+def _grid_shape(step: np.ndarray, segment: np.ndarray, path) -> tuple[int, int]:
+    """The (M+1, N) grid that the rows' steps and 0-based segments fill, each
+    pair once; raises ValueError naming the line of a pair out of range or
+    repeated, and naming a pair that has no row."""
+    out_of_range = np.flatnonzero((step < 0) | (segment < 0))
+    if out_of_range.size:
+        raise ValueError(f"{path}, line {out_of_range[0] + 2}: step must be >= 0 "
+                         f"and segment >= 1")
+    shape = (step.max() + 1, segment.max() + 1)
+    pair = step * shape[1]
+    pair += segment                       # in place: no second temporary at the read's peak
+    counts = np.bincount(pair, minlength=shape[0] * shape[1])
+    if counts.max() > 1:
+        order = np.argsort(pair, kind="stable")
+        row = order[1:][pair[order[1:]] == pair[order[:-1]]].min()
+        raise ValueError(f"{path}, line {row + 2}: repeats step {step[row]}, "
+                         f"segment {segment[row] + 1}")
+    if counts.min() == 0:
+        k, i = divmod(int(counts.argmin()), shape[1])
+        raise ValueError(f"{path}: no row for step {k}, segment {i + 1}")
+    return shape
+
+
+def _rows_of_width(reader, width: int, path):
+    """The rows of a ``csv.reader``; raises ValueError at a row of another width."""
+    for row in reader:
+        if len(row) != width:
+            raise ValueError(f"{path}, line {reader.line_num}: {len(row)} cells, "
+                             f"the header has {width}")
+        yield row
+
+
 def read_trajectory(path) -> dict[str, np.ndarray]:
     """Parse a trajectory CSV back into (M+1, N) arrays keyed by column;
-    empty cells read as NaN."""
+    empty cells read as NaN.
+
+    Raises ValueError naming the line of a row whose cell count differs from
+    the header's, whose step or segment is out of range, or that repeats an
+    earlier row's (step, segment) pair, and naming a pair that has no row.
+    """
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader)
-        columns = dict(zip(header, zip(*reader)))
+        columns = dict(zip(header, zip(*_rows_of_width(reader, len(header), path))))
     step = np.array(columns["step"], dtype=int)
     segment = np.array(columns["segment"], dtype=int) - 1
-    shape = (step.max() + 1, segment.max() + 1)
+    shape = _grid_shape(step, segment, path)
     out: dict[str, np.ndarray] = {}
     for col in TRAJECTORY_COLUMNS[2:]:
-        values = np.full(shape, np.nan)
+        values = np.empty(shape)
         values[step, segment] = [float(cell or "nan") for cell in columns[col]]
         out[col] = values
     return out

@@ -9,18 +9,20 @@ connected-vehicle aggregates are reported exactly.
 All randomness is derived from (seed, step, purpose) so repeated calls for
 the same step are identical and runs are reproducible bit for bit.  Step k's
 draws for a purpose are those of ``np.random.default_rng((seed, k, purpose))``,
-but no generator is built per step: ``_stream_words`` runs NumPy's SeedSequence
-hash for every step of a run in one uint32 array pass, and ``_Streams`` applies
-PCG64's seeding to step k's words and sets them as the state of one reused
-generator before that step draws.
+but no generator is built per step: ``_draws`` takes every step's draws for one
+purpose in one call, before they are used.  ``_stream_words`` runs NumPy's
+SeedSequence hash for every step of the run in one uint32 array pass, and
+``_draws`` applies PCG64's seeding to each step's words and sets them as the
+state of one reused generator before that step draws.
 
 A run is held as whole-run arrays, one record each for the states, inputs
 and frames.  Everything that does not depend on the state is computed for
 the whole run at once: ``TruthSimulator.inputs_at`` gives every step's
-demands and entry flows before the step loop, and ``observe`` reads every
-step's detectors after it.  The loop calls ``step_truth`` once per step to
-fill the next state row and that step's off-ramp outflows.  The frames'
-connected columns are the state and input arrays themselves.
+demands and entry flows and the process noise is drawn before the step
+loop, and the off-ramp outflows and ``observe``'s detector readings are
+computed for every step after it.  The loop calls ``step_truth`` once per
+step to fill the next state row.  The frames' connected columns are the
+state and input arrays themselves.
 """
 
 from __future__ import annotations
@@ -225,32 +227,19 @@ def _pcg64_state(words: np.ndarray) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-class _Streams:
-    """One purpose's generators over a run: ``streams[i]`` draws exactly as
-    ``np.random.default_rng((seed, k, purpose))`` for the i-th step k of ``steps``.
-
-    Every index returns the same generator, reset to that step's state, so
-    each draw must be taken before the next index.
-    """
-
-    def __init__(self, seed: int, purpose: int, steps):
-        self._words = _stream_words(seed, purpose, steps)
-        self._generator = np.random.Generator(np.random.PCG64(0))  # state set per step
-
-    def __getitem__(self, i: int) -> np.random.Generator:
-        self._generator.bit_generator.state = _pcg64_state(self._words[i])
-        return self._generator
-
-
-def _draws(seed: int, purpose: int, steps: int, size: int, kept=slice(None)) -> np.ndarray:
-    """Row k holds the ``kept`` entries of ``size`` standard normals drawn in one
-    call from step k's own stream."""
-    streams = _Streams(seed, purpose, steps)
+def _draws(seed: int, purpose: int, steps, size: int, kept=slice(None)) -> np.ndarray:
+    """Row i holds the ``kept`` entries of ``size`` standard normals drawn in one
+    call as ``np.random.default_rng((seed, k, purpose))`` draws them, for the
+    i-th step k of ``steps`` (a step count or an array of step indices, as for
+    ``_stream_words``)."""
+    words = _stream_words(seed, purpose, steps)
+    generator = np.random.Generator(np.random.PCG64(0))   # state set per step
     block = np.empty(size)
-    out = np.empty((steps,) + block[kept].shape)
-    for k in range(steps):
-        streams[k].standard_normal(out=block)
-        out[k] = block[kept]
+    out = np.empty((len(words),) + block[kept].shape)
+    for i, row in enumerate(words):
+        generator.bit_generator.state = _pcg64_state(row)
+        generator.standard_normal(out=block)
+        out[i] = block[kept]
     return out
 
 
@@ -274,11 +263,10 @@ class StepConstants:
     friction: np.ndarray       # delta_ramp T/Delta_i
     beta: np.ndarray           # (2, N) exit rates beta, beta_a; zero where there is no off-ramp
     noise_std: np.ndarray      # (3, 1): speed, flow and connected-flow process noise
-    streams: _Streams          # process-noise streams of steps 0..n_steps-1
 
     @classmethod
     def of(cls, geom: HighwayGeometry, params: MetanetParams, layout: RampLayout,
-           noise: NoiseSpec, n_steps: int) -> "StepConstants":
+           noise: NoiseSpec) -> "StepConstants":
         n, t, td = geom.n_segments, geom.step_h, geom.t_over_delta
         return cls(params=params, td=td, relax=t / params.tau_h,
                    anticipation=(params.nu * t / params.tau_h) / geom.seg_len_km,
@@ -286,44 +274,45 @@ class StepConstants:
                    beta=np.array([layout.exit_rate_vector(n),
                                   layout.exit_rate_vector(n, connected=True)]),
                    noise_std=np.array([[noise.std_speed], [noise.std_flow_proc],
-                                       [noise.std_flow_proc_a]]),
-                   streams=_Streams(noise.seed, _STREAM_STATE, n_steps))
+                                       [noise.std_flow_proc_a]]))
 
 
 def _upstream(entry: np.ndarray, flows: np.ndarray) -> np.ndarray:
-    """Each segment's inflow for a (2, N) pair of total and connected flows:
-    the pair of ``entry`` flows at segment 1, then ``flows[:, :-1]``."""
+    """Each segment's inflow for a pair of total and connected flows, (2, N)
+    or a run's (2, M+1, N): the ``entry`` flows at segment 1, then the flows
+    of the segment upstream."""
     up = np.empty_like(flows)
-    up[:, 0] = entry
-    up[:, 1:] = flows[:, :-1]
+    up[..., 0] = entry
+    up[..., 1:] = flows[..., :-1]
     return up
 
 
-def step_truth(x: np.ndarray, entry: np.ndarray, flows: np.ndarray, c: StepConstants,
-               k: int) -> None:
-    """Advance the ground truth one step: fill ``x[:, k+1]`` from ``x[:, k]``
-    and step k of the inputs, after filling that step's off-ramp outflows
-    s = beta * q_up and s_a = beta_a * q_a_up.
+def step_truth(x: np.ndarray, entry: np.ndarray, flows: np.ndarray, normals: np.ndarray,
+               c: StepConstants, k: int) -> None:
+    """Advance the ground truth one step: fill ``x[:, k+1]`` from ``x[:, k]``,
+    step k of the inputs and row k of the process-noise ``normals``; nothing
+    else is written.
 
     ``x`` is the run's (5, M+1, N) state block (rho, rho_a, v, q, q_a),
-    ``entry`` its (2, M+1) entry flows (q0, q0_a) and ``flows`` its
-    (4, M+1, N) segment flows (r, r_a, s, s_a), as ``TruthSimulator.run``
-    holds them; each total and its connected part update as one pair.
+    ``entry`` its (2, M+1) entry flows (q0, q0_a), ``flows`` its (4, M+1, N)
+    segment flows (r, r_a, s, s_a) and ``normals`` its (M, 3, N) standard
+    normals (speed, flow, connected flow), as ``TruthSimulator.run`` holds
+    them; each total and its connected part update as one pair.
 
-    Densities update by exact conservation; the speed update uses the
-    upstream-copy convention at the entry (v_0 = v_1) and the flat-density
-    convention at the exit (rho_{N+1} = rho_N).  Process noise perturbs the
-    speed update and the flow relations; densities and speeds are clamped
-    nonnegative afterwards and the connected density at or below the total.
-    Raises FloatingPointError on a non-finite value.
+    Densities update by exact conservation, with off-ramp outflows beta * q_up
+    and beta_a * q_a_up; the speed update uses the upstream-copy convention at
+    the entry (v_0 = v_1) and the flat-density convention at the exit
+    (rho_{N+1} = rho_N).  Process noise perturbs the speed update and the flow
+    relations; densities and speeds are clamped nonnegative afterwards and the
+    connected density at or below the total.  Raises FloatingPointError on a
+    non-finite value.
     """
     dens, v, flow = x[0:2, k], x[2, k], x[3:5, k]
     rho = dens[0]
     nxt = x[:, k + 1]
-    xi = c.noise_std * c.streams[k].standard_normal((3, len(rho)))
+    xi = c.noise_std * normals[k]
     up = _upstream(entry[:, k], flow)
-    outflow = np.multiply(c.beta, up, out=flows[2:4, k])
-    dens_next = dens + c.td * (up - flow + flows[0:2, k] - outflow)
+    dens_next = dens + c.td * (up - flow + flows[0:2, k] - c.beta * up)
     np.maximum(dens_next[0], 0.0, out=nxt[0])
     dens_next[1].clip(0.0, nxt[0], out=nxt[1])
 
@@ -427,7 +416,7 @@ class TruthSimulator:
 
         Demands and connected shares are taken at each step's clock time, and
         the entry flows carry their process noise.  The off-ramp outflows
-        depend on the state and are left at zero for ``step_truth``.  The
+        depend on the state and are left at zero for ``run`` to fill.  The
         arithmetic follows Python floats: an overflow leaves an entry flow
         infinite, for the run to refuse.
         """
@@ -452,8 +441,9 @@ class TruthSimulator:
     def run(self, n_steps: int) -> TruthRun:
         """Simulate n_steps transitions into n_steps+1 rows of whole-run arrays.
 
-        The inputs are computed for every step before the step loop and the
-        detector readings after it; the loop advances only the state.  Raises
+        The inputs and the process noise are computed for every step before
+        the step loop, and the off-ramp outflows and detector readings after
+        it; the loop advances only the state.  Raises
         TruthDivergedError naming the first step whose inputs are not finite
         or whose state update overflows or leaves the finite range, and, for a
         run that gets through, the first step with a non-finite detector reading.
@@ -462,20 +452,22 @@ class TruthSimulator:
             raise ValueError("n_steps must be >= 1")
         entry, flows = self.inputs_at(n_steps)
         bad_input = _first_non_finite(*entry, *flows[:2])
-        x = np.zeros((5, n_steps + 1, self.geom.n_segments))
+        n = self.geom.n_segments
+        x = np.zeros((5, n_steps + 1, n))
         init = self.init_state
         x[:, 0] = init.rho, init.rho_a, init.v, init.q, init.q_a
-        constants = StepConstants.of(self.geom, self.params, self.layout, self.noise, n_steps)
+        constants = StepConstants.of(self.geom, self.params, self.layout, self.noise)
+        normals = _draws(self.noise.seed, _STREAM_STATE, n_steps, 3 * n).reshape(n_steps, 3, n)
         k = 0
         try:
             with np.errstate(over="raise"):
                 for k in range(min(bad_input, n_steps)):
-                    step_truth(x, entry, flows, constants, k)
+                    step_truth(x, entry, flows, normals, constants, k)
         except FloatingPointError as exc:
             raise TruthDivergedError(f"{exc} at step {k}") from exc
+        del normals                        # not alive while observe allocates
         if bad_input <= n_steps:
             raise TruthDivergedError(f"non-finite boundary input at step {bad_input}")
-        # The last step's outflows, which no step_truth call fills.
-        np.multiply(constants.beta, _upstream(entry[:, -1], x[3:5, -1]), out=flows[2:4, -1])
+        np.multiply(constants.beta[:, None], _upstream(entry, x[3:5]), out=flows[2:4])
         states, inputs = TrafficState(*x), BoundaryInputs(*entry, *flows)
         return TruthRun(states, inputs, observe(states, inputs, self.layout, self.noise))

@@ -83,6 +83,9 @@ class Scenario:
         Rule("horizon_h", lambda h, step: math.isfinite(h / step)
              and abs(h / step - round(h / step)) <= 1e-9,
              "must be an integer number of steps", needs=("step_h",)),
+        # inputs_at draws for steps 0..M, and a stream index stays below 2**32.
+        Rule("horizon_h", lambda h, step: round(h / step) <= 2**32 - 2,
+             "must be at most 2**32 - 2 steps", needs=("step_h",)),
         Rule("init_rho", lambda rho, n: np.shape(rho) in ((), (n,)),
              "must be one density or one per segment", needs=("n_segments",)),
         *RampLayout.placement_rules,
@@ -310,9 +313,15 @@ def _build(cls, values: Mapping[str, Any]):
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and validate a YAML scenario file."""
+    """Parse and validate a YAML scenario file; a file that is not valid YAML
+    fails as a ScenarioError at the parser's line and column."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
+        try:
+            data = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)    # the reader's errors have none
+            raise ScenarioError([f"line {mark.line + 1}, column {mark.column + 1}: {exc.problem}"
+                                 if mark else " ".join(str(exc).split())]) from exc
     if not isinstance(data, Mapping):
         raise ScenarioError(["top level: expected a mapping"])
     return _scenario_from_dict(data, os.path.splitext(os.path.basename(path))[0])

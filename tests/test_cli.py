@@ -290,6 +290,39 @@ def test_on_ramp_demand_without_an_on_ramp_is_refused_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, failure", [
+    ("geometry: [1, 2\n", "line 2, column 1: expected ',' or ']', but got '<stream end>'"),
+    ("demand: {entry: 1300.0}\nname: a: b\n", "line 2, column 8: mapping values are not allowed here"),
+], ids=["unclosed list", "colon in a plain value"])
+def test_yaml_syntax_error_is_refused_at_load(tmp_path, capsys, text, failure):
+    """Before, the parser's error escaped with a traceback and exit 1."""
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(text)
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid_scenario"
+    assert err["failures"] == [failure]
+    assert not out.exists()
+
+
+def test_horizon_beyond_the_noise_streams_is_refused_at_load(tmp_path, capsys):
+    """2**32 steps: before, the file loaded, --out was made, and the stream
+    derivation raised with a traceback and exit 1."""
+    text = DEFAULT_YAML.read_text()
+    assert text.count("horizon_h: 3.0") == 1
+    scenario = tmp_path / "long.yaml"
+    scenario.write_text(text.replace("horizon_h: 3.0", f"horizon_h: {2**32 * (10 / 3600)!r}"))
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid_scenario"
+    assert err["failures"] == ["run.horizon_h: must be at most 2**32 - 2 steps (horizon_h)"]
+    assert not out.exists()
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(tmp_path / "absent.yaml"),
                  "--out", str(tmp_path)])

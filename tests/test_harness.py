@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +501,43 @@ def test_truth_only_trajectory_has_empty_estimates(tmp_path, default_sc):
     data = read_trajectory(path)
     assert np.isnan(data["rho_hat"]).all()
     assert not np.isnan(data["rho"]).any()
+
+
+def _with_a_bad_cell(lines, line, column, cell):
+    cells = lines[line - 1].split(",")
+    cells[column] = cell
+    return lines[:line - 1] + [",".join(cells)] + lines[line:]
+
+
+# Edits of a 0.05 h run's trajectory.csv (19 steps of 20 segments; line l > 1
+# holds step (l - 2) // 20, segment (l - 2) % 20 + 1), and the error each gives.
+MALFORMED = {
+    "extra cell": (lambda lines: lines[:4] + [lines[4] + ",1.0"] + lines[5:],
+                   "line 5: 12 cells, the header has 11"),
+    "short row": (lambda lines: lines[:6] + [lines[6].rsplit(",", 1)[0]] + lines[7:],
+                  "line 7: 10 cells, the header has 11"),
+    "blank line": (lambda lines: lines[:3] + [""] + lines[3:], "line 4: 0 cells"),
+    "dropped row": (lambda lines: lines[:9] + lines[10:], "no row for step 0, segment 9"),
+    "duplicated row": (lambda lines: lines[:10] + lines[9:], "line 11: repeats step 0, segment 9"),
+    "negative step": (lambda lines: _with_a_bad_cell(lines, 4, 0, "-1"),
+                      "line 4: step must be >= 0 and segment >= 1"),
+    "segment 0": (lambda lines: _with_a_bad_cell(lines, 30, 1, "0"),
+                  "line 30: step must be >= 0 and segment >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_trajectory_is_refused_naming_the_line(tmp_path, default_sc, case):
+    """Before, an extra cell read as intact, a dropped row as NaN, a repeated
+    row overwrote its twin, and a short row raised KeyError."""
+    path = tmp_path / "trajectory.csv"
+    write_trajectory(path, run_experiment(dataclasses.replace(default_sc, horizon_h=0.05)))
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    assert len(lines) == 1 + 19 * 20
+    edit, message = MALFORMED[case]
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_trajectory(path)
 
 
 def test_metrics_and_sweep_files(tmp_path, default_sc, default_result):

@@ -17,9 +17,9 @@ from mixedtraffic.metanet import (
     StepConstants,
     TruthDivergedError,
     TruthSimulator,
+    _draws,
     _pcg64_state,
     _stream_words,
-    _Streams,
     observe,
     step_truth,
 )
@@ -40,14 +40,24 @@ def _repeated(record, steps):
                            for f in dataclasses.fields(record)})
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _step(state, inputs, geom, layout=RampLayout()):
-    """The state after one noise-free step from ``state`` under ``inputs``, and
-    the inputs with the off-ramp outflows that the step fills from ``layout``."""
-    x = np.array([[getattr(state, f.name)] * 2 for f in dataclasses.fields(state)])
-    entry = np.array([[inputs.q0], [inputs.q0_a]])
-    flows = np.array([[inputs.r], [inputs.r_a], [inputs.s], [inputs.s_a]])
-    step_truth(x, entry, flows, StepConstants.of(geom, PARAMS, layout, SILENT, 1), 0)
-    return TrafficState(*x[:, 1]), BoundaryInputs(*entry[:, 0], *flows[:, 0])
+    """The state after one noise-free step from ``state`` under ``inputs``.  The
+    inputs and the noise are read-only, and of a three-row state block only
+    the second row may change."""
+    x = np.array([[getattr(state, f.name)] * 3 for f in dataclasses.fields(state)])
+    before = x.copy()
+    entry, flows, normals = _read_only(np.array([[inputs.q0], [inputs.q0_a]]),
+                                       np.array([[inputs.r], [inputs.r_a], [inputs.s], [inputs.s_a]]),
+                                       np.zeros((1, 3, state.n_segments)))
+    step_truth(x, entry, flows, normals, StepConstants.of(geom, PARAMS, layout, SILENT), 0)
+    assert x[:, 0::2].tobytes() == before[:, 0::2].tobytes()
+    return TrafficState(*x[:, 1])
 
 
 def test_uniform_equilibrium_is_fixed_point():
@@ -57,7 +67,7 @@ def test_uniform_equilibrium_is_fixed_point():
     v = mt.nominal_speed(rho, PARAMS)
     state = TrafficState.from_densities(rho, 0.2 * rho, v)
     inputs = _no_ramp_inputs(5, q0=float(rho[0] * v[0]), q0_a=float(0.2 * rho[0] * v[0]))
-    nxt, _ = _step(state, inputs, geom)
+    nxt = _step(state, inputs, geom)
     assert np.array_equal(nxt.rho, state.rho)
     assert np.array_equal(nxt.v, state.v)
     assert np.array_equal(nxt.q, state.q)
@@ -75,8 +85,7 @@ def test_conservation_telescopes_to_boundary_flows():
     s = np.zeros(6)
     s[3] = 0.1 * state.q[2]
     inputs = BoundaryInputs(q0=1500.0, q0_a=300.0, r=r, r_a=0.2 * r, s=s, s_a=0.2 * s)
-    nxt, stepped = _step(state, inputs, geom, RampLayout(off_ramp_segments=(4,), exit_rate=(0.1,)))
-    assert np.array_equal(stepped.s, s)
+    nxt = _step(state, inputs, geom, RampLayout(off_ramp_segments=(4,), exit_rate=(0.1,)))
     gained = np.sum(geom.seg_len_km * nxt.rho) - np.sum(geom.seg_len_km * state.rho)
     boundary = geom.step_h * (inputs.q0 - state.q[-1] + r.sum() - s.sum())
     assert gained == pytest.approx(boundary, abs=1e-9)
@@ -93,7 +102,7 @@ def test_one_step_matches_scalar_evaluation():
     zeros = np.zeros(3)
     inputs = BoundaryInputs(q0=2000.0, q0_a=420.0, r=r, r_a=0.2 * r, s=zeros, s_a=zeros)
     layout = RampLayout(off_ramp_segments=(3,), exit_rate=(0.05,), exit_rate_a=(0.08,))
-    nxt, _ = _step(state, inputs, geom, layout)
+    nxt = _step(state, inputs, geom, layout)
 
     # Independent oracle: plain-float loops, formulas written out term by term.
     T = 10 / 3600
@@ -126,13 +135,22 @@ def test_one_step_matches_scalar_evaluation():
 
 
 def test_offramp_outflows_use_upstream_flow():
+    """Every step's outflows, the last step's included, are the exit rate times
+    the flow entering the segment."""
     layout = RampLayout(off_ramp_segments=(1, 3), exit_rate=(0.2, 0.1))
     geom = HighwayGeometry(n_segments=3, step_h=10 / 3600, seg_len_km=0.5)
     state = TrafficState.from_densities([10.0, 20.0, 30.0], [1.0, 2.0, 3.0],
                                         [100.0, 90.0, 80.0])
-    _, stepped = _step(state, _no_ramp_inputs(3, q0=1500.0, q0_a=300.0), geom, layout)
-    assert stepped.s.tolist() == [0.2 * 1500.0, 0.0, 0.1 * 20.0 * 90.0]
-    assert stepped.s_a.tolist() == [0.2 * 300.0, 0.0, 0.1 * 2.0 * 90.0]
+    sim = TruthSimulator(geom=geom, params=PARAMS, layout=layout, noise=SILENT,
+                         entry_demand=PiecewiseLinear.constant(1500.0), onramp_demand={},
+                         penetration_profile=PiecewiseLinear.constant(0.2), init_state=state)
+    run = sim.run(3)
+    inputs, states = run.inputs, run.states
+    assert inputs.s[0].tolist() == [0.2 * 1500.0, 0.0, 0.1 * 20.0 * 90.0]
+    assert inputs.s_a[0].tolist() == [0.2 * 300.0, 0.0, 0.1 * 2.0 * 90.0]
+    for k in range(4):
+        assert inputs.s[k].tolist() == [0.2 * inputs.q0[k], 0.0, 0.1 * states.q[k, 1]]
+        assert inputs.s_a[k].tolist() == [0.2 * inputs.q0_a[k], 0.0, 0.1 * states.q_a[k, 1]]
 
 
 def _infinite_entry(sc):
@@ -464,14 +482,17 @@ STREAM_STEPS = [0, 1, 1079, 2**16, 2**32 - 1]
 
 def _assert_stream_equals_default_rng(seed, purpose, steps):
     words = _stream_words(seed, purpose, np.array(steps))
-    streams = _Streams(seed, purpose, np.array(steps))
+    drawn = _draws(seed, purpose, np.array(steps), 7)
+    generator = np.random.Generator(np.random.PCG64(0))
     for i, step in enumerate(steps):
         key = (seed, step, purpose)
         want = np.random.SeedSequence(key).generate_state(4, np.uint64)
         assert words[i].tobytes() == want.tobytes(), key
         assert _pcg64_state(words[i]) == np.random.default_rng(key).bit_generator.state, key
-        drawn = streams[i].standard_normal(7)
-        assert drawn.tobytes() == np.random.default_rng(key).standard_normal(7).tobytes(), key
+        normals = np.random.default_rng(key).standard_normal(7).tobytes()
+        generator.bit_generator.state = _pcg64_state(words[i])
+        assert generator.standard_normal(7).tobytes() == normals, key
+        assert drawn[i].tobytes() == normals, key
 
 
 @pytest.mark.parametrize("purpose", [0, 1, 2])
@@ -492,6 +513,7 @@ def test_streams_equal_default_rng_anywhere(seed, steps, purpose):
 def test_run_streams_are_the_run_steps():
     """A step count derives the rows of steps 0..n-1."""
     assert _stream_words(5, 1, 9).tobytes() == _stream_words(5, 1, np.arange(9)).tobytes()
+    assert _draws(5, 1, 9, 4, [0, 3]).tobytes() == _draws(5, 1, np.arange(9), 4)[:, [0, 3]].tobytes()
 
 
 @pytest.mark.parametrize("steps", [2**32, 2**32 + 1, 2**64, -1,

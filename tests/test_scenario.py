@@ -67,6 +67,15 @@ def test_horizon_must_be_integral_steps():
         dataclasses.replace(sc, horizon_h=3.0001)
 
 
+def test_horizon_stays_within_the_noise_streams():
+    """Steps 0..M each draw from their own stream, whose index stays below 2**32."""
+    sc = default_scenario()
+    longest = dataclasses.replace(sc, horizon_h=(2**32 - 2) * sc.geometry.step_h)
+    assert longest.n_steps == 2**32 - 2
+    with pytest.raises(ValueError, match=r"^horizon_h must be at most 2\*\*32 - 2 steps$"):
+        dataclasses.replace(sc, horizon_h=(2**32 - 1) * sc.geometry.step_h)
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -189,6 +198,7 @@ FILE_ROWS = [
     ("initial.rho", -5.0), ("initial.penetration", 0.0), ("run.horizon_h", 3.0001),
     ("initial.rho", [1.0, 2.0]), ("ramps.on_ramps", [2, 6, 10, 21]),
     ("ramps.off_ramps", [0, 8, 12]), ("demand.on_ramps.7", 100.0),
+    ("run.horizon_h", (2**32 - 1) * (10 / 3600)),
 ]
 
 
@@ -218,6 +228,7 @@ CODE_ROWS = [
       for name, bad in [("q_sigma", 0.0), ("r_cov", -1.0), ("p0_sigma", NAN),
                         ("horizon_h", -1.0), ("x0_value", INF), ("offramp_mode", "guessed"),
                         ("init_rho", -5.0), ("init_penetration", 0.0), ("horizon_h", 3.0001),
+                        ("horizon_h", (2**32 - 1) * (10 / 3600)),
                         ("init_rho", np.full(19, 9.0))]),
     ("on_ramp_segments", lambda sc: dataclasses.replace(
         sc, layout=dataclasses.replace(sc.layout, on_ramp_segments=(2, 6, 10, 21)))),
