@@ -359,49 +359,126 @@ def _grid_shape(step: np.ndarray, segment: np.ndarray, path) -> tuple[int, int]:
     if out_of_range.size:
         raise ValueError(f"{path}, line {out_of_range[0] + 2}: step must be >= 0 "
                          f"and segment >= 1")
-    shape = (step.max() + 1, segment.max() + 1)
-    pair = step * shape[1]
-    pair += segment                       # in place: no second temporary at the read's peak
-    counts = np.bincount(pair, minlength=shape[0] * shape[1])
-    if counts.max() > 1:
-        order = np.argsort(pair, kind="stable")
-        row = order[1:][pair[order[1:]] == pair[order[:-1]]].min()
+    # Sorted by (step, segment), the pairs of a full grid of N segments are
+    # its cells in row-major order; working on the sorted rows, and not on a
+    # grid sized by the largest step, keeps a huge step from allocating.
+    n = int(segment.max()) + 1
+    order = np.lexsort((segment, step))   # stable: a repeat sorts after its first row
+    sorted_step, sorted_segment = step[order], segment[order]
+    repeat = order[1:][(sorted_step[1:] == sorted_step[:-1])
+                       & (sorted_segment[1:] == sorted_segment[:-1])]
+    if repeat.size:
+        row = repeat.min()
         raise ValueError(f"{path}, line {row + 2}: repeats step {step[row]}, "
                          f"segment {segment[row] + 1}")
-    if counts.min() == 0:
-        k, i = divmod(int(counts.argmin()), shape[1])
+    cell = np.arange(step.size)
+    gap = np.flatnonzero((sorted_step != cell // n) | (sorted_segment != cell % n))
+    if gap.size or step.size % n:
+        k, i = divmod(int(gap[0]) if gap.size else step.size, n)
         raise ValueError(f"{path}: no row for step {k}, segment {i + 1}")
-    return shape
+    return step.size // n, n
 
 
-def _rows_of_width(reader, width: int, path):
-    """The rows of a ``csv.reader``; raises ValueError at a row of another width."""
-    for row in reader:
-        if len(row) != width:
-            raise ValueError(f"{path}, line {reader.line_num}: {len(row)} cells, "
-                             f"the header has {width}")
-        yield row
+# One parsed row: integer step and segment, then the float columns.
+_INTEGER_COLUMNS = ("step", "segment")
+_ROW = np.dtype([(name, np.int64 if name in _INTEGER_COLUMNS else np.float64)
+                 for name in TRAJECTORY_COLUMNS])
+_CHUNK = 1 << 16                          # characters read at a time
+
+
+def _lines_with_nan(text: str) -> list[str]:
+    """The lines of ``text``, which ends a line, with every empty cell but a
+    leading one written as ``nan``; raises ValueError at a blank line, which
+    ``np.loadtxt`` would skip."""
+    lines = text.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
+    lines = lines.split("\n")
+    lines.pop()                           # the empty string after the last newline
+    if "" in lines:
+        raise ValueError("a blank line")
+    return lines
+
+
+def _body_lines(handle):
+    """The lines after the header, read a chunk at a time; raises ValueError
+    at a blank line and when there is no line."""
+    rest, empty = "", True
+    while chunk := handle.read(_CHUNK):
+        text, empty = rest + chunk, False
+        cut = text.rfind("\n") + 1
+        rest = text[cut:]
+        yield from _lines_with_nan(text[:cut])
+    if empty:
+        raise ValueError("no rows after the header")
+    if rest:
+        yield from _lines_with_nan(rest + "\n")
+
+
+def _line_fault(line: str) -> str | None:
+    """Why a line after the header is not a row that ``write_trajectory``
+    writes, or None."""
+    if line.startswith("#"):
+        return "a comment line; the writer writes none"
+    if '"' in line:
+        return "a quoted cell; the writer never quotes"
+    cells = line.split(",") if line else []
+    if len(cells) != len(TRAJECTORY_COLUMNS):
+        return f"{len(cells)} cells, the header has {len(TRAJECTORY_COLUMNS)}"
+    for name, cell in zip(TRAJECTORY_COLUMNS, cells):
+        integer = name in _INTEGER_COLUMNS
+        try:
+            int(cell) if integer else float(cell or "nan")
+        except ValueError:
+            return f"{name} {cell!r} is not {'an integer' if integer else 'a number'}"
+    return None
+
+
+def _first_fault(path, exc: ValueError) -> ValueError:
+    """The error for a file that ``np.loadtxt`` refused with ``exc``: it names
+    the first faulty line after the header or, where none is found (a cell
+    that ``int`` or ``float`` accepts but loadtxt does not, such as ``1_0``),
+    it is ``exc`` with the path."""
+    with open(path, encoding="utf-8") as handle:
+        next(handle)
+        for number, line in enumerate(handle, 2):
+            problem = _line_fault(line.rstrip("\n"))
+            if problem:
+                return ValueError(f"{path}, line {number}: {problem}")
+    return ValueError(f"{path}: {exc}")
 
 
 def read_trajectory(path) -> dict[str, np.ndarray]:
     """Parse a trajectory CSV back into (M+1, N) arrays keyed by column;
     empty cells read as NaN.
 
-    Raises ValueError naming the line of a row whose cell count differs from
-    the header's, whose step or segment is out of range, or that repeats an
-    earlier row's (step, segment) pair, and naming a pair that has no row.
+    ``np.loadtxt`` parses the rows with Python's correctly rounded float
+    conversion, so no cell becomes a Python object.  Raises ValueError
+    naming the path of an empty file, of a header other than
+    ``TRAJECTORY_COLUMNS`` and of a file with no rows; naming the line of a
+    row that is blank, a comment, holds a quote, has a cell count other than
+    the header's, a step or segment that is not an integer or a cell that is
+    not a number, and of a row whose step or segment is out of range or
+    repeats an earlier row's pair; and naming a pair that has no row.
     """
-    with open(path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        columns = dict(zip(header, zip(*_rows_of_width(reader, len(header), path))))
-    step = np.array(columns["step"], dtype=int)
-    segment = np.array(columns["segment"], dtype=int) - 1
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline()
+        if not header:
+            raise ValueError(f"{path}: empty file, no header")
+        if header.rstrip("\n").split(",") != list(TRAJECTORY_COLUMNS):
+            raise ValueError(f"{path}, line 1: the header is not {','.join(TRAJECTORY_COLUMNS)}")
+        try:
+            # A quote or a '#' is never part of a number, so loadtxt fails on
+            # any line that is not a row; a blank line fails in _body_lines.
+            rows = np.loadtxt(_body_lines(handle), dtype=_ROW, delimiter=",",
+                              comments=None, quotechar=None, ndmin=1)
+        except ValueError as exc:
+            raise _first_fault(path, exc) from exc
+    step, segment = rows["step"], rows["segment"]
+    segment -= 1                          # in place: 0-based segments
     shape = _grid_shape(step, segment, path)
     out: dict[str, np.ndarray] = {}
     for col in TRAJECTORY_COLUMNS[2:]:
         values = np.empty(shape)
-        values[step, segment] = [float(cell or "nan") for cell in columns[col]]
+        values[step, segment] = rows[col]
         out[col] = values
     return out
 

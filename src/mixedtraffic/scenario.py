@@ -314,8 +314,9 @@ def _build(cls, values: Mapping[str, Any]):
 
 def load_scenario(path) -> Scenario:
     """Parse and validate a YAML scenario file; a file that is not valid YAML
-    fails as a ScenarioError at the parser's line and column."""
-    with open(path, "r", encoding="utf-8") as handle:
+    fails as a ScenarioError at the parser's line and column, and one that is
+    not UTF-8 (or UTF-16 with a byte order mark) at its byte position."""
+    with open(path, "rb") as handle:      # PyYAML decodes, raising its ReaderError
         try:
             data = yaml.safe_load(handle)
         except yaml.YAMLError as exc:

@@ -307,6 +307,20 @@ def test_yaml_syntax_error_is_refused_at_load(tmp_path, capsys, text, failure):
     assert not out.exists()
 
 
+def test_scenario_that_is_not_utf8_is_refused_at_load(tmp_path, capsys):
+    """Latin-1 bytes: before, the UnicodeDecodeError escaped with a traceback and exit 1."""
+    scenario = tmp_path / "latin1.yaml"
+    scenario.write_bytes(b"name: caf\xe9\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid_scenario"
+    [failure] = err["failures"]
+    assert "#x00e9: invalid continuation byte" in failure and "position 9" in failure
+    assert not out.exists()
+
+
 def test_horizon_beyond_the_noise_streams_is_refused_at_load(tmp_path, capsys):
     """2**32 steps: before, the file loaded, --out was made, and the stream
     derivation raised with a traceback and exit 1."""

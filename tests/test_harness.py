@@ -5,7 +5,9 @@ import dataclasses
 import io
 import math
 import re
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -538,6 +540,178 @@ def test_malformed_trajectory_is_refused_naming_the_line(tmp_path, default_sc, c
     path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(message)):
         read_trajectory(path)
+
+
+def _short_trajectory_lines(path, default_sc) -> list[str]:
+    """Write a 0.05 h run's trajectory.csv to ``path``; its lines as MALFORMED edits them."""
+    write_trajectory(path, run_experiment(dataclasses.replace(default_sc, horizon_h=0.05)))
+    return path.read_text(encoding="utf-8").split("\n")[:-1]
+
+
+# More edits of the same file: refusals that the writer's format makes plain.
+REFUSED = {
+    "quoted cell": (lambda lines: _with_a_bad_cell(lines, 12, 4, '"107.9"'),
+                    "line 12: a quoted cell; the writer never quotes"),
+    "quoted comma": (lambda lines: _with_a_bad_cell(lines, 12, 4, '"107,9"'),
+                     "line 12: a quoted cell; the writer never quotes"),
+    "comment line": (lambda lines: lines[:7] + ["# a note"] + lines[7:],
+                     "line 8: a comment line; the writer writes none"),
+    "commented row": (lambda lines: lines[:7] + ["#" + lines[7]] + lines[8:],
+                      "line 8: a comment line; the writer writes none"),
+    "blank after header": (lambda lines: lines[:1] + [""] + lines[1:],
+                           "line 2: 0 cells, the header has 11"),
+    "step not an integer": (lambda lines: _with_a_bad_cell(lines, 4, 0, "0.0"),
+                            "line 4: step '0.0' is not an integer"),
+    "segment empty": (lambda lines: _with_a_bad_cell(lines, 4, 1, ""),
+                      "line 4: segment '' is not an integer"),
+    "not a number": (lambda lines: _with_a_bad_cell(lines, 9, 5, "abc"),
+                     "line 9: q 'abc' is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_unwritable_trajectory_text_is_refused(tmp_path, default_sc, case):
+    """Before, csv.reader unquoted '"107.9"' and read the row as intact, and a
+    commented row or a cell that is not a number raised the bare ValueError of
+    int() or float(), naming neither the path nor the line."""
+    path = tmp_path / "trajectory.csv"
+    edit, message = REFUSED[case]
+    path.write_text("\n".join(edit(_short_trajectory_lines(path, default_sc))) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, {message}")):
+        read_trajectory(path)
+
+
+@pytest.mark.parametrize("header, body, message", [
+    (None, "", "empty file, no header"),
+    (TRAJECTORY_COLUMNS, "", "no rows after the header"),
+    (TRAJECTORY_COLUMNS, "\r\n", "line 2: 0 cells, the header has 11"),
+    (TRAJECTORY_COLUMNS[:3] + TRAJECTORY_COLUMNS[4:], "rows", "line 1: the header is not"),
+    (TRAJECTORY_COLUMNS + ("extra",), "rows", "line 1: the header is not"),
+    (("segment", "step") + TRAJECTORY_COLUMNS[2:], "rows", "line 1: the header is not"),
+], ids=["empty file", "header only", "blank body", "header lacks rho_a",
+        "header has an extra column", "header reordered"])
+def test_trajectory_without_the_header_or_rows_is_refused(tmp_path, default_sc, header, body,
+                                                          message):
+    """Before, an empty file raised StopIteration, a header-only file KeyError:
+    'step' and a header without rho_a KeyError: 'rho_a'."""
+    path = tmp_path / "trajectory.csv"
+    lines = _short_trajectory_lines(path, default_sc)
+    text = "" if header is None else ",".join(header) + "\r\n"
+    text += "\r\n".join(lines[1:]) + "\r\n" if body == "rows" else body
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(ValueError) as excinfo:
+        read_trajectory(path)
+    assert str(excinfo.value).startswith(str(path)) and message in str(excinfo.value)
+
+
+def test_huge_trajectory_step_is_refused_without_a_grid_of_its_size(tmp_path, default_sc):
+    """Before, the check counted rows on a grid sized by the largest step:
+    a step of 10**5 in this file allocated 16 MB, and 10**15 would ask for
+    petabytes."""
+    path = tmp_path / "trajectory.csv"
+    lines = _with_a_bad_cell(_short_trajectory_lines(path, default_sc), 4, 0, str(10**15))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no row for step 0, segment 3")):
+            read_trajectory(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_lf_and_crlf_trajectories_read_identically(tmp_path, default_sc):
+    """The writer ends lines with CRLF; the MALFORMED edits write LF."""
+    crlf = tmp_path / "crlf.csv"
+    lines = _short_trajectory_lines(crlf, default_sc)
+    assert crlf.read_bytes().count(b"\r\n") == len(lines)
+    lf = tmp_path / "lf.csv"
+    lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+    a, b = read_trajectory(crlf), read_trajectory(lf)
+    assert a.keys() == b.keys() == set(TRAJECTORY_COLUMNS[2:])
+    assert all(_same_bits(a[k], b[k]) for k in a)
+
+
+def test_empty_trajectory_cells_read_as_nan(tmp_path, default_sc):
+    path = tmp_path / "trajectory.csv"
+    lines = _short_trajectory_lines(path, default_sc)
+    lines = _with_a_bad_cell(lines, 23, 2, "")                      # rho of step 1, segment 2
+    lines = _with_a_bad_cell(_with_a_bad_cell(lines, 5, 7, ""), 5, 8, "")  # rho_hat, q_hat
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = read_trajectory(path)
+    assert np.isnan(data["rho"]).sum() == 1 and np.isnan(data["rho"][1, 1])
+    assert np.isnan(data["rho_hat"][0, 3]) and np.isnan(data["q_hat"][0, 3])
+    assert np.isnan(data["innovation"]).sum() == 20    # the final step's
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and float64 bits, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+# Values whose repr is at an edge: signed zeros, subnormals, the largest
+# finite value, non-finite values, and both sides of repr's switch to an
+# exponent below 1e-4 and from 1e16.
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+               1e-4, 9.999999999999999e-05, -1e-4, 1e16, 9999999999999998.0, 1.0000000000000002e16,
+               -1e16, 0.1, 1 / 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(min_value=0, max_value=3),
+       n=st.integers(min_value=1, max_value=4), truth_only=st.booleans())
+def test_trajectory_round_trips_any_float64(tmp_path_factory, data, m, n, truth_only):
+    """write_trajectory then read_trajectory returns every value bit for bit."""
+    values = st.one_of(st.sampled_from(FLOAT_EDGES), st.floats(width=64))
+
+    def draw(shape):
+        return np.array(data.draw(st.lists(values, min_size=math.prod(shape),
+                                           max_size=math.prod(shape))), dtype=float).reshape(shape)
+
+    truth_cols = {name: draw((m + 1, n)) for name in ("rho", "rho_a", "v", "q", "q_a")}
+    states = SimpleNamespace(n_segments=n, **truth_cols)
+    estimate = None
+    if not truth_only:
+        estimate = SimpleNamespace(rho_hat=draw((m + 1, n)), q_hat=draw((m + 1, n)),
+                                   x_hat=draw((m + 1, n)), innovation=draw((m,)))
+    result = SimpleNamespace(truth=SimpleNamespace(n_steps=m, states=states), estimate=estimate)
+    path = tmp_path_factory.mktemp("roundtrip") / "trajectory.csv"
+    write_trajectory(path, result)
+    back = read_trajectory(path)
+
+    expected = dict(truth_cols)
+    if truth_only:
+        expected.update({name: np.full((m + 1, n), np.nan)
+                         for name in ("rho_hat", "q_hat", "p_bar_hat", "innovation")})
+    else:
+        innovation = np.full((m + 1, n), np.nan)
+        innovation[:-1] = estimate.innovation[:, None]
+        expected.update(rho_hat=estimate.rho_hat, q_hat=estimate.q_hat,
+                        p_bar_hat=estimate.x_hat, innovation=innovation)
+    assert back.keys() == expected.keys()
+    for name, want in expected.items():
+        assert _same_bits(back[name], want), name
+
+
+def test_reading_the_default_trajectory_peaks_below_three_times_its_arrays(tmp_path, default_result):
+    """No cell becomes a Python string: the read's traced peak stays below 3x
+    the nine returned arrays (1.56 MB), where csv.reader's peaked at 21.8 MB."""
+    path = tmp_path / "trajectory.csv"
+    write_trajectory(path, default_result)
+    tracemalloc.start()
+    try:
+        data = read_trajectory(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in data.values())
+    assert arrays == 9 * 1081 * 20 * 8
+    assert peak < 3 * arrays
 
 
 def test_metrics_and_sweep_files(tmp_path, default_sc, default_result):
