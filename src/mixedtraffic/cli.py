@@ -2,10 +2,10 @@
 
 Verbs: ``simulate`` (ground truth only), ``estimate`` (full pipeline),
 ``sweep`` (process-covariance sweep), ``observability`` (anti-diagonal
-report over a run).  Outputs are CSV files in the chosen directory; scenario
-validation failures, a simulation that overflowed, an estimate or sweep whose
-filter diverged, and a run too short for one observability window exit 2 with
-a JSON error object on stderr.
+report over a run).  Outputs are CSV files in the chosen directory.  A
+scenario that is invalid or cannot be read, an ``--out`` that cannot be used,
+a simulation that overflowed, a filter that diverged, and a run too short for
+one observability window exit 2 with a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -151,16 +151,13 @@ def _run(args: argparse.Namespace, sc: Scenario, out: Path) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        sc = _load(args)
+        sc = _load(args)                  # a scenario that fails makes no --out
+        args.out.mkdir(parents=True, exist_ok=True)
+        return _run(args, sc, args.out)
     except ScenarioError as exc:
         return _refuse({"error": "invalid_scenario", "failures": exc.failures})
     except OSError as exc:
         return _refuse({"error": "io", "message": str(exc)})
-
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        return _run(args, sc, out)
     except TruthDivergedError as exc:
         return _refuse({"error": "truth_diverged", "raised": str(exc),
                         "message": "the simulated traffic left the finite range; "

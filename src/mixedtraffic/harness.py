@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import re
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -99,7 +100,6 @@ def _weyl_floor(top, p_nn, floor, a: float, q_floor, q_max, r_cov, n: int):
 
 
 def run_filter(sc: Scenario, truth: TruthRun,
-               systems: BandedLtv | None = None,
                config: KalmanConfig | None = None) -> EstimateRun:
     """Run the filter, or the batch ``config``, along a truth run and
     reconstruct totals.
@@ -152,8 +152,7 @@ def run_filter(sc: Scenario, truth: TruthRun,
     step is always factorised; a factorisation sets every member's bound to
     -PSD_TOL when it succeeds and drops it when it fails.
     """
-    if systems is None:
-        systems = build_systems(sc, truth)
+    systems = build_systems(sc, truth)
     if config is None:
         config = sc.filter_config()
     m = truth.n_steps
@@ -352,31 +351,27 @@ def write_trajectory(path, result: RunResult) -> None:
 
 
 def _grid_shape(step: np.ndarray, segment: np.ndarray, path) -> tuple[int, int]:
-    """The (M+1, N) grid that the rows' steps and 0-based segments fill, each
-    pair once; raises ValueError naming the line of a pair out of range or
-    repeated, and naming a pair that has no row."""
-    out_of_range = np.flatnonzero((step < 0) | (segment < 0))
+    """The (M+1, N) grid whose cells the rows hold in the writer's order: row
+    r holds step r // N and segment r % N + 1, N the largest segment; raises
+    ValueError naming the line of a pair out of range, repeated or misplaced."""
+    out_of_range = np.flatnonzero((step < 0) | (segment < 1))
     if out_of_range.size:
         raise ValueError(f"{path}, line {out_of_range[0] + 2}: step must be >= 0 "
                          f"and segment >= 1")
-    # Sorted by (step, segment), the pairs of a full grid of N segments are
-    # its cells in row-major order; working on the sorted rows, and not on a
-    # grid sized by the largest step, keeps a huge step from allocating.
-    n = int(segment.max()) + 1
-    order = np.lexsort((segment, step))   # stable: a repeat sorts after its first row
-    sorted_step, sorted_segment = step[order], segment[order]
-    repeat = order[1:][(sorted_step[1:] == sorted_step[:-1])
-                       & (sorted_segment[1:] == sorted_segment[:-1])]
-    if repeat.size:
-        row = repeat.min()
-        raise ValueError(f"{path}, line {row + 2}: repeats step {step[row]}, "
-                         f"segment {segment[row] + 1}")
+    n = int(segment.max())
     cell = np.arange(step.size)
-    gap = np.flatnonzero((sorted_step != cell // n) | (sorted_segment != cell % n))
-    if gap.size or step.size % n:
-        k, i = divmod(int(gap[0]) if gap.size else step.size, n)
+    misplaced = np.flatnonzero((step != cell // n) | (segment != cell % n + 1))
+    if misplaced.size:
+        row = misplaced[0]
+        k, i = divmod(int(row), n)
+        if (step[row], segment[row]) < (k, i + 1):    # every smaller pair has had its row
+            raise ValueError(f"{path}, line {row + 2}: repeats step {step[row]}, "
+                             f"segment {segment[row]}")
+        raise ValueError(f"{path}: no row for step {k}, segment {i + 1} at line {row + 2}")
+    k, i = divmod(step.size, n)
+    if i:
         raise ValueError(f"{path}: no row for step {k}, segment {i + 1}")
-    return step.size // n, n
+    return k, n
 
 
 # One parsed row: integer step and segment, then the float columns.
@@ -413,9 +408,18 @@ def _body_lines(handle):
         yield from _lines_with_nan(rest + "\n")
 
 
+def _not_utf8(line: str) -> str | None:
+    """Why a line is not UTF-8, or None; read with ``errors="surrogateescape"``,
+    each byte that is not UTF-8 is a lone surrogate, which no other check accepts."""
+    escaped = re.search("[\udc80-\udcff]", line)
+    return escaped and f"byte {ord(escaped[0]) - 0xdc00:#04x} is not UTF-8"
+
+
 def _line_fault(line: str) -> str | None:
     """Why a line after the header is not a row that ``write_trajectory``
     writes, or None."""
+    if problem := _not_utf8(line):
+        return problem
     if line.startswith("#"):
         return "a comment line; the writer writes none"
     if '"' in line:
@@ -437,7 +441,7 @@ def _first_fault(path, exc: ValueError) -> ValueError:
     the first faulty line after the header or, where none is found (a cell
     that ``int`` or ``float`` accepts but loadtxt does not, such as ``1_0``),
     it is ``exc`` with the path."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         next(handle)
         for number, line in enumerate(handle, 2):
             problem = _line_fault(line.rstrip("\n"))
@@ -447,24 +451,24 @@ def _first_fault(path, exc: ValueError) -> ValueError:
 
 
 def read_trajectory(path) -> dict[str, np.ndarray]:
-    """Parse a trajectory CSV back into (M+1, N) arrays keyed by column;
-    empty cells read as NaN.
+    """Parse a trajectory CSV, its rows in the order ``write_trajectory``
+    writes them, back into (M+1, N) arrays keyed by column; empty cells
+    read as NaN.
 
     ``np.loadtxt`` parses the rows with Python's correctly rounded float
     conversion, so no cell becomes a Python object.  Raises ValueError
-    naming the path of an empty file, of a header other than
-    ``TRAJECTORY_COLUMNS`` and of a file with no rows; naming the line of a
-    row that is blank, a comment, holds a quote, has a cell count other than
-    the header's, a step or segment that is not an integer or a cell that is
-    not a number, and of a row whose step or segment is out of range or
-    repeats an earlier row's pair; and naming a pair that has no row.
+    naming the path, and the line where there is one, of any other text: an
+    empty file, a byte that is not UTF-8, a header other than
+    ``TRAJECTORY_COLUMNS``, no rows, a row that the writer would not write,
+    and a (step, segment) pair out of range, repeated, missing or misplaced.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         header = handle.readline()
         if not header:
             raise ValueError(f"{path}: empty file, no header")
         if header.rstrip("\n").split(",") != list(TRAJECTORY_COLUMNS):
-            raise ValueError(f"{path}, line 1: the header is not {','.join(TRAJECTORY_COLUMNS)}")
+            problem = _not_utf8(header) or f"the header is not {','.join(TRAJECTORY_COLUMNS)}"
+            raise ValueError(f"{path}, line 1: {problem}")
         try:
             # A quote or a '#' is never part of a number, so loadtxt fails on
             # any line that is not a row; a blank line fails in _body_lines.
@@ -472,15 +476,8 @@ def read_trajectory(path) -> dict[str, np.ndarray]:
                               comments=None, quotechar=None, ndmin=1)
         except ValueError as exc:
             raise _first_fault(path, exc) from exc
-    step, segment = rows["step"], rows["segment"]
-    segment -= 1                          # in place: 0-based segments
-    shape = _grid_shape(step, segment, path)
-    out: dict[str, np.ndarray] = {}
-    for col in TRAJECTORY_COLUMNS[2:]:
-        values = np.empty(shape)
-        values[step, segment] = rows[col]
-        out[col] = values
-    return out
+    shape = _grid_shape(rows["step"], rows["segment"], path)
+    return {col: rows[col].reshape(shape).copy() for col in TRAJECTORY_COLUMNS[2:]}
 
 
 def write_metrics(path, result: RunResult) -> None:

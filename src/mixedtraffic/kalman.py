@@ -80,9 +80,9 @@ class KalmanConfig:
             raise ValueError("r_cov must be finite and > 0")
 
     @classmethod
-    def scaled_identity(cls, n: int, q_sigma: float = 1.0, r_cov: float = 100.0,
-                        x0_value: float = 10.0, p0_sigma: float = 1.0) -> "KalmanConfig":
-        """Q = q_sigma*I, P0 = p0_sigma*I, x0 constant; the stock tuning."""
+    def scaled_identity(cls, n: int, *, q_sigma: float, r_cov: float, x0_value: float,
+                        p0_sigma: float) -> "KalmanConfig":
+        """Q = q_sigma*I, P0 = p0_sigma*I, x0 constant; see Scenario.filter_config."""
         return cls(q_cov=q_sigma * np.eye(n), r_cov=float(r_cov),
                    x0=np.full(n, float(x0_value)), p0=p0_sigma * np.eye(n))
 

@@ -8,10 +8,10 @@ aggregates are treated as known time-varying coefficients:
 
 with A lower bidiagonal and the output reading the exit segment.  A run's
 realization is one ``BandedLtv``: the diagonal and sub-diagonal of every
-A(k) and the inputs of every B(k) u(k), stacked over the steps and built in
-one vectorised pass over a run's stacked frames.  Two builders are provided:
-one consuming measured total ramp outflows, one substituting exit-rate
-fractions for unmeasured off-ramp flows.
+A(k) and the drive B(k) u(k) of every step, stacked over the steps and
+built in one vectorised pass over a run's stacked frames.  Two builders
+are provided: one consuming measured total ramp outflows, one substituting
+exit-rate fractions for unmeasured off-ramp flows.
 """
 
 from __future__ import annotations
@@ -36,22 +36,21 @@ class BandedLtv(StepRecord):
     """Coefficients of M consecutive steps; row k belongs to step k.
 
     A(k) has ``diag[k]`` on its diagonal and ``sub[k]`` below it, so
-    ``sub[k, i]`` is A(k)[i+1, i].  B(k) u(k) is ``gain[k] * u[k, 1:]`` with
-    ``gain[k, 0] * u[k, 0]`` (the entry flow) added to the first segment.
-    ``g`` holds the clamped denominators, ``gain`` is T/(Delta_i g_i).
+    ``sub[k, i]`` is A(k)[i+1, i].  ``drive[k]`` is B(k) u(k): each
+    segment's gain T/(Delta_i g_i) times its ramp input, plus the first
+    segment's gain times the entry flow.  ``g`` holds the clamped denominators.
     """
 
     diag: np.ndarray    # (M, N)
     sub: np.ndarray     # (M, N-1)
-    gain: np.ndarray    # (M, N)
-    u: np.ndarray       # (M, N+1)
+    drive: np.ndarray   # (M, N)
     g: np.ndarray       # (M, N)
 
     _segment_fields = ("diag",)
 
     def __post_init__(self):
         m, n = np.shape(self.diag)
-        for name, width in (("sub", n - 1), ("gain", n), ("u", n + 1), ("g", n)):
+        for name, width in (("sub", n - 1), ("drive", n), ("g", n)):
             if np.shape(getattr(self, name)) != (m, width):
                 raise ValueError(f"{name} must have shape {(m, width)}")
 
@@ -68,9 +67,7 @@ class BandedLtv(StepRecord):
 
     def propagate(self, k: int, x: np.ndarray) -> np.ndarray:
         """A(k) x + B(k) u(k) along the last axis of x; leading axes are a batch."""
-        drive = self.gain[k] * self.u[k, 1:]
-        drive[0] += self.gain[k, 0] * self.u[k, 0]
-        return self.apply_a(k, x) + drive
+        return self.apply_a(k, x) + self.drive[k]
 
 
 def selector_output(n: int, segment: int) -> np.ndarray:
@@ -94,11 +91,15 @@ def _connected_flows(frames: MeasurementFrame, geom: HighwayGeometry):
 
 def _banded(geom: HighwayGeometry, rho_a: np.ndarray, q_a: np.ndarray,
             sub_flow: np.ndarray, g_raw: np.ndarray, u: np.ndarray) -> BandedLtv:
-    """Common assembly given denominators and the sub-diagonal flow terms."""
+    """Common assembly given denominators, the sub-diagonal flow terms and
+    each step's inputs u(k) = [entry flow, one ramp input per segment]."""
     td = geom.t_over_delta
     g = np.where(g_raw <= EPS_G, EPS_G, g_raw)
+    gain = td / g
+    drive = gain * u[:, 1:]
+    drive[:, 0] += gain[:, 0] * u[:, 0]
     return BandedLtv(diag=(rho_a - td * q_a) / g, sub=td[1:] * sub_flow[:, 1:] / g[:, 1:],
-                     gain=td / g, u=u, g=g)
+                     drive=drive, g=g)
 
 
 def build_system_measured(frames: MeasurementFrame, geom: HighwayGeometry) -> BandedLtv:

@@ -337,6 +337,19 @@ def test_horizon_beyond_the_noise_streams_is_refused_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub", "taken"],
+                         ids=["a file", "below a file", "trajectory.csv a directory"])
+def test_unusable_out_is_refused_as_io(tmp_path, short_yaml, capsys, out):
+    """Before, mkdir's FileExistsError or NotADirectoryError, or the writer's
+    IsADirectoryError, escaped with a traceback and exit 1."""
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "taken" / "trajectory.csv").mkdir(parents=True)
+    code = main(["simulate", "--scenario", str(short_yaml), "--out", str(tmp_path / out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "io" and str(tmp_path) in err["message"]
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(tmp_path / "absent.yaml"),
                  "--out", str(tmp_path)])

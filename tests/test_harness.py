@@ -189,7 +189,7 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
     configs = [KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s,
                                             r_cov=sc.r_cov, x0_value=sc.x0_value,
                                             p0_sigma=sc.p0_sigma) for s in sigmas]
-    batch = run_filter(sc, truth, systems=systems, config=KalmanConfig.stack(configs))
+    batch = run_filter(sc, truth, config=KalmanConfig.stack(configs))
     m, n = truth.n_steps, sc.geometry.n_segments
     for field in ("x_hat", "rho_hat", "q_hat"):
         assert getattr(batch, field).shape == (len(sigmas), m + 1, n)
@@ -198,15 +198,15 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
 
     calls = []
 
-    def counting_run_filter(sc, truth, systems=None, config=None):
+    def counting_run_filter(sc, truth, config=None):
         calls.append(config.x0.shape[:-1])
-        return run_filter(sc, truth, systems=systems, config=config)
+        return run_filter(sc, truth, config=config)
     monkeypatch.setattr(harness, "run_filter", counting_run_filter)
     points = q_sweep(sc, sigmas)
     assert calls == [(len(sigmas),)]
 
     for i, config in enumerate(configs):
-        est = run_filter(sc, truth, systems=systems, config=config)
+        est = run_filter(sc, truth, config=config)
         x_hat, innovation, min_eigs = _serial_run(truth, systems, config)
         assert np.array_equal(batch.x_hat[i], est.x_hat)
         assert np.array_equal(est.x_hat, x_hat)
@@ -245,10 +245,10 @@ def test_batch_psd_check_on_members_that_lose_semidefiniteness(default_sc, share
     configs = [KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s,
                                             r_cov=sc.r_cov, x0_value=sc.x0_value,
                                             p0_sigma=sc.p0_sigma) for s in sigmas]
-    batch = run_filter(sc, truth, systems=systems, config=KalmanConfig.stack(configs))
+    batch = run_filter(sc, truth, config=KalmanConfig.stack(configs))
     first_lost = []
     for i, config in enumerate(configs):
-        est = run_filter(sc, truth, systems=systems, config=config)
+        est = run_filter(sc, truth, config=config)
         min_eigs = _serial_run(truth, systems, config)[2]
         lost = np.nonzero(min_eigs < -PSD_TOL)[0]
         first_lost.append(int(lost[0]) if len(lost) else None)
@@ -271,7 +271,7 @@ def test_member_keeps_its_value_when_another_fails_the_psd_check(default_sc, def
     unbatched run, in which that step's eigenvalue (near sigma = 0.01) is
     below its reported minimum but not below -PSD_TOL."""
     truth, n = default_result.truth, default_sc.geometry.n_segments
-    configs = [KalmanConfig.scaled_identity(n, q_sigma=s) for s in (1.0, 0.01)]
+    configs = [dataclasses.replace(default_sc, q_sigma=s).filter_config() for s in (1.0, 0.01)]
 
     def failing_filter_step(x, p, sys, k, z, config):
         x, p, innovation = filter_step(x, p, sys, k, z, config)
@@ -371,7 +371,7 @@ def test_run_filter_equals_the_per_step_factorisation(default_sc, case):
     truth = mt.simulate_truth(sc)
     systems = build_systems(sc, truth)
     config = sc.filter_config() if sigmas is None else _sigma_batch(sc, sigmas)
-    _assert_same_estimate(run_filter(sc, truth, systems, config),
+    _assert_same_estimate(run_filter(sc, truth, config),
                           _reference_run_filter(sc, truth, systems, config))
 
 
@@ -395,7 +395,7 @@ def test_run_filter_equals_the_oracle_on_varied_runs(default_sc, n, share, noise
     systems = build_systems(sc, truth)
     for config in (sc.filter_config(), _sigma_batch(sc, [sigma, 1.0])):
         try:
-            est = run_filter(sc, truth, systems, config)
+            est = run_filter(sc, truth, config)
         except FloatingPointError as exc:
             with pytest.raises(FloatingPointError) as oracle:
                 _reference_run_filter(sc, truth, systems, config)
@@ -427,7 +427,7 @@ def test_factorisation_runs_only_where_the_bound_fails(default_sc, monkeypatch, 
 def test_sweep_fails_when_one_member_overflows(default_sc):
     """Q = 1e308 I overflows the covariance on the first step, alone or batched."""
     short = dataclasses.replace(default_sc, horizon_h=0.05)
-    huge = KalmanConfig.scaled_identity(short.geometry.n_segments, q_sigma=1e308)
+    huge = dataclasses.replace(short, q_sigma=1e308).filter_config()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
             run_filter(short, mt.simulate_truth(short), config=huge)
@@ -440,14 +440,13 @@ def test_sweep_fails_when_one_member_overflows(default_sc):
 def test_run_filter_leaves_its_config_unchanged(default_sc, default_result, sigmas):
     """run_filter starts from config.x0 and config.p0 themselves, not copies;
     neither is written to, so a second run with the same config is identical."""
-    truth, n = default_result.truth, default_sc.geometry.n_segments
-    configs = [KalmanConfig.scaled_identity(n, q_sigma=s) for s in sigmas]
+    truth = default_result.truth
+    configs = [dataclasses.replace(default_sc, q_sigma=s).filter_config() for s in sigmas]
     config = configs[0] if len(configs) == 1 else KalmanConfig.stack(configs)
     x0, p0 = config.x0.copy(), config.p0.copy()
-    systems = build_systems(default_sc, truth)
-    first = run_filter(default_sc, truth, systems, config)
+    first = run_filter(default_sc, truth, config)
     assert np.array_equal(config.x0, x0) and np.array_equal(config.p0, p0)
-    again = run_filter(default_sc, truth, systems, config)
+    again = run_filter(default_sc, truth, config)
     assert np.array_equal(again.x_hat, first.x_hat)
 
 
@@ -521,6 +520,8 @@ MALFORMED = {
     "blank line": (lambda lines: lines[:3] + [""] + lines[3:], "line 4: 0 cells"),
     "dropped row": (lambda lines: lines[:9] + lines[10:], "no row for step 0, segment 9"),
     "duplicated row": (lambda lines: lines[:10] + lines[9:], "line 11: repeats step 0, segment 9"),
+    "swapped rows": (lambda lines: lines[:9] + [lines[10], lines[9]] + lines[11:],
+                     "no row for step 0, segment 9 at line 10"),
     "negative step": (lambda lines: _with_a_bad_cell(lines, 4, 0, "-1"),
                       "line 4: step must be >= 0 and segment >= 1"),
     "segment 0": (lambda lines: _with_a_bad_cell(lines, 30, 1, "0"),
@@ -603,6 +604,19 @@ def test_trajectory_without_the_header_or_rows_is_refused(tmp_path, default_sc, 
     with pytest.raises(ValueError) as excinfo:
         read_trajectory(path)
     assert str(excinfo.value).startswith(str(path)) and message in str(excinfo.value)
+
+
+@pytest.mark.parametrize("line", [1, 9], ids=["header", "row"])
+def test_trajectory_that_is_not_utf8_is_refused_naming_the_line(tmp_path, default_sc, line):
+    """A Latin-1 byte: before, a bare UnicodeDecodeError named neither the path nor the line."""
+    path = tmp_path / "trajectory.csv"
+    _short_trajectory_lines(path, default_sc)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[line - 1] = lines[line - 1].replace(b",", b"\xe9,", 1)
+    path.write_bytes(b"\r\n".join(lines))
+    message = f"{path}, line {line}: byte 0xe9 is not UTF-8"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_trajectory(path)
 
 
 def test_huge_trajectory_step_is_refused_without_a_grid_of_its_size(tmp_path, default_sc):

@@ -19,21 +19,19 @@ from mixedtraffic.metanet import MeasurementFrame
 from test_ltv import make_frame
 
 
-def _system(a_mat, u=None):
-    """One step with the given lower-bidiagonal A; the inputs drive segment 1 only."""
+def _system(a_mat, drive=None):
+    """One step with the given lower-bidiagonal A and B u = ``drive`` (zero by default)."""
     a_mat = np.asarray(a_mat, dtype=float)
     n = a_mat.shape[0]
-    gain = np.zeros((1, n))
-    gain[0, 0] = 1.0
-    return BandedLtv(diag=np.diag(a_mat)[None], sub=np.diag(a_mat, -1)[None], gain=gain,
-                     u=np.zeros((1, n + 1)) if u is None else np.asarray(u, dtype=float)[None],
+    drive = np.zeros(n) if drive is None else np.asarray(drive, dtype=float)
+    return BandedLtv(diag=np.diag(a_mat)[None], sub=np.diag(a_mat, -1)[None], drive=drive[None],
                      g=np.ones((1, n)))
 
 
 def test_gain_with_identity_covariance():
     """P=I, C=e_N, R=100: the gain is e_N / 101."""
     n = 6
-    config = KalmanConfig.scaled_identity(n, q_sigma=1.0, r_cov=100.0)
+    config = KalmanConfig.scaled_identity(n, q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
     expected = np.zeros(n)
     expected[-1] = 1.0 / 101.0
     assert np.array_equal(kalman_gain(config.p0, config.r_cov), expected)
@@ -44,7 +42,7 @@ def test_gain_fill_in_spreads_upstream():
     n = 6
     a = 0.7 * np.eye(n)
     a[np.arange(1, n), np.arange(n - 1)] = 0.3
-    config = KalmanConfig.scaled_identity(n, q_sigma=1.0, r_cov=100.0)
+    config = KalmanConfig.scaled_identity(n, q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
     x, p = config.x0, config.p0
     for _ in range(n):
         x, p, _ = filter_step(x, p, _system(a), 0, z=5.0, config=config)
@@ -68,8 +66,8 @@ def test_huge_r_reduces_to_pure_prediction():
     a = np.diag(rng.uniform(0.5, 0.9, n))
     a[np.arange(1, n), np.arange(n - 1)] = rng.uniform(0.1, 0.4, n - 1)
     u = rng.uniform(0, 2000, n + 1)
-    sys = _system(a, u)
-    config = KalmanConfig.scaled_identity(n, r_cov=1e12)
+    sys = _system(a, [u[1] + u[0], 0.0, 0.0, 0.0])   # entry and first ramp on segment 1
+    config = KalmanConfig.scaled_identity(n, q_sigma=1.0, r_cov=1e12, x0_value=10.0, p0_sigma=1.0)
     x = rng.uniform(1, 9, n)
     x_next, _, _ = filter_step(x, np.eye(n), sys, 0, z=123.0, config=config)
     prediction = sys.propagate(0, x)
@@ -81,8 +79,8 @@ def test_scalar_recursion_matches_hand_computation():
     """N=1, A=a, C=1: one step against the written-out scalar formulas."""
     a, q, r = 0.93, 0.4, 2.5
     x0, p0, u, z = 4.0, 1.7, 800.0, 4.6
-    sys = BandedLtv(diag=np.array([[a]]), sub=np.zeros((1, 0)), gain=np.array([[0.001]]),
-                    u=np.array([[u, 0.0]]), g=np.array([[1.0]]))
+    sys = BandedLtv(diag=np.array([[a]]), sub=np.zeros((1, 0)), drive=np.array([[0.001 * u]]),
+                    g=np.array([[1.0]]))
     config = KalmanConfig(q_cov=np.array([[q]]), r_cov=r, x0=np.array([x0]),
                           p0=np.array([[p0]]))
     x_next, p_next, _ = filter_step(config.x0, config.p0, sys, 0, z=z, config=config)
@@ -204,8 +202,9 @@ def test_batch_fails_exactly_when_a_member_fails():
     all when none does."""
     n, m = 4, 60
     sys = BandedLtv(diag=np.full((m, n), 2.0), sub=np.zeros((m, n - 1)),
-                    gain=np.zeros((m, n)), u=np.zeros((m, n + 1)), g=np.ones((m, n)))
-    configs = [KalmanConfig.scaled_identity(n, q_sigma=q) for q in (1.0, 1e290, 1e300)]
+                    drive=np.zeros((m, n)), g=np.ones((m, n)))
+    configs = [KalmanConfig.scaled_identity(n, q_sigma=q, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
+               for q in (1.0, 1e290, 1e300)]
     with np.errstate(over="ignore", invalid="ignore"):
         alone = [_first_failing_step(sys, c) for c in configs]
         assert alone[0] is None and alone[1] > alone[2] > 0
@@ -215,8 +214,9 @@ def test_batch_fails_exactly_when_a_member_fails():
 
 
 def test_stacked_config_validation():
-    single = KalmanConfig.scaled_identity(3)
-    batch = KalmanConfig.stack([single, KalmanConfig.scaled_identity(3, q_sigma=2.0)])
+    single = KalmanConfig.scaled_identity(3, q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
+    batch = KalmanConfig.stack([single, KalmanConfig.scaled_identity(
+        3, q_sigma=2.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)])
     assert batch.x0.shape == (2, 3) and batch.q_cov.shape == (2, 3, 3)
     with pytest.raises(ValueError):
         KalmanConfig(q_cov=batch.q_cov, r_cov=100.0, x0=batch.x0, p0=batch.p0)

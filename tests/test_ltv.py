@@ -79,11 +79,11 @@ def test_measured_system_worked_row():
     assert sys.diag.shape == (1, 3) and sys.sub.shape == (1, 2)
     # B couples the entry twice on the first row, then one input per segment
     g0 = 10.0 + (1 / 180) * (720.0 - 720.0)
-    assert sys.gain[0, 0] == pytest.approx((1 / 180) / g0)
+    assert sys.drive[0, 0] == pytest.approx(2000.0 * (1 / 180) / g0)
+    assert sys.drive[0, 1] == 0.0
     bu = sys.propagate(0, np.zeros(3))
     assert bu[0] == pytest.approx(2000.0 * (1 / 180) / g0)
     assert bu[1] == 0.0
-    assert sys.u[0, 0] == 2000.0
 
 
 def test_zero_connected_flow_gives_identity():
@@ -121,7 +121,7 @@ def test_unmeasured_with_zero_exit_rates_matches_measured():
                        r_meas=[0.0, 200.0, 0.0])
     measured = build_system_measured(MeasurementFrame.stack([frame]), GEOM3)
     unmeasured = build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), GEOM3, np.zeros(3))
-    for name in ("diag", "sub", "gain", "u", "g"):
+    for name in ("diag", "sub", "drive", "g"):
         assert np.array_equal(getattr(measured, name), getattr(unmeasured, name))
 
 
@@ -234,7 +234,7 @@ def _manual_system(a_mat):
     a_mat = np.asarray(a_mat, dtype=float)
     n = a_mat.shape[0]
     return BandedLtv(diag=np.diag(a_mat)[None], sub=np.diag(a_mat, -1)[None],
-                     gain=np.zeros((1, n)), u=np.zeros((1, n + 1)), g=np.ones((1, n)))
+                     drive=np.zeros((1, n)), g=np.ones((1, n)))
 
 
 def test_observability_matrix_two_by_two():
