@@ -75,27 +75,55 @@ def _positive(x) -> bool:
 class StepRecord:
     """A frozen record of one step, or of a run of steps stacked along a leading
     axis: of a run, ``rec[k]`` is step k, ``rec[a:b]`` those steps, ``len(rec)``
-    their count.  ``_segment_fields`` hold (N,) per step, ``_step_fields`` one value.
+    their count.  ``_segment_fields`` hold (N,) per step, ``_step_fields`` one
+    value, and ``_on_ramp_fields`` and ``_off_ramp_fields`` one value per on-ramp
+    and per off-ramp, in the order of ``RampLayout.on_ramp_segments`` and
+    ``off_ramp_segments``.  The fields of each ramp kind share one column count,
+    which ``check_ramp_columns`` compares with a layout's.
     """
 
     _segment_fields: tuple[str, ...] = ()
+    _on_ramp_fields: tuple[str, ...] = ()
+    _off_ramp_fields: tuple[str, ...] = ()
     _step_fields: tuple[str, ...] = ()
 
+    @property
+    def _lead(self) -> str:
+        return (self._segment_fields or self._on_ramp_fields)[0]
+
     def __post_init__(self):
-        lead = self._segment_fields[0]
-        shape = np.shape(getattr(self, lead))
+        shape = np.shape(getattr(self, self._lead))
         if len(shape) not in (1, 2):
-            raise ValueError(f"{lead}: expected shape (N,) or (M, N), got {shape}")
-        for names, rows in ((self._segment_fields, shape), (self._step_fields, shape[:-1])):
+            raise ValueError(f"{self._lead}: expected shape (N,) or (M, N), got {shape}")
+        rows = shape[:-1]
+        for names in (self._segment_fields, self._on_ramp_fields, self._off_ramp_fields):
+            if not names:
+                continue
+            first = np.shape(getattr(self, names[0]))
+            if len(first) != len(rows) + 1:
+                raise ValueError(f"{names[0]}: expected shape {rows + ('n',)}, got {first}")
             for name in names:
-                object.__setattr__(self, name, _as_step_array(getattr(self, name), rows, name))
+                object.__setattr__(self, name,
+                                   _as_step_array(getattr(self, name), rows + first[-1:], name))
+        for name in self._step_fields:
+            object.__setattr__(self, name, _as_step_array(getattr(self, name), rows, name))
 
     @property
     def n_segments(self) -> int:
         return np.shape(getattr(self, self._segment_fields[0]))[-1]
 
+    def check_ramp_columns(self, layout: "RampLayout") -> None:
+        """Raise ValueError naming a ramp field whose column count is not the
+        number of ``layout``'s ramps of its kind."""
+        for names, segments in ((self._on_ramp_fields, layout.on_ramp_segments),
+                                (self._off_ramp_fields, layout.off_ramp_segments)):
+            columns = np.shape(getattr(self, names[0]))[-1] if names else len(segments)
+            if columns != len(segments):
+                raise ValueError(f"{names[0]}: expected {len(segments)} columns, one per ramp "
+                                 f"of the layout, got {columns}")
+
     def __len__(self) -> int:
-        shape = np.shape(getattr(self, self._segment_fields[0]))
+        shape = np.shape(getattr(self, self._lead))
         if len(shape) < 2:
             raise TypeError(f"a single-step {type(self).__name__} has no length")
         return shape[0]
@@ -252,6 +280,13 @@ class RampLayout:
     def validate_against(self, n_segments: int) -> None:
         enforce(self.placement_rules, {**vars(self), "n_segments": n_segments})
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 0-based segment indices of the on-ramps and of the off-ramps, in
+        the layout's order: column j of an on-ramp field, such as
+        ``BoundaryInputs.r``, belongs to segment index ``columns()[0][j]``."""
+        return (np.array(self.on_ramp_segments, dtype=int) - 1,
+                np.array(self.off_ramp_segments, dtype=int) - 1)
+
     def exit_rate_vector(self, n_segments: int, connected: bool = False) -> np.ndarray:
         """Length-N vector of exit rates, zero where there is no off-ramp."""
         self.validate_against(n_segments)
@@ -264,16 +299,22 @@ class RampLayout:
 
 @dataclass(frozen=True)
 class BoundaryInputs(StepRecord):
-    """Entry and ramp flows feeding the conservation updates at one step or over a run."""
+    """Entry and ramp flows feeding the conservation updates at one step or over a run.
+
+    The ramp flows hold one column per ramp of the run's ``RampLayout``:
+    ``r[:, j]`` is the inflow of the on-ramp at ``on_ramp_segments[j]`` and
+    ``s[:, j]`` the outflow of the off-ramp at ``off_ramp_segments[j]``.
+    """
 
     q0: float | np.ndarray         # total entry flow
     q0_a: float | np.ndarray       # connected entry flow
-    r: np.ndarray                  # on-ramp total inflow per segment
+    r: np.ndarray                  # on-ramp total inflow, one column per on-ramp
     r_a: np.ndarray
-    s: np.ndarray                  # off-ramp total outflow per segment
+    s: np.ndarray                  # off-ramp total outflow, one column per off-ramp
     s_a: np.ndarray
 
-    _segment_fields = ("r", "r_a", "s", "s_a")
+    _on_ramp_fields = ("r", "r_a")
+    _off_ramp_fields = ("s", "s_a")
     _step_fields = ("q0", "q0_a")
 
     def __post_init__(self):

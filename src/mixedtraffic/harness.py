@@ -67,9 +67,8 @@ def build_systems(sc: Scenario, truth: TruthRun) -> BandedLtv:
     """The realization of every transition, from the estimator-visible frames."""
     frames = truth.frames[:truth.n_steps]
     if sc.offramp_mode == "unmeasured":
-        beta_a = sc.layout.exit_rate_vector(sc.geometry.n_segments, connected=True)
-        return build_system_unmeasured_offramps(frames, sc.geometry, beta_a)
-    return build_system_measured(frames, sc.geometry)
+        return build_system_unmeasured_offramps(frames, sc.geometry, sc.layout)
+    return build_system_measured(frames, sc.geometry, sc.layout)
 
 
 _EPS = np.finfo(float).eps
@@ -209,10 +208,12 @@ def run_filter(sc: Scenario, truth: TruthRun,
                 step_min = np.linalg.eigvalsh(p).min(axis=-1)
                 min_eig = np.where(step_min < -PSD_TOL, np.minimum(min_eig, step_min), min_eig)
     min_eig = np.minimum(min_eig, np.linalg.eigvalsh(p).min(axis=-1))
+    g_clamp_count = systems.n_clamped
+    del systems                            # not alive while the totals are allocated
     rho_hat, q_hat = reconstruct_totals(x_hat, truth.states.rho_a, truth.states.q_a)
     return EstimateRun(x_hat=x_hat, rho_hat=rho_hat, q_hat=q_hat, innovation=innovation,
                        min_p_eigenvalue=min_eig if batch else float(min_eig),
-                       g_clamp_count=systems.n_clamped, z_fallback_count=fallbacks)
+                       g_clamp_count=g_clamp_count, z_fallback_count=fallbacks)
 
 
 def diverged(p_r: float, min_p_eigenvalue: float) -> bool:
@@ -241,7 +242,10 @@ def performance_index(rho: np.ndarray, rho_a: np.ndarray, x_hat: np.ndarray) -> 
     mean_rho = float(np.sum(rho)) / (m * n)
     if mean_rho <= 0:
         raise ValueError("mean density is zero; index undefined")
-    rms = math.sqrt(float(np.sum((rho - rho_a * x_hat) ** 2)) / (m * n))
+    err = np.multiply(rho_a, x_hat, dtype=float)       # (rho - rho_a * x_hat)^2 in one buffer
+    np.subtract(rho, err, out=err)
+    np.square(err, out=err)
+    rms = math.sqrt(float(np.sum(err)) / (m * n))
     return rms / mean_rho
 
 

@@ -11,7 +11,10 @@ realization is one ``BandedLtv``: the diagonal and sub-diagonal of every
 A(k) and the drive B(k) u(k) of every step, stacked over the steps and
 built in one vectorised pass over a run's stacked frames.  Two builders
 are provided: one consuming measured total ramp outflows, one substituting
-exit-rate fractions for unmeasured off-ramp flows.
+exit-rate fractions for unmeasured off-ramp flows.  Both take the run's
+``RampLayout``, whose ramps the frames' ramp columns follow, and scatter
+the ramp terms into the segments' columns.  Each builds its four (M, N)
+arrays in place, with one more (M, N) array as scratch.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HighwayGeometry, StepRecord, _as_step_array
+from .core import HighwayGeometry, RampLayout, StepRecord
 from .metanet import MeasurementFrame
 
 # Floor for the denominator sequence; measurement noise can push it
@@ -79,63 +82,85 @@ def selector_output(n: int, segment: int) -> np.ndarray:
     return c
 
 
-def _connected_flows(frames: MeasurementFrame, geom: HighwayGeometry):
-    """(q_a upstream, q_a, rho_a) of the stacked frames, each (M, N)."""
+def _inflows(frames: MeasurementFrame, geom: HighwayGeometry, layout: RampLayout):
+    """The (M, N) connected flow entering each segment over the stacked
+    ``frames``, and the 0-based columns of the layout's on- and off-ramps.
+    Raises ValueError where the frames do not match the geometry or the layout."""
     if len(frames) == 0:
         raise ValueError("need at least one frame")
     if frames.n_segments != geom.n_segments:
         raise ValueError("frame size does not match geometry")
+    layout.validate_against(geom.n_segments)
+    frames.check_ramp_columns(layout)
     q_a = frames.q_a_seg
-    return np.column_stack((frames.q0_a, q_a[:, :-1])), q_a, frames.rho_a_seg
+    up = np.empty(q_a.shape)
+    up[:, 0] = frames.q0_a
+    up[:, 1:] = q_a[:, :-1]
+    return (up, *layout.columns())
 
 
-def _banded(geom: HighwayGeometry, rho_a: np.ndarray, q_a: np.ndarray,
-            sub_flow: np.ndarray, g_raw: np.ndarray, u: np.ndarray) -> BandedLtv:
-    """Common assembly given denominators, the sub-diagonal flow terms and
-    each step's inputs u(k) = [entry flow, one ramp input per segment]."""
+def _banded(geom: HighwayGeometry, frames: MeasurementFrame, flow_up: np.ndarray,
+            g: np.ndarray, u: np.ndarray) -> BandedLtv:
+    """Common assembly given the flows entering each segment that the
+    sub-diagonal carries, the unclamped denominators and each step's ramp
+    inputs, one per segment.  It takes over these three (M, N) arrays: ``g``
+    is clamped in place, ``u`` becomes the drive and ``flow_up`` holds the
+    gains T/(Delta_i g_i)."""
     td = geom.t_over_delta
-    g = np.where(g_raw <= EPS_G, EPS_G, g_raw)
-    gain = td / g
-    drive = gain * u[:, 1:]
-    drive[:, 0] += gain[:, 0] * u[:, 0]
-    return BandedLtv(diag=(rho_a - td * q_a) / g, sub=td[1:] * sub_flow[:, 1:] / g[:, 1:],
-                     drive=drive, g=g)
+    np.maximum(g, EPS_G, out=g)            # g <= EPS_G becomes EPS_G; a NaN stays NaN
+    sub = np.multiply(td[1:], flow_up[:, 1:])
+    sub /= g[:, 1:]
+    diag = np.multiply(td, frames.q_a_seg)
+    np.subtract(frames.rho_a_seg, diag, out=diag)
+    diag /= g
+    gain = np.divide(td, g, out=flow_up)
+    u *= gain
+    u[:, 0] += gain[:, 0] * frames.q0_meas
+    return BandedLtv(diag=diag, sub=sub, drive=u, g=g)
 
 
-def build_system_measured(frames: MeasurementFrame, geom: HighwayGeometry) -> BandedLtv:
+def build_system_measured(frames: MeasurementFrame, geom: HighwayGeometry,
+                          layout: RampLayout) -> BandedLtv:
     """Realization over the stacked ``frames`` consuming measured ramp totals.
 
     The denominators are g_i = rho_a_i + (T/Delta_i)(q_a_{i-1} - q_a_i + r_a_i
     - s_a_i), the next-step connected density predicted from the frame,
-    clamped below at EPS_G.  Step k's input vector is [entry total flow,
-    r_1 - s_1, ..., r_N - s_N] from the frame's detector readings.
+    clamped below at EPS_G; r_a_i and s_a_i are zero where the layout has no
+    such ramp.  Step k's input vector is [entry total flow, r_1 - s_1, ...,
+    r_N - s_N] from the frame's detector readings.
     """
-    q_a_up, q_a, rho_a = _connected_flows(frames, geom)
-    td = geom.t_over_delta
-    g_raw = rho_a + td * (q_a_up - q_a + frames.r_a - frames.s_a)
-    u = np.column_stack((frames.q0_meas, frames.r_meas - frames.s_meas))
-    return _banded(geom, rho_a, q_a, q_a_up, g_raw, u)
+    q_a_up, on, off = _inflows(frames, geom, layout)
+    g = q_a_up - frames.q_a_seg
+    g[:, on] += frames.r_a
+    g[:, off] -= frames.s_a
+    g *= geom.t_over_delta
+    g += frames.rho_a_seg
+    u = np.zeros(g.shape)
+    u[:, on] = frames.r_meas
+    u[:, off] -= frames.s_meas
+    return _banded(geom, frames, q_a_up, g, u)
 
 
 def build_system_unmeasured_offramps(frames: MeasurementFrame, geom: HighwayGeometry,
-                                     exit_rates_a) -> BandedLtv:
+                                     layout: RampLayout) -> BandedLtv:
     """Realization over the stacked ``frames``, off-ramp totals replaced by exit-rate fractions.
 
-    ``exit_rates_a`` is the per-segment connected exit-rate vector (zero off
-    the ramps).  Assumes total and connected exit rates coincide, which
-    turns the unknown off-ramp outflow into a rescaling of the upstream-flow
-    coupling; the input vector drops to [entry total flow, r_1, ..., r_N]
-    and no off-ramp detector readings are consumed.
+    The layout's connected exit rates ``exit_rate_a`` stand for the total
+    ones, which turns the unknown off-ramp outflow into a rescaling of the
+    upstream-flow coupling by (1 - beta_a); the input vector drops to
+    [entry total flow, r_1, ..., r_N] and no off-ramp detector readings are
+    consumed.
     """
-    beta = _as_step_array(exit_rates_a, (geom.n_segments,), "exit_rates_a")
-    if np.any(beta < 0) or np.any(beta >= 1):
-        raise ValueError("exit rates must lie in [0, 1)")
-    q_a_up, q_a, rho_a = _connected_flows(frames, geom)
+    scaled_up, on, off = _inflows(frames, geom, layout)
+    scaled_up[:, off] *= 1.0 - np.array(layout.exit_rate_a)
     td = geom.t_over_delta
-    scaled_up = (1.0 - beta) * q_a_up
-    g_raw = rho_a + td * (scaled_up - q_a) + td * frames.r_a
-    u = np.column_stack((frames.q0_meas, frames.r_meas))
-    return _banded(geom, rho_a, q_a, scaled_up, g_raw, u)
+    g = scaled_up - frames.q_a_seg
+    g *= td
+    g += frames.rho_a_seg
+    g[:, on] += td[on] * frames.r_a
+    u = np.zeros(g.shape)
+    u[:, on] = frames.r_meas
+    return _banded(geom, frames, scaled_up, g, u)
 
 
 def observability_matrix(sys: BandedLtv, output_row: np.ndarray | None = None) -> np.ndarray:

@@ -23,6 +23,12 @@ loop, and the off-ramp outflows and ``observe``'s detector readings are
 computed for every step after it.  The loop calls ``step_truth`` once per
 step to fill the next state row.  The frames' connected columns are the
 state and input arrays themselves.
+
+Ramp flows and their detector readings exist only at ramps, so the records
+hold them as one column per ramp, in the order of the layout's
+``on_ramp_segments`` and ``off_ramp_segments``.  Only the step loop sees the
+on-ramp inflows as (M+1, N) arrays, zero off the on-ramps, and drops them
+when it ends.
 """
 
 from __future__ import annotations
@@ -97,6 +103,8 @@ class MeasurementFrame(StepRecord):
     Connected-vehicle aggregates (``q0_a``, ``q_a_seg``, ``rho_a_seg``,
     ``r_a``, ``s_a``) are exact; detector fields (``q0_meas``, ``qN_meas``,
     ``r_meas``, ``s_meas``) carry additive noise and are clamped at zero.
+    ``r_a`` and ``r_meas`` hold one column per on-ramp, ``s_a`` and
+    ``s_meas`` one per off-ramp, in the layout's order.
     """
 
     q0_a: float | np.ndarray
@@ -109,7 +117,9 @@ class MeasurementFrame(StepRecord):
     r_meas: np.ndarray
     s_meas: np.ndarray
 
-    _segment_fields = ("q_a_seg", "rho_a_seg", "r_a", "s_a", "r_meas", "s_meas")
+    _segment_fields = ("q_a_seg", "rho_a_seg")
+    _on_ramp_fields = ("r_a", "r_meas")
+    _off_ramp_fields = ("s_a", "s_meas")
     _step_fields = ("q0_a", "q0_meas", "qN_meas")
 
 
@@ -278,26 +288,26 @@ class StepConstants:
 
 
 def _upstream(entry: np.ndarray, flows: np.ndarray) -> np.ndarray:
-    """Each segment's inflow for a pair of total and connected flows, (2, N)
-    or a run's (2, M+1, N): the ``entry`` flows at segment 1, then the flows
-    of the segment upstream."""
+    """Each segment's inflow for a pair of total and connected flows, (2, N):
+    the ``entry`` flows at segment 1, then the flows of the segment upstream."""
     up = np.empty_like(flows)
     up[..., 0] = entry
     up[..., 1:] = flows[..., :-1]
     return up
 
 
-def step_truth(x: np.ndarray, entry: np.ndarray, flows: np.ndarray, normals: np.ndarray,
+def step_truth(x: np.ndarray, entry: np.ndarray, onramp: np.ndarray, normals: np.ndarray,
                c: StepConstants, k: int) -> None:
     """Advance the ground truth one step: fill ``x[:, k+1]`` from ``x[:, k]``,
     step k of the inputs and row k of the process-noise ``normals``; nothing
     else is written.
 
     ``x`` is the run's (5, M+1, N) state block (rho, rho_a, v, q, q_a),
-    ``entry`` its (2, M+1) entry flows (q0, q0_a), ``flows`` its (4, M+1, N)
-    segment flows (r, r_a, s, s_a) and ``normals`` its (M, 3, N) standard
-    normals (speed, flow, connected flow), as ``TruthSimulator.run`` holds
-    them; each total and its connected part update as one pair.
+    ``entry`` its (2, M+1) entry flows (q0, q0_a), ``onramp`` its (2, M+1, N)
+    on-ramp inflows (r, r_a), zero off the on-ramps, and ``normals`` its
+    (M, 3, N) standard normals (speed, flow, connected flow), as
+    ``TruthSimulator.run`` holds them; each total and its connected part
+    update as one pair.
 
     Densities update by exact conservation, with off-ramp outflows beta * q_up
     and beta_a * q_a_up; the speed update uses the upstream-copy convention at
@@ -312,7 +322,7 @@ def step_truth(x: np.ndarray, entry: np.ndarray, flows: np.ndarray, normals: np.
     nxt = x[:, k + 1]
     xi = c.noise_std * normals[k]
     up = _upstream(entry[:, k], flow)
-    dens_next = dens + c.td * (up - flow + flows[0:2, k] - c.beta * up)
+    dens_next = dens + c.td * (up - flow + onramp[:, k] - c.beta * up)
     np.maximum(dens_next[0], 0.0, out=nxt[0])
     dens_next[1].clip(0.0, nxt[0], out=nxt[1])
 
@@ -324,7 +334,7 @@ def step_truth(x: np.ndarray, entry: np.ndarray, flows: np.ndarray, normals: np.
         + c.relax * (c.params.stationary_speed(rho) - v)
         + c.td * v * (v_up - v)
         - c.anticipation * (rho_down - rho) / rho_k
-        - c.friction * flows[0, k] * v / rho_k
+        - c.friction * onramp[0, k] * v / rho_k
         + xi[0]
     )
     v_next.clip(0.0, 1.5 * c.params.v_free, out=nxt[2])
@@ -342,25 +352,25 @@ def observe(states: TrafficState, inputs: BoundaryInputs, layout: RampLayout,
     at once: the connected columns are the run's own arrays, not copies.
 
     Detector noise applies only where detectors exist: entry, exit, and the
-    layout's ramp segments.  Noisy flows are clamped at zero.  Raises
-    TruthDivergedError naming the first step with a non-finite detector
-    noise value or reading.
+    layout's ramps, one reading per ramp.  Noisy flows are clamped at zero.
+    Raises ValueError naming a ramp field of ``inputs`` whose column count is
+    not the layout's, and TruthDivergedError naming the first step with a
+    non-finite detector noise value or reading.
     """
+    inputs.check_ramp_columns(layout)
     steps, n = states.q.shape
-    on = [seg - 1 for seg in layout.on_ramp_segments]
-    off = [seg - 1 for seg in layout.off_ramp_segments]
+    on, off = layout.columns()
     # Each step draws entry, exit, on-ramp and off-ramp noise for every segment;
     # only the detectors' columns are kept.
-    kept = np.r_[0, 1, 2 + np.array(on, dtype=int), 2 + n + np.array(off, dtype=int)]
+    kept = np.r_[0, 1, 2 + on, 2 + n + off]
     gamma = _draws(noise.seed, _STREAM_DETECT, steps, 2 + 2 * n, kept)
-    r_meas, s_meas = np.zeros((2, steps, n))
     with np.errstate(over="ignore"):       # an overflow leaves a non-finite value, refused below
         gamma *= np.repeat([noise.std_entry_flow, noise.std_onramp, noise.std_offramp],
                            [2, len(on), len(off)])
         q0_meas = np.maximum(inputs.q0 + gamma[:, 0], 0.0)
         qN_meas = np.maximum(states.q[:, -1] + gamma[:, 1], 0.0)
-        r_meas[:, on] = np.maximum(inputs.r[:, on] + gamma[:, 2:2 + len(on)], 0.0)
-        s_meas[:, off] = np.maximum(inputs.s[:, off] + gamma[:, 2 + len(on):], 0.0)
+        r_meas = np.maximum(inputs.r + gamma[:, 2:2 + len(on)], 0.0)
+        s_meas = np.maximum(inputs.s + gamma[:, 2 + len(on):], 0.0)
     bad = _first_non_finite(gamma, q0_meas, qN_meas, r_meas, s_meas)
     if bad < steps:
         raise TruthDivergedError(f"non-finite detector reading at step {bad}")
@@ -410,15 +420,16 @@ class TruthSimulator:
             raise ValueError("initial state size does not match geometry")
 
     def inputs_at(self, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """The boundary inputs at steps 0..n_steps as two blocks: the entry flows
-        (q0, q0_a), shape (2, n_steps+1), and the segment flows (r, r_a, s, s_a),
-        shape (4, n_steps+1, N).
+        """The boundary inputs at steps 0..n_steps that do not depend on the
+        state, as two blocks: the entry flows (q0, q0_a), shape (2, n_steps+1),
+        and the on-ramp inflows (r, r_a) of every segment, zero off the
+        on-ramps, shape (2, n_steps+1, N).
 
         Demands and connected shares are taken at each step's clock time, and
         the entry flows carry their process noise.  The off-ramp outflows
-        depend on the state and are left at zero for ``run`` to fill.  The
-        arithmetic follows Python floats: an overflow leaves an entry flow
-        infinite, for the run to refuse.
+        depend on the state; ``run`` computes them.  The arithmetic follows
+        Python floats: an overflow leaves an entry flow infinite, for the run
+        to refuse.
         """
         steps = n_steps + 1
         # Drawn first: a run too long for its streams is refused before any
@@ -432,26 +443,28 @@ class TruthSimulator:
             np.maximum(q0_nom + self.noise.std_flow_proc * xi_0, 0.0, out=entry[0])
             np.minimum(np.maximum(pen * q0_nom + self.noise.std_flow_proc_a * xi_0a, 0.0),
                        entry[0], out=entry[1])
-        flows = np.zeros((4, steps, self.geom.n_segments))
+        onramp = np.zeros((2, steps, self.geom.n_segments))
         for seg, profile in self.onramp_demand.items():
-            flows[0, :, seg - 1] = profile(t)
-        np.multiply(pen[:, None], flows[0], out=flows[1])
-        return entry, flows
+            onramp[0, :, seg - 1] = profile(t)
+        np.multiply(pen[:, None], onramp[0], out=onramp[1])
+        return entry, onramp
 
     def run(self, n_steps: int) -> TruthRun:
         """Simulate n_steps transitions into n_steps+1 rows of whole-run arrays.
 
         The inputs and the process noise are computed for every step before
         the step loop, and the off-ramp outflows and detector readings after
-        it; the loop advances only the state.  Raises
+        it; the loop advances only the state.  The run keeps the on-ramp
+        inflows of the on-ramps only, and computes the off-ramp outflows,
+        beta times the flow entering the segment, at the off-ramps only.  Raises
         TruthDivergedError naming the first step whose inputs are not finite
         or whose state update overflows or leaves the finite range, and, for a
         run that gets through, the first step with a non-finite detector reading.
         """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        entry, flows = self.inputs_at(n_steps)
-        bad_input = _first_non_finite(*entry, *flows[:2])
+        entry, onramp = self.inputs_at(n_steps)
+        bad_input = _first_non_finite(*entry, *onramp)
         n = self.geom.n_segments
         x = np.zeros((5, n_steps + 1, n))
         init = self.init_state
@@ -462,12 +475,17 @@ class TruthSimulator:
         try:
             with np.errstate(over="raise"):
                 for k in range(min(bad_input, n_steps)):
-                    step_truth(x, entry, flows, normals, constants, k)
+                    step_truth(x, entry, onramp, normals, constants, k)
         except FloatingPointError as exc:
             raise TruthDivergedError(f"{exc} at step {k}") from exc
         del normals                        # not alive while observe allocates
         if bad_input <= n_steps:
             raise TruthDivergedError(f"non-finite boundary input at step {bad_input}")
-        np.multiply(constants.beta[:, None], _upstream(entry, x[3:5]), out=flows[2:4])
-        states, inputs = TrafficState(*x), BoundaryInputs(*entry, *flows)
+        on, off = self.layout.columns()
+        ramp_in = onramp[:, :, on]
+        del onramp
+        up = x[3:5, :, off - 1]                  # the flows entering the off-ramp segments
+        up[:, :, off == 0] = entry[:, :, None]
+        ramp_out = constants.beta[:, None, off] * up
+        states, inputs = TrafficState(*x), BoundaryInputs(*entry, *ramp_in, *ramp_out)
         return TruthRun(states, inputs, observe(states, inputs, self.layout, self.noise))

@@ -138,14 +138,14 @@ def test_config_rejects_non_finite_values(field, value):
 
 
 def test_output_measurement_ratio():
-    frame = make_frame(3, rho_a=[5.0, 5.0, 8.0], q_a=[500.0, 450.0, 400.0],
+    frame = make_frame(rho_a=[5.0, 5.0, 8.0], q_a=[500.0, 450.0, 400.0],
                        q0_a=500.0, qN_meas=2000.0)
     z, fallback = output_measurement(MeasurementFrame.stack([frame]), 0)
     assert z == 5.0 and not fallback
 
 
 def test_output_measurement_linearity():
-    frame = make_frame(3, rho_a=[5.0, 5.0, 8.0], q_a=[500.0, 450.0, 400.0],
+    frame = make_frame(rho_a=[5.0, 5.0, 8.0], q_a=[500.0, 450.0, 400.0],
                        q0_a=500.0, qN_meas=2025.0)
     z, _ = output_measurement(MeasurementFrame.stack([frame]), 0)
     assert z - 5.0 == 0.0625
@@ -161,7 +161,7 @@ def test_output_measurement_on_silent_run(silent_truth):
 
 
 def test_output_measurement_fallback():
-    empty = make_frame(3, rho_a=[5.0, 5.0, 0.0], q_a=[500.0, 450.0, 0.0],
+    empty = make_frame(rho_a=[5.0, 5.0, 0.0], q_a=[500.0, 450.0, 0.0],
                        q0_a=500.0, qN_meas=100.0)
     z, fallback = output_measurement(MeasurementFrame.stack([empty]), 0, last_z=4.2)
     assert z == 4.2 and fallback
@@ -170,7 +170,7 @@ def test_output_measurement_fallback():
 
 
 def test_reconstruct_totals():
-    frame = make_frame(1, rho_a=[8.0], q_a=[400.0], q0_a=400.0)
+    frame = make_frame(rho_a=[8.0], q_a=[400.0], q0_a=400.0)
     rho_hat, q_hat = reconstruct_totals(np.array([5.0]), frame.rho_a_seg, frame.q_a_seg)
     assert rho_hat.tolist() == [40.0] and q_hat.tolist() == [2000.0]
 

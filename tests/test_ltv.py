@@ -1,13 +1,14 @@
 """LTV realization builders, closed-loop equivalence, and observability."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mixedtraffic as mt
-from mixedtraffic.core import HighwayGeometry, inverse_penetration
+from mixedtraffic.core import HighwayGeometry, RampLayout, inverse_penetration
 from mixedtraffic.kalman import KalmanConfig, filter_step
 from mixedtraffic.ltv import (
     EPS_G,
@@ -25,53 +26,55 @@ from mixedtraffic.metanet import MeasurementFrame
 
 # Geometry with T/Delta = 1/180 per segment, matching the worked examples.
 GEOM3 = HighwayGeometry(n_segments=3, step_h=1 / 180, seg_len_km=1.0)
+NO_RAMPS = RampLayout()
 
 
-def make_frame(n, rho_a, q_a, q0_a, r_a=None, s_a=None, q0_meas=0.0, qN_meas=0.0,
+def make_frame(rho_a, q_a, q0_a, r_a=(), s_a=(), q0_meas=0.0, qN_meas=0.0,
                r_meas=None, s_meas=None):
-    zeros = np.zeros(n)
+    """One frame whose ramp fields hold one column per ramp; no ramps unless
+    given, and ramp readings zero unless given."""
+    r_a, s_a = np.asarray(r_a, dtype=float), np.asarray(s_a, dtype=float)
     return MeasurementFrame(
         q0_a=q0_a, q_a_seg=np.asarray(q_a, dtype=float),
-        rho_a_seg=np.asarray(rho_a, dtype=float),
-        r_a=zeros if r_a is None else np.asarray(r_a, dtype=float),
-        s_a=zeros if s_a is None else np.asarray(s_a, dtype=float),
+        rho_a_seg=np.asarray(rho_a, dtype=float), r_a=r_a, s_a=s_a,
         q0_meas=q0_meas, qN_meas=qN_meas,
-        r_meas=zeros if r_meas is None else np.asarray(r_meas, dtype=float),
-        s_meas=zeros if s_meas is None else np.asarray(s_meas, dtype=float))
+        r_meas=np.zeros_like(r_a) if r_meas is None else np.asarray(r_meas, dtype=float),
+        s_meas=np.zeros_like(s_a) if s_meas is None else np.asarray(s_meas, dtype=float))
 
 
 def test_build_g_zero_flows():
-    frame = make_frame(3, rho_a=[4.0, 7.5, 2.0], q_a=[0.0, 0.0, 0.0], q0_a=0.0)
-    assert build_system_measured(MeasurementFrame.stack([frame]), GEOM3).g[0].tolist() == [4.0, 7.5, 2.0]
+    frame = make_frame(rho_a=[4.0, 7.5, 2.0], q_a=[0.0, 0.0, 0.0], q0_a=0.0)
+    g = build_system_measured(MeasurementFrame.stack([frame]), GEOM3, NO_RAMPS).g
+    assert g[0].tolist() == [4.0, 7.5, 2.0]
 
 
 def test_build_g_worked_example():
     """rho_a=10, upstream 720, own 600, T/Delta=1/180 -> 10 + 120/180."""
-    frame = make_frame(3, rho_a=[10.0, 10.0, 10.0], q_a=[600.0, 600.0, 600.0], q0_a=720.0)
-    g = build_system_measured(MeasurementFrame.stack([frame]), GEOM3).g[0]
+    frame = make_frame(rho_a=[10.0, 10.0, 10.0], q_a=[600.0, 600.0, 600.0], q0_a=720.0)
+    g = build_system_measured(MeasurementFrame.stack([frame]), GEOM3, NO_RAMPS).g[0]
     assert g[0] == pytest.approx(10.0 + 120.0 / 180.0, abs=1e-12)
     assert g[1] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_build_g_floors_and_counts(silent_sc):
-    frame = make_frame(3, rho_a=[0.1, 5.0, 5.0], q_a=[900.0, 900.0, 900.0], q0_a=0.0)
-    sys = build_system_measured(MeasurementFrame.stack([frame]), GEOM3)
+    frame = make_frame(rho_a=[0.1, 5.0, 5.0], q_a=[900.0, 900.0, 900.0], q0_a=0.0)
+    sys = build_system_measured(MeasurementFrame.stack([frame]), GEOM3, NO_RAMPS)
     assert sys.g[0, 0] == pytest.approx(1e-6)
     assert sys.n_clamped == 1
 
 
 def test_g_predicts_next_connected_density(silent_sc, silent_truth):
     """Noise-free frames: g equals the simulator's next connected density."""
-    g = build_system_measured(silent_truth.frames[:200], silent_sc.geometry).g
+    g = build_system_measured(silent_truth.frames[:200], silent_sc.geometry, silent_sc.layout).g
     for k in range(0, 200, 7):
         assert np.allclose(g[k], silent_truth.states[k + 1].rho_a, rtol=0, atol=1e-12)
 
 
 def test_measured_system_worked_row():
     """Row with rho_a=10, own flow 600, upstream 720: diag 0.625, sub 0.375."""
-    frame = make_frame(3, rho_a=[10.0, 10.0, 10.0], q_a=[720.0, 600.0, 600.0],
+    frame = make_frame(rho_a=[10.0, 10.0, 10.0], q_a=[720.0, 600.0, 600.0],
                        q0_a=720.0, q0_meas=2000.0)
-    sys = build_system_measured(MeasurementFrame.stack([frame]), GEOM3)
+    sys = build_system_measured(MeasurementFrame.stack([frame]), GEOM3, NO_RAMPS)
     assert sys.diag[0, 1] == pytest.approx(0.625, abs=1e-12)
     assert sys.sub[0, 0] == pytest.approx(0.375, abs=1e-12)
     assert sys.diag[0, 1] + sys.sub[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -87,9 +90,9 @@ def test_measured_system_worked_row():
 
 
 def test_zero_connected_flow_gives_identity():
-    frame = make_frame(4, rho_a=[3.0, 4.0, 5.0, 6.0], q_a=np.zeros(4), q0_a=0.0)
+    frame = make_frame(rho_a=[3.0, 4.0, 5.0, 6.0], q_a=np.zeros(4), q0_a=0.0)
     geom = HighwayGeometry(n_segments=4, step_h=1 / 180, seg_len_km=1.0)
-    sys = build_system_measured(MeasurementFrame.stack([frame]), geom)
+    sys = build_system_measured(MeasurementFrame.stack([frame]), geom, NO_RAMPS)
     assert np.array_equal(sys.diag, np.ones((1, 4)))
     assert np.array_equal(sys.sub, np.zeros((1, 3)))
 
@@ -106,9 +109,9 @@ def test_row_sums_are_one_without_ramps(seed):
     rng = np.random.default_rng(seed)
     n = 6
     geom = HighwayGeometry(n_segments=n, step_h=10 / 3600, seg_len_km=0.5)
-    frame = make_frame(n, rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(50, 900, n),
+    frame = make_frame(rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(50, 900, n),
                        q0_a=float(rng.uniform(50, 900)))
-    sys = build_system_measured(MeasurementFrame.stack([frame]), geom)
+    sys = build_system_measured(MeasurementFrame.stack([frame]), geom, NO_RAMPS)
     assume(sys.n_clamped == 0)  # the floor intentionally breaks the algebra
     assert np.allclose(sys.diag[0, 1:] + sys.sub[0], 1.0, rtol=0, atol=1e-12)
     entry_share = geom.t_over_delta[0] * frame.q0_a / sys.g[0, 0]
@@ -116,11 +119,13 @@ def test_row_sums_are_one_without_ramps(seed):
 
 
 def test_unmeasured_with_zero_exit_rates_matches_measured():
-    frame = make_frame(3, rho_a=[10.0, 8.0, 9.0], q_a=[700.0, 650.0, 620.0],
-                       q0_a=710.0, r_a=[0.0, 40.0, 0.0], q0_meas=1950.0,
-                       r_meas=[0.0, 200.0, 0.0])
-    measured = build_system_measured(MeasurementFrame.stack([frame]), GEOM3)
-    unmeasured = build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), GEOM3, np.zeros(3))
+    """An on-ramp at segment 2 and an off-ramp of exit rate 0 at every segment."""
+    layout = RampLayout(on_ramp_segments=(2,), off_ramp_segments=(1, 2, 3), exit_rate=(0.0,) * 3)
+    frame = make_frame(rho_a=[10.0, 8.0, 9.0], q_a=[700.0, 650.0, 620.0],
+                       q0_a=710.0, r_a=[40.0], s_a=np.zeros(3), q0_meas=1950.0,
+                       r_meas=[200.0])
+    measured = build_system_measured(MeasurementFrame.stack([frame]), GEOM3, layout)
+    unmeasured = build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), GEOM3, layout)
     for name in ("diag", "sub", "drive", "g"):
         assert np.array_equal(getattr(measured, name), getattr(unmeasured, name))
 
@@ -132,34 +137,76 @@ def test_unmeasured_exit_rate_rescales_coupling():
     rho_a = np.array([8.0, 9.0, 7.0, 8.5, 9.5])
     q_a = np.array([600.0, 640.0, 580.0, 610.0, 630.0])
     s_a_flow = 0.1 * q_a[2]  # connected outflow implied at segment 4
-    frame = make_frame(n, rho_a=rho_a, q_a=q_a, q0_a=650.0,
-                       s_a=[0.0, 0.0, 0.0, s_a_flow, 0.0])
-    beta = np.zeros(n)
-    beta[3] = 0.1
-    sys = build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), geom, beta)
+    frame = make_frame(rho_a=rho_a, q_a=q_a, q0_a=650.0, s_a=[s_a_flow])
+    layout = RampLayout(off_ramp_segments=(4,), exit_rate=(0.1,))
+    sys = build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), geom, layout)
     td = geom.step_h / 0.5
     g4 = rho_a[3] + td * (0.9 * q_a[2] - q_a[3])
     assert sys.g[0, 3] == pytest.approx(g4, abs=1e-12)
     assert sys.sub[0, 2] == pytest.approx(td * 0.9 * q_a[2] / g4, abs=1e-12)
     # rows without an off-ramp keep the plain coupling
     assert sys.sub[0, 0] == pytest.approx(td * q_a[0] / sys.g[0, 1], abs=1e-12)
-    with pytest.raises(ValueError):
-        build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), geom, np.full(n, 1.0))
+    with pytest.raises(ValueError, match="exit_rate"):
+        build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), geom,
+                                         RampLayout(off_ramp_segments=(4,), exit_rate=(1.0,)))
 
 
-def _textbook_realization(frame, geom, beta=None):
+def _per_segment(values, segments, n):
+    """Length-n vector holding ``values`` at the 1-based ``segments``, zero elsewhere."""
+    out = np.zeros(n)
+    out[np.array(segments, dtype=int) - 1] = values
+    return out
+
+
+@pytest.mark.parametrize("build", [build_system_measured, build_system_unmeasured_offramps])
+@pytest.mark.parametrize("ramps, message", [
+    ({"r_a": [40.0, 0.0]}, r"^r_a: expected 1 columns"),
+    ({"s_a": []}, r"^s_a: expected 1 columns"),
+    ({"r_a": [40.0], "r_meas": [200.0, 0.0]}, r"^r_meas: expected shape"),
+], ids=["two on-ramp columns", "no off-ramp column", "r_meas wider than r_a"])
+def test_ramp_columns_other_than_the_layout_are_refused(build, ramps, message):
+    """Frames must hold one column per ramp of the layout: one per on-ramp in
+    ``r_a`` and ``r_meas`` and one per off-ramp in ``s_a`` and ``s_meas``."""
+    layout = RampLayout(on_ramp_segments=(2,), off_ramp_segments=(3,), exit_rate=(0.1,))
+    with pytest.raises(ValueError, match=message):
+        frame = make_frame(rho_a=[10.0, 8.0, 9.0], q_a=[700.0, 650.0, 620.0], q0_a=710.0,
+                           **{"r_a": [40.0], "s_a": [60.0], **ramps})
+        build(MeasurementFrame.stack([frame]), GEOM3, layout)
+
+
+@pytest.mark.parametrize("mode", ["measured", "unmeasured"])
+def test_build_allocates_one_scratch_array_beside_its_output(default_sc, mode):
+    """On a 200-segment, half-hour run, the traced peak of the build stays
+    below the arrays it returns plus one (M, N) float array, plus 10%."""
+    sc = dataclasses.replace(default_sc, offramp_mode=mode, horizon_h=0.5, geometry=HighwayGeometry(
+        n_segments=200, step_h=default_sc.geometry.step_h, seg_len_km=0.5))
+    truth = mt.simulate_truth(sc)
+    tracemalloc.start()
+    try:
+        systems = mt.harness.build_systems(sc, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(getattr(systems, name).nbytes for name in ("diag", "sub", "drive", "g"))
+    assert peak < 1.1 * (returned + systems.diag.size * 8)
+
+
+def _textbook_realization(frame, geom, layout, unmeasured=False):
     """Dense A, B and u of one frame, assembled entry by entry from the model."""
     n = geom.n_segments
     td = geom.t_over_delta
+    r_a, r_meas = (_per_segment(v, layout.on_ramp_segments, n) for v in (frame.r_a, frame.r_meas))
+    s_a, s_meas = (_per_segment(v, layout.off_ramp_segments, n) for v in (frame.s_a, frame.s_meas))
     q_up = np.concatenate(([frame.q0_a], frame.q_a_seg[:-1]))
-    if beta is None:
+    if not unmeasured:
         flow_up = q_up
-        g = frame.rho_a_seg + td * (q_up - frame.q_a_seg + frame.r_a - frame.s_a)
-        u = np.concatenate(([frame.q0_meas], frame.r_meas - frame.s_meas))
+        g = frame.rho_a_seg + td * (q_up - frame.q_a_seg + r_a - s_a)
+        u = np.concatenate(([frame.q0_meas], r_meas - s_meas))
     else:
+        beta = _per_segment(layout.exit_rate_a, layout.off_ramp_segments, n)
         flow_up = (1.0 - beta) * q_up
-        g = frame.rho_a_seg + td * (flow_up - frame.q_a_seg) + td * frame.r_a
-        u = np.concatenate(([frame.q0_meas], frame.r_meas))
+        g = frame.rho_a_seg + td * (flow_up - frame.q_a_seg) + td * r_a
+        u = np.concatenate(([frame.q0_meas], r_meas))
     g = np.where(g <= EPS_G, EPS_G, g)
     a = np.zeros((n, n))
     b = np.zeros((n, n + 1))
@@ -174,28 +221,36 @@ def _textbook_realization(frame, geom, beta=None):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(min_value=2, max_value=30), seed=st.integers(min_value=0, max_value=2**32 - 1),
-       unmeasured=st.booleans())
-def test_band_matches_dense_textbook_realization(n, seed, unmeasured):
-    """Stacked A(k), B(k) u(k) and one filter step against dense algebra."""
+       unmeasured=st.booleans(), sparse=st.booleans())
+def test_band_matches_dense_textbook_realization(n, seed, unmeasured, sparse):
+    """Stacked A(k), B(k) u(k) and one filter step against dense algebra, with
+    an on- and an off-ramp at every segment or, ``sparse``, at a random
+    subset of segments listed in random order."""
     rng = np.random.default_rng(seed)
     geom = HighwayGeometry(n_segments=n, step_h=10 / 3600, seg_len_km=0.5)
     frames = MeasurementFrame.stack([
-        make_frame(n, rho_a=rng.uniform(6, 30, n), q_a=rng.uniform(0, 1000, n),
+        make_frame(rho_a=rng.uniform(6, 30, n), q_a=rng.uniform(0, 1000, n),
                    q0_a=float(rng.uniform(0, 1000)), r_a=rng.uniform(0, 100, n),
                    s_a=rng.uniform(0, 100, n), q0_meas=float(rng.uniform(0, 5000)),
                    r_meas=rng.uniform(0, 500, n), s_meas=rng.uniform(0, 500, n))
         for _ in range(3)])
-    beta = rng.uniform(0, 0.5, n) if unmeasured else None
-    sys = (build_system_unmeasured_offramps(frames, geom, beta) if unmeasured
-           else build_system_measured(frames, geom))
+    beta = rng.uniform(0, 0.5, n) if unmeasured else np.zeros(n)
+    on = off = np.arange(n)
+    if sparse:
+        on, off = (rng.permutation(n)[:rng.integers(0, n + 1)] for _ in range(2))
+        frames = dataclasses.replace(frames, r_a=frames.r_a[:, on], r_meas=frames.r_meas[:, on],
+                                     s_a=frames.s_a[:, off], s_meas=frames.s_meas[:, off])
+    layout = RampLayout(on_ramp_segments=on + 1, off_ramp_segments=off + 1, exit_rate=beta[off])
+    sys = (build_system_unmeasured_offramps(frames, geom, layout) if unmeasured
+           else build_system_measured(frames, geom, layout))
     assert len(sys) == 3
     for k, frame in enumerate(frames):
-        a, b, u = _textbook_realization(frame, geom, beta)
+        a, b, u = _textbook_realization(frame, geom, layout, unmeasured)
         assert np.array_equal(np.diag(sys.diag[k]) + np.diag(sys.sub[k], -1), a)
         np.testing.assert_allclose(sys.propagate(k, np.zeros(n)), b @ u, rtol=1e-12, atol=1e-12)
 
     k = int(rng.integers(0, 3))
-    a, b, u = _textbook_realization(frames[k], geom, beta)
+    a, b, u = _textbook_realization(frames[k], geom, layout, unmeasured)
     root = rng.standard_normal((n, n))
     config = KalmanConfig(q_cov=np.eye(n) + 0.1 * np.ones((n, n)), r_cov=float(rng.uniform(1, 100)),
                           x0=rng.uniform(1, 10, n), p0=root @ root.T + np.eye(n))
@@ -254,10 +309,10 @@ def test_zero_coupling_kills_observability():
 
 def _random_frame_systems(rng, n, geom, steps):
     frames = MeasurementFrame.stack([
-        make_frame(n, rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(100, 800, n),
+        make_frame(rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(100, 800, n),
                    q0_a=float(rng.uniform(100, 800)))
         for _ in range(steps)])
-    return build_system_measured(frames, geom)
+    return build_system_measured(frames, geom, NO_RAMPS)
 
 
 def test_determinant_equals_antidiagonal_product():

@@ -28,9 +28,9 @@ PARAMS = MetanetParams.defaults()
 SILENT = NoiseSpec.silent()
 
 
-def _no_ramp_inputs(n, q0, q0_a):
-    zeros = np.zeros(n)
-    return BoundaryInputs(q0=q0, q0_a=q0_a, r=zeros, r_a=zeros, s=zeros, s_a=zeros)
+def _no_ramp_inputs(q0, q0_a):
+    none = np.zeros(0)
+    return BoundaryInputs(q0=q0, q0_a=q0_a, r=none, r_a=none, s=none, s_a=none)
 
 
 def _repeated(record, steps):
@@ -47,15 +47,18 @@ def _read_only(*arrays):
 
 
 def _step(state, inputs, geom, layout=RampLayout()):
-    """The state after one noise-free step from ``state`` under ``inputs``.  The
-    inputs and the noise are read-only, and of a three-row state block only
-    the second row may change."""
+    """The state after one noise-free step from ``state`` under ``inputs``, whose
+    on-ramp inflows are placed at the layout's on-ramp segments.  The inputs
+    and the noise are read-only, and of a three-row state block only the
+    second row may change."""
+    inputs.check_ramp_columns(layout)
     x = np.array([[getattr(state, f.name)] * 3 for f in dataclasses.fields(state)])
     before = x.copy()
-    entry, flows, normals = _read_only(np.array([[inputs.q0], [inputs.q0_a]]),
-                                       np.array([[inputs.r], [inputs.r_a], [inputs.s], [inputs.s_a]]),
-                                       np.zeros((1, 3, state.n_segments)))
-    step_truth(x, entry, flows, normals, StepConstants.of(geom, PARAMS, layout, SILENT), 0)
+    onramp = np.zeros((2, 1, state.n_segments))
+    onramp[:, 0, [seg - 1 for seg in layout.on_ramp_segments]] = inputs.r, inputs.r_a
+    entry, onramp, normals = _read_only(np.array([[inputs.q0], [inputs.q0_a]]), onramp,
+                                        np.zeros((1, 3, state.n_segments)))
+    step_truth(x, entry, onramp, normals, StepConstants.of(geom, PARAMS, layout, SILENT), 0)
     assert x[:, 0::2].tobytes() == before[:, 0::2].tobytes()
     return TrafficState(*x[:, 1])
 
@@ -66,7 +69,7 @@ def test_uniform_equilibrium_is_fixed_point():
     rho = np.full(5, 20.0)
     v = mt.nominal_speed(rho, PARAMS)
     state = TrafficState.from_densities(rho, 0.2 * rho, v)
-    inputs = _no_ramp_inputs(5, q0=float(rho[0] * v[0]), q0_a=float(0.2 * rho[0] * v[0]))
+    inputs = _no_ramp_inputs(q0=float(rho[0] * v[0]), q0_a=float(0.2 * rho[0] * v[0]))
     nxt = _step(state, inputs, geom)
     assert np.array_equal(nxt.rho, state.rho)
     assert np.array_equal(nxt.v, state.v)
@@ -80,12 +83,11 @@ def test_conservation_telescopes_to_boundary_flows():
     rng = np.random.default_rng(3)
     rho = rng.uniform(10, 40, 6)
     state = TrafficState.from_densities(rho, 0.2 * rho, mt.nominal_speed(rho, PARAMS))
-    r = np.zeros(6)
-    r[1] = 300.0
-    s = np.zeros(6)
-    s[3] = 0.1 * state.q[2]
+    r = np.array([300.0])                  # the on-ramp at segment 2
+    s = np.array([0.1 * state.q[2]])       # the off-ramp at segment 4
     inputs = BoundaryInputs(q0=1500.0, q0_a=300.0, r=r, r_a=0.2 * r, s=s, s_a=0.2 * s)
-    nxt = _step(state, inputs, geom, RampLayout(off_ramp_segments=(4,), exit_rate=(0.1,)))
+    nxt = _step(state, inputs, geom, RampLayout(on_ramp_segments=(2,), off_ramp_segments=(4,),
+                                                exit_rate=(0.1,)))
     gained = np.sum(geom.seg_len_km * nxt.rho) - np.sum(geom.seg_len_km * state.rho)
     boundary = geom.step_h * (inputs.q0 - state.q[-1] + r.sum() - s.sum())
     assert gained == pytest.approx(boundary, abs=1e-9)
@@ -99,9 +101,9 @@ def test_one_step_matches_scalar_evaluation():
     v = [95.0, 70.0, 88.0]
     state = TrafficState.from_densities(rho, rho_a, v)
     r = np.array([0.0, 350.0, 0.0])
-    zeros = np.zeros(3)
-    inputs = BoundaryInputs(q0=2000.0, q0_a=420.0, r=r, r_a=0.2 * r, s=zeros, s_a=zeros)
-    layout = RampLayout(off_ramp_segments=(3,), exit_rate=(0.05,), exit_rate_a=(0.08,))
+    inputs = BoundaryInputs(q0=2000.0, q0_a=420.0, r=r[[1]], r_a=0.2 * r[[1]], s=[0.0], s_a=[0.0])
+    layout = RampLayout(on_ramp_segments=(2,), off_ramp_segments=(3,), exit_rate=(0.05,),
+                        exit_rate_a=(0.08,))
     nxt = _step(state, inputs, geom, layout)
 
     # Independent oracle: plain-float loops, formulas written out term by term.
@@ -146,11 +148,11 @@ def test_offramp_outflows_use_upstream_flow():
                          penetration_profile=PiecewiseLinear.constant(0.2), init_state=state)
     run = sim.run(3)
     inputs, states = run.inputs, run.states
-    assert inputs.s[0].tolist() == [0.2 * 1500.0, 0.0, 0.1 * 20.0 * 90.0]
-    assert inputs.s_a[0].tolist() == [0.2 * 300.0, 0.0, 0.1 * 2.0 * 90.0]
+    assert inputs.s[0].tolist() == [0.2 * 1500.0, 0.1 * 20.0 * 90.0]
+    assert inputs.s_a[0].tolist() == [0.2 * 300.0, 0.1 * 2.0 * 90.0]
     for k in range(4):
-        assert inputs.s[k].tolist() == [0.2 * inputs.q0[k], 0.0, 0.1 * states.q[k, 1]]
-        assert inputs.s_a[k].tolist() == [0.2 * inputs.q0_a[k], 0.0, 0.1 * states.q_a[k, 1]]
+        assert inputs.s[k].tolist() == [0.2 * inputs.q0[k], 0.1 * states.q[k, 1]]
+        assert inputs.s_a[k].tolist() == [0.2 * inputs.q0_a[k], 0.1 * states.q_a[k, 1]]
 
 
 def _infinite_entry(sc):
@@ -177,8 +179,8 @@ class TestObserve:
         state = TrafficState.from_densities([20.0, 25.0, 22.0, 18.0],
                                             [4.0, 5.0, 4.4, 3.6],
                                             [100.0, 95.0, 98.0, 102.0])
-        r = np.array([0.0, 400.0, 0.0, 0.0])
-        s = np.array([0.0, 0.0, 200.0, 0.0])
+        r = np.array([400.0])              # the on-ramp at segment 2
+        s = np.array([200.0])              # the off-ramp at segment 3
         inputs = BoundaryInputs(q0=1900.0, q0_a=380.0, r=r, r_a=0.2 * r, s=s, s_a=0.2 * s)
         return state, inputs
 
@@ -210,11 +212,23 @@ class TestObserve:
     def test_noise_only_at_detector_locations(self):
         state, inputs = self._setup()
         frame = self._observe(state, inputs, NoiseSpec(seed=5), 1)[0]
-        assert frame.r_meas[0] == 0.0 and frame.r_meas[2] == 0.0 and frame.r_meas[3] == 0.0
-        assert frame.r_meas[1] != inputs.r[1]
-        assert frame.s_meas[2] != inputs.s[2]
+        assert frame.r_meas.shape == frame.s_meas.shape == (1,)    # one reading per ramp
+        assert frame.r_meas[0] != inputs.r[0]
+        assert frame.s_meas[0] != inputs.s[0]
         # connected aggregates stay exact under full noise
         assert np.array_equal(frame.q_a_seg, state.q_a)
+
+    @pytest.mark.parametrize("ramps, message", [
+        ({"r": [400.0, 0.0], "r_a": [80.0, 0.0]}, r"^r: expected 1 columns"),
+        ({"s": np.zeros(0), "s_a": np.zeros(0)}, r"^s: expected 1 columns"),
+        ({"r_a": [80.0, 0.0]}, r"^r_a: expected shape"),
+    ], ids=["two on-ramp columns", "no off-ramp column", "r_a wider than r"])
+    def test_ramp_columns_other_than_the_layout_are_refused(self, ramps, message):
+        """Inputs must hold one column per ramp of the layout, one per on-ramp
+        in ``r`` and ``r_a`` and one per off-ramp in ``s`` and ``s_a``."""
+        state, inputs = self._setup()
+        with pytest.raises(ValueError, match=message):
+            self._observe(state, dataclasses.replace(inputs, **ramps), SILENT, 2)
 
     def test_entry_noise_sample_std(self):
         """Statistical oracle: sample std of the additive entry noise within 2%."""
@@ -310,12 +324,13 @@ def test_array_simulator_properties(default_sc, n, share, demand, noise):
                 _reference_run(sc)
             assert str(exc) == str(oracle.value)
             continue
-        _assert_same_run(truth, _reference_run(sc))
+        _assert_same_run(truth, _reference_run(sc), sc.layout)
         states, inputs, frames = truth.states, truth.inputs, truth.frames
         for view, base in ((frames.q0_a, inputs.q0_a), (frames.q_a_seg, states.q_a),
                            (frames.rho_a_seg, states.rho_a), (frames.r_a, inputs.r_a),
                            (frames.s_a, inputs.s_a)):
-            assert np.shares_memory(view, base)
+            # a run without ramps of a kind has empty ramp columns, which share nothing
+            assert np.shares_memory(view, base) or view.shape == base.shape == (len(view), 0)
         if noise_scale == 0.0:
             lengths = sc.geometry.seg_len_km
             gained = np.sum(lengths * states.rho[1:], axis=1) - np.sum(lengths * states.rho[:-1], axis=1)
@@ -437,13 +452,24 @@ def _reference_run(sc):
     return mt.metanet.TruthRun(dataclasses.replace(states), dataclasses.replace(inputs), frames)
 
 
-def _assert_same_run(truth, reference):
+def _assert_same_run(truth, reference, layout):
     """Every column of the states, inputs and frames equal byte for byte, so a
-    -0.0 against a 0.0 fails too."""
+    -0.0 against a 0.0 fails too.  A ramp field holds the oracle's columns at
+    the layout's ramps, in the layout's order, and every other column of the
+    oracle's is +0.0."""
+    on, off = ([seg - 1 for seg in segs] for segs in (layout.on_ramp_segments,
+                                                      layout.off_ramp_segments))
+    ramp_columns = {**dict.fromkeys(("r", "r_a", "r_meas"), on),
+                    **dict.fromkeys(("s", "s_a", "s_meas"), off)}
     for record in ("states", "inputs", "frames"):
         got, want = getattr(truth, record), getattr(reference, record)
         for field in dataclasses.fields(want):
             a, b = np.asarray(getattr(got, field.name)), np.asarray(getattr(want, field.name))
+            ramps = ramp_columns.get(field.name)
+            if ramps is not None:
+                rest = np.delete(b, ramps, axis=1)
+                assert rest.tobytes() == np.zeros_like(rest).tobytes(), f"{record}.{field.name}"
+                b = b[:, ramps]
             assert a.shape == b.shape and a.dtype == b.dtype, f"{record}.{field.name}"
             assert a.tobytes() == b.tobytes(), f"{record}.{field.name}"
 
@@ -454,11 +480,30 @@ def _corridor(sc, n=200, horizon_h=0.5):
         horizon_h=horizon_h)
 
 
-@pytest.mark.parametrize("case", ["default", "seed 7", "corridor"])
+def _ramps_reversed(sc):
+    """``sc`` with its ramps listed last segment first, so that ramp column j
+    is not the j-th ramp from the entry."""
+    return dataclasses.replace(sc, layout=RampLayout(
+        *(getattr(sc.layout, f.name)[::-1] for f in dataclasses.fields(RampLayout))))
+
+
+@pytest.mark.parametrize("case", ["default", "seed 7", "corridor", "ramps reversed"])
 def test_run_equals_the_per_step_oracle(default_sc, case):
     sc = {"default": default_sc, "seed 7": default_sc.with_seed(7),
-          "corridor": _corridor(default_sc)}[case]
-    _assert_same_run(mt.simulate_truth(sc), _reference_run(sc))
+          "corridor": _corridor(default_sc), "ramps reversed": _ramps_reversed(default_sc)}[case]
+    _assert_same_run(mt.simulate_truth(sc), _reference_run(sc), sc.layout)
+
+
+def test_ramp_fields_hold_one_column_per_ramp(default_sc):
+    """On a 200-segment, half-hour run, each ramp field of the inputs and the
+    frames has one column per ramp of its kind: 3 on-ramps and 3 off-ramps."""
+    sc = _corridor(default_sc)
+    truth = mt.simulate_truth(sc)
+    steps = sc.n_steps + 1
+    for record, fields in ((truth.inputs, ("r", "r_a", "s", "s_a")),
+                           (truth.frames, ("r_a", "r_meas", "s_a", "s_meas"))):
+        for name in fields:
+            assert getattr(record, name).shape == (steps, 3), name
 
 
 def _absurd_entry(sc):
