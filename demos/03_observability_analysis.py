@@ -14,8 +14,9 @@ from mixedtraffic.ltv import interior_sensor_dead_columns, observability_matrix
 
 sc = mt.default_scenario()
 truth = mt.simulate_truth(sc)
-systems = build_systems(sc, truth)  # one banded realization, every step stacked
 n = sc.geometry.n_segments
+# The banded realization of the first window's N-1 steps, from their frames.
+systems = build_systems(sc, truth.frames[: n - 1])
 
 windows = mt.harness.observability_trace(sc, truth=truth, stride=60)
 print("sliding windows (start step, min and max anti-diagonal magnitude):")
@@ -23,13 +24,13 @@ for w in windows:
     print(f"  k0={w.start_step:4d}  min={w.min_anti_diag:9.3e}  "
           f"max={w.max_anti_diag:9.3e}  observable={w.observable}")
 
-o = observability_matrix(systems[: n - 1])
+o = observability_matrix(systems)
 sign, logdet = np.linalg.slogdet(o)
 print(f"\nfull-window determinant: sign {sign:+.0f}, log|det| = {logdet:.1f} "
       "(tiny but decisively nonzero)")
 
 print("\nunreconstructable segments when the detector sits at J instead of the exit:")
 for j in (5, 10, 15, n):
-    dead = interior_sensor_dead_columns(systems[: n - 1], j)
+    dead = interior_sensor_dead_columns(systems, j)
     verdict = "none -- observable" if not dead else f"{dead[0]}..{dead[-1]}"
     print(f"  J={j:2d}: {verdict}")

@@ -2,9 +2,12 @@
 
 The estimation loop pairs each step's measurement frame with the realization
 step built from that same frame: frame k yields A(k), B(k) u(k), and z(k).
-Ground truth never depends on filter tuning, so a sweep simulates one truth
-trajectory and runs every tuning point on it as one batch: ``run_filter``
-runs one filter or a batch of them (``KalmanConfig.stack``) in one loop.
+It builds the realization one chunk of ``STEP_CHUNK`` frames at a time, so
+no whole-run realization is held.  Ground truth never depends on filter
+tuning, so a sweep simulates one truth trajectory and runs every tuning
+point on it as one batch: ``estimate_shares`` runs one filter or a batch of
+them (``KalmanConfig.stack``) in one loop, and ``run_filter`` adds the
+reconstructed totals, which a sweep does not need.
 """
 
 from __future__ import annotations
@@ -19,15 +22,16 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import STEP_CHUNK
 from .kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement, reconstruct_totals
 from .ltv import (OBSERVABILITY_TOL, BandedLtv, build_system_measured,
                   build_system_unmeasured_offramps, window_anti_diagonals)
-from .metanet import TruthRun, TruthSimulator
+from .metanet import MeasurementFrame, TruthRun, TruthSimulator
 from .scenario import Scenario
 
 
 @dataclass(frozen=True)
-class EstimateRun:
+class ShareEstimate:
     """Filter outputs over a run; row k is the estimate at step k.
 
     Shapes follow the config: a batch of S filters (``KalmanConfig.stack``)
@@ -35,14 +39,21 @@ class EstimateRun:
     """
 
     x_hat: np.ndarray          # batch + (M+1, N) inverse-share estimates
-    rho_hat: np.ndarray        # batch + (M+1, N) reconstructed total densities
-    q_hat: np.ndarray          # batch + (M+1, N) reconstructed total flows
     innovation: np.ndarray     # batch + (M,) scalar innovations
     # Per member: min of lambda_min(P0), lambda_min(P_M) and each lambda_min < -PSD_TOL
-    # at a step that neither the O(N) bound nor the shifted Cholesky cleared (see run_filter).
+    # at a step that neither the O(N) bound nor the shifted Cholesky cleared
+    # (see estimate_shares).
     min_p_eigenvalue: float | np.ndarray
     g_clamp_count: int
     z_fallback_count: int      # steps that reused the previous output
+
+
+@dataclass(frozen=True)
+class EstimateRun(ShareEstimate):
+    """A ``ShareEstimate`` with the totals reconstructed from it."""
+
+    rho_hat: np.ndarray        # batch + (M+1, N) reconstructed total densities
+    q_hat: np.ndarray          # batch + (M+1, N) reconstructed total flows
 
 
 @dataclass(frozen=True)
@@ -63,9 +74,9 @@ def simulate_truth(sc: Scenario) -> TruthRun:
     return sim.run(sc.n_steps)
 
 
-def build_systems(sc: Scenario, truth: TruthRun) -> BandedLtv:
-    """The realization of every transition, from the estimator-visible frames."""
-    frames = truth.frames[:truth.n_steps]
+def build_systems(sc: Scenario, frames: MeasurementFrame) -> BandedLtv:
+    """The realization of one transition per frame of the stacked ``frames``,
+    which are all that the estimator sees of a run."""
     if sc.offramp_mode == "unmeasured":
         return build_system_unmeasured_offramps(frames, sc.geometry, sc.layout)
     return build_system_measured(frames, sc.geometry, sc.layout)
@@ -82,7 +93,7 @@ def _weyl_floor(top, p_nn, floor, a: float, q_floor, q_max, r_cov, n: int):
 
     ``a`` bounds every row and column sum of |A(k)|, ``q_floor`` bounds
     lambda_min(Q) from below (less its share of the slack below) and
-    ``q_max`` is max|Q_ij|.  The derivation is in ``run_filter``; the factor
+    ``q_max`` is max|Q_ij|.  The derivation is in ``estimate_shares``; the factor
     1 + 32 eps covers this function's own rounding.  Where no bound follows
     (a NaN or infinite input, or P_NN + R <= 0) the result is -inf or NaN,
     which every comparison treats as no bound.
@@ -98,11 +109,12 @@ def _weyl_floor(top, p_nn, floor, a: float, q_floor, q_max, r_cov, n: int):
     return q_floor - (weyl + rounding) * (1 + 32 * _EPS)
 
 
-def run_filter(sc: Scenario, truth: TruthRun,
-               config: KalmanConfig | None = None) -> EstimateRun:
-    """Run the filter, or the batch ``config``, along a truth run and
-    reconstruct totals.
+def estimate_shares(sc: Scenario, truth: TruthRun,
+                    config: KalmanConfig | None = None) -> ShareEstimate:
+    """Run the filter, or the batch ``config``, along a truth run.
 
+    The realization is built from ``STEP_CHUNK`` frames at a time, as the
+    loop reaches them; each row equals that of the whole run's realization.
     Every member of a batch sees the same realization and measurements, and
     each equals its own unbatched run bit for bit.  Raises FloatingPointError
     as soon as any member's state becomes non-finite; that check reports an
@@ -151,7 +163,6 @@ def run_filter(sc: Scenario, truth: TruthRun,
     step is always factorised; a factorisation sets every member's bound to
     -PSD_TOL when it succeeds and drops it when it fails.
     """
-    systems = build_systems(sc, truth)
     if config is None:
         config = sc.filter_config()
     m = truth.n_steps
@@ -167,13 +178,9 @@ def run_filter(sc: Scenario, truth: TruthRun,
     # Cholesky of A - c*I with c >= (n+1)*eps*trace(A) proves A positive definite.
     rounding = (n + 1) * _EPS
     margin = 16 * n * (n + 1) * _EPS
-    # The inputs of _weyl_floor that do not depend on the state: per step,
-    # max|A_ii| + max|A_i+1,i|, which bounds every row and column sum of |A(k)|
-    # (each holds at most one entry of either band); and Gershgorin's bound on
-    # lambda_min(Q), with (1 + 4 N eps) covering the rounding of its sums, less
-    # 32 eps of it for the rounding of _weyl_floor's last subtraction.
-    a_max = sum(np.maximum(band.max(axis=1, initial=0.0), -band.min(axis=1, initial=0.0))
-                for band in (systems.diag, systems.sub)).tolist()
+    # Gershgorin's bound on lambda_min(Q), an input of _weyl_floor, with
+    # (1 + 4 N eps) covering the rounding of its sums, less 32 eps of it for
+    # the rounding of _weyl_floor's last subtraction.
     q_off = np.abs(config.q_cov)
     q_max = q_off.max(axis=(-2, -1))
     q_off[..., range(n), range(n)] = 0.0
@@ -182,38 +189,56 @@ def run_filter(sc: Scenario, truth: TruthRun,
     q_floor = q_floor - 32 * _EPS * abs(q_floor)
     floor = -np.inf                        # lambda_min(P) >= floor; none for P0
     top = np.abs(p.diagonal(0, -2, -1)).max(axis=-1)
-    fallbacks = 0
+    fallbacks = clamps = 0
     last_z: float | None = None
     with np.errstate(all="ignore"):
-        for k in range(m):
-            z, used_fallback = output_measurement(truth.frames, k, last_z)
-            fallbacks += used_fallback
-            last_z = z
-            floor = _weyl_floor(top, p[..., -1, -1], floor, a_max[k], q_floor, q_max,
-                                config.r_cov, n)
-            x, p, innovation[..., k] = filter_step(x, p, systems, k, z, config)
-            x_hat[..., k + 1, :] = x
-            diag = p.diagonal(0, -2, -1)
-            top = np.abs(diag).max(axis=-1)
-            if ((floor <= diag.min(axis=-1)) & (floor + PSD_TOL > margin * (top + PSD_TOL))).all():
-                continue                   # the factorisation below would succeed
-            shift = PSD_TOL - rounding * np.trace(p, axis1=-2, axis2=-1)
-            floor = -np.inf
-            try:
-                # Succeeds only if every member's lambda_min(P) > -PSD_TOL.
-                np.linalg.cholesky(p + shift[..., None, None] * eye)
-                floor = -PSD_TOL
-            except np.linalg.LinAlgError:
-                # Fold only the members that failed, so each keeps its unbatched value.
-                step_min = np.linalg.eigvalsh(p).min(axis=-1)
-                min_eig = np.where(step_min < -PSD_TOL, np.minimum(min_eig, step_min), min_eig)
+        for start in range(0, m, STEP_CHUNK):
+            systems = build_systems(sc, truth.frames[start:min(start + STEP_CHUNK, m)])
+            clamps += systems.n_clamped
+            # _weyl_floor's a per step: max|A_ii| + max|A_i+1,i|, which bounds
+            # every row and column sum of |A(k)| (each holds at most one entry
+            # of either band).
+            a_max = sum(np.maximum(band.max(axis=1, initial=0.0), -band.min(axis=1, initial=0.0))
+                        for band in (systems.diag, systems.sub)).tolist()
+            for j, a in enumerate(a_max):
+                k = start + j
+                z, used_fallback = output_measurement(truth.frames, k, last_z)
+                fallbacks += used_fallback
+                last_z = z
+                floor = _weyl_floor(top, p[..., -1, -1], floor, a, q_floor, q_max,
+                                    config.r_cov, n)
+                x, p, innovation[..., k] = filter_step(x, p, systems, j, z, config)
+                x_hat[..., k + 1, :] = x
+                diag = p.diagonal(0, -2, -1)
+                top = np.abs(diag).max(axis=-1)
+                if ((floor <= diag.min(axis=-1))
+                        & (floor + PSD_TOL > margin * (top + PSD_TOL))).all():
+                    continue               # the factorisation below would succeed
+                shift = PSD_TOL - rounding * np.trace(p, axis1=-2, axis2=-1)
+                floor = -np.inf
+                try:
+                    # Succeeds only if every member's lambda_min(P) > -PSD_TOL.
+                    np.linalg.cholesky(p + shift[..., None, None] * eye)
+                    floor = -PSD_TOL
+                except np.linalg.LinAlgError:
+                    # Fold only the members that failed, so each keeps its unbatched value.
+                    step_min = np.linalg.eigvalsh(p).min(axis=-1)
+                    min_eig = np.where(step_min < -PSD_TOL, np.minimum(min_eig, step_min), min_eig)
+            del systems                    # not alive while the next chunk's is built
     min_eig = np.minimum(min_eig, np.linalg.eigvalsh(p).min(axis=-1))
-    g_clamp_count = systems.n_clamped
-    del systems                            # not alive while the totals are allocated
-    rho_hat, q_hat = reconstruct_totals(x_hat, truth.states.rho_a, truth.states.q_a)
-    return EstimateRun(x_hat=x_hat, rho_hat=rho_hat, q_hat=q_hat, innovation=innovation,
-                       min_p_eigenvalue=min_eig if batch else float(min_eig),
-                       g_clamp_count=g_clamp_count, z_fallback_count=fallbacks)
+    return ShareEstimate(x_hat=x_hat, innovation=innovation,
+                         min_p_eigenvalue=min_eig if batch else float(min_eig),
+                         g_clamp_count=clamps, z_fallback_count=fallbacks)
+
+
+def run_filter(sc: Scenario, truth: TruthRun,
+               config: KalmanConfig | None = None) -> EstimateRun:
+    """``estimate_shares`` with the total densities and flows reconstructed
+    from its estimates and the run's connected densities and flows; the
+    filter's loop arrays are freed before the totals are allocated."""
+    shares = estimate_shares(sc, truth, config)
+    rho_hat, q_hat = reconstruct_totals(shares.x_hat, truth.states.rho_a, truth.states.q_a)
+    return EstimateRun(**vars(shares), rho_hat=rho_hat, q_hat=q_hat)
 
 
 def diverged(p_r: float, min_p_eigenvalue: float) -> bool:
@@ -277,8 +302,9 @@ def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
     """Score the filter with Q = sigma*I for each sigma; R stays at the scenario value.
 
     One truth trajectory and realization are shared, and all points run as
-    one batch through ``run_filter``, so every point scores against identical
-    data and equals ``run_filter`` with its own Q bit for bit.  Raises
+    one batch through ``estimate_shares``, so every point scores against
+    identical data and equals ``run_filter`` with its own Q bit for bit.  No
+    totals are reconstructed: the score reads the share estimates.  Raises
     ValueError, before simulating, unless ``sigmas`` is a nonempty list of
     values that pass the rules of ``Scenario.q_sigma``.
     """
@@ -288,7 +314,7 @@ def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
     config = KalmanConfig.stack([dataclasses.replace(sc, q_sigma=s).filter_config()
                                  for s in sigmas])
     truth = simulate_truth(sc)
-    run = run_filter(sc, truth, config=config)
+    run = estimate_shares(sc, truth, config=config)
     rho, rho_a = truth.states.rho, truth.states.rho_a
     return [SweepPoint(sigma=s, p_r=performance_index(rho, rho_a, run.x_hat[i]),
                        min_p_eigenvalue=float(run.min_p_eigenvalue[i]))
@@ -309,7 +335,8 @@ def observability_trace(sc: Scenario, truth: TruthRun | None = None,
     ``stride`` < 1 or the run is shorter than one window of N-1 steps."""
     if truth is None:
         truth = simulate_truth(sc)
-    mags = np.abs(window_anti_diagonals(build_systems(sc, truth), stride))
+    # The windows span chunks, so the whole run's realization is built.
+    mags = np.abs(window_anti_diagonals(build_systems(sc, truth.frames[:truth.n_steps]), stride))
     lows, highs = mags.min(axis=1), mags.max(axis=1)
     return [ObservabilityWindow(start_step=w * stride, observable=bool(lo > OBSERVABILITY_TOL),
                                 min_anti_diag=float(lo), max_anti_diag=float(hi))

@@ -33,7 +33,7 @@ from .metanet import MeasurementFrame
 
 # Most negative covariance eigenvalue a sound run may reach: the update is not
 # computed in Joseph form, so rounding alone may take P this far below zero.
-# harness.run_filter checks it at every step: an O(N) lower bound on
+# harness.estimate_shares checks it at every step: an O(N) lower bound on
 # lambda_min(P) clears most steps, and a Cholesky factorisation the rest.
 PSD_TOL = 1e-9
 

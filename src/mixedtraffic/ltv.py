@@ -6,15 +6,17 @@ aggregates are treated as known time-varying coefficients:
 
     x(k+1) = A(k) x(k) + B(k) u(k),      y(k) = x_N(k),
 
-with A lower bidiagonal and the output reading the exit segment.  A run's
-realization is one ``BandedLtv``: the diagonal and sub-diagonal of every
-A(k) and the drive B(k) u(k) of every step, stacked over the steps and
-built in one vectorised pass over a run's stacked frames.  Two builders
-are provided: one consuming measured total ramp outflows, one substituting
-exit-rate fractions for unmeasured off-ramp flows.  Both take the run's
-``RampLayout``, whose ramps the frames' ramp columns follow, and scatter
-the ramp terms into the segments' columns.  Each builds its four (M, N)
-arrays in place, with one more (M, N) array as scratch.
+with A lower bidiagonal and the output reading the exit segment.  The
+realization of M consecutive steps is one ``BandedLtv``: the diagonal and
+sub-diagonal of every A(k) and the drive B(k) u(k) of every step, stacked
+over the steps and built in one vectorised pass over their stacked frames.
+Each step's row depends on its own frame alone, so the filter builds one
+chunk of steps at a time and gets the rows of the whole run's realization.
+Two builders are provided: one consuming measured total ramp outflows, one
+substituting exit-rate fractions for unmeasured off-ramp flows.  Both take
+the run's ``RampLayout``, whose ramps the frames' ramp columns follow, and
+scatter the ramp terms into the segments' columns.  Each builds its four
+(M, N) arrays in place, with one more (M, N) array as scratch.
 """
 
 from __future__ import annotations

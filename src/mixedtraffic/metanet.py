@@ -9,26 +9,29 @@ connected-vehicle aggregates are reported exactly.
 All randomness is derived from (seed, step, purpose) so repeated calls for
 the same step are identical and runs are reproducible bit for bit.  Step k's
 draws for a purpose are those of ``np.random.default_rng((seed, k, purpose))``,
-but no generator is built per step: ``_draws`` takes every step's draws for one
-purpose in one call, before they are used.  ``_stream_words`` runs NumPy's
+but no generator is built per step.  ``_stream_words`` runs NumPy's
 SeedSequence hash for every step of the run in one uint32 array pass, and
-``_draws`` applies PCG64's seeding to each step's words and sets them as the
-state of one reused generator before that step draws.
+``_normals`` applies PCG64's seeding to each step's words and sets them as the
+state of one reused generator before that step draws.  ``_draws`` does both
+for a purpose's steps in one call, before the draws are used; the process
+noise is drawn a chunk of steps at a time from words hashed once per run.
 
 A run is held as whole-run arrays, one record each for the states, inputs
 and frames.  Everything that does not depend on the state is computed for
 the whole run at once: ``TruthSimulator.inputs_at`` gives every step's
-demands and entry flows and the process noise is drawn before the step
-loop, and the off-ramp outflows and ``observe``'s detector readings are
-computed for every step after it.  The loop calls ``step_truth`` once per
-step to fill the next state row.  The frames' connected columns are the
-state and input arrays themselves.
+demands and entry flows, and the off-ramp outflows and ``observe``'s
+detector readings are computed for every step after the step loop.  The
+loop calls ``step_truth`` once per step to fill the next state row.  The
+frames' connected columns are the state and input arrays themselves.
+
+The step loop runs over chunks of ``STEP_CHUNK`` steps, so its scratch does
+not grow with the run: the process-noise stream words are hashed once per
+run, and each chunk draws its own (C, 3, N) normals from them and scatters
+its on-ramp inflows into a reused (2, C, N) block, zero off the on-ramps.
 
 Ramp flows and their detector readings exist only at ramps, so the records
 hold them as one column per ramp, in the order of the layout's
-``on_ramp_segments`` and ``off_ramp_segments``.  Only the step loop sees the
-on-ramp inflows as (M+1, N) arrays, zero off the on-ramps, and drops them
-when it ends.
+``on_ramp_segments`` and ``off_ramp_segments``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
+    STEP_CHUNK,
     BoundaryInputs,
     HighwayGeometry,
     MetanetParams,
@@ -242,10 +246,16 @@ def _draws(seed: int, purpose: int, steps, size: int, kept=slice(None)) -> np.nd
     call as ``np.random.default_rng((seed, k, purpose))`` draws them, for the
     i-th step k of ``steps`` (a step count or an array of step indices, as for
     ``_stream_words``)."""
-    words = _stream_words(seed, purpose, steps)
+    return _normals(_stream_words(seed, purpose, steps), size, kept)
+
+
+def _normals(words: np.ndarray, size: int, kept=slice(None), out=None) -> np.ndarray:
+    """``_draws`` for the steps whose ``_stream_words`` rows are ``words``,
+    written to ``out`` when it is given."""
     generator = np.random.Generator(np.random.PCG64(0))   # state set per step
     block = np.empty(size)
-    out = np.empty((len(words),) + block[kept].shape)
+    if out is None:
+        out = np.empty((len(words),) + block[kept].shape)
     for i, row in enumerate(words):
         generator.bit_generator.state = _pcg64_state(row)
         generator.standard_normal(out=block)
@@ -302,12 +312,12 @@ def step_truth(x: np.ndarray, entry: np.ndarray, onramp: np.ndarray, normals: np
     step k of the inputs and row k of the process-noise ``normals``; nothing
     else is written.
 
-    ``x`` is the run's (5, M+1, N) state block (rho, rho_a, v, q, q_a),
-    ``entry`` its (2, M+1) entry flows (q0, q0_a), ``onramp`` its (2, M+1, N)
-    on-ramp inflows (r, r_a), zero off the on-ramps, and ``normals`` its
-    (M, 3, N) standard normals (speed, flow, connected flow), as
-    ``TruthSimulator.run`` holds them; each total and its connected part
-    update as one pair.
+    ``x`` is a (5, M+1, N) state block (rho, rho_a, v, q, q_a), ``entry``
+    its (2, M+1) entry flows (q0, q0_a), ``onramp`` its on-ramp inflows
+    (r, r_a), (2, M, N) and zero off the on-ramps, and ``normals`` its
+    (M, 3, N) standard normals (speed, flow, connected flow); each total and
+    its connected part update as one pair.  ``TruthSimulator.run`` passes
+    one chunk of its run at a time, with k counted from the chunk's first step.
 
     Densities update by exact conservation, with off-ramp outflows beta * q_up
     and beta_a * q_a_up; the speed update uses the upstream-copy convention at
@@ -360,10 +370,11 @@ def observe(states: TrafficState, inputs: BoundaryInputs, layout: RampLayout,
     inputs.check_ramp_columns(layout)
     steps, n = states.q.shape
     on, off = layout.columns()
-    # Each step draws entry, exit, on-ramp and off-ramp noise for every segment;
-    # only the detectors' columns are kept.
+    # Step k's stream holds entry, exit, on-ramp and off-ramp noise for every
+    # segment, in that order; the draws stop at the last detector's column,
+    # and only the detectors' columns are kept.
     kept = np.r_[0, 1, 2 + on, 2 + n + off]
-    gamma = _draws(noise.seed, _STREAM_DETECT, steps, 2 + 2 * n, kept)
+    gamma = _draws(noise.seed, _STREAM_DETECT, steps, kept.max() + 1, kept)
     with np.errstate(over="ignore"):       # an overflow leaves a non-finite value, refused below
         gamma *= np.repeat([noise.std_entry_flow, noise.std_onramp, noise.std_offramp],
                            [2, len(on), len(off)])
@@ -422,8 +433,8 @@ class TruthSimulator:
     def inputs_at(self, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
         """The boundary inputs at steps 0..n_steps that do not depend on the
         state, as two blocks: the entry flows (q0, q0_a), shape (2, n_steps+1),
-        and the on-ramp inflows (r, r_a) of every segment, zero off the
-        on-ramps, shape (2, n_steps+1, N).
+        and the on-ramp inflows (r, r_a), shape (2, n_steps+1, on-ramps), one
+        column per on-ramp in the layout's order.
 
         Demands and connected shares are taken at each step's clock time, and
         the entry flows carry their process noise.  The off-ramp outflows
@@ -443,47 +454,55 @@ class TruthSimulator:
             np.maximum(q0_nom + self.noise.std_flow_proc * xi_0, 0.0, out=entry[0])
             np.minimum(np.maximum(pen * q0_nom + self.noise.std_flow_proc_a * xi_0a, 0.0),
                        entry[0], out=entry[1])
-        onramp = np.zeros((2, steps, self.geom.n_segments))
-        for seg, profile in self.onramp_demand.items():
-            onramp[0, :, seg - 1] = profile(t)
+        ramps = self.layout.on_ramp_segments
+        onramp = np.zeros((2, steps, len(ramps)))
+        for j, seg in enumerate(ramps):
+            if seg in self.onramp_demand:
+                onramp[0, :, j] = self.onramp_demand[seg](t)
         np.multiply(pen[:, None], onramp[0], out=onramp[1])
         return entry, onramp
 
     def run(self, n_steps: int) -> TruthRun:
         """Simulate n_steps transitions into n_steps+1 rows of whole-run arrays.
 
-        The inputs and the process noise are computed for every step before
-        the step loop, and the off-ramp outflows and detector readings after
-        it; the loop advances only the state.  The run keeps the on-ramp
-        inflows of the on-ramps only, and computes the off-ramp outflows,
-        beta times the flow entering the segment, at the off-ramps only.  Raises
+        The inputs are computed for every step before the step loop, and the
+        off-ramp outflows and detector readings after it; the loop advances
+        only the state, ``STEP_CHUNK`` steps at a time, drawing each chunk's
+        process noise as it starts.  The off-ramp outflows, beta times the
+        flow entering the segment, are computed at the off-ramps only.  Raises
         TruthDivergedError naming the first step whose inputs are not finite
         or whose state update overflows or leaves the finite range, and, for a
         run that gets through, the first step with a non-finite detector reading.
         """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        entry, onramp = self.inputs_at(n_steps)
-        bad_input = _first_non_finite(*entry, *onramp)
+        entry, ramp_in = self.inputs_at(n_steps)
+        bad_input = _first_non_finite(*entry, *ramp_in)
         n = self.geom.n_segments
         x = np.zeros((5, n_steps + 1, n))
         init = self.init_state
         x[:, 0] = init.rho, init.rho_a, init.v, init.q, init.q_a
         constants = StepConstants.of(self.geom, self.params, self.layout, self.noise)
-        normals = _draws(self.noise.seed, _STREAM_STATE, n_steps, 3 * n).reshape(n_steps, 3, n)
+        on, off = self.layout.columns()
+        words = _stream_words(self.noise.seed, _STREAM_STATE, n_steps)
+        normals = np.empty((STEP_CHUNK, 3, n))
+        onramp = np.zeros((2, STEP_CHUNK, n))       # zero off the on-ramps in every chunk
+        stop = min(bad_input, n_steps)
         k = 0
         try:
             with np.errstate(over="raise"):
-                for k in range(min(bad_input, n_steps)):
-                    step_truth(x, entry, onramp, normals, constants, k)
+                for start in range(0, stop, STEP_CHUNK):
+                    size = min(STEP_CHUNK, stop - start)
+                    _normals(words[start:start + size], 3 * n, out=normals[:size].reshape(size, -1))
+                    onramp[:, :size, on] = ramp_in[:, start:start + size]
+                    chunk, chunk_entry = x[:, start:], entry[:, start:]
+                    for k in range(start, start + size):
+                        step_truth(chunk, chunk_entry, onramp, normals, constants, k - start)
         except FloatingPointError as exc:
             raise TruthDivergedError(f"{exc} at step {k}") from exc
-        del normals                        # not alive while observe allocates
+        del normals, onramp                # not alive while observe allocates
         if bad_input <= n_steps:
             raise TruthDivergedError(f"non-finite boundary input at step {bad_input}")
-        on, off = self.layout.columns()
-        ramp_in = onramp[:, :, on]
-        del onramp
         up = x[3:5, :, off - 1]                  # the flows entering the off-ramp segments
         up[:, :, off == 0] = entry[:, :, None]
         ramp_out = constants.beta[:, None, off] * up

@@ -31,7 +31,8 @@ def test_criterion_1_percentage_model_equivalence(silent_sc):
     truth = mt.simulate_truth(silent_sc)
     devs = {}
     for mode in ("measured", "unmeasured"):
-        systems = build_systems(dataclasses.replace(silent_sc, offramp_mode=mode), truth)
+        systems = build_systems(dataclasses.replace(silent_sc, offramp_mode=mode),
+                                truth.frames[:truth.n_steps])
         x = inverse_penetration(truth.states[0].rho, truth.states[0].rho_a)
         worst = 0.0
         for k in range(len(systems)):
@@ -78,7 +79,7 @@ def test_criterion_2_observability():
 def test_criterion_3_filter_exactness(silent_sc):
     """Zero noise, exact initialization: error <= 1e-9 and P stays PSD."""
     truth = mt.simulate_truth(silent_sc)
-    systems = build_systems(silent_sc, truth)
+    systems = build_systems(silent_sc, truth.frames[:truth.n_steps])
     n = silent_sc.geometry.n_segments
     x0 = inverse_penetration(truth.states[0].rho, truth.states[0].rho_a)
     config = KalmanConfig(q_cov=np.eye(n), r_cov=silent_sc.r_cov, x0=x0, p0=np.eye(n))

@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 import mixedtraffic as mt
 from mixedtraffic import harness
-from mixedtraffic.core import HighwayGeometry, RampLayout
+from mixedtraffic.core import STEP_CHUNK, HighwayGeometry, RampLayout
 from mixedtraffic.harness import (
     TRAJECTORY_COLUMNS,
     EstimateRun,
     build_systems,
+    estimate_shares,
     observability_trace,
     performance_index,
     q_sweep,
@@ -181,10 +182,10 @@ def _serial_run(truth, systems, config):
 def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypatch, mode):
     """Each member of a batched run equals run_filter and the unbatched loop
     with its own config, bit for bit, and the sweep scores those estimates
-    from one batched run_filter call."""
+    from one batched estimate_shares call, which reconstructs no totals."""
     sc = dataclasses.replace(default_sc, offramp_mode=mode)
     truth = default_result.truth
-    systems = build_systems(sc, truth)
+    systems = build_systems(sc, truth.frames[:truth.n_steps])
     sigmas = [0.01, 1.0, 100.0]
     configs = [KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s,
                                             r_cov=sc.r_cov, x0_value=sc.x0_value,
@@ -198,11 +199,13 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
 
     calls = []
 
-    def counting_run_filter(sc, truth, config=None):
+    def counting_estimate_shares(sc, truth, config=None):
         calls.append(config.x0.shape[:-1])
-        return run_filter(sc, truth, config=config)
-    monkeypatch.setattr(harness, "run_filter", counting_run_filter)
-    points = q_sweep(sc, sigmas)
+        return estimate_shares(sc, truth, config=config)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "estimate_shares", counting_estimate_shares)
+        patch.setattr(harness, "reconstruct_totals", None)
+        points = q_sweep(sc, sigmas)
     assert calls == [(len(sigmas),)]
 
     for i, config in enumerate(configs):
@@ -241,7 +244,7 @@ def test_batch_psd_check_on_members_that_lose_semidefiniteness(default_sc, share
     """
     sc = dataclasses.replace(default_sc, init_penetration=share, offramp_mode=mode)
     truth = mt.simulate_truth(sc)
-    systems = build_systems(sc, truth)
+    systems = build_systems(sc, truth.frames[:truth.n_steps])
     configs = [KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s,
                                             r_cov=sc.r_cov, x0_value=sc.x0_value,
                                             p0_sigma=sc.p0_sigma) for s in sigmas]
@@ -266,24 +269,31 @@ def test_batch_psd_check_on_members_that_lose_semidefiniteness(default_sc, share
 
 def test_member_keeps_its_value_when_another_fails_the_psd_check(default_sc, default_result,
                                                                 monkeypatch):
-    """Member 0's covariance is pushed below zero at step 5.  Member 1 then
-    has its eigenvalues computed there too, but keeps the minimum of its own
-    unbatched run, in which that step's eigenvalue (near sigma = 0.01) is
+    """Member 0's covariance is pushed below zero at step 5, once.  Member 1
+    then has its eigenvalues computed there too, but keeps the minimum of its
+    own unbatched run, in which that step's eigenvalue (near sigma = 0.01) is
     below its reported minimum but not below -PSD_TOL."""
     truth, n = default_result.truth, default_sc.geometry.n_segments
     configs = [dataclasses.replace(default_sc, q_sigma=s).filter_config() for s in (1.0, 0.01)]
+    batch_steps = []
 
     def failing_filter_step(x, p, sys, k, z, config):
         x, p, innovation = filter_step(x, p, sys, k, z, config)
-        if k == 5 and p.ndim == 3:
-            p[0] -= 2 * np.eye(n)      # p is the step's own fresh array
+        if p.ndim == 3:
+            # k counts from the start of the realization's chunk; step 5 is
+            # the batch's sixth call.
+            batch_steps.append(k)
+            if len(batch_steps) == 6:
+                p[0] -= 2 * np.eye(n)  # p is the step's own fresh array
         return x, p, innovation
     monkeypatch.setattr(harness, "filter_step", failing_filter_step)
     batch = run_filter(default_sc, truth, config=KalmanConfig.stack(configs))
     alone = run_filter(default_sc, truth, config=configs[1])
+    assert len(batch_steps) == truth.n_steps and batch_steps[5] == 5
     assert batch.min_p_eigenvalue[0] < -PSD_TOL
     assert batch.min_p_eigenvalue[1] == alone.min_p_eigenvalue
-    min_eigs = _serial_run(truth, build_systems(default_sc, truth), configs[1])[2]
+    systems = build_systems(default_sc, truth.frames[:truth.n_steps])
+    min_eigs = _serial_run(truth, systems, configs[1])[2]
     assert -PSD_TOL < min_eigs[6] < alone.min_p_eigenvalue
 
 
@@ -369,7 +379,7 @@ def test_run_filter_equals_the_per_step_factorisation(default_sc, case):
     members lose semidefiniteness at different steps."""
     sc, sigmas = _ORACLE_CASES[case](default_sc)
     truth = mt.simulate_truth(sc)
-    systems = build_systems(sc, truth)
+    systems = build_systems(sc, truth.frames[:truth.n_steps])
     config = sc.filter_config() if sigmas is None else _sigma_batch(sc, sigmas)
     _assert_same_estimate(run_filter(sc, truth, config),
                           _reference_run_filter(sc, truth, systems, config))
@@ -392,7 +402,7 @@ def test_run_filter_equals_the_oracle_on_varied_runs(default_sc, n, share, noise
         truth = mt.simulate_truth(sc)
     except FloatingPointError:
         return
-    systems = build_systems(sc, truth)
+    systems = build_systems(sc, truth.frames[:truth.n_steps])
     for config in (sc.filter_config(), _sigma_batch(sc, [sigma, 1.0])):
         try:
             est = run_filter(sc, truth, config)
@@ -402,6 +412,81 @@ def test_run_filter_equals_the_oracle_on_varied_runs(default_sc, n, share, noise
             assert str(exc) == str(oracle.value)
             continue
         _assert_same_estimate(est, _reference_run_filter(sc, truth, systems, config))
+
+
+# Runs that end inside the first chunk of the realization, one step before,
+# at and one step past its end, and one step into a third chunk.
+CHUNK_EDGES = {"M < C": 7, "M = C-1": STEP_CHUNK - 1, "M = C": STEP_CHUNK,
+               "M = C+1": STEP_CHUNK + 1, "M = 2C+1": 2 * STEP_CHUNK + 1}
+
+
+def _for_steps(sc, steps):
+    return dataclasses.replace(sc, horizon_h=steps * sc.geometry.step_h)
+
+
+@pytest.mark.parametrize("steps", list(CHUNK_EDGES.values()), ids=list(CHUNK_EDGES))
+@pytest.mark.parametrize("mode", ["measured", "unmeasured"])
+def test_run_filter_equals_the_oracle_at_chunk_edges(default_sc, mode, steps):
+    """The filter, one and a batch alike, equals the oracle run on the whole
+    run's realization byte for byte, clamp count included."""
+    sc = dataclasses.replace(_for_steps(default_sc, steps), offramp_mode=mode)
+    truth = mt.simulate_truth(sc)
+    systems = build_systems(sc, truth.frames[:steps])
+    for config in (sc.filter_config(), _sigma_batch(sc, [0.01, 1.0, 100.0])):
+        _assert_same_estimate(run_filter(sc, truth, config),
+                              _reference_run_filter(sc, truth, systems, config))
+
+
+def test_filter_divergence_in_a_later_chunk_stops_at_its_step(default_sc, monkeypatch):
+    """An infinite exit reading inside the second chunk makes the estimate
+    non-finite at that step of the run: run_filter raises the oracle's error
+    after exactly that step's filter_step call.  The message carries no step,
+    so the calls are counted."""
+    step = STEP_CHUNK + 3
+    sc = _for_steps(default_sc, 2 * STEP_CHUNK + 1)
+    truth = mt.simulate_truth(sc)
+    q_n = truth.frames.qN_meas.copy()
+    q_n[step] = np.inf
+    truth = dataclasses.replace(truth, frames=dataclasses.replace(truth.frames, qN_meas=q_n))
+    with pytest.raises(FloatingPointError) as oracle:
+        _reference_run_filter(sc, truth, build_systems(sc, truth.frames[:truth.n_steps]),
+                              sc.filter_config())
+    calls = []
+
+    def counting_filter_step(x, p, sys, k, z, config):
+        calls.append(k)
+        return filter_step(x, p, sys, k, z, config)
+    monkeypatch.setattr(harness, "filter_step", counting_filter_step)
+    with pytest.raises(FloatingPointError) as got:
+        run_filter(sc, truth)
+    assert str(got.value) == str(oracle.value) == "non-finite filter state"
+    assert len(calls) == step + 1 and calls[-1] == step - STEP_CHUNK
+
+
+@pytest.mark.parametrize("mode", ["measured", "unmeasured"])
+def test_filter_holds_one_chunk_of_realization(default_sc, mode):
+    """On a 200-segment, 3 h run (M = 1080), the traced peak of run_filter
+    stays below its outputs plus four N x N arrays and one chunk: the
+    chunk's four (C, N) realization arrays and its build's scratch.  Its
+    loop, estimate_shares, stays below x_hat and the innovations plus ten
+    N x N arrays and that chunk.  The whole run's realization is never held."""
+    n = 200
+    sc = dataclasses.replace(_on_segments(default_sc, n, horizon_h=3.0), offramp_mode=mode)
+    truth = mt.simulate_truth(sc)
+    warm = _for_steps(sc, 20)                    # lazy imports are not the run's
+    run_filter(warm, mt.simulate_truth(warm))
+    chunk, square = 5 * STEP_CHUNK * n * 8, n * n * 8
+    for fn, allowed in ((run_filter, 4 * square + chunk), (estimate_shares, 10 * square + chunk)):
+        tracemalloc.start()
+        try:
+            est = fn(sc, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(getattr(est, f.name).nbytes for f in dataclasses.fields(est)
+                      if isinstance(getattr(est, f.name), np.ndarray))
+        assert outputs >= est.x_hat.nbytes == (truth.n_steps + 1) * square // n
+        assert peak < outputs + allowed, fn.__name__
 
 
 @pytest.mark.parametrize("case", ["default", "corridor", "share 1%"])
@@ -752,7 +837,7 @@ def test_observability_trace_matches_dense_oracle(default_sc, default_result, mo
     """Banded anti-diagonals equal the dense product chain bit for bit, every window."""
     sc = dataclasses.replace(default_sc, offramp_mode=mode)
     truth = default_result.truth
-    systems = build_systems(sc, truth)
+    systems = build_systems(sc, truth.frames[:truth.n_steps])
     window = sc.geometry.n_segments - 1
     oracle = np.abs(np.stack([anti_diagonal(observability_matrix(systems[k0:k0 + window]))
                               for k0 in range(len(systems) - window + 1)]))

@@ -96,7 +96,7 @@ def test_covariance_stays_symmetric_psd(default_sc, default_result):
     assert default_result.estimate.min_p_eigenvalue >= -PSD_TOL
     # spot-check symmetry on a fresh short run
     truth = default_result.truth
-    systems = mt.harness.build_systems(default_sc, truth)
+    systems = mt.harness.build_systems(default_sc, truth.frames[:truth.n_steps])
     config = default_sc.filter_config()
     x, p = config.x0, config.p0
     for k in range(50):

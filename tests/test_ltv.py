@@ -181,9 +181,10 @@ def test_build_allocates_one_scratch_array_beside_its_output(default_sc, mode):
     sc = dataclasses.replace(default_sc, offramp_mode=mode, horizon_h=0.5, geometry=HighwayGeometry(
         n_segments=200, step_h=default_sc.geometry.step_h, seg_len_km=0.5))
     truth = mt.simulate_truth(sc)
+    frames = truth.frames[:truth.n_steps]
     tracemalloc.start()
     try:
-        systems = mt.harness.build_systems(sc, truth)
+        systems = mt.harness.build_systems(sc, frames)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -268,7 +269,7 @@ def test_band_matches_dense_textbook_realization(n, seed, unmeasured, sparse):
 
 def _closed_loop_deviation(sc, truth, mode):
     sc = dataclasses.replace(sc, offramp_mode=mode)
-    systems = mt.harness.build_systems(sc, truth)
+    systems = mt.harness.build_systems(sc, truth.frames[:truth.n_steps])
     x = inverse_penetration(truth.states[0].rho, truth.states[0].rho_a)
     worst = 0.0
     for k in range(len(systems)):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixedtraffic as mt
-from mixedtraffic.core import BoundaryInputs, HighwayGeometry, MetanetParams, RampLayout, TrafficState
+from mixedtraffic.core import (STEP_CHUNK, BoundaryInputs, HighwayGeometry, MetanetParams,
+                               RampLayout, TrafficState)
 from mixedtraffic.metanet import (
     MeasurementFrame,
     NoiseSpec,
@@ -518,6 +519,86 @@ def test_overflow_fails_like_the_oracle(default_sc):
     with pytest.raises(TruthDivergedError) as got:
         mt.simulate_truth(_absurd_entry(default_sc))
     assert str(got.value) == str(want.value) == "overflow encountered in power at step 1"
+
+
+def _for_steps(sc, steps):
+    return dataclasses.replace(sc, horizon_h=steps * sc.geometry.step_h)
+
+
+# Runs that end inside the first chunk of the step loop, one step before, at
+# and one step past its end, and one step into a third chunk.
+CHUNK_EDGES = {"M < C": 7, "M = C-1": STEP_CHUNK - 1, "M = C": STEP_CHUNK,
+               "M = C+1": STEP_CHUNK + 1, "M = 2C+1": 2 * STEP_CHUNK + 1}
+
+
+@pytest.mark.parametrize("steps", list(CHUNK_EDGES.values()), ids=list(CHUNK_EDGES))
+def test_run_equals_the_oracle_at_chunk_edges(default_sc, steps):
+    sc = _for_steps(default_sc, steps)
+    _assert_same_run(mt.simulate_truth(sc), _reference_run(sc), sc.layout)
+
+
+STEP_IN_SECOND_CHUNK = STEP_CHUNK + 3
+
+
+def _entry_from(sc, before, after):
+    """``sc`` over 2C+1 steps, its entry demand ``before`` up to the step
+    before STEP_IN_SECOND_CHUNK and ``after`` at that step: the slope between
+    them, ``after`` per half hour, is infinite when ``after`` is 1.7e308."""
+    step_h = sc.geometry.step_h
+    last = (STEP_IN_SECOND_CHUNK - 1) * step_h
+    rise = step_h if after < 1e308 else 0.5
+    return _for_steps(dataclasses.replace(sc, entry_demand=PiecewiseLinear.from_pairs(
+        [(0.0, before), (last, before), (last + rise, after)])), 2 * STEP_CHUNK + 1)
+
+
+def test_divergence_in_a_later_chunk_names_its_step(default_sc):
+    """A state overflow and a non-finite input inside the second chunk are
+    named by their step in the run, as the per-step oracle names them."""
+    absurd = _entry_from(default_sc, 1300.0, 1e300)
+    with pytest.raises(TruthDivergedError) as want:
+        _reference_run(absurd)
+    with pytest.raises(TruthDivergedError) as got:
+        mt.simulate_truth(absurd)
+    assert (str(got.value) == str(want.value)
+            == f"overflow encountered in power at step {STEP_IN_SECOND_CHUNK + 1}")
+    infinite = _entry_from(default_sc, 0.0, 1.7e308)
+    with pytest.raises(TruthDivergedError) as oracle:
+        _reference_run(infinite)
+    assert str(oracle.value) == f"non-finite state at step {STEP_IN_SECOND_CHUNK}"
+    with pytest.raises(TruthDivergedError,
+                       match=f"^non-finite boundary input at step {STEP_IN_SECOND_CHUNK}$"):
+        mt.simulate_truth(infinite)
+
+
+def _distinct_bytes(*records):
+    """Bytes of the distinct arrays that the records' fields are or view."""
+    bases = {}
+    for record in records:
+        for field in dataclasses.fields(record):
+            array = getattr(record, field.name)
+            while array.base is not None:
+                array = array.base
+            bases[id(array)] = array.nbytes
+    return sum(bases.values())
+
+
+def test_run_holds_one_chunk_of_scratch(default_sc):
+    """On a 200-segment, 3 h run (M = 1080), the traced peak of simulate_truth
+    stays below the arrays it returns plus six (C, N) float arrays: one
+    chunk's process noise (three) and on-ramp inflows (two), and one to
+    spare.  The run's (M, 3, N) noise and (2, M+1, N) on-ramp block are never
+    held."""
+    sc = _corridor(default_sc, horizon_h=3.0)
+    mt.simulate_truth(_corridor(default_sc, horizon_h=0.05))    # lazy imports are not the run's
+    tracemalloc.start()
+    try:
+        truth = mt.simulate_truth(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = _distinct_bytes(truth.states, truth.inputs, truth.frames)
+    assert returned > 5 * 1081 * 200 * 8
+    assert peak < returned + 6 * STEP_CHUNK * 200 * 8
 
 
 # --- Streams: derived for a whole run, equal to default_rng((seed, step, purpose)) ---
