@@ -18,7 +18,7 @@ n = sc.geometry.n_segments
 # The banded realization of the first window's N-1 steps, from their frames.
 systems = build_systems(sc, truth.frames[: n - 1])
 
-windows = mt.harness.observability_trace(sc, truth=truth, stride=60)
+windows = mt.harness.observability_trace(sc, frames=truth.frames, stride=60)
 print("sliding windows (start step, min and max anti-diagonal magnitude):")
 for w in windows:
     print(f"  k0={w.start_step:4d}  min={w.min_anti_diag:9.3e}  "

@@ -1,13 +1,13 @@
 """Experiment runner: simulate, estimate, score, sweep, and write CSV.
 
-The estimation loop pairs each step's measurement frame with the realization
-step built from that same frame: frame k yields A(k), B(k) u(k), and z(k).
-It builds the realization one chunk of ``STEP_CHUNK`` frames at a time, so
-no whole-run realization is held.  Ground truth never depends on filter
-tuning, so a sweep simulates one truth trajectory and runs every tuning
-point on it as one batch: ``estimate_shares`` runs one filter or a batch of
-them (``KalmanConfig.stack``) in one loop, and ``run_filter`` adds the
-reconstructed totals, which a sweep does not need.
+The estimator reads a run of M+1 measurement frames and the scenario, never
+the truth run: frame k yields A(k), B(k) u(k), and z(k), and the realization
+is built one chunk of ``STEP_CHUNK`` frames at a time.  ``estimate_shares``
+runs one filter or a batch of them (``KalmanConfig.stack``) in one loop, and
+``run_filter`` adds the reconstructed totals, which a sweep does not need.
+``run_experiment`` and ``q_sweep`` simulate, pass ``truth.frames`` and alone
+score against the truth; ground truth never depends on filter tuning, so a
+sweep runs every tuning point on one truth run as one batch.
 """
 
 from __future__ import annotations
@@ -109,16 +109,16 @@ def _weyl_floor(top, p_nn, floor, a: float, q_floor, q_max, r_cov, n: int):
     return q_floor - (weyl + rounding) * (1 + 32 * _EPS)
 
 
-def estimate_shares(sc: Scenario, truth: TruthRun,
+def estimate_shares(sc: Scenario, frames: MeasurementFrame,
                     config: KalmanConfig | None = None) -> ShareEstimate:
-    """Run the filter, or the batch ``config``, along a truth run.
+    """Run the filter, or the batch ``config``, along a run of M+1 frames.
 
     The realization is built from ``STEP_CHUNK`` frames at a time, as the
     loop reaches them; each row equals that of the whole run's realization.
     Every member of a batch sees the same realization and measurements, and
-    each equals its own unbatched run bit for bit.  Raises FloatingPointError
-    as soon as any member's state becomes non-finite; that check reports an
-    overflow, so numpy's floating-point warnings are silenced inside the loop.
+    each equals its own unbatched run bit for bit.  Raises FloatingPointError,
+    naming the step of the run, as soon as any member's state becomes
+    non-finite; that check reports an overflow, so numpy's warnings are off.
 
     Positive semidefiniteness: ``min_p_eigenvalue`` is the smallest of
     lambda_min(P0), lambda_min of the final P, and every exact lambda_min
@@ -165,7 +165,7 @@ def estimate_shares(sc: Scenario, truth: TruthRun,
     """
     if config is None:
         config = sc.filter_config()
-    m = truth.n_steps
+    m = len(frames) - 1
     x, p = config.x0, config.p0            # filter_step never writes to its inputs
     batch, n = x.shape[:-1], x.shape[-1]
     x_hat = np.empty(batch + (m + 1, n))
@@ -193,7 +193,7 @@ def estimate_shares(sc: Scenario, truth: TruthRun,
     last_z: float | None = None
     with np.errstate(all="ignore"):
         for start in range(0, m, STEP_CHUNK):
-            systems = build_systems(sc, truth.frames[start:min(start + STEP_CHUNK, m)])
+            systems = build_systems(sc, frames[start:min(start + STEP_CHUNK, m)])
             clamps += systems.n_clamped
             # _weyl_floor's a per step: max|A_ii| + max|A_i+1,i|, which bounds
             # every row and column sum of |A(k)| (each holds at most one entry
@@ -202,12 +202,15 @@ def estimate_shares(sc: Scenario, truth: TruthRun,
                         for band in (systems.diag, systems.sub)).tolist()
             for j, a in enumerate(a_max):
                 k = start + j
-                z, used_fallback = output_measurement(truth.frames, k, last_z)
+                z, used_fallback = output_measurement(frames, k, last_z)
                 fallbacks += used_fallback
                 last_z = z
                 floor = _weyl_floor(top, p[..., -1, -1], floor, a, q_floor, q_max,
                                     config.r_cov, n)
-                x, p, innovation[..., k] = filter_step(x, p, systems, j, z, config)
+                try:
+                    x, p, innovation[..., k] = filter_step(x, p, systems, j, z, config)
+                except FloatingPointError as exc:
+                    raise FloatingPointError(f"{exc} at step {k}") from exc
                 x_hat[..., k + 1, :] = x
                 diag = p.diagonal(0, -2, -1)
                 top = np.abs(diag).max(axis=-1)
@@ -231,13 +234,13 @@ def estimate_shares(sc: Scenario, truth: TruthRun,
                          g_clamp_count=clamps, z_fallback_count=fallbacks)
 
 
-def run_filter(sc: Scenario, truth: TruthRun,
+def run_filter(sc: Scenario, frames: MeasurementFrame,
                config: KalmanConfig | None = None) -> EstimateRun:
     """``estimate_shares`` with the total densities and flows reconstructed
-    from its estimates and the run's connected densities and flows; the
+    from its estimates and the frames' connected densities and flows; the
     filter's loop arrays are freed before the totals are allocated."""
-    shares = estimate_shares(sc, truth, config)
-    rho_hat, q_hat = reconstruct_totals(shares.x_hat, truth.states.rho_a, truth.states.q_a)
+    shares = estimate_shares(sc, frames, config)
+    rho_hat, q_hat = reconstruct_totals(shares.x_hat, frames.rho_a_seg, frames.q_a_seg)
     return EstimateRun(**vars(shares), rho_hat=rho_hat, q_hat=q_hat)
 
 
@@ -278,7 +281,7 @@ def run_experiment(sc: Scenario) -> RunResult:
     """Full pipeline: truth, measurements, filter, reconstruction, score."""
     start = time.perf_counter()
     truth = simulate_truth(sc)
-    estimate = run_filter(sc, truth)
+    estimate = run_filter(sc, truth.frames)
     p_r = performance_index(truth.states.rho, truth.states.rho_a, estimate.x_hat)
     return RunResult(scenario=sc, truth=truth, estimate=estimate, p_r=p_r,
                      runtime_s=time.perf_counter() - start)
@@ -314,7 +317,7 @@ def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
     config = KalmanConfig.stack([dataclasses.replace(sc, q_sigma=s).filter_config()
                                  for s in sigmas])
     truth = simulate_truth(sc)
-    run = estimate_shares(sc, truth, config=config)
+    run = estimate_shares(sc, truth.frames, config=config)
     rho, rho_a = truth.states.rho, truth.states.rho_a
     return [SweepPoint(sigma=s, p_r=performance_index(rho, rho_a, run.x_hat[i]),
                        min_p_eigenvalue=float(run.min_p_eigenvalue[i]))
@@ -329,14 +332,14 @@ class ObservabilityWindow:
     max_anti_diag: float
 
 
-def observability_trace(sc: Scenario, truth: TruthRun | None = None,
+def observability_trace(sc: Scenario, frames: MeasurementFrame | None = None,
                         stride: int = 1) -> list[ObservabilityWindow]:
-    """Sliding-window observability report over a run; raises ValueError when
-    ``stride`` < 1 or the run is shorter than one window of N-1 steps."""
-    if truth is None:
-        truth = simulate_truth(sc)
+    """Sliding-window observability report over M+1 frames, simulated if none are
+    given; raises ValueError when ``stride`` < 1 or M < N-1, one window's steps."""
+    if frames is None:
+        frames = simulate_truth(sc).frames
     # The windows span chunks, so the whole run's realization is built.
-    mags = np.abs(window_anti_diagonals(build_systems(sc, truth.frames[:truth.n_steps]), stride))
+    mags = np.abs(window_anti_diagonals(build_systems(sc, frames[:-1]), stride))
     lows, highs = mags.min(axis=1), mags.max(axis=1)
     return [ObservabilityWindow(start_step=w * stride, observable=bool(lo > OBSERVABILITY_TOL),
                                 min_anti_diag=float(lo), max_anti_diag=float(hi))

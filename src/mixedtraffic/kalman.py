@@ -140,7 +140,7 @@ def output_measurement(frames: MeasurementFrame, k: int,
 
 def reconstruct_totals(x_hat: np.ndarray, rho_a: np.ndarray,
                        q_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Totals rho_hat = rho_a * x_hat, q_hat = q_a * x_hat, per step or per run;
-    a batch of runs in ``x_hat`` (member axis first) broadcasts against one run."""
+    """Totals rho_hat = rho_a * x_hat, q_hat = q_a * x_hat of the frames' ``rho_a_seg``
+    and ``q_a_seg``, per step or per run; a batch in ``x_hat`` broadcasts against one run."""
     x_hat = np.asarray(x_hat, dtype=float)
     return rho_a * x_hat, q_a * x_hat

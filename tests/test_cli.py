@@ -135,7 +135,8 @@ def test_sweep_refuses_diverged_members(tmp_path, capsys):
 
 @pytest.mark.parametrize("verb", ["estimate", "sweep"])
 def test_filter_overflow_is_refused(tmp_path, capsys, verb):
-    """Every noise sigma x10 at the default seed overflows the filter state."""
+    """Every noise sigma x10 at the default seed overflows the filter state at
+    step 336, alone and in the sweep's batch."""
     text, count = re.subn(r"(  std_\w+: )([0-9.]+)",
                           lambda m: f"{m.group(1)}{10 * float(m.group(2))}", DEFAULT_YAML.read_text())
     assert count == 6
@@ -145,7 +146,7 @@ def test_filter_overflow_is_refused(tmp_path, capsys, verb):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "filter_diverged"
-    assert err["raised"] == "non-finite filter state"
+    assert err["raised"] == "non-finite filter state at step 336"
     assert list(tmp_path.glob("*.csv")) == []
 
 

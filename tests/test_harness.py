@@ -35,7 +35,7 @@ from mixedtraffic.harness import (
 from mixedtraffic.kalman import (PSD_TOL, KalmanConfig, filter_step, output_measurement,
                                  reconstruct_totals)
 from mixedtraffic.ltv import anti_diagonal, observability_matrix, window_anti_diagonals
-from mixedtraffic.metanet import NoiseSpec, PiecewiseLinear
+from mixedtraffic.metanet import MeasurementFrame, NoiseSpec, PiecewiseLinear
 
 # Regression values produced by this build of the default scenario
 # (seed 20260810) and pinned; see also the acceptance suite.
@@ -161,15 +161,15 @@ def test_sweep_rejects_nonfinite_or_empty_sigmas_before_simulating(default_sc, m
         q_sweep(default_sc, sigmas)
 
 
-def _serial_run(truth, systems, config):
+def _serial_run(frames, systems, config):
     """The unbatched filter loop: x_hat, innovations, and the exact smallest
     P eigenvalue of every step (P0 first)."""
     x, p = config.x0, config.p0
     x_hat, innovation = [x], []
     min_eigs = [np.min(np.linalg.eigvalsh(p))]
     last_z = None
-    for k in range(truth.n_steps):
-        z, _ = output_measurement(truth.frames, k, last_z)
+    for k in range(len(frames) - 1):
+        z, _ = output_measurement(frames, k, last_z)
         last_z = z
         x, p, nu = filter_step(x, p, systems, k, z, config)
         x_hat.append(x)
@@ -190,7 +190,7 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
     configs = [KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s,
                                             r_cov=sc.r_cov, x0_value=sc.x0_value,
                                             p0_sigma=sc.p0_sigma) for s in sigmas]
-    batch = run_filter(sc, truth, config=KalmanConfig.stack(configs))
+    batch = run_filter(sc, truth.frames, config=KalmanConfig.stack(configs))
     m, n = truth.n_steps, sc.geometry.n_segments
     for field in ("x_hat", "rho_hat", "q_hat"):
         assert getattr(batch, field).shape == (len(sigmas), m + 1, n)
@@ -199,9 +199,9 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
 
     calls = []
 
-    def counting_estimate_shares(sc, truth, config=None):
+    def counting_estimate_shares(sc, frames, config=None):
         calls.append(config.x0.shape[:-1])
-        return estimate_shares(sc, truth, config=config)
+        return estimate_shares(sc, frames, config=config)
     with monkeypatch.context() as patch:
         patch.setattr(harness, "estimate_shares", counting_estimate_shares)
         patch.setattr(harness, "reconstruct_totals", None)
@@ -209,8 +209,8 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
     assert calls == [(len(sigmas),)]
 
     for i, config in enumerate(configs):
-        est = run_filter(sc, truth, config=config)
-        x_hat, innovation, min_eigs = _serial_run(truth, systems, config)
+        est = run_filter(sc, truth.frames, config=config)
+        x_hat, innovation, min_eigs = _serial_run(truth.frames, systems, config)
         assert np.array_equal(batch.x_hat[i], est.x_hat)
         assert np.array_equal(est.x_hat, x_hat)
         assert np.array_equal(batch.rho_hat[i], est.rho_hat)
@@ -248,11 +248,11 @@ def test_batch_psd_check_on_members_that_lose_semidefiniteness(default_sc, share
     configs = [KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s,
                                             r_cov=sc.r_cov, x0_value=sc.x0_value,
                                             p0_sigma=sc.p0_sigma) for s in sigmas]
-    batch = run_filter(sc, truth, config=KalmanConfig.stack(configs))
+    batch = run_filter(sc, truth.frames, config=KalmanConfig.stack(configs))
     first_lost = []
     for i, config in enumerate(configs):
-        est = run_filter(sc, truth, config=config)
-        min_eigs = _serial_run(truth, systems, config)[2]
+        est = run_filter(sc, truth.frames, config=config)
+        min_eigs = _serial_run(truth.frames, systems, config)[2]
         lost = np.nonzero(min_eigs < -PSD_TOL)[0]
         first_lost.append(int(lost[0]) if len(lost) else None)
         assert batch.min_p_eigenvalue[i] == est.min_p_eigenvalue
@@ -287,22 +287,23 @@ def test_member_keeps_its_value_when_another_fails_the_psd_check(default_sc, def
                 p[0] -= 2 * np.eye(n)  # p is the step's own fresh array
         return x, p, innovation
     monkeypatch.setattr(harness, "filter_step", failing_filter_step)
-    batch = run_filter(default_sc, truth, config=KalmanConfig.stack(configs))
-    alone = run_filter(default_sc, truth, config=configs[1])
+    batch = run_filter(default_sc, truth.frames, config=KalmanConfig.stack(configs))
+    alone = run_filter(default_sc, truth.frames, config=configs[1])
     assert len(batch_steps) == truth.n_steps and batch_steps[5] == 5
     assert batch.min_p_eigenvalue[0] < -PSD_TOL
     assert batch.min_p_eigenvalue[1] == alone.min_p_eigenvalue
     systems = build_systems(default_sc, truth.frames[:truth.n_steps])
-    min_eigs = _serial_run(truth, systems, configs[1])[2]
+    min_eigs = _serial_run(truth.frames, systems, configs[1])[2]
     assert -PSD_TOL < min_eigs[6] < alone.min_p_eigenvalue
 
 
 # --- Oracle: the filter loop as it was, factorising P at every step ---
 # A literal copy of run_filter's loop before the Weyl certificate let it skip
-# the factorisation; run_filter must equal it bit for bit on every output.
+# the factorisation; run_filter must equal it bit for bit on every output and
+# name the same step when the state becomes non-finite.
 
-def _reference_run_filter(sc, truth, systems, config):
-    m = truth.n_steps
+def _reference_run_filter(sc, frames, systems, config):
+    m = len(frames) - 1
     x, p = config.x0, config.p0
     batch, n = x.shape[:-1], x.shape[-1]
     x_hat = np.empty(batch + (m + 1, n))
@@ -316,10 +317,13 @@ def _reference_run_filter(sc, truth, systems, config):
     last_z = None
     with np.errstate(all="ignore"):
         for k in range(m):
-            z, used_fallback = output_measurement(truth.frames, k, last_z)
+            z, used_fallback = output_measurement(frames, k, last_z)
             fallbacks += used_fallback
             last_z = z
-            x, p, innovation[..., k] = filter_step(x, p, systems, k, z, config)
+            try:
+                x, p, innovation[..., k] = filter_step(x, p, systems, k, z, config)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} at step {k}") from exc
             x_hat[..., k + 1, :] = x
             shift = PSD_TOL - rounding * np.trace(p, axis1=-2, axis2=-1)
             try:
@@ -328,7 +332,7 @@ def _reference_run_filter(sc, truth, systems, config):
                 step_min = np.linalg.eigvalsh(p).min(axis=-1)
                 min_eig = np.where(step_min < -PSD_TOL, np.minimum(min_eig, step_min), min_eig)
     min_eig = np.minimum(min_eig, np.linalg.eigvalsh(p).min(axis=-1))
-    rho_hat, q_hat = reconstruct_totals(x_hat, truth.states.rho_a, truth.states.q_a)
+    rho_hat, q_hat = reconstruct_totals(x_hat, frames.rho_a_seg, frames.q_a_seg)
     return EstimateRun(x_hat=x_hat, rho_hat=rho_hat, q_hat=q_hat, innovation=innovation,
                        min_p_eigenvalue=min_eig if batch else float(min_eig),
                        g_clamp_count=systems.n_clamped, z_fallback_count=fallbacks)
@@ -381,8 +385,8 @@ def test_run_filter_equals_the_per_step_factorisation(default_sc, case):
     truth = mt.simulate_truth(sc)
     systems = build_systems(sc, truth.frames[:truth.n_steps])
     config = sc.filter_config() if sigmas is None else _sigma_batch(sc, sigmas)
-    _assert_same_estimate(run_filter(sc, truth, config),
-                          _reference_run_filter(sc, truth, systems, config))
+    _assert_same_estimate(run_filter(sc, truth.frames, config),
+                          _reference_run_filter(sc, truth.frames, systems, config))
 
 
 @settings(max_examples=20, deadline=None)
@@ -405,13 +409,13 @@ def test_run_filter_equals_the_oracle_on_varied_runs(default_sc, n, share, noise
     systems = build_systems(sc, truth.frames[:truth.n_steps])
     for config in (sc.filter_config(), _sigma_batch(sc, [sigma, 1.0])):
         try:
-            est = run_filter(sc, truth, config)
+            est = run_filter(sc, truth.frames, config)
         except FloatingPointError as exc:
             with pytest.raises(FloatingPointError) as oracle:
-                _reference_run_filter(sc, truth, systems, config)
+                _reference_run_filter(sc, truth.frames, systems, config)
             assert str(exc) == str(oracle.value)
             continue
-        _assert_same_estimate(est, _reference_run_filter(sc, truth, systems, config))
+        _assert_same_estimate(est, _reference_run_filter(sc, truth.frames, systems, config))
 
 
 # Runs that end inside the first chunk of the realization, one step before,
@@ -433,24 +437,23 @@ def test_run_filter_equals_the_oracle_at_chunk_edges(default_sc, mode, steps):
     truth = mt.simulate_truth(sc)
     systems = build_systems(sc, truth.frames[:steps])
     for config in (sc.filter_config(), _sigma_batch(sc, [0.01, 1.0, 100.0])):
-        _assert_same_estimate(run_filter(sc, truth, config),
-                              _reference_run_filter(sc, truth, systems, config))
+        _assert_same_estimate(run_filter(sc, truth.frames, config),
+                              _reference_run_filter(sc, truth.frames, systems, config))
 
 
 def test_filter_divergence_in_a_later_chunk_stops_at_its_step(default_sc, monkeypatch):
     """An infinite exit reading inside the second chunk makes the estimate
-    non-finite at that step of the run: run_filter raises the oracle's error
-    after exactly that step's filter_step call.  The message carries no step,
-    so the calls are counted."""
+    non-finite at that step of the run: run_filter raises the oracle's error,
+    which names the step counted from the start of the run, after exactly
+    that step's filter_step call."""
     step = STEP_CHUNK + 3
     sc = _for_steps(default_sc, 2 * STEP_CHUNK + 1)
     truth = mt.simulate_truth(sc)
     q_n = truth.frames.qN_meas.copy()
     q_n[step] = np.inf
-    truth = dataclasses.replace(truth, frames=dataclasses.replace(truth.frames, qN_meas=q_n))
+    frames = dataclasses.replace(truth.frames, qN_meas=q_n)
     with pytest.raises(FloatingPointError) as oracle:
-        _reference_run_filter(sc, truth, build_systems(sc, truth.frames[:truth.n_steps]),
-                              sc.filter_config())
+        _reference_run_filter(sc, frames, build_systems(sc, frames[:-1]), sc.filter_config())
     calls = []
 
     def counting_filter_step(x, p, sys, k, z, config):
@@ -458,9 +461,32 @@ def test_filter_divergence_in_a_later_chunk_stops_at_its_step(default_sc, monkey
         return filter_step(x, p, sys, k, z, config)
     monkeypatch.setattr(harness, "filter_step", counting_filter_step)
     with pytest.raises(FloatingPointError) as got:
-        run_filter(sc, truth)
-    assert str(got.value) == str(oracle.value) == "non-finite filter state"
+        run_filter(sc, frames)
+    assert str(got.value) == str(oracle.value) == f"non-finite filter state at step {step}"
     assert len(calls) == step + 1 and calls[-1] == step - STEP_CHUNK
+
+
+@pytest.mark.parametrize("mode", ["measured", "unmeasured"])
+def test_filter_reads_only_the_frames(default_sc, default_result, mode):
+    """Frames built by hand from copies of a run's connected columns and
+    detector readings, sharing no memory with the run, give run_experiment's
+    estimate and the simulated run's observability trace bit for bit; the
+    first N of them give that trace's first window alone."""
+    sc = dataclasses.replace(default_sc, offramp_mode=mode)
+    result = default_result if mode == "measured" else run_experiment(sc)
+    states, inputs, read = result.truth.states, result.truth.inputs, result.truth.frames
+    frames = MeasurementFrame(
+        q0_a=inputs.q0_a.copy(), q_a_seg=states.q_a.copy(), rho_a_seg=states.rho_a.copy(),
+        r_a=inputs.r_a.copy(), s_a=inputs.s_a.copy(), q0_meas=read.q0_meas.copy(),
+        qN_meas=read.qN_meas.copy(), r_meas=read.r_meas.copy(), s_meas=read.s_meas.copy())
+    for field in dataclasses.fields(MeasurementFrame):
+        mine = getattr(frames, field.name)
+        assert not any(np.shares_memory(mine, theirs) for record in (states, inputs, read)
+                       for theirs in vars(record).values()), field.name
+    _assert_same_estimate(run_filter(sc, frames), result.estimate)
+    trace = observability_trace(sc, frames)
+    assert trace == observability_trace(sc)
+    assert observability_trace(sc, frames[:sc.geometry.n_segments]) == trace[:1]
 
 
 @pytest.mark.parametrize("mode", ["measured", "unmeasured"])
@@ -474,12 +500,12 @@ def test_filter_holds_one_chunk_of_realization(default_sc, mode):
     sc = dataclasses.replace(_on_segments(default_sc, n, horizon_h=3.0), offramp_mode=mode)
     truth = mt.simulate_truth(sc)
     warm = _for_steps(sc, 20)                    # lazy imports are not the run's
-    run_filter(warm, mt.simulate_truth(warm))
+    run_filter(warm, mt.simulate_truth(warm).frames)
     chunk, square = 5 * STEP_CHUNK * n * 8, n * n * 8
     for fn, allowed in ((run_filter, 4 * square + chunk), (estimate_shares, 10 * square + chunk)):
         tracemalloc.start()
         try:
-            est = fn(sc, truth)
+            est = fn(sc, truth.frames)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -502,7 +528,7 @@ def test_factorisation_runs_only_where_the_bound_fails(default_sc, monkeypatch, 
         calls.append(a.shape)
         return cholesky(a)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-    run_filter(sc, truth)
+    run_filter(sc, truth.frames)
     if case == "share 1%":
         assert len(calls) > 1
     else:
@@ -515,7 +541,7 @@ def test_sweep_fails_when_one_member_overflows(default_sc):
     huge = dataclasses.replace(short, q_sigma=1e308).filter_config()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
-            run_filter(short, mt.simulate_truth(short), config=huge)
+            run_filter(short, mt.simulate_truth(short).frames, config=huge)
         with pytest.raises(FloatingPointError):
             q_sweep(short, [1.0, 1e308])
     assert len(q_sweep(short, [1.0, 1e307])) == 2
@@ -529,9 +555,9 @@ def test_run_filter_leaves_its_config_unchanged(default_sc, default_result, sigm
     configs = [dataclasses.replace(default_sc, q_sigma=s).filter_config() for s in sigmas]
     config = configs[0] if len(configs) == 1 else KalmanConfig.stack(configs)
     x0, p0 = config.x0.copy(), config.p0.copy()
-    first = run_filter(default_sc, truth, config)
+    first = run_filter(default_sc, truth.frames, config)
     assert np.array_equal(config.x0, x0) and np.array_equal(config.p0, p0)
-    again = run_filter(default_sc, truth, config)
+    again = run_filter(default_sc, truth.frames, config)
     assert np.array_equal(again.x_hat, first.x_hat)
 
 
@@ -842,7 +868,7 @@ def test_observability_trace_matches_dense_oracle(default_sc, default_result, mo
     oracle = np.abs(np.stack([anti_diagonal(observability_matrix(systems[k0:k0 + window]))
                               for k0 in range(len(systems) - window + 1)]))
     assert np.array_equal(np.abs(window_anti_diagonals(systems)), oracle)
-    windows = observability_trace(sc, truth=truth)
+    windows = observability_trace(sc, frames=truth.frames)
     assert [w.start_step for w in windows] == list(range(len(oracle)))
     assert [w.min_anti_diag for w in windows] == oracle.min(axis=1).tolist()
     assert [w.max_anti_diag for w in windows] == oracle.max(axis=1).tolist()

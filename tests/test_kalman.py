@@ -110,7 +110,7 @@ def test_exact_initialization_stays_exact(silent_sc, silent_truth):
     states = silent_truth.states
     config = KalmanConfig(q_cov=np.eye(20), r_cov=100.0, x0=inverse_penetration(
         states[0].rho, states[0].rho_a), p0=np.eye(20))
-    x_hat = mt.harness.run_filter(silent_sc, silent_truth, config=config).x_hat
+    x_hat = mt.harness.run_filter(silent_sc, silent_truth.frames, config=config).x_hat
     ref = inverse_penetration(states.rho[1:], states.rho_a[1:])
     assert np.max(np.abs(x_hat[1:] - ref)) <= 1e-9
 
