@@ -4,8 +4,9 @@ Verbs: ``simulate`` (ground truth only), ``estimate`` (full pipeline),
 ``sweep`` (process-covariance sweep), ``observability`` (anti-diagonal
 report over a run).  Outputs are CSV files in the chosen directory.  A
 scenario that is invalid or cannot be read, an ``--out`` that cannot be used,
-a simulation that overflowed, a filter that diverged, and a run too short for
-one observability window exit 2 with a JSON error object on stderr.
+a simulation that overflowed, a filter that diverged, a filter whose exit
+carries no connected flow at step 0, and a run too short for one
+observability window exit 2 with a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .harness import (
     write_sweep,
     write_trajectory,
 )
-from .kalman import PSD_TOL
+from .kalman import PSD_TOL, NoExitMeasurementError
 from .metanet import NoiseSpec, TruthDivergedError
 from .scenario import OFFRAMP_MODES, Scenario, ScenarioError, default_scenario, load_scenario
 
@@ -164,6 +165,8 @@ def main(argv: list[str] | None = None) -> int:
                                    "check the scenario's demands and parameters"})
     except FloatingPointError as exc:
         return _refuse_diverged({"raised": str(exc)})
+    except NoExitMeasurementError as exc:
+        return _refuse({"error": "no_exit_measurement", "message": str(exc)})
 
 
 if __name__ == "__main__":

@@ -40,9 +40,9 @@ class ShareEstimate:
 
     x_hat: np.ndarray          # batch + (M+1, N) inverse-share estimates
     innovation: np.ndarray     # batch + (M,) scalar innovations
-    # Per member: min of lambda_min(P0), lambda_min(P_M) and each lambda_min < -PSD_TOL
-    # at a step that neither the O(N) bound nor the shifted Cholesky cleared
-    # (see estimate_shares).
+    # Per member: min of lambda_min(P0) = p0_sigma, lambda_min(P_M) and each
+    # lambda_min < -PSD_TOL at a step that neither the O(N) bound nor the
+    # shifted Cholesky cleared (see estimate_shares).
     min_p_eigenvalue: float | np.ndarray
     g_clamp_count: int
     z_fallback_count: int      # steps that reused the previous output
@@ -86,17 +86,17 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def _weyl_floor(top, p_nn, floor, a: float, q_floor, q_max, r_cov, n: int):
+def _weyl_floor(top, p_nn, floor, a: float, q, r_cov, n: int):
     """A lower bound on lambda_min of the covariance that ``filter_step`` makes
     from P, per member, given that P is exactly symmetric with lambda_min(P)
     >= ``floor``, ``top`` = max|P_ii| and ``p_nn`` = P_NN.
 
-    ``a`` bounds every row and column sum of |A(k)|, ``q_floor`` bounds
-    lambda_min(Q) from below (less its share of the slack below) and
-    ``q_max`` is max|Q_ij|.  The derivation is in ``estimate_shares``; the factor
-    1 + 32 eps covers this function's own rounding.  Where no bound follows
-    (a NaN or infinite input, or P_NN + R <= 0) the result is -inf or NaN,
-    which every comparison treats as no bound.
+    ``a`` bounds every row and column sum of |A(k)|, and Q = q*I, so q is both
+    lambda_min(Q) and max|Q_ij|.  The derivation is in ``estimate_shares``;
+    the 32 eps taken off q and the factor 1 + 32 eps cover this function's
+    own rounding.  Where no bound follows (a NaN or infinite input, or
+    P_NN + R <= 0) the result is -inf or NaN, which every comparison treats
+    as no bound.
     """
     lost = np.maximum(-floor, 0.0)            # max(0, -l); NaN stays NaN
     m = top + lost                             # >= every |P_ij|
@@ -104,9 +104,9 @@ def _weyl_floor(top, p_nn, floor, a: float, q_floor, q_max, r_cov, n: int):
     gain = np.sqrt(m * (abs(p_nn) + lost) / denom) / np.sqrt(denom)    # >= every |K_i|
     a2 = a * a
     weyl = lost * (1.0 + math.sqrt(n) * gain) ** 2 * a2
-    rounding = 16 * n * (_EPS * (a2 * (1.0 + gain) * m + q_max)
+    rounding = 16 * n * (_EPS * (a2 * (1.0 + gain) * m + q)
                          + _TINY * (1.0 + a) ** 2 * (1.0 + m))
-    return q_floor - (weyl + rounding) * (1 + 32 * _EPS)
+    return q - 32 * _EPS * q - (weyl + rounding) * (1 + 32 * _EPS)
 
 
 def estimate_shares(sc: Scenario, frames: MeasurementFrame,
@@ -132,8 +132,8 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame,
 
     The factorisation runs only at steps where an O(N) lower bound l(k) on
     lambda_min(P(k)) cannot show that it would succeed.  Let P(k) be exactly
-    symmetric (the symmetrisation makes it so from step 1 on) with
-    lambda_min >= l(k), and write l- = max(0, -l(k)).  With
+    symmetric (P0 = p0_sigma*I is, and the symmetrisation makes every later
+    P so) with lambda_min >= l(k), and write l- = max(0, -l(k)).  With
     K = P C'/(P_NN + R) the update P - K C P is the Joseph form
     (I-KC) P (I-KC)' + K R K', which is >= -l- ||I-KC||^2 I.  Let
     a = max|A_ii| + max|A_i+1,i|, which bounds every row and column sum of
@@ -149,8 +149,7 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame,
     rounding error of the gain, of (I-KC)P, of both ``apply_a`` passes, of
     + Q and of the symmetrisation (no entry's error reaches
     12 eps a^2 (1+g) M + 3 eps max|Q| plus underflow, and ||E||_2 <=
-    N max|E_ij|).  lambda_min(Q) is bounded by Gershgorin's discs, so a Q
-    that is not diagonally dominant never certifies a step.  A step is
+    N max|E_ij|), where lambda_min(Q) = max|Q| = q_sigma.  A step is
     certified when l(k+1) + PSD_TOL > 16 N (N+1) eps (max|P_ii| + PSD_TOL):
     the shift differs from PSD_TOL by at most N (N+1) eps max|P_ii|, so
     P + shift*I then meets Demmel's condition for the factorisation to
@@ -159,36 +158,25 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame,
     true bound meets; a P that the update did not produce may fail it.
     When any member of a batch is not certified, the whole batch is
     factorised, so every output equals that of factorising at every step.
-    P0 carries no bound (it need not be exactly symmetric), so the first
-    step is always factorised; a factorisation sets every member's bound to
-    -PSD_TOL when it succeeds and drops it when it fails.
+    l(0) = p0_sigma = lambda_min(P0), so the first step is certified like
+    any other and a healthy run never factorises.  A factorisation sets every
+    member's bound to -PSD_TOL when it succeeds and drops it when it fails.
     """
     if config is None:
         config = sc.filter_config()
     m = len(frames) - 1
-    x, p = config.x0, config.p0            # filter_step never writes to its inputs
+    x = config.x0                          # filter_step never writes to its inputs
     batch, n = x.shape[:-1], x.shape[-1]
+    p = config.p0_sigma[..., None, None] * np.eye(n)
     x_hat = np.empty(batch + (m + 1, n))
     innovation = np.empty(batch + (m,))
     x_hat[..., 0, :] = x
 
-    min_eig = np.linalg.eigvalsh(p).min(axis=-1)
-    eye = np.eye(n)
     # Rump's bound on Cholesky's rounding error (BIT 46, 2006): a floating-point
     # Cholesky of A - c*I with c >= (n+1)*eps*trace(A) proves A positive definite.
     rounding = (n + 1) * _EPS
     margin = 16 * n * (n + 1) * _EPS
-    # Gershgorin's bound on lambda_min(Q), an input of _weyl_floor, with
-    # (1 + 4 N eps) covering the rounding of its sums, less 32 eps of it for
-    # the rounding of _weyl_floor's last subtraction.
-    q_off = np.abs(config.q_cov)
-    q_max = q_off.max(axis=(-2, -1))
-    q_off[..., range(n), range(n)] = 0.0
-    q_floor = (config.q_cov.diagonal(0, -2, -1)
-               - 0.5 * (1 + 4 * n * _EPS) * (q_off.sum(axis=-1) + q_off.sum(axis=-2))).min(axis=-1)
-    q_floor = q_floor - 32 * _EPS * abs(q_floor)
-    floor = -np.inf                        # lambda_min(P) >= floor; none for P0
-    top = np.abs(p.diagonal(0, -2, -1)).max(axis=-1)
+    min_eig = floor = top = config.p0_sigma    # lambda_min(P0) = max|P0_ii|; floor <= lambda_min(P)
     fallbacks = clamps = 0
     last_z: float | None = None
     with np.errstate(all="ignore"):
@@ -205,7 +193,7 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame,
                 z, used_fallback = output_measurement(frames, k, last_z)
                 fallbacks += used_fallback
                 last_z = z
-                floor = _weyl_floor(top, p[..., -1, -1], floor, a, q_floor, q_max,
+                floor = _weyl_floor(top, p[..., -1, -1], floor, a, config.q_sigma,
                                     config.r_cov, n)
                 try:
                     x, p, innovation[..., k] = filter_step(x, p, systems, j, z, config)
@@ -218,10 +206,12 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame,
                         & (floor + PSD_TOL > margin * (top + PSD_TOL))).all():
                     continue               # the factorisation below would succeed
                 shift = PSD_TOL - rounding * np.trace(p, axis1=-2, axis2=-1)
+                shifted = p.copy()
+                np.einsum("...ii->...i", shifted)[...] += shift[..., None]
                 floor = -np.inf
                 try:
                     # Succeeds only if every member's lambda_min(P) > -PSD_TOL.
-                    np.linalg.cholesky(p + shift[..., None, None] * eye)
+                    np.linalg.cholesky(shifted)
                     floor = -PSD_TOL
                 except np.linalg.LinAlgError:
                     # Fold only the members that failed, so each keeps its unbatched value.
@@ -338,8 +328,12 @@ def observability_trace(sc: Scenario, frames: MeasurementFrame | None = None,
     given; raises ValueError when ``stride`` < 1 or M < N-1, one window's steps."""
     if frames is None:
         frames = simulate_truth(sc).frames
-    # The windows span chunks, so the whole run's realization is built.
-    mags = np.abs(window_anti_diagonals(build_systems(sc, frames[:-1]), stride))
+    # The windows span chunks and read only the sub-diagonal, so each chunk keeps that alone.
+    head = frames[:-1]                     # one frame per transition
+    sub = np.empty((len(head), sc.geometry.n_segments - 1))
+    for start in range(0, len(head), STEP_CHUNK):
+        sub[start:start + STEP_CHUNK] = build_systems(sc, head[start:start + STEP_CHUNK]).sub
+    mags = np.abs(window_anti_diagonals(sub, stride))
     lows, highs = mags.min(axis=1), mags.max(axis=1)
     return [ObservabilityWindow(start_step=w * stride, observable=bool(lo > OBSERVABILITY_TOL),
                                 min_anti_diag=float(lo), max_anti_diag=float(hi))

@@ -192,8 +192,9 @@ def anti_diagonal(mat: np.ndarray) -> np.ndarray:
     return mat[np.arange(n), n - 1 - np.arange(n)]
 
 
-def window_anti_diagonals(sys: BandedLtv, stride: int = 1) -> np.ndarray:
-    """Anti-diagonal of O for every window of N-1 steps, one row per window.
+def window_anti_diagonals(sub: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Anti-diagonal of O for every window of N-1 steps, one row per window,
+    from the (M, N-1) sub-diagonals ``BandedLtv.sub`` of M steps alone.
 
     Windows start at steps 0, stride, 2*stride, ... as long as they fit.
     Entry m of the window starting at k0 has exactly one nonzero path, the
@@ -201,17 +202,17 @@ def window_anti_diagonals(sys: BandedLtv, stride: int = 1) -> np.ndarray:
     earliest step first, the order of the dense chain, so every row equals
     ``anti_diagonal(observability_matrix(sys[k0:k0 + N - 1]))`` bit for bit.
     """
-    n = sys.n_segments
+    steps, n = sub.shape[0], sub.shape[1] + 1
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if len(sys) < n - 1:
+    if steps < n - 1:
         raise ValueError(f"an observability window needs {n - 1} steps for "
-                         f"{n} segments; the run has {len(sys)}")
-    starts = np.arange(0, len(sys) - n + 2, stride)
+                         f"{n} segments; the run has {steps}")
+    starts = np.arange(0, steps - n + 2, stride)
     out = np.ones((len(starts), n))
     for j in range(n - 1):
         m = np.arange(j + 1, n)
-        out[:, m] *= sys.sub[(starts + j)[:, None], n - 1 - m + j]
+        out[:, m] *= sub[(starts + j)[:, None], n - 1 - m + j]
     return out
 
 

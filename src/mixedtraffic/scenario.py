@@ -109,9 +109,9 @@ class Scenario:
         return dataclasses.replace(self, noise=dataclasses.replace(self.noise, seed=seed))
 
     def filter_config(self) -> KalmanConfig:
-        return KalmanConfig.scaled_identity(
-            self.geometry.n_segments, q_sigma=self.q_sigma, r_cov=self.r_cov,
-            x0_value=self.x0_value, p0_sigma=self.p0_sigma)
+        """Q = q_sigma*I, R = r_cov, x0 = x0_value in every segment, P0 = p0_sigma*I."""
+        return KalmanConfig(q_sigma=self.q_sigma, r_cov=self.r_cov, p0_sigma=self.p0_sigma,
+                            x0=np.full(self.geometry.n_segments, self.x0_value))
 
     def initial_state(self) -> TrafficState:
         n = self.geometry.n_segments

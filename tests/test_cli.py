@@ -150,6 +150,23 @@ def test_filter_overflow_is_refused(tmp_path, capsys, verb):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("verb", ["estimate", "sweep"])
+def test_empty_exit_at_the_first_step_is_refused(tmp_path, capsys, verb):
+    """An empty road at the start, which simulate runs: the exit carries no
+    connected flow until step 3, so the filter has no first measurement and
+    none to reuse.  The run is refused naming step 0, and writes no file."""
+    path = tmp_path / "empty.yaml"
+    path.write_text("demand: {entry: 1300.0}\ninitial: {rho: 0.0}\n")
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "truth")]) == 0
+    capsys.readouterr()
+    code = main([verb, "--scenario", str(path), "--out", str(tmp_path / verb)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "no_exit_measurement"
+    assert "at step 0" in err["message"]
+    assert list((tmp_path / verb).iterdir()) == []
+
+
 def _absurd_entry_yaml(tmp_path):
     """The default scenario with an entry demand of 1e300 veh/h: finite, so it
     loads, but the simulated densities overflow the speed law at step 1."""

@@ -37,6 +37,8 @@ from mixedtraffic.kalman import (PSD_TOL, KalmanConfig, filter_step, output_meas
 from mixedtraffic.ltv import anti_diagonal, observability_matrix, window_anti_diagonals
 from mixedtraffic.metanet import MeasurementFrame, NoiseSpec, PiecewiseLinear
 
+from test_kalman import initial_covariance
+
 # Regression values produced by this build of the default scenario
 # (seed 20260810) and pinned; see also the acceptance suite.
 GOLDEN_P_R_MEASURED = 0.06965755328735371
@@ -164,7 +166,7 @@ def test_sweep_rejects_nonfinite_or_empty_sigmas_before_simulating(default_sc, m
 def _serial_run(frames, systems, config):
     """The unbatched filter loop: x_hat, innovations, and the exact smallest
     P eigenvalue of every step (P0 first)."""
-    x, p = config.x0, config.p0
+    x, p = config.x0, initial_covariance(config)
     x_hat, innovation = [x], []
     min_eigs = [np.min(np.linalg.eigvalsh(p))]
     last_z = None
@@ -187,9 +189,7 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
     truth = default_result.truth
     systems = build_systems(sc, truth.frames[:truth.n_steps])
     sigmas = [0.01, 1.0, 100.0]
-    configs = [KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s,
-                                            r_cov=sc.r_cov, x0_value=sc.x0_value,
-                                            p0_sigma=sc.p0_sigma) for s in sigmas]
+    configs = [dataclasses.replace(sc, q_sigma=s).filter_config() for s in sigmas]
     batch = run_filter(sc, truth.frames, config=KalmanConfig.stack(configs))
     m, n = truth.n_steps, sc.geometry.n_segments
     for field in ("x_hat", "rho_hat", "q_hat"):
@@ -245,9 +245,7 @@ def test_batch_psd_check_on_members_that_lose_semidefiniteness(default_sc, share
     sc = dataclasses.replace(default_sc, init_penetration=share, offramp_mode=mode)
     truth = mt.simulate_truth(sc)
     systems = build_systems(sc, truth.frames[:truth.n_steps])
-    configs = [KalmanConfig.scaled_identity(sc.geometry.n_segments, q_sigma=s,
-                                            r_cov=sc.r_cov, x0_value=sc.x0_value,
-                                            p0_sigma=sc.p0_sigma) for s in sigmas]
+    configs = [dataclasses.replace(sc, q_sigma=s).filter_config() for s in sigmas]
     batch = run_filter(sc, truth.frames, config=KalmanConfig.stack(configs))
     first_lost = []
     for i, config in enumerate(configs):
@@ -304,7 +302,7 @@ def test_member_keeps_its_value_when_another_fails_the_psd_check(default_sc, def
 
 def _reference_run_filter(sc, frames, systems, config):
     m = len(frames) - 1
-    x, p = config.x0, config.p0
+    x, p = config.x0, initial_covariance(config)
     batch, n = x.shape[:-1], x.shape[-1]
     x_hat = np.empty(batch + (m + 1, n))
     innovation = np.empty(batch + (m,))
@@ -349,9 +347,8 @@ def _assert_same_estimate(est, reference):
 
 
 def _sigma_batch(sc, sigmas):
-    return KalmanConfig.stack([KalmanConfig.scaled_identity(
-        sc.geometry.n_segments, q_sigma=s, r_cov=sc.r_cov, x0_value=sc.x0_value,
-        p0_sigma=sc.p0_sigma) for s in sigmas])
+    return KalmanConfig.stack([dataclasses.replace(sc, q_sigma=s).filter_config()
+                               for s in sigmas])
 
 
 def _on_segments(sc, n, horizon_h=None):
@@ -517,8 +514,9 @@ def test_filter_holds_one_chunk_of_realization(default_sc, mode):
 
 @pytest.mark.parametrize("case", ["default", "corridor", "share 1%"])
 def test_factorisation_runs_only_where_the_bound_fails(default_sc, monkeypatch, case):
-    """A healthy run factorises P once, at the first step, whose P0 carries no
-    bound; a run whose covariance loses semidefiniteness keeps factorising."""
+    """A healthy run never factorises P: the bound certifies every step, the
+    first included, since P0 = p0_sigma*I has lambda_min = p0_sigma; a run
+    whose covariance loses semidefiniteness keeps factorising."""
     sc = {"default": default_sc, "corridor": _on_segments(default_sc, 200, horizon_h=0.25),
           "share 1%": dataclasses.replace(default_sc, init_penetration=0.01)}[case]
     truth = mt.simulate_truth(sc)
@@ -532,7 +530,7 @@ def test_factorisation_runs_only_where_the_bound_fails(default_sc, monkeypatch, 
     if case == "share 1%":
         assert len(calls) > 1
     else:
-        assert len(calls) <= 1
+        assert len(calls) == 0
 
 
 def test_sweep_fails_when_one_member_overflows(default_sc):
@@ -549,14 +547,14 @@ def test_sweep_fails_when_one_member_overflows(default_sc):
 
 @pytest.mark.parametrize("sigmas", [[1.0], [0.1, 10.0]], ids=["single", "batch"])
 def test_run_filter_leaves_its_config_unchanged(default_sc, default_result, sigmas):
-    """run_filter starts from config.x0 and config.p0 themselves, not copies;
-    neither is written to, so a second run with the same config is identical."""
+    """run_filter starts from config.x0 itself, not a copy; no field of the
+    config is written to, so a second run with the same config is identical."""
     truth = default_result.truth
     configs = [dataclasses.replace(default_sc, q_sigma=s).filter_config() for s in sigmas]
     config = configs[0] if len(configs) == 1 else KalmanConfig.stack(configs)
-    x0, p0 = config.x0.copy(), config.p0.copy()
+    before = {name: value.copy() for name, value in vars(config).items()}
     first = run_filter(default_sc, truth.frames, config)
-    assert np.array_equal(config.x0, x0) and np.array_equal(config.p0, p0)
+    assert all(np.array_equal(vars(config)[name], value) for name, value in before.items())
     again = run_filter(default_sc, truth.frames, config)
     assert np.array_equal(again.x_hat, first.x_hat)
 
@@ -867,7 +865,7 @@ def test_observability_trace_matches_dense_oracle(default_sc, default_result, mo
     window = sc.geometry.n_segments - 1
     oracle = np.abs(np.stack([anti_diagonal(observability_matrix(systems[k0:k0 + window]))
                               for k0 in range(len(systems) - window + 1)]))
-    assert np.array_equal(np.abs(window_anti_diagonals(systems)), oracle)
+    assert np.array_equal(np.abs(window_anti_diagonals(systems.sub)), oracle)
     windows = observability_trace(sc, frames=truth.frames)
     assert [w.start_step for w in windows] == list(range(len(oracle)))
     assert [w.min_anti_diag for w in windows] == oracle.min(axis=1).tolist()

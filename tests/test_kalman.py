@@ -19,6 +19,16 @@ from mixedtraffic.metanet import MeasurementFrame
 from test_ltv import make_frame
 
 
+def initial_covariance(config):
+    """P0 = p0_sigma*I, as estimate_shares builds it, with the config's batch axis."""
+    return config.p0_sigma[..., None, None] * np.eye(config.x0.shape[-1])
+
+
+def _config(n, *, q_sigma, r_cov, x0_value, p0_sigma):
+    """Q = q_sigma*I, x0 constant and P0 = p0_sigma*I, as Scenario.filter_config builds it."""
+    return KalmanConfig(q_sigma=q_sigma, r_cov=r_cov, x0=np.full(n, x0_value), p0_sigma=p0_sigma)
+
+
 def _system(a_mat, drive=None):
     """One step with the given lower-bidiagonal A and B u = ``drive`` (zero by default)."""
     a_mat = np.asarray(a_mat, dtype=float)
@@ -31,10 +41,10 @@ def _system(a_mat, drive=None):
 def test_gain_with_identity_covariance():
     """P=I, C=e_N, R=100: the gain is e_N / 101."""
     n = 6
-    config = KalmanConfig.scaled_identity(n, q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
+    config = _config(n, q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
     expected = np.zeros(n)
     expected[-1] = 1.0 / 101.0
-    assert np.array_equal(kalman_gain(config.p0, config.r_cov), expected)
+    assert np.array_equal(kalman_gain(initial_covariance(config), config.r_cov), expected)
 
 
 def test_gain_fill_in_spreads_upstream():
@@ -42,8 +52,8 @@ def test_gain_fill_in_spreads_upstream():
     n = 6
     a = 0.7 * np.eye(n)
     a[np.arange(1, n), np.arange(n - 1)] = 0.3
-    config = KalmanConfig.scaled_identity(n, q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
-    x, p = config.x0, config.p0
+    config = _config(n, q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
+    x, p = config.x0, initial_covariance(config)
     for _ in range(n):
         x, p, _ = filter_step(x, p, _system(a), 0, z=5.0, config=config)
     assert np.count_nonzero(kalman_gain(p, config.r_cov)) > 1
@@ -53,9 +63,8 @@ def test_initial_gain_shape_for_scaled_covariance():
     """P0 = h*I puts the whole first correction on the measured segment."""
     n = 5
     h = 7.5
-    config = KalmanConfig(q_cov=np.eye(n), r_cov=100.0, x0=np.full(n, 10.0),
-                          p0=h * np.eye(n))
-    gain = kalman_gain(config.p0, config.r_cov)
+    config = KalmanConfig(q_sigma=1.0, r_cov=100.0, x0=np.full(n, 10.0), p0_sigma=h)
+    gain = kalman_gain(initial_covariance(config), config.r_cov)
     assert gain[:-1].tolist() == [0.0] * (n - 1)
     assert gain[-1] == pytest.approx(h / (h + 100.0), abs=1e-15)
 
@@ -67,7 +76,7 @@ def test_huge_r_reduces_to_pure_prediction():
     a[np.arange(1, n), np.arange(n - 1)] = rng.uniform(0.1, 0.4, n - 1)
     u = rng.uniform(0, 2000, n + 1)
     sys = _system(a, [u[1] + u[0], 0.0, 0.0, 0.0])   # entry and first ramp on segment 1
-    config = KalmanConfig.scaled_identity(n, q_sigma=1.0, r_cov=1e12, x0_value=10.0, p0_sigma=1.0)
+    config = _config(n, q_sigma=1.0, r_cov=1e12, x0_value=10.0, p0_sigma=1.0)
     x = rng.uniform(1, 9, n)
     x_next, _, _ = filter_step(x, np.eye(n), sys, 0, z=123.0, config=config)
     prediction = sys.propagate(0, x)
@@ -81,13 +90,13 @@ def test_scalar_recursion_matches_hand_computation():
     x0, p0, u, z = 4.0, 1.7, 800.0, 4.6
     sys = BandedLtv(diag=np.array([[a]]), sub=np.zeros((1, 0)), drive=np.array([[0.001 * u]]),
                     g=np.array([[1.0]]))
-    config = KalmanConfig(q_cov=np.array([[q]]), r_cov=r, x0=np.array([x0]),
-                          p0=np.array([[p0]]))
-    x_next, p_next, _ = filter_step(config.x0, config.p0, sys, 0, z=z, config=config)
+    config = KalmanConfig(q_sigma=q, r_cov=r, x0=np.array([x0]), p0_sigma=p0)
+    x_next, p_next, _ = filter_step(config.x0, initial_covariance(config), sys, 0, z=z,
+                                    config=config)
     k = p0 / (p0 + r)
     x1 = a * x0 + 0.001 * u + a * k * (z - x0)
     p1 = a * (1 - k) * p0 * a + q
-    assert kalman_gain(config.p0, config.r_cov)[0] == pytest.approx(k, abs=1e-15)
+    assert kalman_gain(initial_covariance(config), config.r_cov)[0] == pytest.approx(k, abs=1e-15)
     assert x_next[0] == pytest.approx(x1, abs=1e-12)
     assert p_next[0, 0] == pytest.approx(p1, abs=1e-12)
 
@@ -98,7 +107,7 @@ def test_covariance_stays_symmetric_psd(default_sc, default_result):
     truth = default_result.truth
     systems = mt.harness.build_systems(default_sc, truth.frames[:truth.n_steps])
     config = default_sc.filter_config()
-    x, p = config.x0, config.p0
+    x, p = config.x0, initial_covariance(config)
     for k in range(50):
         z, _ = output_measurement(truth.frames, k)
         x, p, _ = filter_step(x, p, systems, k, z, config)
@@ -108,8 +117,8 @@ def test_covariance_stays_symmetric_psd(default_sc, default_result):
 def test_exact_initialization_stays_exact(silent_sc, silent_truth):
     """Zero noise and exact start: run_filter's estimate tracks the true ratio."""
     states = silent_truth.states
-    config = KalmanConfig(q_cov=np.eye(20), r_cov=100.0, x0=inverse_penetration(
-        states[0].rho, states[0].rho_a), p0=np.eye(20))
+    config = KalmanConfig(q_sigma=1.0, r_cov=100.0, x0=inverse_penetration(
+        states[0].rho, states[0].rho_a), p0_sigma=1.0)
     x_hat = mt.harness.run_filter(silent_sc, silent_truth.frames, config=config).x_hat
     ref = inverse_penetration(states.rho[1:], states.rho_a[1:])
     assert np.max(np.abs(x_hat[1:] - ref)) <= 1e-9
@@ -117,21 +126,19 @@ def test_exact_initialization_stays_exact(silent_sc, silent_truth):
 
 def test_config_validation():
     n = 3
-    asym = np.eye(n)
-    asym[0, 1] = 0.5
     with pytest.raises(ValueError):
-        KalmanConfig(q_cov=asym, r_cov=1.0, x0=np.zeros(n), p0=np.eye(n))
+        KalmanConfig(q_sigma=0.0, r_cov=1.0, x0=np.zeros(n), p0_sigma=1.0)
     with pytest.raises(ValueError):
-        KalmanConfig(q_cov=np.zeros((n, n)), r_cov=1.0, x0=np.zeros(n), p0=np.eye(n))
+        KalmanConfig(q_sigma=1.0, r_cov=0.0, x0=np.zeros(n), p0_sigma=1.0)
     with pytest.raises(ValueError):
-        KalmanConfig(q_cov=np.eye(n), r_cov=0.0, x0=np.zeros(n), p0=np.eye(n))
+        KalmanConfig(q_sigma=1.0, r_cov=1.0, x0=np.zeros(n), p0_sigma=0.0)
 
 
-@pytest.mark.parametrize("field", ["q_cov", "p0", "x0", "r_cov"])
+@pytest.mark.parametrize("field", ["q_sigma", "p0_sigma", "x0", "r_cov"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite_values(field, value):
     n = 3
-    fields = {"q_cov": np.eye(n), "r_cov": 1.0, "x0": np.zeros(n), "p0": np.eye(n)}
+    fields = {"q_sigma": 1.0, "r_cov": 1.0, "x0": np.zeros(n), "p0_sigma": 1.0}
     fields[field] = np.full(np.shape(fields[field]), value)
     with pytest.raises(ValueError, match=f"{field} must be"):
         KalmanConfig(**fields)
@@ -186,7 +193,7 @@ def test_reconstruct_exact_state_recovers_truth(silent_truth):
 
 def _first_failing_step(sys, config, z=5.0):
     """Step at which filter_step raises FloatingPointError, or None."""
-    x, p = config.x0, config.p0
+    x, p = config.x0, initial_covariance(config)
     for k in range(len(sys)):
         try:
             x, p, _ = filter_step(x, p, sys, k, z, config)
@@ -203,7 +210,7 @@ def test_batch_fails_exactly_when_a_member_fails():
     n, m = 4, 60
     sys = BandedLtv(diag=np.full((m, n), 2.0), sub=np.zeros((m, n - 1)),
                     drive=np.zeros((m, n)), g=np.ones((m, n)))
-    configs = [KalmanConfig.scaled_identity(n, q_sigma=q, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
+    configs = [_config(n, q_sigma=q, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
                for q in (1.0, 1e290, 1e300)]
     with np.errstate(over="ignore", invalid="ignore"):
         alone = [_first_failing_step(sys, c) for c in configs]
@@ -214,11 +221,12 @@ def test_batch_fails_exactly_when_a_member_fails():
 
 
 def test_stacked_config_validation():
-    single = KalmanConfig.scaled_identity(3, q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
-    batch = KalmanConfig.stack([single, KalmanConfig.scaled_identity(
+    single = _config(3, q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
+    batch = KalmanConfig.stack([single, _config(
         3, q_sigma=2.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)])
-    assert batch.x0.shape == (2, 3) and batch.q_cov.shape == (2, 3, 3)
+    assert batch.x0.shape == (2, 3) and batch.q_sigma.shape == (2,)
     with pytest.raises(ValueError):
-        KalmanConfig(q_cov=batch.q_cov, r_cov=100.0, x0=batch.x0, p0=batch.p0)
+        KalmanConfig(q_sigma=batch.q_sigma, r_cov=100.0, x0=batch.x0, p0_sigma=batch.p0_sigma)
     with pytest.raises(ValueError):
-        KalmanConfig(q_cov=batch.q_cov, r_cov=np.array([1.0, 0.0]), x0=batch.x0, p0=batch.p0)
+        KalmanConfig(q_sigma=batch.q_sigma, r_cov=np.array([1.0, 0.0]), x0=batch.x0,
+                     p0_sigma=batch.p0_sigma)

@@ -253,15 +253,16 @@ def test_band_matches_dense_textbook_realization(n, seed, unmeasured, sparse):
     k = int(rng.integers(0, 3))
     a, b, u = _textbook_realization(frames[k], geom, layout, unmeasured)
     root = rng.standard_normal((n, n))
-    config = KalmanConfig(q_cov=np.eye(n) + 0.1 * np.ones((n, n)), r_cov=float(rng.uniform(1, 100)),
-                          x0=rng.uniform(1, 10, n), p0=root @ root.T + np.eye(n))
+    config = KalmanConfig(q_sigma=1.0, r_cov=float(rng.uniform(1, 100)),
+                          x0=rng.uniform(1, 10, n), p0_sigma=1.0)
+    p = root @ root.T + np.eye(n)
     z = float(rng.uniform(1, 10))
-    x_step, p_step, _ = filter_step(config.x0, config.p0, sys, k, z, config)
+    x_step, p_step, _ = filter_step(config.x0, p, sys, k, z, config)
     c = np.zeros(n)
     c[-1] = 1.0
-    p, x = config.p0, config.x0
+    x = config.x0
     gain = p @ c / (c @ p @ c + config.r_cov)
-    p_next = a @ (p - np.outer(gain, c @ p)) @ a.T + config.q_cov
+    p_next = a @ (p - np.outer(gain, c @ p)) @ a.T + config.q_sigma * np.eye(n)
     x_next = a @ x + b @ u + a @ gain * (z - c @ x)
     np.testing.assert_allclose(p_step, p_next, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(x_step, x_next, rtol=1e-12, atol=1e-12)
@@ -303,8 +304,8 @@ def test_observability_matrix_two_by_two():
 def test_zero_coupling_kills_observability():
     sys_ok = _manual_system([[0.7, 0.0], [0.3, 0.9]])
     sys_bad = _manual_system([[0.7, 0.0], [0.0, 0.9]])
-    assert np.all(np.abs(window_anti_diagonals(sys_ok)) > OBSERVABILITY_TOL)
-    assert not np.all(np.abs(window_anti_diagonals(sys_bad)) > OBSERVABILITY_TOL)
+    assert np.all(np.abs(window_anti_diagonals(sys_ok.sub)) > OBSERVABILITY_TOL)
+    assert not np.all(np.abs(window_anti_diagonals(sys_bad.sub)) > OBSERVABILITY_TOL)
     assert np.linalg.det(observability_matrix(sys_bad)) == 0.0
 
 
