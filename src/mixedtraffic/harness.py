@@ -15,13 +15,19 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import os
 import re
+import shutil
+import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import _rows
+from ._rows import TRAJECTORY_COLUMNS
 from .core import STEP_CHUNK
 from .kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement, reconstruct_totals
 from .ltv import (OBSERVABILITY_TOL, BandedLtv, build_system_measured,
@@ -343,9 +349,6 @@ def observability_trace(sc: Scenario, frames: MeasurementFrame | None = None,
 # --- CSV output -----------------------------------------------------------
 # Floats are written with repr(), which round-trips float64 exactly.
 
-TRAJECTORY_COLUMNS = ("step", "segment", "rho", "rho_a", "v", "q", "q_a",
-                      "rho_hat", "q_hat", "p_bar_hat", "innovation")
-
 
 def _fmt(value: float) -> str:
     return repr(float(value))
@@ -356,26 +359,53 @@ def write_trajectory(path, result: RunResult) -> None:
 
     The scalar innovation of step k is repeated on each of the step's rows
     and left empty on the final step, which has no measurement update.
-    Rows are formatted a step at a time as ``csv.writer`` would write them:
-    comma-separated, CRLF-terminated, and no cell needs quoting.
+    ``_rows.write_steps`` defines a row.  A helper interpreter,
+    ``sys.executable -I -S _rows.py``, formats steps (M+1)//2..M while this
+    process formats the steps before them into ``path``; the helper reads
+    its steps' raw float64 values from one unnamed temporary file and writes
+    its rows to another, which is appended once it has exited.  The bytes
+    are those one process writing every step would write.  Raises OSError
+    naming ``path`` when the helper fails; on any error no file is left at
+    ``path`` and the helper has been reaped.
     """
+    import subprocess                     # here: loading the package never needs it
+
     truth = result.truth
     est = result.estimate
     m, n = truth.n_steps, truth.states.n_segments
-    fields = [getattr(truth.states, name) for name in ("rho", "rho_a", "v", "q", "q_a")]
+    fields = [getattr(truth.states, name) for name in _rows.TRUTH_FIELDS]
+    innovation = None
     if est is not None:
         fields += [est.rho_hat, est.q_hat, est.x_hat]
-    segments = [str(i + 1) for i in range(n)]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
-        for k in range(m + 1):
-            if est is None:
-                tail = ["", "", "", ""]
-            else:
-                tail = [_fmt(est.innovation[k]) if k < m else ""]
-            cells = ([[str(k)] * n, segments] + [list(map(repr, f[k].tolist())) for f in fields]
-                     + [[cell] * n for cell in tail])
-            handle.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+        innovation = np.ascontiguousarray(est.innovation, dtype=np.float64)
+    columns = [np.ascontiguousarray(f, dtype=np.float64).reshape(-1) for f in fields]
+    half = (m + 1) // 2
+    handle = open(path, "w", newline="", encoding="utf-8")
+    try:
+        with handle, tempfile.TemporaryFile() as data, tempfile.TemporaryFile() as rows:
+            data.write(_rows.HEADER.pack(half, m, n, est is not None))
+            for column in columns:
+                data.write(column[half * n:])
+            if innovation is not None:
+                data.write(innovation[half:])
+            data.seek(0)                  # flushes, so the helper reads every byte
+            with subprocess.Popen([sys.executable, "-I", "-S", _rows.__file__],
+                                  stdin=data, stdout=rows) as helper:
+                try:
+                    handle.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
+                    _rows.write_steps(handle, 0, half, m, n, columns, innovation)
+                except BaseException:
+                    helper.kill()
+                    raise
+            if helper.returncode:
+                raise OSError(f"{path}: the row helper for steps {half}..{m} "
+                              f"exited with status {helper.returncode}")
+            handle.flush()
+            rows.seek(0)
+            shutil.copyfileobj(rows, handle.buffer)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _grid_shape(step: np.ndarray, segment: np.ndarray, path) -> tuple[int, int]:

@@ -3,6 +3,8 @@
 import csv
 import json
 import re
+import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +368,18 @@ def test_unusable_out_is_refused_as_io(tmp_path, short_yaml, capsys, out):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "io" and str(tmp_path) in err["message"]
+
+
+def test_failed_trajectory_helper_is_refused_as_io(tmp_path, short_yaml, capsys, monkeypatch):
+    """The helper that formats the second half of trajectory.csv exits 1
+    (``false`` runs in its place): exit 2 as io, naming the file, which is gone."""
+    monkeypatch.setattr(sys, "executable", shutil.which("false"))
+    out = tmp_path / "out"
+    code = main(["estimate", "--scenario", str(short_yaml), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "io" and str(out / "trajectory.csv") in err["message"]
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_missing_scenario_file(tmp_path, capsys):

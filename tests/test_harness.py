@@ -4,7 +4,11 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import re
+import shutil
+import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -486,6 +490,37 @@ def test_filter_reads_only_the_frames(default_sc, default_result, mode):
     assert observability_trace(sc, frames[:sc.geometry.n_segments]) == trace[:1]
 
 
+CONNECTED_FIELDS = ("q0_a", "q_a_seg", "rho_a_seg", "r_a", "s_a")
+
+
+@pytest.mark.parametrize("c", [2.0, 0.25, 1024.0])
+@pytest.mark.parametrize("seed", [20260810, 7])
+@pytest.mark.parametrize("mode", ["measured", "unmeasured"])
+def test_estimator_is_scale_equivariant(default_sc, mode, seed, c):
+    """Connected flows and densities times c, with x0 over c and q_sigma,
+    r_cov and p0_sigma over c**2, give x_hat and innovations over c bit for
+    bit, the same clamp and fallback counts, and the same P_R scored against
+    the scaled connected densities.  Powers of two only: c = 3 is off by up
+    to 2.1e-15."""
+    sc = dataclasses.replace(default_sc.with_seed(seed), offramp_mode=mode)
+    truth = mt.simulate_truth(sc)
+    frames = truth.frames
+    scaled = dataclasses.replace(frames, **{name: getattr(frames, name) * c
+                                            for name in CONNECTED_FIELDS})
+    config = sc.filter_config()
+    config_scaled = KalmanConfig(q_sigma=config.q_sigma / c**2, r_cov=config.r_cov / c**2,
+                                 x0=config.x0 / c, p0_sigma=config.p0_sigma / c**2)
+    plain = estimate_shares(sc, frames, config)
+    run = estimate_shares(sc, scaled, config_scaled)
+    assert np.array_equal(run.x_hat, plain.x_hat / c)
+    assert np.array_equal(run.innovation, plain.innovation / c)
+    assert run.g_clamp_count == plain.g_clamp_count
+    assert run.z_fallback_count == plain.z_fallback_count
+    rho = truth.states.rho
+    assert (performance_index(rho, scaled.rho_a_seg, run.x_hat)
+            == performance_index(rho, frames.rho_a_seg, plain.x_hat))
+
+
 @pytest.mark.parametrize("mode", ["measured", "unmeasured"])
 def test_filter_holds_one_chunk_of_realization(default_sc, mode):
     """On a 200-segment, 3 h run (M = 1080), the traced peak of run_filter
@@ -579,12 +614,65 @@ def _trajectory_text_cell_by_cell(result) -> str:
     return buffer.getvalue()
 
 
-def test_trajectory_csv_bytes_match_cell_by_cell_repr(tmp_path, default_sc):
+def _first_step_only(result):
+    """``result`` cut to its step 0: a run of M = 0 transitions."""
+    est = result.estimate
+    return dataclasses.replace(
+        result, truth=dataclasses.replace(result.truth, states=result.truth.states[:1]),
+        estimate=dataclasses.replace(est, x_hat=est.x_hat[:1], rho_hat=est.rho_hat[:1],
+                                     q_hat=est.q_hat[:1], innovation=est.innovation[:0]))
+
+
+def _runs_to_write(default_sc, default_result):
+    """Full runs in both modes and at seed 7, truth-only runs, a short N = 200
+    run, and runs of M = 0, 1 and 2, where one of the writer's two processes
+    has no step or one step."""
     short = dataclasses.replace(default_sc, horizon_h=0.05)
-    for result in (run_experiment(short), simulate_only(short)):
-        path = tmp_path / "trajectory.csv"
+    yield from (run_experiment(short), simulate_only(short), default_result,
+                run_experiment(dataclasses.replace(default_sc, offramp_mode="unmeasured")),
+                run_experiment(default_sc.with_seed(7)), simulate_only(default_sc),
+                run_experiment(_on_segments(default_sc, 200, horizon_h=0.05)))
+    one, two = (run_experiment(_for_steps(default_sc, m)) for m in (1, 2))
+    for run in (_first_step_only(one), one, two):
+        yield run
+        yield dataclasses.replace(run, estimate=None)
+
+
+def test_trajectory_csv_bytes_match_cell_by_cell_repr(tmp_path, default_sc, default_result):
+    path = tmp_path / "trajectory.csv"
+    for result in _runs_to_write(default_sc, default_result):
         write_trajectory(path, result)
         assert path.read_bytes() == _trajectory_text_cell_by_cell(result).encode("utf-8")
+
+
+def _raise_in_own_half(*args):
+    raise RuntimeError("own half failed")
+
+
+@pytest.mark.parametrize("fault", ["helper exits 1", "own half raises"])
+def test_failed_write_leaves_no_file_no_temporary_and_no_child(tmp_path, default_sc,
+                                                               monkeypatch, fault):
+    """A helper that exits 1 (``false`` runs in its place) fails the write
+    with an OSError naming the path; a failure in this process's own half
+    propagates.  Either way the half-written file and both temporary files
+    are gone, and the helper has been reaped."""
+    result = simulate_only(dataclasses.replace(default_sc, horizon_h=0.05))
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    path = tmp_path / "trajectory.csv"
+    if fault == "helper exits 1":
+        monkeypatch.setattr(sys, "executable", shutil.which("false"))
+        raised = pytest.raises(OSError, match=re.escape(str(path)))
+    else:
+        monkeypatch.setattr(harness._rows, "write_steps", _raise_in_own_half)
+        raised = pytest.raises(RuntimeError, match="own half failed")
+    with raised:
+        write_trajectory(path, result)
+    assert not path.exists()
+    assert list(temp.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_trajectory_csv_roundtrip(tmp_path, default_sc, default_result):
