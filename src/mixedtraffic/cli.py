@@ -4,9 +4,10 @@ Verbs: ``simulate`` (ground truth only), ``estimate`` (full pipeline),
 ``sweep`` (process-covariance sweep), ``observability`` (anti-diagonal
 report over a run).  Outputs are CSV files in the chosen directory.  A
 scenario that is invalid or cannot be read, an ``--out`` that cannot be used,
-a simulation that overflowed, a filter that diverged, a filter whose exit
-carries no connected flow at step 0, and a run too short for one
-observability window exit 2 with a JSON error object on stderr.
+a simulation that overflowed or whose connected off-ramp outflow exceeded the
+total, a filter that diverged, a filter whose exit carries no connected flow
+at step 0, and a run too short for one observability window exit 2 with a
+JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -161,8 +162,9 @@ def main(argv: list[str] | None = None) -> int:
         return _refuse({"error": "io", "message": str(exc)})
     except TruthDivergedError as exc:
         return _refuse({"error": "truth_diverged", "raised": str(exc),
-                        "message": "the simulated traffic left the finite range; "
-                                   "check the scenario's demands and parameters"})
+                        "message": "the simulated traffic left the finite range, or an "
+                                   "off-ramp's connected outflow exceeded its total; check "
+                                   "the scenario's demands, exit rates and parameters"})
     except FloatingPointError as exc:
         return _refuse_diverged({"raised": str(exc)})
     except NoExitMeasurementError as exc:

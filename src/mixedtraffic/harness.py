@@ -73,11 +73,7 @@ class RunResult:
 
 def simulate_truth(sc: Scenario) -> TruthRun:
     """Ground-truth trajectory over the scenario horizon."""
-    sim = TruthSimulator(
-        geom=sc.geometry, params=sc.params, layout=sc.layout, noise=sc.noise,
-        entry_demand=sc.entry_demand, onramp_demand=sc.onramp_demand,
-        penetration_profile=sc.penetration_profile, init_state=sc.initial_state())
-    return sim.run(sc.n_steps)
+    return TruthSimulator(sc).run(sc.n_steps)
 
 
 def build_systems(sc: Scenario, frames: MeasurementFrame) -> BandedLtv:

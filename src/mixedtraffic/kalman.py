@@ -18,6 +18,12 @@ arithmetic, and hence its result, is that of its own unbatched run.
 P is re-symmetrized each step; the update above is not in Joseph form and
 drifts over long runs otherwise.  Estimates are deliberately not clamped to
 the physical range (ratio >= 1): clamping would hide filter misbehavior.
+
+Where it binds in either run, ``output_measurement`` breaks both of the
+estimator's symmetries (see ``ltv``): it compares the exit's connected flow
+in veh/h, which both multiply by c, with ``EPS_DENSITY``, a density in veh/km.
+``PSD_TOL``, on P's eigenvalues in units of x squared (the connected scaling
+divides them by c**2), decides only the verdict, never x^ or the innovations.
 """
 
 from __future__ import annotations

@@ -17,6 +17,11 @@ substituting exit-rate fractions for unmeasured off-ramp flows.  Both take
 the run's ``RampLayout``, whose ramps the frames' ramp columns follow, and
 scatter the ramp terms into the segments' columns.  Each builds its four
 (M, N) arrays in place, with one more (M, N) array as scratch.
+
+The estimator has two exact symmetries: connected columns times c scale g
+and every flow it divides by c, and every flow times c with T over c leaves
+g unchanged.  ``EPS_G`` floors g, a connected density in veh/km, so where it
+binds in either run it breaks the first, never the second.
 """
 
 from __future__ import annotations

@@ -16,6 +16,11 @@ state of one reused generator before that step draws.  ``_draws`` does both
 for a purpose's steps in one call, before the draws are used; the process
 noise is drawn a chunk of steps at a time from words hashed once per run.
 
+``TruthSimulator`` holds one ``scenario.Scenario``, reads every part of the
+run from it and relies on its rules; ``step_truth``, ``observe`` and
+``StepConstants.of`` take the parts they use.  An unseeded ``NoiseSpec``
+uses ``DEFAULT_SEED``, as a scenario file without ``run.seed`` does.
+
 A run is held as whole-run arrays, one record each for the states, inputs
 and frames.  Everything that does not depend on the state is computed for
 the whole run at once: ``TruthSimulator.inputs_at`` gives every step's
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,6 +60,12 @@ from .core import (
     enforce,
 )
 
+if TYPE_CHECKING:                     # scenario imports this module
+    from .scenario import Scenario
+
+# The seed of the stock experiment, and of every run that names none.
+DEFAULT_SEED = 20260810
+
 # Stream purposes; one independent generator per (seed, step, purpose).
 _STREAM_STATE = 0    # speed/flow process noise inside step_truth
 _STREAM_DETECT = 1   # detector measurement noise inside observe
@@ -62,7 +73,7 @@ _STREAM_ENTRY = 2    # entry-flow process noise inside TruthSimulator.inputs_at
 
 
 class TruthDivergedError(FloatingPointError):
-    """The ground-truth simulation overflowed or left the finite range."""
+    """The ground-truth run overflowed, left the finite range or had s_a > s."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +92,7 @@ class NoiseSpec:
     std_speed: float = 5.0
     std_flow_proc: float = 25.0
     std_flow_proc_a: float = 15.0
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     rules = (
         *(Rule(name, lambda x: math.isfinite(x) and x >= 0, "must be finite and >= 0")
@@ -412,23 +423,9 @@ class TruthRun:
 
 @dataclass(frozen=True)
 class TruthSimulator:
-    """Owns demand profiles, geometry, and the noise stream for one run."""
+    """The ground-truth run of ``scenario``, whose rules checked every part it reads."""
 
-    geom: HighwayGeometry
-    params: MetanetParams
-    layout: RampLayout
-    noise: NoiseSpec
-    entry_demand: PiecewiseLinear
-    onramp_demand: Mapping[int, PiecewiseLinear]
-    penetration_profile: PiecewiseLinear
-    init_state: TrafficState
-
-    def __post_init__(self):
-        enforce(RampLayout.placement_rules, {
-            **vars(self.layout), "n_segments": self.geom.n_segments,
-            "onramp_demand": self.onramp_demand})
-        if self.init_state.n_segments != self.geom.n_segments:
-            raise ValueError("initial state size does not match geometry")
+    scenario: Scenario
 
     def inputs_at(self, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
         """The boundary inputs at steps 0..n_steps that do not depend on the
@@ -442,23 +439,23 @@ class TruthSimulator:
         Python floats: an overflow leaves an entry flow infinite, for the run
         to refuse.
         """
-        steps = n_steps + 1
+        sc, steps = self.scenario, n_steps + 1
         # Drawn first: a run too long for its streams is refused before any
         # whole-run array is allocated.
-        xi_0, xi_0a = _draws(self.noise.seed, _STREAM_ENTRY, steps, 2).T
-        t = np.arange(steps) * self.geom.step_h
-        pen = np.clip(self.penetration_profile(t), 0.0, 1.0)
-        q0_nom = self.entry_demand(t)
+        xi_0, xi_0a = _draws(sc.noise.seed, _STREAM_ENTRY, steps, 2).T
+        t = np.arange(steps) * sc.geometry.step_h
+        pen = np.clip(sc.penetration_profile(t), 0.0, 1.0)
+        q0_nom = sc.entry_demand(t)
         entry = np.empty((2, steps))
         with np.errstate(over="ignore", invalid="ignore"):
-            np.maximum(q0_nom + self.noise.std_flow_proc * xi_0, 0.0, out=entry[0])
-            np.minimum(np.maximum(pen * q0_nom + self.noise.std_flow_proc_a * xi_0a, 0.0),
+            np.maximum(q0_nom + sc.noise.std_flow_proc * xi_0, 0.0, out=entry[0])
+            np.minimum(np.maximum(pen * q0_nom + sc.noise.std_flow_proc_a * xi_0a, 0.0),
                        entry[0], out=entry[1])
-        ramps = self.layout.on_ramp_segments
+        ramps = sc.layout.on_ramp_segments
         onramp = np.zeros((2, steps, len(ramps)))
         for j, seg in enumerate(ramps):
-            if seg in self.onramp_demand:
-                onramp[0, :, j] = self.onramp_demand[seg](t)
+            if seg in sc.onramp_demand:
+                onramp[0, :, j] = sc.onramp_demand[seg](t)
         np.multiply(pen[:, None], onramp[0], out=onramp[1])
         return entry, onramp
 
@@ -471,20 +468,23 @@ class TruthSimulator:
         process noise as it starts.  The off-ramp outflows, beta times the
         flow entering the segment, are computed at the off-ramps only.  Raises
         TruthDivergedError naming the first step whose inputs are not finite
-        or whose state update overflows or leaves the finite range, and, for a
-        run that gets through, the first step with a non-finite detector reading.
+        or whose state update overflows or leaves the finite range; for a run
+        that gets through, the first step and segment where beta_a q_a,up >
+        beta q_up (an exit rate beta_a above beta allows it), then the first
+        step with a non-finite detector reading.
         """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        sc = self.scenario
         entry, ramp_in = self.inputs_at(n_steps)
         bad_input = _first_non_finite(*entry, *ramp_in)
-        n = self.geom.n_segments
+        n = sc.geometry.n_segments
         x = np.zeros((5, n_steps + 1, n))
-        init = self.init_state
+        init = sc.initial_state()
         x[:, 0] = init.rho, init.rho_a, init.v, init.q, init.q_a
-        constants = StepConstants.of(self.geom, self.params, self.layout, self.noise)
-        on, off = self.layout.columns()
-        words = _stream_words(self.noise.seed, _STREAM_STATE, n_steps)
+        constants = StepConstants.of(sc.geometry, sc.params, sc.layout, sc.noise)
+        on, off = sc.layout.columns()
+        words = _stream_words(sc.noise.seed, _STREAM_STATE, n_steps)
         normals = np.empty((STEP_CHUNK, 3, n))
         onramp = np.zeros((2, STEP_CHUNK, n))       # zero off the on-ramps in every chunk
         stop = min(bad_input, n_steps)
@@ -506,5 +506,10 @@ class TruthSimulator:
         up = x[3:5, :, off - 1]                  # the flows entering the off-ramp segments
         up[:, :, off == 0] = entry[:, :, None]
         ramp_out = constants.beta[:, None, off] * up
+        over = np.argwhere(ramp_out[1] > ramp_out[0] + 1e-9)    # BoundaryInputs' bound
+        if len(over):
+            raise TruthDivergedError(f"connected off-ramp outflow exceeds the total at step "
+                                     f"{over[0, 0]}, at the off-ramp of segment "
+                                     f"{sc.layout.off_ramp_segments[over[0, 1]]}")
         states, inputs = TrafficState(*x), BoundaryInputs(*entry, *ramp_in, *ramp_out)
-        return TruthRun(states, inputs, observe(states, inputs, self.layout, self.noise))
+        return TruthRun(states, inputs, observe(states, inputs, sc.layout, sc.noise))

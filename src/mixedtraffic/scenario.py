@@ -31,11 +31,9 @@ from .core import (
     nominal_speed,
 )
 from .kalman import KalmanConfig
-from .metanet import NoiseSpec, PiecewiseLinear
+from .metanet import DEFAULT_SEED, NoiseSpec, PiecewiseLinear
 
 OFFRAMP_MODES = ("measured", "unmeasured")
-
-DEFAULT_SEED = 20260810
 
 
 class ScenarioError(ValueError):
@@ -122,46 +120,6 @@ class Scenario:
         return TrafficState.from_densities(rho, self.init_penetration * rho, v)
 
 
-def default_scenario(seed: int = DEFAULT_SEED) -> Scenario:
-    """The stock 20-segment experiment.
-
-    Entry and on-ramp demands rise over the second hour far enough that the
-    merge at segment 6 exceeds capacity and the queue spills back to the
-    entry, then recede so the last hour is free-flowing again.
-    """
-    geometry = HighwayGeometry(n_segments=20, step_h=10 / 3600, seg_len_km=0.5)
-    params = MetanetParams.defaults()
-    layout = RampLayout(on_ramp_segments=(2, 6, 10), off_ramp_segments=(4, 8, 12),
-                        exit_rate=(0.1, 0.1, 0.1))
-    entry = PiecewiseLinear.from_pairs([
-        (0.0, 1300.0), (0.9, 1300.0), (1.05, 1700.0), (1.55, 1700.0),
-        (1.75, 1300.0), (3.0, 1300.0),
-    ])
-    onramps = {
-        2: PiecewiseLinear.from_pairs([
-            (0.0, 150.0), (0.9, 150.0), (1.05, 250.0), (1.55, 250.0),
-            (1.75, 150.0), (3.0, 150.0),
-        ]),
-        6: PiecewiseLinear.from_pairs([
-            (0.0, 250.0), (0.9, 250.0), (1.05, 550.0), (1.55, 550.0),
-            (1.75, 250.0), (3.0, 250.0),
-        ]),
-        10: PiecewiseLinear.from_pairs([
-            (0.0, 100.0), (3.0, 100.0),
-        ]),
-    }
-    return Scenario(
-        geometry=geometry,
-        params=params,
-        layout=layout,
-        entry_demand=entry,
-        onramp_demand=onramps,
-        penetration_profile=PiecewiseLinear.constant(0.2),
-        noise=NoiseSpec(seed=seed),
-        name="default",
-    )
-
-
 # --- YAML parsing ---------------------------------------------------------
 
 # The keys a scenario file may set, by section ("" is the top level): each sets
@@ -196,7 +154,7 @@ _DEFAULTS = {
     **{f.name: f.default for cls in (RampLayout, NoiseSpec, Scenario)
        for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING},
     **vars(MetanetParams.defaults()),
-    "n_segments": 20, "step_h": 10 / 3600, "seg_len_km": 0.5, "seed": DEFAULT_SEED,
+    "n_segments": 20, "step_h": 10 / 3600, "seg_len_km": 0.5,
     "penetration_profile": PiecewiseLinear.constant(0.2),
 }
 
@@ -326,3 +284,26 @@ def load_scenario(path) -> Scenario:
     if not isinstance(data, Mapping):
         raise ScenarioError(["top level: expected a mapping"])
     return _scenario_from_dict(data, os.path.splitext(os.path.basename(path))[0])
+
+
+def default_scenario(seed: int = DEFAULT_SEED) -> Scenario:
+    """The stock 20-segment experiment: a file that sets only its ramps, its
+    demands and ``seed``, so the rest are the values any file omits.  The
+    demands rise over the second hour until the merge at segment 6 exceeds
+    capacity and the queue spills back to the entry, then recede so the last
+    hour is free-flowing again."""
+    return _scenario_from_dict({
+        "ramps": {"on_ramps": [2, 6, 10], "off_ramps": [4, 8, 12], "exit_rate": 0.1},
+        "demand": {
+            "entry": [[0.0, 1300.0], [0.9, 1300.0], [1.05, 1700.0], [1.55, 1700.0],
+                      [1.75, 1300.0], [3.0, 1300.0]],
+            "on_ramps": {
+                2: [[0.0, 150.0], [0.9, 150.0], [1.05, 250.0], [1.55, 250.0],
+                    [1.75, 150.0], [3.0, 150.0]],
+                6: [[0.0, 250.0], [0.9, 250.0], [1.05, 550.0], [1.55, 550.0],
+                    [1.75, 250.0], [3.0, 250.0]],
+                10: [[0.0, 100.0], [3.0, 100.0]],
+            },
+        },
+        "run": {"seed": seed},
+    }, "default")

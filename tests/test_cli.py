@@ -193,6 +193,34 @@ def test_simulator_overflow_is_refused(tmp_path, capsys, verb):
     assert list(out.iterdir()) == []
 
 
+def _exit_rate_a_yaml(tmp_path, rate):
+    """The default scenario with connected vehicles leaving every off-ramp at ``rate``."""
+    text = DEFAULT_YAML.read_text()
+    line = "  exit_rate: 0.1\n"
+    assert line in text
+    path = tmp_path / f"exit_rate_a_{rate}.yaml"
+    path.write_text(text.replace(line, f"{line}  exit_rate_a: {rate}\n"))
+    return path
+
+
+def test_connected_exit_above_the_total_is_refused(tmp_path, capsys):
+    """beta_a = 0.9 against beta = 0.1 takes more connected vehicles off the
+    ramp at segment 4 than vehicles in all from step 0 on: refused as the
+    truth's fault, with no file.  beta_a = 0.3 keeps beta_a q_a,up <= beta q_up
+    at the 20% share, so the load-time rules cannot refuse beta_a > beta."""
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(_exit_rate_a_yaml(tmp_path, 0.9)),
+                 "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "truth_diverged"
+    assert err["raised"] == ("connected off-ramp outflow exceeds the total at step 0, "
+                             "at the off-ramp of segment 4")
+    assert list(out.iterdir()) == []
+    assert main(["simulate", "--scenario", str(_exit_rate_a_yaml(tmp_path, 0.3)),
+                 "--out", str(out)]) == 0
+
+
 def test_observability_report(tmp_path, short_yaml, capsys):
     code = main(["observability", "--scenario", str(short_yaml),
                  "--out", str(tmp_path), "--stride", "10"])

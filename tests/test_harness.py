@@ -521,6 +521,33 @@ def test_estimator_is_scale_equivariant(default_sc, mode, seed, c):
             == performance_index(rho, frames.rho_a_seg, plain.x_hat))
 
 
+FLOW_FIELDS = ("q0_a", "q_a_seg", "r_a", "s_a", "q0_meas", "qN_meas", "r_meas", "s_meas")
+
+
+@pytest.mark.parametrize("c", [2.0, 4.0])
+@pytest.mark.parametrize("seed", [20260810, 7])
+@pytest.mark.parametrize("mode", ["measured", "unmeasured"])
+def test_estimator_is_time_unit_invariant(default_sc, mode, seed, c):
+    """Every flow of the frames times c, with step_h and horizon_h over c,
+    gives the same x_hat and innovations bit for bit and the same clamp and
+    fallback counts: flows and steps are read in a time unit c times shorter.
+    Powers of two of at least 2 only: c = 3 is off by up to 8.9e-15, and
+    c < 1 lengthens the step past the CFL bound."""
+    sc = dataclasses.replace(default_sc.with_seed(seed), offramp_mode=mode)
+    frames = mt.simulate_truth(sc).frames
+    geom = sc.geometry
+    short = dataclasses.replace(
+        sc, geometry=HighwayGeometry(geom.n_segments, geom.step_h / c, geom.seg_len_km),
+        horizon_h=sc.horizon_h / c)
+    scaled = dataclasses.replace(frames, **{name: getattr(frames, name) * c
+                                            for name in FLOW_FIELDS})
+    plain, run = estimate_shares(sc, frames), estimate_shares(short, scaled)
+    assert np.array_equal(run.x_hat, plain.x_hat)
+    assert np.array_equal(run.innovation, plain.innovation)
+    assert run.g_clamp_count == plain.g_clamp_count
+    assert run.z_fallback_count == plain.z_fallback_count
+
+
 @pytest.mark.parametrize("mode", ["measured", "unmeasured"])
 def test_filter_holds_one_chunk_of_realization(default_sc, mode):
     """On a 200-segment, 3 h run (M = 1080), the traced peak of run_filter

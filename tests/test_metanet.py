@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import mixedtraffic as mt
 from mixedtraffic.core import (STEP_CHUNK, BoundaryInputs, HighwayGeometry, MetanetParams,
-                               RampLayout, TrafficState)
+                               RampLayout, TrafficState, nominal_speed)
 from mixedtraffic.metanet import (
     MeasurementFrame,
     NoiseSpec,
@@ -140,17 +141,17 @@ def test_one_step_matches_scalar_evaluation():
 def test_offramp_outflows_use_upstream_flow():
     """Every step's outflows, the last step's included, are the exit rate times
     the flow entering the segment."""
-    layout = RampLayout(off_ramp_segments=(1, 3), exit_rate=(0.2, 0.1))
-    geom = HighwayGeometry(n_segments=3, step_h=10 / 3600, seg_len_km=0.5)
-    state = TrafficState.from_densities([10.0, 20.0, 30.0], [1.0, 2.0, 3.0],
-                                        [100.0, 90.0, 80.0])
-    sim = TruthSimulator(geom=geom, params=PARAMS, layout=layout, noise=SILENT,
-                         entry_demand=PiecewiseLinear.constant(1500.0), onramp_demand={},
-                         penetration_profile=PiecewiseLinear.constant(0.2), init_state=state)
-    run = sim.run(3)
+    sc = mt.Scenario(
+        geometry=HighwayGeometry(n_segments=3, step_h=10 / 3600, seg_len_km=0.5), params=PARAMS,
+        layout=RampLayout(off_ramp_segments=(1, 3), exit_rate=(0.2, 0.1)),
+        entry_demand=PiecewiseLinear.constant(1500.0), onramp_demand={},
+        penetration_profile=PiecewiseLinear.constant(0.2), noise=SILENT,
+        init_rho=np.array([10.0, 20.0, 30.0]), init_penetration=0.1)
+    run = TruthSimulator(sc).run(3)
     inputs, states = run.inputs, run.states
-    assert inputs.s[0].tolist() == [0.2 * 1500.0, 0.1 * 20.0 * 90.0]
-    assert inputs.s_a[0].tolist() == [0.2 * 300.0, 0.1 * 2.0 * 90.0]
+    v = nominal_speed(20.0, PARAMS)
+    assert inputs.s[0].tolist() == [0.2 * 1500.0, 0.1 * (20.0 * v)]
+    assert inputs.s_a[0].tolist() == [0.2 * 300.0, 0.1 * (2.0 * v)]
     for k in range(4):
         assert inputs.s[k].tolist() == [0.2 * inputs.q0[k], 0.1 * states.q[k, 1]]
         assert inputs.s_a[k].tolist() == [0.2 * inputs.q0_a[k], 0.1 * states.q_a[k, 1]]
@@ -277,12 +278,7 @@ def test_constant_demand_reaches_fixed_point(default_sc):
                        6: PiecewiseLinear.constant(250.0),
                        10: PiecewiseLinear.constant(100.0)},
     )
-    sim = TruthSimulator(geom=sc.geometry, params=sc.params, layout=sc.layout,
-                         noise=sc.noise, entry_demand=sc.entry_demand,
-                         onramp_demand=sc.onramp_demand,
-                         penetration_profile=sc.penetration_profile,
-                         init_state=sc.initial_state())
-    run = sim.run(2000)
+    run = TruthSimulator(sc).run(2000)
     last, prev = run.states[-1], run.states[-2]
     change = max(np.abs(last.rho - prev.rho).max(), np.abs(last.v - prev.v).max(),
                  np.abs(last.rho_a - prev.rho_a).max())
@@ -431,11 +427,11 @@ def _ref_inputs_at(sim, states, inputs, step):
 
 
 def _reference_run(sc):
-    sim = TruthSimulator(geom=sc.geometry, params=sc.params, layout=sc.layout,
-                         noise=sc.noise, entry_demand=sc.entry_demand,
-                         onramp_demand=sc.onramp_demand,
-                         penetration_profile=sc.penetration_profile,
-                         init_state=sc.initial_state())
+    sim = types.SimpleNamespace(geom=sc.geometry, params=sc.params, layout=sc.layout,
+                                noise=sc.noise, entry_demand=sc.entry_demand,
+                                onramp_demand=sc.onramp_demand,
+                                penetration_profile=sc.penetration_profile,
+                                init_state=sc.initial_state())
     n_steps = sc.n_steps
     states = TrafficState.stack([sim.init_state] * (n_steps + 1))
     inputs = BoundaryInputs(*np.zeros((2, n_steps + 1)), *np.zeros((4,) + states.rho.shape))

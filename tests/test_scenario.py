@@ -10,23 +10,34 @@ import yaml
 
 import mixedtraffic as mt
 from mixedtraffic.core import HighwayGeometry, MetanetParams, RampLayout
-from mixedtraffic.metanet import NoiseSpec, PiecewiseLinear, TruthSimulator
+from mixedtraffic.metanet import NoiseSpec, PiecewiseLinear
 from mixedtraffic.scenario import Scenario, ScenarioError, default_scenario, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_YAML = REPO_ROOT / "scenarios" / "default.yaml"
 
 
-def test_shipped_default_matches_coded_default():
-    """The YAML file and the in-code default are the same experiment."""
-    from_file = load_scenario(DEFAULT_YAML)
-    coded = default_scenario()
-    assert from_file.seed == coded.seed
-    assert from_file.n_steps == coded.n_steps
-    truth_a = mt.simulate_truth(from_file)
-    truth_b = mt.simulate_truth(coded)
-    assert np.array_equal(truth_a.states[-1].rho, truth_b.states[-1].rho)
-    assert np.array_equal(truth_a.states[-1].v, truth_b.states[-1].v)
+def _assert_same(a, b, path="scenario"):
+    """``a`` and ``b`` are equal exactly, part by part: the same type, each
+    dataclass field and mapping entry in turn, arrays byte for byte."""
+    assert type(a) is type(b), path
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_same(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), path
+        for key in a:
+            _assert_same(a[key], b[key], f"{path}[{key}]")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), path
+    else:
+        assert a == b, path
+
+
+@pytest.mark.parametrize("seed", [20260810, 7])
+def test_shipped_default_matches_coded_default(seed):
+    """The YAML file and the in-code default are the same experiment, in every field."""
+    _assert_same(default_scenario(seed), load_scenario(DEFAULT_YAML).with_seed(seed))
 
 
 def test_default_scenario_shape():
@@ -168,7 +179,7 @@ def test_omitted_values_take_coded_defaults(tmp_path):
     sc = load_scenario(path)
     coded = {f.name: f.default for f in dataclasses.fields(mt.Scenario)}
     assert sc.params == mt.MetanetParams.defaults()
-    assert sc.noise == dataclasses.replace(mt.NoiseSpec(), seed=sc.seed)
+    assert sc.noise == mt.NoiseSpec()
     for name in ("q_sigma", "r_cov", "x0_value", "p0_sigma", "horizon_h", "offramp_mode",
                  "init_rho", "init_penetration"):
         assert getattr(sc, name) == coded[name]
@@ -325,14 +336,3 @@ def test_duplicated_off_ramp_is_refused_not_overwritten(tmp_path):
     """[4, 4] with two rates used to keep only the second."""
     failures = _file_failures(tmp_path, {"ramps.off_ramps": [4, 4], "ramps.exit_rate": [0.1, 0.2]})
     assert failures == ["ramps.off_ramps: must not repeat a segment (off_ramp_segments)"]
-
-
-def test_simulator_applies_the_on_ramp_demand_rule(default_sc):
-    """TruthSimulator checks a demand's on-ramp with the scenario's own rule."""
-    demand = {**default_sc.onramp_demand, 7: PiecewiseLinear.constant(100.0)}
-    with pytest.raises(ValueError, match=re.escape("onramp_demand[7] is given for a segment")):
-        TruthSimulator(geom=default_sc.geometry, params=default_sc.params,
-                       layout=default_sc.layout, noise=default_sc.noise,
-                       entry_demand=default_sc.entry_demand, onramp_demand=demand,
-                       penetration_profile=default_sc.penetration_profile,
-                       init_state=default_sc.initial_state())
