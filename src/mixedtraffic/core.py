@@ -303,15 +303,6 @@ class RampLayout:
         return (np.array(self.on_ramp_segments, dtype=int) - 1,
                 np.array(self.off_ramp_segments, dtype=int) - 1)
 
-    def exit_rate_vector(self, n_segments: int, connected: bool = False) -> np.ndarray:
-        """Length-N vector of exit rates, zero where there is no off-ramp."""
-        self.validate_against(n_segments)
-        out = np.zeros(n_segments)
-        rates = self.exit_rate_a if connected else self.exit_rate
-        for seg, beta in zip(self.off_ramp_segments, rates):
-            out[seg - 1] = beta
-        return out
-
 
 @dataclass(frozen=True)
 class BoundaryInputs(StepRecord):
@@ -366,6 +357,16 @@ def flows_from_state(rho, rho_a, v) -> tuple[np.ndarray, np.ndarray]:
     if np.any(rho < 0) or np.any(rho_a < 0) or np.any(v < 0):
         raise ValueError("inputs must be nonnegative")
     return rho * v, rho_a * v
+
+
+def upstream(entry, flows: np.ndarray) -> np.ndarray:
+    """The flow entering each segment along the last axis of ``flows``: the
+    ``entry`` flow at segment 1, then the flow of the segment upstream.  Any
+    leading axes are kept; the result is a new array like ``flows``."""
+    up = np.empty_like(flows)
+    up[..., 0] = entry
+    up[..., 1:] = flows[..., :-1]
+    return up
 
 
 def inverse_penetration(rho, rho_a) -> np.ndarray:

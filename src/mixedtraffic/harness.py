@@ -73,7 +73,7 @@ class RunResult:
 
 def simulate_truth(sc: Scenario) -> TruthRun:
     """Ground-truth trajectory over the scenario horizon."""
-    return TruthSimulator(sc).run(sc.n_steps)
+    return TruthSimulator(sc).run()
 
 
 def build_systems(sc: Scenario, frames: MeasurementFrame) -> BandedLtv:
@@ -534,6 +534,13 @@ def read_trajectory(path) -> dict[str, np.ndarray]:
     return {col: rows[col].reshape(shape).copy() for col in TRAJECTORY_COLUMNS[2:]}
 
 
+def _write_csv(path, header: Sequence[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_metrics(path, result: RunResult) -> None:
     rows = [("runtime_s", _fmt(result.runtime_s)),
             ("n_steps", str(result.truth.n_steps)),
@@ -545,24 +552,14 @@ def write_metrics(path, result: RunResult) -> None:
         rows += [("g_clamp_count", str(result.estimate.g_clamp_count)),
                  ("z_fallback_count", str(result.estimate.z_fallback_count)),
                  ("min_p_eigenvalue", _fmt(result.estimate.min_p_eigenvalue))]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("metric", "value"))
-        writer.writerows(rows)
+    _write_csv(path, ("metric", "value"), rows)
 
 
 def write_sweep(path, points: Sequence[SweepPoint]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("sigma", "p_r"))
-        for point in points:
-            writer.writerow((_fmt(point.sigma), _fmt(point.p_r)))
+    _write_csv(path, ("sigma", "p_r"), ((_fmt(p.sigma), _fmt(p.p_r)) for p in points))
 
 
 def write_observability(path, windows: Sequence[ObservabilityWindow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("start_step", "observable", "min_anti_diag", "max_anti_diag"))
-        for w in windows:
-            writer.writerow((str(w.start_step), str(int(w.observable)),
-                             _fmt(w.min_anti_diag), _fmt(w.max_anti_diag)))
+    _write_csv(path, ("start_step", "observable", "min_anti_diag", "max_anti_diag"),
+               ((str(w.start_step), str(int(w.observable)), _fmt(w.min_anti_diag),
+                 _fmt(w.max_anti_diag)) for w in windows))

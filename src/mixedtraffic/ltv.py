@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HighwayGeometry, RampLayout, StepRecord
+from .core import HighwayGeometry, RampLayout, StepRecord, upstream
 from .metanet import MeasurementFrame
 
 # Floor for the denominator sequence; measurement noise can push it
@@ -99,11 +99,7 @@ def _inflows(frames: MeasurementFrame, geom: HighwayGeometry, layout: RampLayout
         raise ValueError("frame size does not match geometry")
     layout.validate_against(geom.n_segments)
     frames.check_ramp_columns(layout)
-    q_a = frames.q_a_seg
-    up = np.empty(q_a.shape)
-    up[:, 0] = frames.q0_a
-    up[:, 1:] = q_a[:, :-1]
-    return (up, *layout.columns())
+    return (upstream(frames.q0_a, frames.q_a_seg), *layout.columns())
 
 
 def _banded(geom: HighwayGeometry, frames: MeasurementFrame, flow_up: np.ndarray,

@@ -58,6 +58,7 @@ from .core import (
     TrafficState,
     _as_step_array,
     enforce,
+    upstream,
 )
 
 if TYPE_CHECKING:                     # scenario imports this module
@@ -298,23 +299,15 @@ class StepConstants:
     @classmethod
     def of(cls, geom: HighwayGeometry, params: MetanetParams, layout: RampLayout,
            noise: NoiseSpec) -> "StepConstants":
-        n, t, td = geom.n_segments, geom.step_h, geom.t_over_delta
+        t, td = geom.step_h, geom.t_over_delta
+        layout.validate_against(geom.n_segments)
+        beta = np.zeros((2, geom.n_segments))
+        beta[:, layout.columns()[1]] = layout.exit_rate, layout.exit_rate_a
         return cls(params=params, td=td, relax=t / params.tau_h,
                    anticipation=(params.nu * t / params.tau_h) / geom.seg_len_km,
-                   friction=params.delta_ramp * td,
-                   beta=np.array([layout.exit_rate_vector(n),
-                                  layout.exit_rate_vector(n, connected=True)]),
+                   friction=params.delta_ramp * td, beta=beta,
                    noise_std=np.array([[noise.std_speed], [noise.std_flow_proc],
                                        [noise.std_flow_proc_a]]))
-
-
-def _upstream(entry: np.ndarray, flows: np.ndarray) -> np.ndarray:
-    """Each segment's inflow for a pair of total and connected flows, (2, N):
-    the ``entry`` flows at segment 1, then the flows of the segment upstream."""
-    up = np.empty_like(flows)
-    up[..., 0] = entry
-    up[..., 1:] = flows[..., :-1]
-    return up
 
 
 def step_truth(x: np.ndarray, entry: np.ndarray, onramp: np.ndarray, normals: np.ndarray,
@@ -342,7 +335,7 @@ def step_truth(x: np.ndarray, entry: np.ndarray, onramp: np.ndarray, normals: np
     rho = dens[0]
     nxt = x[:, k + 1]
     xi = c.noise_std * normals[k]
-    up = _upstream(entry[:, k], flow)
+    up = upstream(entry[:, k], flow)
     dens_next = dens + c.td * (up - flow + onramp[:, k] - c.beta * up)
     np.maximum(dens_next[0], 0.0, out=nxt[0])
     dens_next[1].clip(0.0, nxt[0], out=nxt[1])
@@ -427,11 +420,11 @@ class TruthSimulator:
 
     scenario: Scenario
 
-    def inputs_at(self, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """The boundary inputs at steps 0..n_steps that do not depend on the
-        state, as two blocks: the entry flows (q0, q0_a), shape (2, n_steps+1),
-        and the on-ramp inflows (r, r_a), shape (2, n_steps+1, on-ramps), one
-        column per on-ramp in the layout's order.
+    def inputs_at(self) -> tuple[np.ndarray, np.ndarray]:
+        """The boundary inputs at steps 0..M of the scenario's run that do not
+        depend on the state, as two blocks: the entry flows (q0, q0_a), shape
+        (2, M+1), and the on-ramp inflows (r, r_a), shape (2, M+1, on-ramps),
+        one column per on-ramp in the layout's order.
 
         Demands and connected shares are taken at each step's clock time, and
         the entry flows carry their process noise.  The off-ramp outflows
@@ -439,7 +432,7 @@ class TruthSimulator:
         Python floats: an overflow leaves an entry flow infinite, for the run
         to refuse.
         """
-        sc, steps = self.scenario, n_steps + 1
+        sc, steps = self.scenario, self.scenario.n_steps + 1
         # Drawn first: a run too long for its streams is refused before any
         # whole-run array is allocated.
         xi_0, xi_0a = _draws(sc.noise.seed, _STREAM_ENTRY, steps, 2).T
@@ -459,8 +452,8 @@ class TruthSimulator:
         np.multiply(pen[:, None], onramp[0], out=onramp[1])
         return entry, onramp
 
-    def run(self, n_steps: int) -> TruthRun:
-        """Simulate n_steps transitions into n_steps+1 rows of whole-run arrays.
+    def run(self) -> TruthRun:
+        """Simulate the scenario's M transitions into M+1 rows of whole-run arrays.
 
         The inputs are computed for every step before the step loop, and the
         off-ramp outflows and detector readings after it; the loop advances
@@ -473,10 +466,8 @@ class TruthSimulator:
         beta q_up (an exit rate beta_a above beta allows it), then the first
         step with a non-finite detector reading.
         """
-        if n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        sc = self.scenario
-        entry, ramp_in = self.inputs_at(n_steps)
+        sc, n_steps = self.scenario, self.scenario.n_steps
+        entry, ramp_in = self.inputs_at()
         bad_input = _first_non_finite(*entry, *ramp_in)
         n = sc.geometry.n_segments
         x = np.zeros((5, n_steps + 1, n))

@@ -81,6 +81,8 @@ class Scenario:
         Rule("horizon_h", lambda h, step: math.isfinite(h / step)
              and abs(h / step - round(h / step)) <= 1e-9,
              "must be an integer number of steps", needs=("step_h",)),
+        Rule("horizon_h", lambda h, step: round(h / step) >= 1, "must be at least one step",
+             needs=("step_h",)),
         # inputs_at draws for steps 0..M, and a stream index stays below 2**32.
         Rule("horizon_h", lambda h, step: round(h / step) <= 2**32 - 2,
              "must be at most 2**32 - 2 steps", needs=("step_h",)),

@@ -169,27 +169,36 @@ def test_empty_exit_at_the_first_step_is_refused(tmp_path, capsys, verb):
     assert list((tmp_path / verb).iterdir()) == []
 
 
-def _absurd_entry_yaml(tmp_path):
-    """The default scenario with an entry demand of 1e300 veh/h: finite, so it
-    loads, but the simulated densities overflow the speed law at step 1."""
-    text = DEFAULT_YAML.read_text()
-    entry = "  entry:\n  - [0.0, 1300.0]\n"
-    assert entry in text
-    path = tmp_path / "absurd.yaml"
-    path.write_text(text.replace(entry, "  entry:\n  - [0.0, 1.0e+300]\n"))
-    return path
+# Finite values that load but overflow the run: the shipped file's text, its
+# replacement, and what the simulator raises.  An entry demand of 1e300 veh/h
+# overflows the speed law at step 1; an entry detector noise of 1e308 veh/h
+# first overflows a reading at step 7.
+OVERFLOWS = {
+    "entry": ("  entry:\n  - [0.0, 1300.0]\n", "  entry:\n  - [0.0, 1.0e+300]\n",
+              "overflow encountered in power at step 1"),
+    "detector": ("std_entry_flow: 25.0 ", "std_entry_flow: 1.0e+308 ",
+                 "non-finite detector reading at step 7"),
+}
+VERBS = ["simulate", "estimate", "sweep", "observability"]
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("verb", ["simulate", "estimate", "sweep", "observability"])
-def test_simulator_overflow_is_refused(tmp_path, capsys, verb):
+@pytest.mark.parametrize("verb, overflow", [*((verb, "entry") for verb in VERBS),
+                                            *((verb, "detector") for verb in VERBS)],
+                         ids=VERBS + [f"{verb}-detector" for verb in VERBS])
+def test_simulator_overflow_is_refused(tmp_path, capsys, verb, overflow):
     """Blamed on the truth, not the filter, with no warning and no file."""
+    old, new, raised = OVERFLOWS[overflow]
+    text = DEFAULT_YAML.read_text()
+    assert text.count(old) == 1
+    scenario = tmp_path / "absurd.yaml"
+    scenario.write_text(text.replace(old, new))
     out = tmp_path / "out"
-    code = main([verb, "--scenario", str(_absurd_entry_yaml(tmp_path)), "--out", str(out)])
+    code = main([verb, "--scenario", str(scenario), "--out", str(out)])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "truth_diverged"
-    assert err["raised"] == "overflow encountered in power at step 1"
+    assert err["raised"] == raised
     assert list(out.iterdir()) == []
 
 
@@ -341,9 +350,12 @@ def test_on_ramp_demand_without_an_on_ramp_is_refused_at_load(tmp_path, capsys):
 @pytest.mark.parametrize("text, failure", [
     ("geometry: [1, 2\n", "line 2, column 1: expected ',' or ']', but got '<stream end>'"),
     ("demand: {entry: 1300.0}\nname: a: b\n", "line 2, column 8: mapping values are not allowed here"),
-], ids=["unclosed list", "colon in a plain value"])
+    ("- 1\n- 2\n", "top level: expected a mapping"),
+    ("", "top level: expected a mapping"),
+], ids=["unclosed list", "colon in a plain value", "a list", "an empty file"])
 def test_yaml_syntax_error_is_refused_at_load(tmp_path, capsys, text, failure):
-    """Before, the parser's error escaped with a traceback and exit 1."""
+    """Before, the parser's error escaped with a traceback and exit 1.  A file
+    whose top level is not a mapping is refused at load too."""
     scenario = tmp_path / "bad.yaml"
     scenario.write_text(text)
     out = tmp_path / "out"
@@ -369,19 +381,24 @@ def test_scenario_that_is_not_utf8_is_refused_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_horizon_beyond_the_noise_streams_is_refused_at_load(tmp_path, capsys):
+@pytest.mark.parametrize("horizon, failure", [
+    (repr(2**32 * (10 / 3600)), "must be at most 2**32 - 2 steps"),
+    ("1.0e-15", "must be at least one step"),
+], ids=["2**32 steps", "zero steps"])
+def test_horizon_beyond_the_noise_streams_is_refused_at_load(tmp_path, capsys, horizon, failure):
     """2**32 steps: before, the file loaded, --out was made, and the stream
-    derivation raised with a traceback and exit 1."""
+    derivation raised with a traceback and exit 1.  A horizon shorter than
+    half a step, zero steps, loaded too, and the simulator raised."""
     text = DEFAULT_YAML.read_text()
     assert text.count("horizon_h: 3.0") == 1
     scenario = tmp_path / "long.yaml"
-    scenario.write_text(text.replace("horizon_h: 3.0", f"horizon_h: {2**32 * (10 / 3600)!r}"))
+    scenario.write_text(text.replace("horizon_h: 3.0", f"horizon_h: {horizon}"))
     out = tmp_path / "out"
     code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid_scenario"
-    assert err["failures"] == ["run.horizon_h: must be at most 2**32 - 2 steps (horizon_h)"]
+    assert err["failures"] == [f"run.horizon_h: {failure} (horizon_h)"]
     assert not out.exists()
 
 

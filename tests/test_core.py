@@ -131,8 +131,6 @@ def test_ramp_layout_validation():
     layout = RampLayout(on_ramp_segments=(2,), off_ramp_segments=(4,), exit_rate=(0.1,))
     with pytest.raises(ValueError):
         layout.validate_against(3)
-    vec = layout.exit_rate_vector(6)
-    assert vec.tolist() == [0.0, 0.0, 0.0, 0.1, 0.0, 0.0]
 
 
 def test_boundary_inputs_validation():

@@ -174,6 +174,28 @@ def test_ramp_columns_other_than_the_layout_are_refused(build, ramps, message):
         build(MeasurementFrame.stack([frame]), GEOM3, layout)
 
 
+@pytest.mark.parametrize("build", [build_system_measured, build_system_unmeasured_offramps])
+@pytest.mark.parametrize("steps, geom, message", [
+    (slice(0, 0), GEOM3, "^need at least one frame$"),
+    (slice(None), HighwayGeometry(n_segments=4, step_h=1 / 180, seg_len_km=1.0),
+     "^frame size does not match geometry$"),
+], ids=["no frame", "four segments"])
+def test_frames_that_do_not_fit_the_run_are_refused(build, steps, geom, message):
+    frames = MeasurementFrame.stack([make_frame(rho_a=[10.0, 8.0, 9.0], q_a=[700.0, 650.0, 620.0],
+                                                q0_a=710.0)] * 2)
+    with pytest.raises(ValueError, match=message):
+        build(frames[steps], geom, NO_RAMPS)
+
+
+@pytest.mark.parametrize("field", ["sub", "drive", "g"])
+def test_banded_ltv_refuses_bands_of_another_shape(field):
+    bands = {"diag": np.ones((2, 3)), "sub": np.ones((2, 2)), "drive": np.ones((2, 3)),
+             "g": np.ones((2, 3))}
+    BandedLtv(**bands)
+    with pytest.raises(ValueError, match=f"^{field} must have shape"):
+        BandedLtv(**{**bands, field: np.ones((3, 3))})
+
+
 @pytest.mark.parametrize("mode", ["measured", "unmeasured"])
 def test_build_allocates_one_scratch_array_beside_its_output(default_sc, mode):
     """On a 200-segment, half-hour run, the traced peak of the build stays

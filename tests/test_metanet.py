@@ -146,8 +146,8 @@ def test_offramp_outflows_use_upstream_flow():
         layout=RampLayout(off_ramp_segments=(1, 3), exit_rate=(0.2, 0.1)),
         entry_demand=PiecewiseLinear.constant(1500.0), onramp_demand={},
         penetration_profile=PiecewiseLinear.constant(0.2), noise=SILENT,
-        init_rho=np.array([10.0, 20.0, 30.0]), init_penetration=0.1)
-    run = TruthSimulator(sc).run(3)
+        init_rho=np.array([10.0, 20.0, 30.0]), init_penetration=0.1, horizon_h=3 * 10 / 3600)
+    run = TruthSimulator(sc).run()
     inputs, states = run.inputs, run.states
     v = nominal_speed(20.0, PARAMS)
     assert inputs.s[0].tolist() == [0.2 * 1500.0, 0.1 * (20.0 * v)]
@@ -155,6 +155,19 @@ def test_offramp_outflows_use_upstream_flow():
     for k in range(4):
         assert inputs.s[k].tolist() == [0.2 * inputs.q0[k], 0.1 * states.q[k, 1]]
         assert inputs.s_a[k].tolist() == [0.2 * inputs.q0_a[k], 0.1 * states.q_a[k, 1]]
+
+
+def test_exit_rates_sit_at_the_off_ramps():
+    """Both rows of the step constants' exit rates, total then connected, hold
+    each off-ramp's rate at its segment and zero elsewhere."""
+    layout = RampLayout(on_ramp_segments=(2,), off_ramp_segments=(4, 1), exit_rate=(0.1, 0.3),
+                        exit_rate_a=(0.2, 0.05))
+    geom = HighwayGeometry(n_segments=6, step_h=10 / 3600, seg_len_km=0.5)
+    beta = StepConstants.of(geom, PARAMS, layout, SILENT).beta
+    assert beta.tolist() == [[0.3, 0.0, 0.0, 0.1, 0.0, 0.0], [0.05, 0.0, 0.0, 0.2, 0.0, 0.0]]
+    with pytest.raises(ValueError, match="off_ramp_segments must lie within"):
+        StepConstants.of(dataclasses.replace(geom, n_segments=3, seg_len_km=0.5), PARAMS,
+                         layout, SILENT)
 
 
 def _infinite_entry(sc):
@@ -277,8 +290,9 @@ def test_constant_demand_reaches_fixed_point(default_sc):
         onramp_demand={2: PiecewiseLinear.constant(150.0),
                        6: PiecewiseLinear.constant(250.0),
                        10: PiecewiseLinear.constant(100.0)},
+        horizon_h=2000 * default_sc.geometry.step_h,
     )
-    run = TruthSimulator(sc).run(2000)
+    run = TruthSimulator(sc).run()
     last, prev = run.states[-1], run.states[-2]
     change = max(np.abs(last.rho - prev.rho).max(), np.abs(last.v - prev.v).max(),
                  np.abs(last.rho_a - prev.rho_a).max())

@@ -209,7 +209,7 @@ FILE_ROWS = [
     ("initial.rho", -5.0), ("initial.penetration", 0.0), ("run.horizon_h", 3.0001),
     ("initial.rho", [1.0, 2.0]), ("ramps.on_ramps", [2, 6, 10, 21]),
     ("ramps.off_ramps", [0, 8, 12]), ("demand.on_ramps.7", 100.0),
-    ("run.horizon_h", (2**32 - 1) * (10 / 3600)),
+    ("run.horizon_h", (2**32 - 1) * (10 / 3600)), ("run.horizon_h", 1e-15),
 ]
 
 
@@ -240,7 +240,7 @@ CODE_ROWS = [
                         ("horizon_h", -1.0), ("x0_value", INF), ("offramp_mode", "guessed"),
                         ("init_rho", -5.0), ("init_penetration", 0.0), ("horizon_h", 3.0001),
                         ("horizon_h", (2**32 - 1) * (10 / 3600)),
-                        ("init_rho", np.full(19, 9.0))]),
+                        ("init_rho", np.full(19, 9.0)), ("horizon_h", 1e-15)]),
     ("on_ramp_segments", lambda sc: dataclasses.replace(
         sc, layout=dataclasses.replace(sc.layout, on_ramp_segments=(2, 6, 10, 21)))),
     ("off_ramp_segments", lambda sc: dataclasses.replace(
@@ -319,6 +319,7 @@ def test_a_file_reports_every_broken_rule(tmp_path, changes, expected):
     ("ramps.off_ramps", [4.7]), ("ramps.on_ramps", "12"), ("ramps.off_ramps", [True]),
     ("ramps.exit_rate", "high"), ("ramps.exit_rate_a", [0.1, "x", 0.1]),
     ("geometry.seg_len_km", "long"), ("demand.on_ramps", [2, 6]),
+    ("geometry", 5), ("demand.on_ramps.x", 100.0),
 ])
 def test_values_of_the_wrong_type_are_refused_with_their_path(tmp_path, path, bad):
     """Before, [4.7] read as segment 4, "12" as segments 1 and 2, [true] as
