@@ -30,7 +30,7 @@ from .harness import (
     write_sweep,
     write_trajectory,
 )
-from .kalman import PSD_TOL, NoExitMeasurementError
+from .kalman import PSD_TOL, KalmanConfig, NoExitMeasurementError
 from .metanet import NoiseSpec, TruthDivergedError
 from .scenario import OFFRAMP_MODES, Scenario, ScenarioError, default_scenario, load_scenario
 
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run simulator, measurements, and the filter")
     sweep = sub.add_parser("sweep", parents=[common],
                            help="rerun the filter across process-covariance scales")
-    sweep.add_argument("--sigmas", type=_ruled(float, Scenario, "q_sigma"), nargs="+",
+    sweep.add_argument("--sigmas", type=_ruled(float, KalmanConfig, "q_sigma"), nargs="+",
                        default=list(DEFAULT_SIGMAS), help="Q = sigma * I scales to evaluate")
     obs = sub.add_parser("observability", parents=[common],
                          help="report observability anti-diagonals over a run")

@@ -11,7 +11,6 @@ arrays are 0-based, so segment i lives at index i-1.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
@@ -80,8 +79,15 @@ def enforce(rules, values: Mapping) -> None:
         raise ValueError("; ".join(f"{field} {message}" for field, message in failures))
 
 
+def _is_integer(x) -> bool:
+    """A Python or NumPy integer; a bool, though an int, is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _positive(x) -> bool:
-    return math.isfinite(x) and x > 0
+    """Finite and > 0, in every entry of an array."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(np.isfinite(x) & (x > 0)))
 
 
 class StepRecord:
@@ -162,8 +168,7 @@ class HighwayGeometry:
     rules = (
         Rule("n_segments", lambda n: n >= 2, "must be >= 2"),
         Rule("step_h", _positive, "must be finite and > 0"),
-        Rule("seg_len_km", lambda x: np.all(np.isfinite(x) & (np.asarray(x, dtype=float) > 0)),
-             "entries must be finite and > 0"),
+        Rule("seg_len_km", _positive, "entries must be finite and > 0"),
         Rule("seg_len_km", lambda x, n: np.ndim(x) == 0 or np.shape(x) == (n,),
              "must be one length or one per segment", needs=("n_segments",)),
     )
@@ -284,6 +289,9 @@ class RampLayout:
     )
 
     def __post_init__(self):
+        for name in ("on_ramp_segments", "off_ramp_segments"):
+            if not all(map(_is_integer, getattr(self, name))):    # int() would truncate
+                raise ValueError(f"{name} entries must be integers, got {getattr(self, name)!r}")
         for name, kind in (("on_ramp_segments", int), ("off_ramp_segments", int),
                            ("exit_rate", float), ("exit_rate_a", float)):
             object.__setattr__(self, name, tuple(kind(x) for x in getattr(self, name)))

@@ -3,11 +3,13 @@
 The estimator reads a run of M+1 measurement frames and the scenario, never
 the truth run: frame k yields A(k), B(k) u(k), and z(k), and the realization
 is built one chunk of ``STEP_CHUNK`` frames at a time.  ``estimate_shares``
-runs one filter or a batch of them (``KalmanConfig.stack``) in one loop, and
+runs the scenario's ``filter``, one ``KalmanConfig`` or a batch of them
+(``KalmanConfig.stack``), in one loop; the tuning has no other way in.
 ``run_filter`` adds the reconstructed totals, which a sweep does not need.
 ``run_experiment`` and ``q_sweep`` simulate, pass ``truth.frames`` and alone
 score against the truth; ground truth never depends on filter tuning, so a
-sweep runs every tuning point on one truth run as one batch.
+sweep runs every tuning point on one truth run, as one batch in a copy of
+the scenario.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .scenario import Scenario
 class ShareEstimate:
     """Filter outputs over a run; row k is the estimate at step k.
 
-    Shapes follow the config: a batch of S filters (``KalmanConfig.stack``)
+    Shapes follow the scenario's filter: a batch of S (``KalmanConfig.stack``)
     puts the member axis first, so ``x_hat[i]`` is member i's run.
     """
 
@@ -111,9 +113,8 @@ def _weyl_floor(top, p_nn, floor, a: float, q, r_cov, n: int):
     return q - 32 * _EPS * q - (weyl + rounding) * (1 + 32 * _EPS)
 
 
-def estimate_shares(sc: Scenario, frames: MeasurementFrame,
-                    config: KalmanConfig | None = None) -> ShareEstimate:
-    """Run the filter, or the batch ``config``, along a run of M+1 frames.
+def estimate_shares(sc: Scenario, frames: MeasurementFrame) -> ShareEstimate:
+    """Run the scenario's filter, or its batch of filters, along a run of M+1 frames.
 
     The realization is built from ``STEP_CHUNK`` frames at a time, as the
     loop reaches them; each row equals that of the whole run's realization.
@@ -164,12 +165,10 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame,
     any other and a healthy run never factorises.  A factorisation sets every
     member's bound to -PSD_TOL when it succeeds and drops it when it fails.
     """
-    if config is None:
-        config = sc.filter_config()
-    m = len(frames) - 1
-    x = config.x0                          # filter_step never writes to its inputs
-    batch, n = x.shape[:-1], x.shape[-1]
-    p = config.p0_sigma[..., None, None] * np.eye(n)
+    config = sc.filter
+    m, n, batch = len(frames) - 1, sc.geometry.n_segments, np.shape(config.q_sigma)
+    x = np.full(batch + (n,), np.asarray(config.x0_value)[..., None])
+    p = np.asarray(config.p0_sigma)[..., None, None] * np.eye(n)
     x_hat = np.empty(batch + (m + 1, n))
     innovation = np.empty(batch + (m,))
     x_hat[..., 0, :] = x
@@ -226,12 +225,11 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame,
                          g_clamp_count=clamps, z_fallback_count=fallbacks)
 
 
-def run_filter(sc: Scenario, frames: MeasurementFrame,
-               config: KalmanConfig | None = None) -> EstimateRun:
+def run_filter(sc: Scenario, frames: MeasurementFrame) -> EstimateRun:
     """``estimate_shares`` with the total densities and flows reconstructed
     from its estimates and the frames' connected densities and flows; the
     filter's loop arrays are freed before the totals are allocated."""
-    shares = estimate_shares(sc, frames, config)
+    shares = estimate_shares(sc, frames)
     rho_hat, q_hat = reconstruct_totals(shares.x_hat, frames.rho_a_seg, frames.q_a_seg)
     return EstimateRun(**vars(shares), rho_hat=rho_hat, q_hat=q_hat)
 
@@ -301,15 +299,14 @@ def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
     identical data and equals ``run_filter`` with its own Q bit for bit.  No
     totals are reconstructed: the score reads the share estimates.  Raises
     ValueError, before simulating, unless ``sigmas`` is a nonempty list of
-    values that pass the rules of ``Scenario.q_sigma``.
+    values that pass the rule of ``KalmanConfig.q_sigma``.
     """
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
         raise ValueError("need at least one sigma")
-    config = KalmanConfig.stack([dataclasses.replace(sc, q_sigma=s).filter_config()
-                                 for s in sigmas])
+    batch = KalmanConfig.stack([dataclasses.replace(sc.filter, q_sigma=s) for s in sigmas])
     truth = simulate_truth(sc)
-    run = estimate_shares(sc, truth.frames, config=config)
+    run = estimate_shares(dataclasses.replace(sc, filter=batch), truth.frames)
     rho, rho_a = truth.states.rho, truth.states.rho_a
     return [SweepPoint(sigma=s, p_r=performance_index(rho, rho_a, run.x_hat[i]),
                        min_p_eigenvalue=float(run.min_p_eigenvalue[i]))

@@ -10,10 +10,14 @@ A(k) and B(k) u(k) come from the banded realization of ``ltv``, so A P A'
 costs two shifted row operations; C selects the exit: C x = x[-1], P C' = P[:, -1].
 Q = q_sigma*I, so + Q touches only the diagonal.
 
-A leading batch axis runs S filters with their own (Q, R, x0, P0) side by
-side on one realization and one measurement sequence: x is (S, N) and P is
-(S, N, N).  Every operation is elementwise or a row shift, so each member's
-arithmetic, and hence its result, is that of its own unbatched run.
+The tuning, ``KalmanConfig``, is the scenario's ``filter`` part, like its
+geometry and noise: its ``rules`` check a file's ``filter`` section and a
+config built in code alike, and the estimator reads it from the scenario
+alone.  A leading batch axis runs S filters with their own (Q, R, x^(0),
+P0) side by side on one realization and one measurement sequence: x is
+(S, N) and P is (S, N, N).  Every operation is elementwise or a row shift,
+so each member's arithmetic, and hence its result, is that of its own
+unbatched run.
 
 P is re-symmetrized each step; the update above is not in Joseph form and
 drifts over long runs otherwise.  Estimates are deliberately not clamped to
@@ -28,12 +32,13 @@ divides them by c**2), decides only the verdict, never x^ or the innovations.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import EPS_DENSITY
+from .core import EPS_DENSITY, Rule, _positive, enforce
 from .ltv import BandedLtv
 from .metanet import MeasurementFrame
 
@@ -51,38 +56,37 @@ class NoExitMeasurementError(ValueError):
 
 @dataclass(frozen=True)
 class KalmanConfig:
-    """Tuning Q = q_sigma*I and R = r_cov, and initialization x0 and
-    P0 = p0_sigma*I, of one filter or of a batch.
+    """Tuning Q = q_sigma*I and R = r_cov, and initialization x^(0) = x0_value
+    in every segment and P0 = p0_sigma*I, of one filter or of a batch.
 
-    The scalars are held as float arrays of shape ``x0.shape[:-1]``: a batch of
-    S filters has x0 (S, N) and q_sigma, r_cov and p0_sigma (S,).  ``stack``
-    builds one from single configs.
+    Each field is a float for one filter, or an (S,) array for a batch of S
+    filters, which ``stack`` builds from single configs.
     """
 
-    q_sigma: float | np.ndarray
-    r_cov: float | np.ndarray
-    x0: np.ndarray
-    p0_sigma: float | np.ndarray
+    q_sigma: float | np.ndarray = 1.0
+    r_cov: float | np.ndarray = 100.0
+    x0_value: float | np.ndarray = 10.0
+    p0_sigma: float | np.ndarray = 1.0
+
+    rules = (
+        *(Rule(name, _positive, "must be finite and > 0")
+          for name in ("q_sigma", "r_cov", "p0_sigma")),
+        Rule("x0_value", lambda x: np.all(np.isfinite(x)), "must be finite"),
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-        if not np.all(np.isfinite(self.x0)):
-            raise ValueError("x0 must be finite")
-        for name in ("q_sigma", "r_cov", "p0_sigma"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != self.x0.shape[:-1]:
+        # A file holds one filter, so the batch shape is checked here, not by a rule.
+        shape = np.shape(self.q_sigma)
+        for name, value in vars(self).items():
+            if len(shape) > 1 or np.shape(value) != shape:
                 raise ValueError(f"{name} must hold one value per filter")
-            if not np.all(np.isfinite(value) & (value > 0)):
-                raise ValueError(f"{name} must be finite and > 0")
-            object.__setattr__(self, name, value)
+        enforce(self.rules, vars(self))
 
     @classmethod
     def stack(cls, configs: Sequence["KalmanConfig"]) -> "KalmanConfig":
         """The batch whose member s is the single filter ``configs[s]``."""
-        return cls(q_sigma=np.stack([c.q_sigma for c in configs]),
-                   r_cov=np.stack([c.r_cov for c in configs]),
-                   x0=np.stack([c.x0 for c in configs]),
-                   p0_sigma=np.stack([c.p0_sigma for c in configs]))
+        return cls(**{f.name: np.array([getattr(c, f.name) for c in configs], dtype=float)
+                      for f in dataclasses.fields(cls)})
 
 
 def kalman_gain(p_cov: np.ndarray, r_cov: float | np.ndarray) -> np.ndarray:
@@ -106,7 +110,7 @@ def filter_step(x_hat: np.ndarray, p_cov: np.ndarray, sys: BandedLtv, k: int, z:
     # apply_a maps each row v to A v: on P' it gives (A P)', then on A P, A P A'.
     a_p = sys.apply_a(k, p_post.swapaxes(-1, -2)).swapaxes(-1, -2)
     p_next = sys.apply_a(k, a_p)
-    np.einsum("...ii->...i", p_next)[...] += config.q_sigma[..., None]   # + Q on a diagonal view
+    np.einsum("...ii->...i", p_next)[...] += np.asarray(config.q_sigma)[..., None]  # + Q
     p_next = 0.5 * (p_next + p_next.swapaxes(-1, -2))
     if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(p_next))):
         raise FloatingPointError("non-finite filter state")

@@ -57,6 +57,7 @@ from .core import (
     StepRecord,
     TrafficState,
     _as_step_array,
+    _is_integer,
     enforce,
     upstream,
 )
@@ -99,7 +100,7 @@ class NoiseSpec:
         *(Rule(name, lambda x: math.isfinite(x) and x >= 0, "must be finite and >= 0")
           for name in ("std_entry_flow", "std_onramp", "std_offramp", "std_speed",
                        "std_flow_proc", "std_flow_proc_a")),
-        Rule("seed", lambda s: isinstance(s, (int, np.integer)) and 0 <= s < 2**64,
+        Rule("seed", lambda s: _is_integer(s) and 0 <= s < 2**64,
              "must be a 64-bit nonnegative integer"),
     )
 

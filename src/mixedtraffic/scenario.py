@@ -25,6 +25,7 @@ from .core import (
     RampLayout,
     Rule,
     TrafficState,
+    _is_integer,
     _positive,
     broken_rules,
     enforce,
@@ -55,10 +56,7 @@ class Scenario:
     onramp_demand: Mapping[int, PiecewiseLinear]
     penetration_profile: PiecewiseLinear
     noise: NoiseSpec
-    q_sigma: float = 1.0
-    r_cov: float = 100.0
-    x0_value: float = 10.0
-    p0_sigma: float = 1.0
+    filter: KalmanConfig
     horizon_h: float = 3.0
     offramp_mode: str = "measured"
     init_rho: float | np.ndarray = 9.0
@@ -70,9 +68,7 @@ class Scenario:
         Rule("onramp_demand", lambda _, p: np.all(p.values >= 0), "must be >= 0"),
         Rule("penetration_profile", lambda p: np.all((p.values >= 0) & (p.values <= 1)),
              "must lie in [0, 1]"),
-        *(Rule(name, _positive, "must be finite and > 0")
-          for name in ("q_sigma", "r_cov", "p0_sigma", "horizon_h")),
-        Rule("x0_value", math.isfinite, "must be finite"),
+        Rule("horizon_h", _positive, "must be finite and > 0"),
         Rule("offramp_mode", lambda mode: mode in OFFRAMP_MODES, f"must be one of {OFFRAMP_MODES}"),
         Rule("init_rho", lambda rho: np.all(np.isfinite(rho) & (np.asarray(rho, dtype=float) >= 0)),
              "must be finite and >= 0"),
@@ -108,11 +104,6 @@ class Scenario:
     def with_seed(self, seed: int) -> "Scenario":
         return dataclasses.replace(self, noise=dataclasses.replace(self.noise, seed=seed))
 
-    def filter_config(self) -> KalmanConfig:
-        """Q = q_sigma*I, R = r_cov, x0 = x0_value in every segment, P0 = p0_sigma*I."""
-        return KalmanConfig(q_sigma=self.q_sigma, r_cov=self.r_cov, p0_sigma=self.p0_sigma,
-                            x0=np.full(self.geometry.n_segments, self.x0_value))
-
     def initial_state(self) -> TrafficState:
         n = self.geometry.n_segments
         rho = np.asarray(self.init_rho, dtype=float)
@@ -125,8 +116,8 @@ class Scenario:
 # --- YAML parsing ---------------------------------------------------------
 
 # The keys a scenario file may set, by section ("" is the top level): each sets
-# a field of HighwayGeometry, MetanetParams, RampLayout, NoiseSpec or Scenario
-# from a value of the kind named beside it (see _Collector.parse).
+# a field of a part (_PARTS) or of Scenario from a value of the kind named
+# beside it (see _Collector.parse).
 _KEYS = {
     "": {"name": ("name", "text"), "penetration": ("penetration_profile", "profile")},
     "geometry": {"n_segments": ("n_segments", "integer"), "step_h": ("step_h", "number"),
@@ -138,7 +129,7 @@ _KEYS = {
     "demand": {"entry": ("entry_demand", "profile"), "on_ramps": ("onramp_demand", "profiles")},
     "noise": {f.name: (f.name, "number") for f in dataclasses.fields(NoiseSpec)
               if f.name != "seed"},
-    "filter": {key: (key, "number") for key in ("q_sigma", "r_cov", "x0_value", "p0_sigma")},
+    "filter": {f.name: (f.name, "number") for f in dataclasses.fields(KalmanConfig)},
     "run": {"horizon_h": ("horizon_h", "number"), "seed": ("seed", "integer"),
             "offramp_mode": ("offramp_mode", "text")},
     "initial": {"rho": ("init_rho", "numbers"), "penetration": ("init_penetration", "number")},
@@ -146,14 +137,14 @@ _KEYS = {
 _PATHS = {field: f"{section}.{key}" if section else key
           for section, keys in _KEYS.items() for key, (field, _) in keys.items()}
 _PARTS = {"geometry": HighwayGeometry, "params": MetanetParams, "layout": RampLayout,
-          "noise": NoiseSpec}
+          "noise": NoiseSpec, "filter": KalmanConfig}
 _RULES = sum((cls.rules for cls in _PARTS.values()), ()) + Scenario.rules
 
 # Omitted values: the default experiment's geometry, model and noise, the coded
 # defaults of the rest, no ramps, no on-ramp demand (set per load) and a 20%
 # connected share.  The entry demand has none.
 _DEFAULTS = {
-    **{f.name: f.default for cls in (RampLayout, NoiseSpec, Scenario)
+    **{f.name: f.default for cls in (RampLayout, NoiseSpec, KalmanConfig, Scenario)
        for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING},
     **vars(MetanetParams.defaults()),
     "n_segments": 20, "step_h": 10 / 3600, "seg_len_km": 0.5,
@@ -163,10 +154,6 @@ _DEFAULTS = {
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _list_of(test, value: Any) -> bool:

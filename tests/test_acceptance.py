@@ -82,8 +82,8 @@ def test_criterion_3_filter_exactness(silent_sc):
     systems = build_systems(silent_sc, truth.frames[:truth.n_steps])
     n = silent_sc.geometry.n_segments
     x0 = inverse_penetration(truth.states[0].rho, truth.states[0].rho_a)
-    config = KalmanConfig(q_sigma=1.0, r_cov=silent_sc.r_cov, x0=x0, p0_sigma=1.0)
-    x, p = config.x0, np.eye(n)
+    config = KalmanConfig(q_sigma=1.0, r_cov=silent_sc.filter.r_cov, p0_sigma=1.0)
+    x, p = x0, np.eye(n)
     worst_err = 0.0
     min_eig = float(np.min(np.linalg.eigvalsh(p)))
     symmetric = True

@@ -133,6 +133,16 @@ def test_ramp_layout_validation():
         layout.validate_against(3)
 
 
+@pytest.mark.parametrize("bad", [2.7, True, 2.0])
+@pytest.mark.parametrize("field", ["on_ramp_segments", "off_ramp_segments"])
+def test_ramp_segments_that_are_not_integers_are_refused(field, bad):
+    """int() used to truncate them: 2.7 became segment 2 and True segment 1.
+    A file never reaches this check, since the loader refuses such a value."""
+    with pytest.raises(ValueError, match=f"^{field} entries must be integers"):
+        RampLayout(**{field: (4, bad)})
+    assert getattr(RampLayout(**{field: np.array([4, 2])}), field) == (4, 2)
+
+
 def test_boundary_inputs_validation():
     with pytest.raises(ValueError):
         BoundaryInputs(q0=100.0, q0_a=200.0, r=np.zeros(3), r_a=np.zeros(3),

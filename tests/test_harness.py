@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 import mixedtraffic as mt
 from mixedtraffic import harness
@@ -41,7 +41,7 @@ from mixedtraffic.kalman import (PSD_TOL, KalmanConfig, filter_step, output_meas
 from mixedtraffic.ltv import anti_diagonal, observability_matrix, window_anti_diagonals
 from mixedtraffic.metanet import MeasurementFrame, NoiseSpec, PiecewiseLinear
 
-from test_kalman import initial_covariance
+from test_kalman import initial_state
 
 # Regression values produced by this build of the default scenario
 # (seed 20260810) and pinned; see also the acceptance suite.
@@ -102,8 +102,8 @@ def test_experiment_is_deterministic(default_sc, default_result):
 def test_zero_noise_exact_init_gives_tiny_index(silent_sc):
     truth = mt.simulate_truth(silent_sc)
     x0 = mt.inverse_penetration(truth.states[0].rho, truth.states[0].rho_a)
-    sc = dataclasses.replace(silent_sc, x0_value=float(x0[0]))
-    res = run_experiment(sc)
+    exact = dataclasses.replace(silent_sc.filter, x0_value=float(x0[0]))
+    res = run_experiment(dataclasses.replace(silent_sc, filter=exact))
     assert res.p_r < 1e-6
 
 
@@ -172,7 +172,7 @@ def test_sweep_rejects_nonfinite_or_empty_sigmas_before_simulating(default_sc, m
 def _serial_run(frames, systems, config):
     """The unbatched filter loop: x_hat, innovations, and the exact smallest
     P eigenvalue of every step (P0 first)."""
-    x, p = config.x0, initial_covariance(config)
+    x, p = initial_state(config, frames.n_segments)
     x_hat, innovation = [x], []
     min_eigs = [np.min(np.linalg.eigvalsh(p))]
     last_z = None
@@ -195,8 +195,8 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
     truth = default_result.truth
     systems = build_systems(sc, truth.frames[:truth.n_steps])
     sigmas = [0.01, 1.0, 100.0]
-    configs = [dataclasses.replace(sc, q_sigma=s).filter_config() for s in sigmas]
-    batch = run_filter(sc, truth.frames, config=KalmanConfig.stack(configs))
+    configs = [dataclasses.replace(sc.filter, q_sigma=s) for s in sigmas]
+    batch = run_filter(_sigma_batch(sc, sigmas), truth.frames)
     m, n = truth.n_steps, sc.geometry.n_segments
     for field in ("x_hat", "rho_hat", "q_hat"):
         assert getattr(batch, field).shape == (len(sigmas), m + 1, n)
@@ -205,9 +205,9 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
 
     calls = []
 
-    def counting_estimate_shares(sc, frames, config=None):
-        calls.append(config.x0.shape[:-1])
-        return estimate_shares(sc, frames, config=config)
+    def counting_estimate_shares(sc, frames):
+        calls.append(np.shape(sc.filter.q_sigma))
+        return estimate_shares(sc, frames)
     with monkeypatch.context() as patch:
         patch.setattr(harness, "estimate_shares", counting_estimate_shares)
         patch.setattr(harness, "reconstruct_totals", None)
@@ -215,7 +215,7 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
     assert calls == [(len(sigmas),)]
 
     for i, config in enumerate(configs):
-        est = run_filter(sc, truth.frames, config=config)
+        est = run_filter(dataclasses.replace(sc, filter=config), truth.frames)
         x_hat, innovation, min_eigs = _serial_run(truth.frames, systems, config)
         assert np.array_equal(batch.x_hat[i], est.x_hat)
         assert np.array_equal(est.x_hat, x_hat)
@@ -251,11 +251,11 @@ def test_batch_psd_check_on_members_that_lose_semidefiniteness(default_sc, share
     sc = dataclasses.replace(default_sc, init_penetration=share, offramp_mode=mode)
     truth = mt.simulate_truth(sc)
     systems = build_systems(sc, truth.frames[:truth.n_steps])
-    configs = [dataclasses.replace(sc, q_sigma=s).filter_config() for s in sigmas]
-    batch = run_filter(sc, truth.frames, config=KalmanConfig.stack(configs))
+    configs = [dataclasses.replace(sc.filter, q_sigma=s) for s in sigmas]
+    batch = run_filter(_sigma_batch(sc, sigmas), truth.frames)
     first_lost = []
     for i, config in enumerate(configs):
-        est = run_filter(sc, truth.frames, config=config)
+        est = run_filter(dataclasses.replace(sc, filter=config), truth.frames)
         min_eigs = _serial_run(truth.frames, systems, config)[2]
         lost = np.nonzero(min_eigs < -PSD_TOL)[0]
         first_lost.append(int(lost[0]) if len(lost) else None)
@@ -278,7 +278,7 @@ def test_member_keeps_its_value_when_another_fails_the_psd_check(default_sc, def
     own unbatched run, in which that step's eigenvalue (near sigma = 0.01) is
     below its reported minimum but not below -PSD_TOL."""
     truth, n = default_result.truth, default_sc.geometry.n_segments
-    configs = [dataclasses.replace(default_sc, q_sigma=s).filter_config() for s in (1.0, 0.01)]
+    configs = [dataclasses.replace(default_sc.filter, q_sigma=s) for s in (1.0, 0.01)]
     batch_steps = []
 
     def failing_filter_step(x, p, sys, k, z, config):
@@ -291,8 +291,8 @@ def test_member_keeps_its_value_when_another_fails_the_psd_check(default_sc, def
                 p[0] -= 2 * np.eye(n)  # p is the step's own fresh array
         return x, p, innovation
     monkeypatch.setattr(harness, "filter_step", failing_filter_step)
-    batch = run_filter(default_sc, truth.frames, config=KalmanConfig.stack(configs))
-    alone = run_filter(default_sc, truth.frames, config=configs[1])
+    batch = run_filter(_sigma_batch(default_sc, (1.0, 0.01)), truth.frames)
+    alone = run_filter(dataclasses.replace(default_sc, filter=configs[1]), truth.frames)
     assert len(batch_steps) == truth.n_steps and batch_steps[5] == 5
     assert batch.min_p_eigenvalue[0] < -PSD_TOL
     assert batch.min_p_eigenvalue[1] == alone.min_p_eigenvalue
@@ -306,9 +306,9 @@ def test_member_keeps_its_value_when_another_fails_the_psd_check(default_sc, def
 # the factorisation; run_filter must equal it bit for bit on every output and
 # name the same step when the state becomes non-finite.
 
-def _reference_run_filter(sc, frames, systems, config):
-    m = len(frames) - 1
-    x, p = config.x0, initial_covariance(config)
+def _reference_run_filter(sc, frames, systems):
+    m, config = len(frames) - 1, sc.filter
+    x, p = initial_state(config, frames.n_segments)
     batch, n = x.shape[:-1], x.shape[-1]
     x_hat = np.empty(batch + (m + 1, n))
     innovation = np.empty(batch + (m,))
@@ -353,8 +353,9 @@ def _assert_same_estimate(est, reference):
 
 
 def _sigma_batch(sc, sigmas):
-    return KalmanConfig.stack([dataclasses.replace(sc, q_sigma=s).filter_config()
-                               for s in sigmas])
+    """``sc`` with the batch of its filter at each q_sigma of ``sigmas``."""
+    return dataclasses.replace(sc, filter=KalmanConfig.stack(
+        [dataclasses.replace(sc.filter, q_sigma=s) for s in sigmas]))
 
 
 def _on_segments(sc, n, horizon_h=None):
@@ -387,9 +388,10 @@ def test_run_filter_equals_the_per_step_factorisation(default_sc, case):
     sc, sigmas = _ORACLE_CASES[case](default_sc)
     truth = mt.simulate_truth(sc)
     systems = build_systems(sc, truth.frames[:truth.n_steps])
-    config = sc.filter_config() if sigmas is None else _sigma_batch(sc, sigmas)
-    _assert_same_estimate(run_filter(sc, truth.frames, config),
-                          _reference_run_filter(sc, truth.frames, systems, config))
+    if sigmas is not None:
+        sc = _sigma_batch(sc, sigmas)
+    _assert_same_estimate(run_filter(sc, truth.frames),
+                          _reference_run_filter(sc, truth.frames, systems))
 
 
 @settings(max_examples=20, deadline=None)
@@ -404,21 +406,22 @@ def test_run_filter_equals_the_oracle_on_varied_runs(default_sc, n, share, noise
             for f in dataclasses.fields(NoiseSpec) if f.name != "seed"]
     sc = dataclasses.replace(_on_segments(default_sc, n, horizon_h=0.5), init_penetration=share,
                              penetration_profile=PiecewiseLinear.constant(share),
-                             noise=NoiseSpec(*stds, seed=default_sc.seed), q_sigma=sigma)
+                             noise=NoiseSpec(*stds, seed=default_sc.seed),
+                             filter=dataclasses.replace(default_sc.filter, q_sigma=sigma))
     try:
         truth = mt.simulate_truth(sc)
     except FloatingPointError:
         return
     systems = build_systems(sc, truth.frames[:truth.n_steps])
-    for config in (sc.filter_config(), _sigma_batch(sc, [sigma, 1.0])):
+    for tuned in (sc, _sigma_batch(sc, [sigma, 1.0])):
         try:
-            est = run_filter(sc, truth.frames, config)
+            est = run_filter(tuned, truth.frames)
         except FloatingPointError as exc:
             with pytest.raises(FloatingPointError) as oracle:
-                _reference_run_filter(sc, truth.frames, systems, config)
+                _reference_run_filter(tuned, truth.frames, systems)
             assert str(exc) == str(oracle.value)
             continue
-        _assert_same_estimate(est, _reference_run_filter(sc, truth.frames, systems, config))
+        _assert_same_estimate(est, _reference_run_filter(tuned, truth.frames, systems))
 
 
 # Runs that end inside the first chunk of the realization, one step before,
@@ -439,9 +442,9 @@ def test_run_filter_equals_the_oracle_at_chunk_edges(default_sc, mode, steps):
     sc = dataclasses.replace(_for_steps(default_sc, steps), offramp_mode=mode)
     truth = mt.simulate_truth(sc)
     systems = build_systems(sc, truth.frames[:steps])
-    for config in (sc.filter_config(), _sigma_batch(sc, [0.01, 1.0, 100.0])):
-        _assert_same_estimate(run_filter(sc, truth.frames, config),
-                              _reference_run_filter(sc, truth.frames, systems, config))
+    for tuned in (sc, _sigma_batch(sc, [0.01, 1.0, 100.0])):
+        _assert_same_estimate(run_filter(tuned, truth.frames),
+                              _reference_run_filter(tuned, truth.frames, systems))
 
 
 def test_filter_divergence_in_a_later_chunk_stops_at_its_step(default_sc, monkeypatch):
@@ -456,7 +459,7 @@ def test_filter_divergence_in_a_later_chunk_stops_at_its_step(default_sc, monkey
     q_n[step] = np.inf
     frames = dataclasses.replace(truth.frames, qN_meas=q_n)
     with pytest.raises(FloatingPointError) as oracle:
-        _reference_run_filter(sc, frames, build_systems(sc, frames[:-1]), sc.filter_config())
+        _reference_run_filter(sc, frames, build_systems(sc, frames[:-1]))
     calls = []
 
     def counting_filter_step(x, p, sys, k, z, config):
@@ -503,11 +506,11 @@ def _times(frames, c, fields):
 def _connected_times(sc, frames, c):
     """The frames with every connected column times c, and their estimate with
     x0 over c and q_sigma, r_cov and p0_sigma over c**2."""
-    config = sc.filter_config()
+    config = sc.filter
     scaled = _times(frames, c, CONNECTED_FIELDS)
-    return scaled, estimate_shares(sc, scaled, KalmanConfig(
-        q_sigma=config.q_sigma / c**2, r_cov=config.r_cov / c**2, x0=config.x0 / c,
-        p0_sigma=config.p0_sigma / c**2))
+    return scaled, estimate_shares(dataclasses.replace(sc, filter=KalmanConfig(
+        q_sigma=config.q_sigma / c**2, r_cov=config.r_cov / c**2, x0_value=config.x0_value / c,
+        p0_sigma=config.p0_sigma / c**2)), scaled)
 
 
 def _shorter_time_unit(sc, frames, c):
@@ -566,7 +569,9 @@ def _demand_times(profile, factor):
     return PiecewiseLinear(profile.times_h, factor * profile.values)
 
 
-@settings(max_examples=25, deadline=None)
+# No explain phase: on a failing example it took 126 of the run's 165 s.
+@settings(max_examples=25, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.explain])
 @given(n=st.integers(min_value=2, max_value=40), share=st.floats(min_value=0.05, max_value=1.0),
        noise=st.floats(min_value=0.0, max_value=5.0), demand=st.floats(min_value=0.5, max_value=2.0),
        mode=st.sampled_from(["measured", "unmeasured"]),
@@ -656,10 +661,10 @@ def test_factorisation_runs_only_where_the_bound_fails(default_sc, monkeypatch, 
 def test_sweep_fails_when_one_member_overflows(default_sc):
     """Q = 1e308 I overflows the covariance on the first step, alone or batched."""
     short = dataclasses.replace(default_sc, horizon_h=0.05)
-    huge = dataclasses.replace(short, q_sigma=1e308).filter_config()
+    huge = dataclasses.replace(short, filter=dataclasses.replace(short.filter, q_sigma=1e308))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
-            run_filter(short, mt.simulate_truth(short).frames, config=huge)
+            run_filter(huge, mt.simulate_truth(short).frames)
         with pytest.raises(FloatingPointError):
             q_sweep(short, [1.0, 1e308])
     assert len(q_sweep(short, [1.0, 1e307])) == 2
@@ -667,15 +672,16 @@ def test_sweep_fails_when_one_member_overflows(default_sc):
 
 @pytest.mark.parametrize("sigmas", [[1.0], [0.1, 10.0]], ids=["single", "batch"])
 def test_run_filter_leaves_its_config_unchanged(default_sc, default_result, sigmas):
-    """run_filter starts from config.x0 itself, not a copy; no field of the
-    config is written to, so a second run with the same config is identical."""
+    """No field of the scenario's filter is written to, so a second run with
+    the same config is identical."""
     truth = default_result.truth
-    configs = [dataclasses.replace(default_sc, q_sigma=s).filter_config() for s in sigmas]
+    configs = [dataclasses.replace(default_sc.filter, q_sigma=s) for s in sigmas]
     config = configs[0] if len(configs) == 1 else KalmanConfig.stack(configs)
-    before = {name: value.copy() for name, value in vars(config).items()}
-    first = run_filter(default_sc, truth.frames, config)
+    sc = dataclasses.replace(default_sc, filter=config)
+    before = {name: np.copy(value) for name, value in vars(config).items()}
+    first = run_filter(sc, truth.frames)
     assert all(np.array_equal(vars(config)[name], value) for name, value in before.items())
-    again = run_filter(default_sc, truth.frames, config)
+    again = run_filter(sc, truth.frames)
     assert np.array_equal(again.x_hat, first.x_hat)
 
 

@@ -1,5 +1,7 @@
 """Filter recursion, output construction, and total reconstruction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,14 +21,12 @@ from mixedtraffic.metanet import MeasurementFrame
 from test_ltv import make_frame
 
 
-def initial_covariance(config):
-    """P0 = p0_sigma*I, as estimate_shares builds it, with the config's batch axis."""
-    return config.p0_sigma[..., None, None] * np.eye(config.x0.shape[-1])
-
-
-def _config(n, *, q_sigma, r_cov, x0_value, p0_sigma):
-    """Q = q_sigma*I, x0 constant and P0 = p0_sigma*I, as Scenario.filter_config builds it."""
-    return KalmanConfig(q_sigma=q_sigma, r_cov=r_cov, x0=np.full(n, x0_value), p0_sigma=p0_sigma)
+def initial_state(config, n):
+    """x0 = x0_value in each of n segments and P0 = p0_sigma*I, as
+    estimate_shares builds them, with the config's batch axis."""
+    batch = np.shape(config.q_sigma)
+    return (np.full(batch + (n,), np.asarray(config.x0_value)[..., None]),
+            np.asarray(config.p0_sigma)[..., None, None] * np.eye(n))
 
 
 def _system(a_mat, drive=None):
@@ -41,10 +41,10 @@ def _system(a_mat, drive=None):
 def test_gain_with_identity_covariance():
     """P=I, C=e_N, R=100: the gain is e_N / 101."""
     n = 6
-    config = _config(n, q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
+    config = KalmanConfig(q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
     expected = np.zeros(n)
     expected[-1] = 1.0 / 101.0
-    assert np.array_equal(kalman_gain(initial_covariance(config), config.r_cov), expected)
+    assert np.array_equal(kalman_gain(initial_state(config, n)[1], config.r_cov), expected)
 
 
 def test_gain_fill_in_spreads_upstream():
@@ -52,8 +52,8 @@ def test_gain_fill_in_spreads_upstream():
     n = 6
     a = 0.7 * np.eye(n)
     a[np.arange(1, n), np.arange(n - 1)] = 0.3
-    config = _config(n, q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
-    x, p = config.x0, initial_covariance(config)
+    config = KalmanConfig(q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
+    x, p = initial_state(config, n)
     for _ in range(n):
         x, p, _ = filter_step(x, p, _system(a), 0, z=5.0, config=config)
     assert np.count_nonzero(kalman_gain(p, config.r_cov)) > 1
@@ -63,8 +63,8 @@ def test_initial_gain_shape_for_scaled_covariance():
     """P0 = h*I puts the whole first correction on the measured segment."""
     n = 5
     h = 7.5
-    config = KalmanConfig(q_sigma=1.0, r_cov=100.0, x0=np.full(n, 10.0), p0_sigma=h)
-    gain = kalman_gain(initial_covariance(config), config.r_cov)
+    config = KalmanConfig(q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=h)
+    gain = kalman_gain(initial_state(config, n)[1], config.r_cov)
     assert gain[:-1].tolist() == [0.0] * (n - 1)
     assert gain[-1] == pytest.approx(h / (h + 100.0), abs=1e-15)
 
@@ -76,7 +76,7 @@ def test_huge_r_reduces_to_pure_prediction():
     a[np.arange(1, n), np.arange(n - 1)] = rng.uniform(0.1, 0.4, n - 1)
     u = rng.uniform(0, 2000, n + 1)
     sys = _system(a, [u[1] + u[0], 0.0, 0.0, 0.0])   # entry and first ramp on segment 1
-    config = _config(n, q_sigma=1.0, r_cov=1e12, x0_value=10.0, p0_sigma=1.0)
+    config = KalmanConfig(q_sigma=1.0, r_cov=1e12, x0_value=10.0, p0_sigma=1.0)
     x = rng.uniform(1, 9, n)
     x_next, _, _ = filter_step(x, np.eye(n), sys, 0, z=123.0, config=config)
     prediction = sys.propagate(0, x)
@@ -90,13 +90,12 @@ def test_scalar_recursion_matches_hand_computation():
     x0, p0, u, z = 4.0, 1.7, 800.0, 4.6
     sys = BandedLtv(diag=np.array([[a]]), sub=np.zeros((1, 0)), drive=np.array([[0.001 * u]]),
                     g=np.array([[1.0]]))
-    config = KalmanConfig(q_sigma=q, r_cov=r, x0=np.array([x0]), p0_sigma=p0)
-    x_next, p_next, _ = filter_step(config.x0, initial_covariance(config), sys, 0, z=z,
-                                    config=config)
+    config = KalmanConfig(q_sigma=q, r_cov=r, x0_value=x0, p0_sigma=p0)
+    x_next, p_next, _ = filter_step(*initial_state(config, 1), sys, 0, z=z, config=config)
     k = p0 / (p0 + r)
     x1 = a * x0 + 0.001 * u + a * k * (z - x0)
     p1 = a * (1 - k) * p0 * a + q
-    assert kalman_gain(initial_covariance(config), config.r_cov)[0] == pytest.approx(k, abs=1e-15)
+    assert kalman_gain(initial_state(config, 1)[1], config.r_cov)[0] == pytest.approx(k, abs=1e-15)
     assert x_next[0] == pytest.approx(x1, abs=1e-12)
     assert p_next[0, 0] == pytest.approx(p1, abs=1e-12)
 
@@ -106,8 +105,8 @@ def test_covariance_stays_symmetric_psd(default_sc, default_result):
     # spot-check symmetry on a fresh short run
     truth = default_result.truth
     systems = mt.harness.build_systems(default_sc, truth.frames[:truth.n_steps])
-    config = default_sc.filter_config()
-    x, p = config.x0, initial_covariance(config)
+    config = default_sc.filter
+    x, p = initial_state(config, default_sc.geometry.n_segments)
     for k in range(50):
         z, _ = output_measurement(truth.frames, k)
         x, p, _ = filter_step(x, p, systems, k, z, config)
@@ -115,30 +114,31 @@ def test_covariance_stays_symmetric_psd(default_sc, default_result):
 
 
 def test_exact_initialization_stays_exact(silent_sc, silent_truth):
-    """Zero noise and exact start: run_filter's estimate tracks the true ratio."""
+    """Zero noise and exact start: run_filter's estimate tracks the true ratio.
+    The silent run's true share is the same in every segment."""
     states = silent_truth.states
-    config = KalmanConfig(q_sigma=1.0, r_cov=100.0, x0=inverse_penetration(
-        states[0].rho, states[0].rho_a), p0_sigma=1.0)
-    x_hat = mt.harness.run_filter(silent_sc, silent_truth.frames, config=config).x_hat
+    x0 = inverse_penetration(states[0].rho, states[0].rho_a)
+    assert np.all(x0 == x0[0])
+    sc = dataclasses.replace(silent_sc, filter=KalmanConfig(
+        q_sigma=1.0, r_cov=100.0, x0_value=float(x0[0]), p0_sigma=1.0))
+    x_hat = mt.harness.run_filter(sc, silent_truth.frames).x_hat
     ref = inverse_penetration(states.rho[1:], states.rho_a[1:])
     assert np.max(np.abs(x_hat[1:] - ref)) <= 1e-9
 
 
 def test_config_validation():
-    n = 3
     with pytest.raises(ValueError):
-        KalmanConfig(q_sigma=0.0, r_cov=1.0, x0=np.zeros(n), p0_sigma=1.0)
+        KalmanConfig(q_sigma=0.0, r_cov=1.0, x0_value=0.0, p0_sigma=1.0)
     with pytest.raises(ValueError):
-        KalmanConfig(q_sigma=1.0, r_cov=0.0, x0=np.zeros(n), p0_sigma=1.0)
+        KalmanConfig(q_sigma=1.0, r_cov=0.0, x0_value=0.0, p0_sigma=1.0)
     with pytest.raises(ValueError):
-        KalmanConfig(q_sigma=1.0, r_cov=1.0, x0=np.zeros(n), p0_sigma=0.0)
+        KalmanConfig(q_sigma=1.0, r_cov=1.0, x0_value=0.0, p0_sigma=0.0)
 
 
-@pytest.mark.parametrize("field", ["q_sigma", "p0_sigma", "x0", "r_cov"])
+@pytest.mark.parametrize("field", ["q_sigma", "p0_sigma", "x0_value", "r_cov"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite_values(field, value):
-    n = 3
-    fields = {"q_sigma": 1.0, "r_cov": 1.0, "x0": np.zeros(n), "p0_sigma": 1.0}
+    fields = {"q_sigma": 1.0, "r_cov": 1.0, "x0_value": 0.0, "p0_sigma": 1.0}
     fields[field] = np.full(np.shape(fields[field]), value)
     with pytest.raises(ValueError, match=f"{field} must be"):
         KalmanConfig(**fields)
@@ -193,7 +193,7 @@ def test_reconstruct_exact_state_recovers_truth(silent_truth):
 
 def _first_failing_step(sys, config, z=5.0):
     """Step at which filter_step raises FloatingPointError, or None."""
-    x, p = config.x0, initial_covariance(config)
+    x, p = initial_state(config, sys.diag.shape[-1])
     for k in range(len(sys)):
         try:
             x, p, _ = filter_step(x, p, sys, k, z, config)
@@ -210,7 +210,7 @@ def test_batch_fails_exactly_when_a_member_fails():
     n, m = 4, 60
     sys = BandedLtv(diag=np.full((m, n), 2.0), sub=np.zeros((m, n - 1)),
                     drive=np.zeros((m, n)), g=np.ones((m, n)))
-    configs = [_config(n, q_sigma=q, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
+    configs = [KalmanConfig(q_sigma=q, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
                for q in (1.0, 1e290, 1e300)]
     with np.errstate(over="ignore", invalid="ignore"):
         alone = [_first_failing_step(sys, c) for c in configs]
@@ -221,12 +221,13 @@ def test_batch_fails_exactly_when_a_member_fails():
 
 
 def test_stacked_config_validation():
-    single = _config(3, q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
-    batch = KalmanConfig.stack([single, _config(
-        3, q_sigma=2.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)])
-    assert batch.x0.shape == (2, 3) and batch.q_sigma.shape == (2,)
+    single = KalmanConfig(q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
+    batch = KalmanConfig.stack([single, KalmanConfig(
+        q_sigma=2.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)])
+    assert batch.x0_value.shape == (2,) and batch.q_sigma.shape == (2,)
     with pytest.raises(ValueError):
-        KalmanConfig(q_sigma=batch.q_sigma, r_cov=100.0, x0=batch.x0, p0_sigma=batch.p0_sigma)
-    with pytest.raises(ValueError):
-        KalmanConfig(q_sigma=batch.q_sigma, r_cov=np.array([1.0, 0.0]), x0=batch.x0,
+        KalmanConfig(q_sigma=batch.q_sigma, r_cov=100.0, x0_value=batch.x0_value,
                      p0_sigma=batch.p0_sigma)
+    with pytest.raises(ValueError):
+        KalmanConfig(q_sigma=batch.q_sigma, r_cov=np.array([1.0, 0.0]),
+                     x0_value=batch.x0_value, p0_sigma=batch.p0_sigma)

@@ -275,14 +275,13 @@ def test_band_matches_dense_textbook_realization(n, seed, unmeasured, sparse):
     k = int(rng.integers(0, 3))
     a, b, u = _textbook_realization(frames[k], geom, layout, unmeasured)
     root = rng.standard_normal((n, n))
-    config = KalmanConfig(q_sigma=1.0, r_cov=float(rng.uniform(1, 100)),
-                          x0=rng.uniform(1, 10, n), p0_sigma=1.0)
+    config = KalmanConfig(q_sigma=1.0, r_cov=float(rng.uniform(1, 100)), p0_sigma=1.0)
+    x = rng.uniform(1, 10, n)
     p = root @ root.T + np.eye(n)
     z = float(rng.uniform(1, 10))
-    x_step, p_step, _ = filter_step(config.x0, p, sys, k, z, config)
+    x_step, p_step, _ = filter_step(x, p, sys, k, z, config)
     c = np.zeros(n)
     c[-1] = 1.0
-    x = config.x0
     gain = p @ c / (c @ p @ c + config.r_cov)
     p_next = a @ (p - np.outer(gain, c @ p)) @ a.T + config.q_sigma * np.eye(n)
     x_next = a @ x + b @ u + a @ gain * (z - c @ x)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import mixedtraffic as mt
 from mixedtraffic.core import (STEP_CHUNK, BoundaryInputs, HighwayGeometry, MetanetParams,
                                RampLayout, TrafficState, nominal_speed)
+from mixedtraffic.kalman import KalmanConfig
 from mixedtraffic.metanet import (
     MeasurementFrame,
     NoiseSpec,
@@ -145,7 +146,7 @@ def test_offramp_outflows_use_upstream_flow():
         geometry=HighwayGeometry(n_segments=3, step_h=10 / 3600, seg_len_km=0.5), params=PARAMS,
         layout=RampLayout(off_ramp_segments=(1, 3), exit_rate=(0.2, 0.1)),
         entry_demand=PiecewiseLinear.constant(1500.0), onramp_demand={},
-        penetration_profile=PiecewiseLinear.constant(0.2), noise=SILENT,
+        penetration_profile=PiecewiseLinear.constant(0.2), noise=SILENT, filter=KalmanConfig(),
         init_rho=np.array([10.0, 20.0, 30.0]), init_penetration=0.1, horizon_h=3 * 10 / 3600)
     run = TruthSimulator(sc).run()
     inputs, states = run.inputs, run.states

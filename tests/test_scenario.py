@@ -10,6 +10,7 @@ import yaml
 
 import mixedtraffic as mt
 from mixedtraffic.core import HighwayGeometry, MetanetParams, RampLayout
+from mixedtraffic.kalman import KalmanConfig
 from mixedtraffic.metanet import NoiseSpec, PiecewiseLinear
 from mixedtraffic.scenario import Scenario, ScenarioError, default_scenario, load_scenario
 
@@ -49,7 +50,8 @@ def test_default_scenario_shape():
     assert sc.layout.off_ramp_segments == (4, 8, 12)
     assert sc.layout.exit_rate == (0.1, 0.1, 0.1)
     assert sc.n_steps == 1080
-    assert (sc.q_sigma, sc.r_cov, sc.x0_value, sc.p0_sigma) == (1.0, 100.0, 10.0, 1.0)
+    f = sc.filter
+    assert (f.q_sigma, f.r_cov, f.x0_value, f.p0_sigma) == (1.0, 100.0, 10.0, 1.0)
 
 
 def test_validation_collects_failures_with_paths(tmp_path):
@@ -116,9 +118,10 @@ def test_objects_built_in_code_refuse_non_finite_values(build, field):
     ("init_rho", np.full(19, 9.0)), ("init_rho", np.r_[np.full(19, 9.0), INF]),
 ])
 def test_scenario_built_in_code_refuses_bad_filter_and_initial_values(field, bad):
-    """Checked when the Scenario is built, not when it runs, under the field's name."""
+    """Checked when the Scenario or its filter is built, not when it runs,
+    under the field's name."""
     with pytest.raises(ValueError, match=field):
-        dataclasses.replace(default_scenario(), **{field: bad})
+        _replace(default_scenario(), field, bad)
 
 
 @pytest.mark.parametrize("field", ["entry_demand", "onramp_demand[6]"])
@@ -144,6 +147,17 @@ def test_seed_override():
     sc = default_scenario().with_seed(42)
     assert sc.seed == 42
     assert sc.noise.std_entry_flow == 25.0
+
+
+@pytest.mark.parametrize("seed", [True, False])
+def test_a_bool_seed_is_refused_in_code_as_in_a_file(tmp_path, seed):
+    """A bool is an int, yet no seed: with_seed(True) used to run as seed 1
+    and write seed,True to metrics.csv.  A NumPy integer is still a seed."""
+    with pytest.raises(ValueError, match=r"^seed must be a 64-bit nonnegative integer$"):
+        default_scenario().with_seed(seed)
+    assert _file_failures(tmp_path, {"run.seed": seed}) == [
+        f"run.seed: expected an integer, got {seed!r}"]
+    assert default_scenario().with_seed(np.uint64(7)).seed == 7
 
 
 def test_initial_state_consistency():
@@ -180,15 +194,23 @@ def test_omitted_values_take_coded_defaults(tmp_path):
     coded = {f.name: f.default for f in dataclasses.fields(mt.Scenario)}
     assert sc.params == mt.MetanetParams.defaults()
     assert sc.noise == mt.NoiseSpec()
-    for name in ("q_sigma", "r_cov", "x0_value", "p0_sigma", "horizon_h", "offramp_mode",
-                 "init_rho", "init_penetration"):
+    assert sc.filter == KalmanConfig()
+    for name in ("horizon_h", "offramp_mode", "init_rho", "init_penetration"):
         assert getattr(sc, name) == coded[name]
 
 
 # --- One rule table, two construction paths -------------------------------
 
 RULES = (HighwayGeometry.rules + MetanetParams.rules + RampLayout.rules + NoiseSpec.rules
-         + Scenario.rules)
+         + KalmanConfig.rules + Scenario.rules)
+FILTER = [f.name for f in dataclasses.fields(KalmanConfig)]
+
+
+def _replace(sc, field, value):
+    """``sc`` with ``field`` set, in its filter when the filter holds it."""
+    if field in FILTER:
+        return dataclasses.replace(sc, filter=dataclasses.replace(sc.filter, **{field: value}))
+    return dataclasses.replace(sc, **{field: value})
 MODEL = [f.name for f in dataclasses.fields(MetanetParams)]
 STDS = [f.name for f in dataclasses.fields(NoiseSpec) if f.name != "seed"]
 DEMAND = [[0.0, 100.0], [1.0, -1.0]]
@@ -235,7 +257,7 @@ CODE_ROWS = [
         sc, onramp_demand={**sc.onramp_demand, 6: NEGATIVE})),
     ("penetration_profile", lambda sc: dataclasses.replace(
         sc, penetration_profile=PiecewiseLinear.constant(1.5))),
-    *((name, lambda sc, name=name, bad=bad: dataclasses.replace(sc, **{name: bad}))
+    *((name, lambda sc, name=name, bad=bad: _replace(sc, name, bad))
       for name, bad in [("q_sigma", 0.0), ("r_cov", -1.0), ("p0_sigma", NAN),
                         ("horizon_h", -1.0), ("x0_value", INF), ("offramp_mode", "guessed"),
                         ("init_rho", -5.0), ("init_penetration", 0.0), ("horizon_h", 3.0001),
