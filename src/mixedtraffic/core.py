@@ -92,12 +92,13 @@ def _positive(x) -> bool:
 
 class StepRecord:
     """A frozen record of one step, or of a run of steps stacked along a leading
-    axis: of a run, ``rec[k]`` is step k, ``rec[a:b]`` those steps, ``len(rec)``
-    their count.  ``_segment_fields`` hold (N,) per step, ``_step_fields`` one
-    value, and ``_on_ramp_fields`` and ``_off_ramp_fields`` one value per on-ramp
-    and per off-ramp, in the order of ``RampLayout.on_ramp_segments`` and
-    ``off_ramp_segments``.  The fields of each ramp kind share one column count,
-    which ``check_ramp_columns`` compares with a layout's.
+    axis: of a run, ``rec[k]`` is step k and ``rec[a:b]`` those steps, views of
+    its arrays not checked again, and ``len(rec)`` their count.
+    ``_segment_fields`` hold (N,) per step, ``_step_fields`` one value, and
+    ``_on_ramp_fields`` and ``_off_ramp_fields`` one value per on-ramp and per
+    off-ramp, in the order of ``RampLayout.on_ramp_segments`` and
+    ``off_ramp_segments``.  The fields of each ramp kind share one column
+    count, which ``check_ramp_columns`` compares with a layout's.
     """
 
     _segment_fields: tuple[str, ...] = ()
@@ -147,8 +148,10 @@ class StepRecord:
         return shape[0]
 
     def __getitem__(self, steps):
-        return dataclasses.replace(self, **{f.name: getattr(self, f.name)[steps]
-                                            for f in dataclasses.fields(self)})
+        len(self)                              # a single step has no steps to index
+        part = object.__new__(type(self))
+        vars(part).update((f.name, getattr(self, f.name)[steps]) for f in dataclasses.fields(self))
+        return part
 
     @classmethod
     def stack(cls, steps):
@@ -174,6 +177,8 @@ class HighwayGeometry:
     )
 
     def __post_init__(self):
+        if not _is_integer(self.n_segments):       # a float or a bool is no count
+            raise ValueError(f"n_segments must be an integer, got {self.n_segments!r}")
         enforce(self.rules, vars(self))
         object.__setattr__(self, "seg_len_km",
                            _as_step_array(self.seg_len_km, (self.n_segments,), "seg_len_km"))
@@ -278,8 +283,8 @@ class RampLayout:
                "must hold one rate per off-ramp", needs=("off_ramp_segments",))
           for name in ("exit_rate", "exit_rate_a")),
     )
-    # The layout on a road of ``n_segments`` fed by ``onramp_demand``, a
-    # mapping from segment to demand profile.
+    # The layout on a road of ``n_segments`` fed by ``onramp_demand``, a mapping
+    # from segment to demand profile; only ``Scenario`` applies them.
     placement_rules = (
         *(Rule(name, lambda segs, n: all(1 <= s <= n for s in segs),
                "must lie within 1..n_segments", needs=("n_segments",))
@@ -300,9 +305,6 @@ class RampLayout:
         rates = self.exit_rate or (0.0,) * len(self.off_ramp_segments)
         object.__setattr__(self, "exit_rate", rates)
         object.__setattr__(self, "exit_rate_a", self.exit_rate_a or rates)
-
-    def validate_against(self, n_segments: int) -> None:
-        enforce(self.placement_rules, {**vars(self), "n_segments": n_segments})
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The 0-based segment indices of the on-ramps and of the off-ramps, in

@@ -82,8 +82,8 @@ def build_systems(sc: Scenario, frames: MeasurementFrame) -> BandedLtv:
     """The realization of one transition per frame of the stacked ``frames``,
     which are all that the estimator sees of a run."""
     if sc.offramp_mode == "unmeasured":
-        return build_system_unmeasured_offramps(frames, sc.geometry, sc.layout)
-    return build_system_measured(frames, sc.geometry, sc.layout)
+        return build_system_unmeasured_offramps(sc, frames)
+    return build_system_measured(sc, frames)
 
 
 _EPS = np.finfo(float).eps

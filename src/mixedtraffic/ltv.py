@@ -14,9 +14,9 @@ Each step's row depends on its own frame alone, so the filter builds one
 chunk of steps at a time and gets the rows of the whole run's realization.
 Two builders are provided: one consuming measured total ramp outflows, one
 substituting exit-rate fractions for unmeasured off-ramp flows.  Both take
-the run's ``RampLayout``, whose ramps the frames' ramp columns follow, and
-scatter the ramp terms into the segments' columns.  Each builds its four
-(M, N) arrays in place, with one more (M, N) array as scratch.
+the run's ``Scenario``, whose rules placed its ramps on its road, and
+scatter the ramp terms, one frame column per ramp, into the segments'
+columns.  Each builds its four (M, N) arrays in place, with one more as scratch.
 
 The estimator has two exact symmetries: connected columns times c scale g
 and every flow it divides by c, and every flow times c with T over c leaves
@@ -27,11 +27,15 @@ binds in either run it breaks the first, never the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import HighwayGeometry, RampLayout, StepRecord, upstream
+from .core import HighwayGeometry, StepRecord, upstream
 from .metanet import MeasurementFrame
+
+if TYPE_CHECKING:                     # scenario imports kalman, which imports this module
+    from .scenario import Scenario
 
 # Floor for the denominator sequence; measurement noise can push it
 # nonpositive on a near-empty segment, where the ratio dynamics degenerate.
@@ -89,17 +93,16 @@ def selector_output(n: int, segment: int) -> np.ndarray:
     return c
 
 
-def _inflows(frames: MeasurementFrame, geom: HighwayGeometry, layout: RampLayout):
+def _inflows(sc: Scenario, frames: MeasurementFrame):
     """The (M, N) connected flow entering each segment over the stacked
     ``frames``, and the 0-based columns of the layout's on- and off-ramps.
-    Raises ValueError where the frames do not match the geometry or the layout."""
+    Raises ValueError where the frames do not match the scenario's road or layout."""
     if len(frames) == 0:
         raise ValueError("need at least one frame")
-    if frames.n_segments != geom.n_segments:
+    if frames.n_segments != sc.geometry.n_segments:
         raise ValueError("frame size does not match geometry")
-    layout.validate_against(geom.n_segments)
-    frames.check_ramp_columns(layout)
-    return (upstream(frames.q0_a, frames.q_a_seg), *layout.columns())
+    frames.check_ramp_columns(sc.layout)
+    return (upstream(frames.q0_a, frames.q_a_seg), *sc.layout.columns())
 
 
 def _banded(geom: HighwayGeometry, frames: MeasurementFrame, flow_up: np.ndarray,
@@ -122,9 +125,8 @@ def _banded(geom: HighwayGeometry, frames: MeasurementFrame, flow_up: np.ndarray
     return BandedLtv(diag=diag, sub=sub, drive=u, g=g)
 
 
-def build_system_measured(frames: MeasurementFrame, geom: HighwayGeometry,
-                          layout: RampLayout) -> BandedLtv:
-    """Realization over the stacked ``frames`` consuming measured ramp totals.
+def build_system_measured(sc: Scenario, frames: MeasurementFrame) -> BandedLtv:
+    """Realization over the stacked ``frames`` of ``sc`` consuming measured ramp totals.
 
     The denominators are g_i = rho_a_i + (T/Delta_i)(q_a_{i-1} - q_a_i + r_a_i
     - s_a_i), the next-step connected density predicted from the frame,
@@ -132,21 +134,20 @@ def build_system_measured(frames: MeasurementFrame, geom: HighwayGeometry,
     such ramp.  Step k's input vector is [entry total flow, r_1 - s_1, ...,
     r_N - s_N] from the frame's detector readings.
     """
-    q_a_up, on, off = _inflows(frames, geom, layout)
+    q_a_up, on, off = _inflows(sc, frames)
     g = q_a_up - frames.q_a_seg
     g[:, on] += frames.r_a
     g[:, off] -= frames.s_a
-    g *= geom.t_over_delta
+    g *= sc.geometry.t_over_delta
     g += frames.rho_a_seg
     u = np.zeros(g.shape)
     u[:, on] = frames.r_meas
     u[:, off] -= frames.s_meas
-    return _banded(geom, frames, q_a_up, g, u)
+    return _banded(sc.geometry, frames, q_a_up, g, u)
 
 
-def build_system_unmeasured_offramps(frames: MeasurementFrame, geom: HighwayGeometry,
-                                     layout: RampLayout) -> BandedLtv:
-    """Realization over the stacked ``frames``, off-ramp totals replaced by exit-rate fractions.
+def build_system_unmeasured_offramps(sc: Scenario, frames: MeasurementFrame) -> BandedLtv:
+    """Realization over the stacked ``frames`` of ``sc``, off-ramp totals as exit-rate fractions.
 
     The layout's connected exit rates ``exit_rate_a`` stand for the total
     ones, which turns the unknown off-ramp outflow into a rescaling of the
@@ -154,16 +155,16 @@ def build_system_unmeasured_offramps(frames: MeasurementFrame, geom: HighwayGeom
     [entry total flow, r_1, ..., r_N] and no off-ramp detector readings are
     consumed.
     """
-    scaled_up, on, off = _inflows(frames, geom, layout)
-    scaled_up[:, off] *= 1.0 - np.array(layout.exit_rate_a)
-    td = geom.t_over_delta
+    scaled_up, on, off = _inflows(sc, frames)
+    scaled_up[:, off] *= 1.0 - np.array(sc.layout.exit_rate_a)
+    td = sc.geometry.t_over_delta
     g = scaled_up - frames.q_a_seg
     g *= td
     g += frames.rho_a_seg
     g[:, on] += td[on] * frames.r_a
     u = np.zeros(g.shape)
     u[:, on] = frames.r_meas
-    return _banded(geom, frames, scaled_up, g, u)
+    return _banded(sc.geometry, frames, scaled_up, g, u)
 
 
 def observability_matrix(sys: BandedLtv, output_row: np.ndarray | None = None) -> np.ndarray:

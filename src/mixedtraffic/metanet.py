@@ -16,10 +16,10 @@ state of one reused generator before that step draws.  ``_draws`` does both
 for a purpose's steps in one call, before the draws are used; the process
 noise is drawn a chunk of steps at a time from words hashed once per run.
 
-``TruthSimulator`` holds one ``scenario.Scenario``, reads every part of the
-run from it and relies on its rules; ``step_truth``, ``observe`` and
-``StepConstants.of`` take the parts they use.  An unseeded ``NoiseSpec``
-uses ``DEFAULT_SEED``, as a scenario file without ``run.seed`` does.
+``TruthSimulator``, ``observe`` and ``StepConstants.of`` take one
+``scenario.Scenario``, read the parts of the run they use from it and rely on
+its rules, the only check that its ramps lie on its road.  An unseeded
+``NoiseSpec`` uses ``DEFAULT_SEED``, as a file without ``run.seed`` does.
 
 A run is held as whole-run arrays, one record each for the states, inputs
 and frames.  Everything that does not depend on the state is computed for
@@ -50,9 +50,7 @@ import numpy as np
 from .core import (
     STEP_CHUNK,
     BoundaryInputs,
-    HighwayGeometry,
     MetanetParams,
-    RampLayout,
     Rule,
     StepRecord,
     TrafficState,
@@ -298,10 +296,9 @@ class StepConstants:
     noise_std: np.ndarray      # (3, 1): speed, flow and connected-flow process noise
 
     @classmethod
-    def of(cls, geom: HighwayGeometry, params: MetanetParams, layout: RampLayout,
-           noise: NoiseSpec) -> "StepConstants":
+    def of(cls, sc: Scenario) -> "StepConstants":
+        geom, params, layout, noise = sc.geometry, sc.params, sc.layout, sc.noise
         t, td = geom.step_h, geom.t_over_delta
-        layout.validate_against(geom.n_segments)
         beta = np.zeros((2, geom.n_segments))
         beta[:, layout.columns()[1]] = layout.exit_rate, layout.exit_rate_a
         return cls(params=params, td=td, relax=t / params.tau_h,
@@ -361,10 +358,9 @@ def step_truth(x: np.ndarray, entry: np.ndarray, onramp: np.ndarray, normals: np
         raise FloatingPointError("non-finite state")
 
 
-def observe(states: TrafficState, inputs: BoundaryInputs, layout: RampLayout,
-            noise: NoiseSpec) -> MeasurementFrame:
-    """The frames of a run, read from every step of ``states`` and ``inputs``
-    at once: the connected columns are the run's own arrays, not copies.
+def observe(sc: Scenario, states: TrafficState, inputs: BoundaryInputs) -> MeasurementFrame:
+    """The frames of a run of ``sc``, read from every step of ``states`` and
+    ``inputs`` at once: the connected columns are the run's own arrays, not copies.
 
     Detector noise applies only where detectors exist: entry, exit, and the
     layout's ramps, one reading per ramp.  Noisy flows are clamped at zero.
@@ -372,9 +368,9 @@ def observe(states: TrafficState, inputs: BoundaryInputs, layout: RampLayout,
     not the layout's, and TruthDivergedError naming the first step with a
     non-finite detector noise value or reading.
     """
-    inputs.check_ramp_columns(layout)
-    steps, n = states.q.shape
-    on, off = layout.columns()
+    inputs.check_ramp_columns(sc.layout)
+    steps, n, noise = len(states), sc.geometry.n_segments, sc.noise
+    on, off = sc.layout.columns()
     # Step k's stream holds entry, exit, on-ramp and off-ramp noise for every
     # segment, in that order; the draws stop at the last detector's column,
     # and only the detectors' columns are kept.
@@ -474,7 +470,7 @@ class TruthSimulator:
         x = np.zeros((5, n_steps + 1, n))
         init = sc.initial_state()
         x[:, 0] = init.rho, init.rho_a, init.v, init.q, init.q_a
-        constants = StepConstants.of(sc.geometry, sc.params, sc.layout, sc.noise)
+        constants = StepConstants.of(sc)
         on, off = sc.layout.columns()
         words = _stream_words(sc.noise.seed, _STREAM_STATE, n_steps)
         normals = np.empty((STEP_CHUNK, 3, n))
@@ -504,4 +500,4 @@ class TruthSimulator:
                                      f"{over[0, 0]}, at the off-ramp of segment "
                                      f"{sc.layout.off_ramp_segments[over[0, 1]]}")
         states, inputs = TrafficState(*x), BoundaryInputs(*entry, *ramp_in, *ramp_out)
-        return TruthRun(states, inputs, observe(states, inputs, sc.layout, sc.noise))
+        return TruthRun(states, inputs, observe(sc, states, inputs))

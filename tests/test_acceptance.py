@@ -10,14 +10,14 @@ import time
 import numpy as np
 
 import mixedtraffic as mt
-from mixedtraffic.core import HighwayGeometry, RampLayout, inverse_penetration
+from mixedtraffic.core import HighwayGeometry, inverse_penetration
 from mixedtraffic.harness import build_systems, q_sweep, run_experiment
 from mixedtraffic.kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement
 from mixedtraffic.ltv import anti_diagonal, build_system_measured, observability_matrix, selector_output
 from mixedtraffic.metanet import MeasurementFrame
 
 from test_harness import GOLDEN_P_R_MEASURED
-from test_ltv import make_frame
+from test_ltv import make_frame, on_road
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -56,10 +56,10 @@ def test_criterion_2_observability():
     for trial in range(100):
         n = int(rng.integers(2, 21))
         geom = HighwayGeometry(n_segments=n, step_h=10 / 3600, seg_len_km=0.5)
-        systems = build_system_measured(MeasurementFrame.stack(
+        systems = build_system_measured(on_road(geom), MeasurementFrame.stack(
             [make_frame(rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(100, 800, n),
                         q0_a=float(rng.uniform(100, 800)))
-             for _ in range(n - 1)]), geom, RampLayout())
+             for _ in range(n - 1)]))
         o = observability_matrix(systems)
         sign, logdet = np.linalg.slogdet(o)
         log_prod = float(np.sum(np.log(np.abs(anti_diagonal(o)))))

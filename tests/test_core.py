@@ -128,9 +128,17 @@ def test_ramp_layout_validation():
         RampLayout(off_ramp_segments=(4,), exit_rate=(1.0,))  # rate must be < 1
     with pytest.raises(ValueError):
         RampLayout(off_ramp_segments=(4, 8), exit_rate=(0.1,))  # misaligned
-    layout = RampLayout(on_ramp_segments=(2,), off_ramp_segments=(4,), exit_rate=(0.1,))
-    with pytest.raises(ValueError):
-        layout.validate_against(3)
+
+
+@pytest.mark.parametrize("seg_len_km", [0.5, [0.5] * 20], ids=["one length", "per segment"])
+@pytest.mark.parametrize("bad", [20.0, True])
+def test_segment_counts_that_are_not_integers_are_refused(bad, seg_len_km):
+    """Refused by name, not built as a float or failed inside np.full; a file
+    never reaches this check, since the loader refuses such a value."""
+    with pytest.raises(ValueError, match=f"^n_segments must be an integer, got {bad}$"):
+        HighwayGeometry(bad, 0.01, seg_len_km)
+    geom = HighwayGeometry(np.int64(20), 0.01, seg_len_km)
+    assert geom.n_segments == 20 and geom.seg_len_km.shape == (20,)
 
 
 @pytest.mark.parametrize("bad", [2.7, True, 2.0])

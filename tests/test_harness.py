@@ -495,6 +495,38 @@ def test_filter_reads_only_the_frames(default_sc, default_result, mode):
     assert observability_trace(sc, frames[:sc.geometry.n_segments]) == trace[:1]
 
 
+def test_a_slice_shares_its_records_arrays(default_sc, default_result):
+    """``rec[a:b]`` of a run's frames, states and realization holds views of
+    the record's own arrays, of the record's type; a single step has no steps
+    to index."""
+    truth = default_result.truth
+    with pytest.raises(TypeError, match="^a single-step TrafficState has no length$"):
+        truth.states[5][0]
+    for record in (truth.frames, truth.states, build_systems(default_sc, truth.frames[:300])):
+        part = record[100:250]
+        assert type(part) is type(record) and len(part) == 150
+        for field in dataclasses.fields(record):
+            mine, theirs = getattr(part, field.name), getattr(record, field.name)
+            assert np.shares_memory(mine, theirs), field.name
+            assert np.array_equal(mine, theirs[100:250]), field.name
+
+
+def test_the_estimator_checks_no_frame_again(default_sc, default_result, monkeypatch):
+    """The filter and the observability trace slice a built run's frames into
+    chunks, and no chunk runs the frames' checks again."""
+    calls = []
+    check = MeasurementFrame.__post_init__
+
+    def counted(frames):
+        calls.append(len(frames))
+        check(frames)
+
+    monkeypatch.setattr(MeasurementFrame, "__post_init__", counted)
+    estimate_shares(default_sc, default_result.truth.frames)
+    observability_trace(default_sc, default_result.truth.frames)
+    assert calls == []
+
+
 CONNECTED_FIELDS = ("q0_a", "q_a_seg", "rho_a_seg", "r_a", "s_a")
 FLOW_FIELDS = ("q0_a", "q_a_seg", "r_a", "s_a", "q0_meas", "qN_meas", "r_meas", "s_meas")
 

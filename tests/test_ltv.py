@@ -22,11 +22,19 @@ from mixedtraffic.ltv import (
     selector_output,
     window_anti_diagonals,
 )
-from mixedtraffic.metanet import MeasurementFrame
+from mixedtraffic.metanet import MeasurementFrame, NoiseSpec
 
 # Geometry with T/Delta = 1/180 per segment, matching the worked examples.
 GEOM3 = HighwayGeometry(n_segments=3, step_h=1 / 180, seg_len_km=1.0)
-NO_RAMPS = RampLayout()
+DEFAULT_SC = mt.default_scenario()
+
+
+def on_road(geom, layout=RampLayout(), noise=NoiseSpec.silent()):
+    """The stock scenario on ``geom`` with ``layout``, no on-ramp demand,
+    ``noise`` and a one-step horizon: what the builders, ``observe`` and
+    ``StepConstants.of`` read a road and its ramps from."""
+    return dataclasses.replace(DEFAULT_SC, geometry=geom, layout=layout, onramp_demand={},
+                               noise=noise, horizon_h=geom.step_h)
 
 
 def make_frame(rho_a, q_a, q0_a, r_a=(), s_a=(), q0_meas=0.0, qN_meas=0.0,
@@ -44,28 +52,28 @@ def make_frame(rho_a, q_a, q0_a, r_a=(), s_a=(), q0_meas=0.0, qN_meas=0.0,
 
 def test_build_g_zero_flows():
     frame = make_frame(rho_a=[4.0, 7.5, 2.0], q_a=[0.0, 0.0, 0.0], q0_a=0.0)
-    g = build_system_measured(MeasurementFrame.stack([frame]), GEOM3, NO_RAMPS).g
+    g = build_system_measured(on_road(GEOM3), MeasurementFrame.stack([frame])).g
     assert g[0].tolist() == [4.0, 7.5, 2.0]
 
 
 def test_build_g_worked_example():
     """rho_a=10, upstream 720, own 600, T/Delta=1/180 -> 10 + 120/180."""
     frame = make_frame(rho_a=[10.0, 10.0, 10.0], q_a=[600.0, 600.0, 600.0], q0_a=720.0)
-    g = build_system_measured(MeasurementFrame.stack([frame]), GEOM3, NO_RAMPS).g[0]
+    g = build_system_measured(on_road(GEOM3), MeasurementFrame.stack([frame])).g[0]
     assert g[0] == pytest.approx(10.0 + 120.0 / 180.0, abs=1e-12)
     assert g[1] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_build_g_floors_and_counts(silent_sc):
     frame = make_frame(rho_a=[0.1, 5.0, 5.0], q_a=[900.0, 900.0, 900.0], q0_a=0.0)
-    sys = build_system_measured(MeasurementFrame.stack([frame]), GEOM3, NO_RAMPS)
+    sys = build_system_measured(on_road(GEOM3), MeasurementFrame.stack([frame]))
     assert sys.g[0, 0] == pytest.approx(1e-6)
     assert sys.n_clamped == 1
 
 
 def test_g_predicts_next_connected_density(silent_sc, silent_truth):
     """Noise-free frames: g equals the simulator's next connected density."""
-    g = build_system_measured(silent_truth.frames[:200], silent_sc.geometry, silent_sc.layout).g
+    g = build_system_measured(silent_sc, silent_truth.frames[:200]).g
     for k in range(0, 200, 7):
         assert np.allclose(g[k], silent_truth.states[k + 1].rho_a, rtol=0, atol=1e-12)
 
@@ -74,7 +82,7 @@ def test_measured_system_worked_row():
     """Row with rho_a=10, own flow 600, upstream 720: diag 0.625, sub 0.375."""
     frame = make_frame(rho_a=[10.0, 10.0, 10.0], q_a=[720.0, 600.0, 600.0],
                        q0_a=720.0, q0_meas=2000.0)
-    sys = build_system_measured(MeasurementFrame.stack([frame]), GEOM3, NO_RAMPS)
+    sys = build_system_measured(on_road(GEOM3), MeasurementFrame.stack([frame]))
     assert sys.diag[0, 1] == pytest.approx(0.625, abs=1e-12)
     assert sys.sub[0, 0] == pytest.approx(0.375, abs=1e-12)
     assert sys.diag[0, 1] + sys.sub[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -92,7 +100,7 @@ def test_measured_system_worked_row():
 def test_zero_connected_flow_gives_identity():
     frame = make_frame(rho_a=[3.0, 4.0, 5.0, 6.0], q_a=np.zeros(4), q0_a=0.0)
     geom = HighwayGeometry(n_segments=4, step_h=1 / 180, seg_len_km=1.0)
-    sys = build_system_measured(MeasurementFrame.stack([frame]), geom, NO_RAMPS)
+    sys = build_system_measured(on_road(geom), MeasurementFrame.stack([frame]))
     assert np.array_equal(sys.diag, np.ones((1, 4)))
     assert np.array_equal(sys.sub, np.zeros((1, 3)))
 
@@ -111,7 +119,7 @@ def test_row_sums_are_one_without_ramps(seed):
     geom = HighwayGeometry(n_segments=n, step_h=10 / 3600, seg_len_km=0.5)
     frame = make_frame(rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(50, 900, n),
                        q0_a=float(rng.uniform(50, 900)))
-    sys = build_system_measured(MeasurementFrame.stack([frame]), geom, NO_RAMPS)
+    sys = build_system_measured(on_road(geom), MeasurementFrame.stack([frame]))
     assume(sys.n_clamped == 0)  # the floor intentionally breaks the algebra
     assert np.allclose(sys.diag[0, 1:] + sys.sub[0], 1.0, rtol=0, atol=1e-12)
     entry_share = geom.t_over_delta[0] * frame.q0_a / sys.g[0, 0]
@@ -124,8 +132,9 @@ def test_unmeasured_with_zero_exit_rates_matches_measured():
     frame = make_frame(rho_a=[10.0, 8.0, 9.0], q_a=[700.0, 650.0, 620.0],
                        q0_a=710.0, r_a=[40.0], s_a=np.zeros(3), q0_meas=1950.0,
                        r_meas=[200.0])
-    measured = build_system_measured(MeasurementFrame.stack([frame]), GEOM3, layout)
-    unmeasured = build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), GEOM3, layout)
+    measured = build_system_measured(on_road(GEOM3, layout), MeasurementFrame.stack([frame]))
+    unmeasured = build_system_unmeasured_offramps(on_road(GEOM3, layout),
+                                                  MeasurementFrame.stack([frame]))
     for name in ("diag", "sub", "drive", "g"):
         assert np.array_equal(getattr(measured, name), getattr(unmeasured, name))
 
@@ -139,7 +148,7 @@ def test_unmeasured_exit_rate_rescales_coupling():
     s_a_flow = 0.1 * q_a[2]  # connected outflow implied at segment 4
     frame = make_frame(rho_a=rho_a, q_a=q_a, q0_a=650.0, s_a=[s_a_flow])
     layout = RampLayout(off_ramp_segments=(4,), exit_rate=(0.1,))
-    sys = build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), geom, layout)
+    sys = build_system_unmeasured_offramps(on_road(geom, layout), MeasurementFrame.stack([frame]))
     td = geom.step_h / 0.5
     g4 = rho_a[3] + td * (0.9 * q_a[2] - q_a[3])
     assert sys.g[0, 3] == pytest.approx(g4, abs=1e-12)
@@ -147,8 +156,8 @@ def test_unmeasured_exit_rate_rescales_coupling():
     # rows without an off-ramp keep the plain coupling
     assert sys.sub[0, 0] == pytest.approx(td * q_a[0] / sys.g[0, 1], abs=1e-12)
     with pytest.raises(ValueError, match="exit_rate"):
-        build_system_unmeasured_offramps(MeasurementFrame.stack([frame]), geom,
-                                         RampLayout(off_ramp_segments=(4,), exit_rate=(1.0,)))
+        layout = RampLayout(off_ramp_segments=(4,), exit_rate=(1.0,))
+        build_system_unmeasured_offramps(on_road(geom, layout), MeasurementFrame.stack([frame]))
 
 
 def _per_segment(values, segments, n):
@@ -171,7 +180,7 @@ def test_ramp_columns_other_than_the_layout_are_refused(build, ramps, message):
     with pytest.raises(ValueError, match=message):
         frame = make_frame(rho_a=[10.0, 8.0, 9.0], q_a=[700.0, 650.0, 620.0], q0_a=710.0,
                            **{"r_a": [40.0], "s_a": [60.0], **ramps})
-        build(MeasurementFrame.stack([frame]), GEOM3, layout)
+        build(on_road(GEOM3, layout), MeasurementFrame.stack([frame]))
 
 
 @pytest.mark.parametrize("build", [build_system_measured, build_system_unmeasured_offramps])
@@ -184,7 +193,7 @@ def test_frames_that_do_not_fit_the_run_are_refused(build, steps, geom, message)
     frames = MeasurementFrame.stack([make_frame(rho_a=[10.0, 8.0, 9.0], q_a=[700.0, 650.0, 620.0],
                                                 q0_a=710.0)] * 2)
     with pytest.raises(ValueError, match=message):
-        build(frames[steps], geom, NO_RAMPS)
+        build(on_road(geom), frames[steps])
 
 
 @pytest.mark.parametrize("field", ["sub", "drive", "g"])
@@ -264,8 +273,8 @@ def test_band_matches_dense_textbook_realization(n, seed, unmeasured, sparse):
         frames = dataclasses.replace(frames, r_a=frames.r_a[:, on], r_meas=frames.r_meas[:, on],
                                      s_a=frames.s_a[:, off], s_meas=frames.s_meas[:, off])
     layout = RampLayout(on_ramp_segments=on + 1, off_ramp_segments=off + 1, exit_rate=beta[off])
-    sys = (build_system_unmeasured_offramps(frames, geom, layout) if unmeasured
-           else build_system_measured(frames, geom, layout))
+    build = build_system_unmeasured_offramps if unmeasured else build_system_measured
+    sys = build(on_road(geom, layout), frames)
     assert len(sys) == 3
     for k, frame in enumerate(frames):
         a, b, u = _textbook_realization(frame, geom, layout, unmeasured)
@@ -335,7 +344,7 @@ def _random_frame_systems(rng, n, geom, steps):
         make_frame(rho_a=rng.uniform(2, 20, n), q_a=rng.uniform(100, 800, n),
                    q0_a=float(rng.uniform(100, 800)))
         for _ in range(steps)])
-    return build_system_measured(frames, geom, NO_RAMPS)
+    return build_system_measured(on_road(geom), frames)
 
 
 def test_determinant_equals_antidiagonal_product():

@@ -27,6 +27,8 @@ from mixedtraffic.metanet import (
     step_truth,
 )
 
+from test_ltv import on_road
+
 PARAMS = MetanetParams.defaults()
 SILENT = NoiseSpec.silent()
 
@@ -61,7 +63,7 @@ def _step(state, inputs, geom, layout=RampLayout()):
     onramp[:, 0, [seg - 1 for seg in layout.on_ramp_segments]] = inputs.r, inputs.r_a
     entry, onramp, normals = _read_only(np.array([[inputs.q0], [inputs.q0_a]]), onramp,
                                         np.zeros((1, 3, state.n_segments)))
-    step_truth(x, entry, onramp, normals, StepConstants.of(geom, PARAMS, layout, SILENT), 0)
+    step_truth(x, entry, onramp, normals, StepConstants.of(on_road(geom, layout, SILENT)), 0)
     assert x[:, 0::2].tobytes() == before[:, 0::2].tobytes()
     return TrafficState(*x[:, 1])
 
@@ -164,11 +166,10 @@ def test_exit_rates_sit_at_the_off_ramps():
     layout = RampLayout(on_ramp_segments=(2,), off_ramp_segments=(4, 1), exit_rate=(0.1, 0.3),
                         exit_rate_a=(0.2, 0.05))
     geom = HighwayGeometry(n_segments=6, step_h=10 / 3600, seg_len_km=0.5)
-    beta = StepConstants.of(geom, PARAMS, layout, SILENT).beta
+    beta = StepConstants.of(on_road(geom, layout, SILENT)).beta
     assert beta.tolist() == [[0.3, 0.0, 0.0, 0.1, 0.0, 0.0], [0.05, 0.0, 0.0, 0.2, 0.0, 0.0]]
     with pytest.raises(ValueError, match="off_ramp_segments must lie within"):
-        StepConstants.of(dataclasses.replace(geom, n_segments=3, seg_len_km=0.5), PARAMS,
-                         layout, SILENT)
+        on_road(dataclasses.replace(geom, n_segments=3, seg_len_km=0.5), layout, SILENT)
 
 
 def _infinite_entry(sc):
@@ -190,6 +191,7 @@ def test_non_finite_input_faults(default_sc):
 
 class TestObserve:
     layout = RampLayout(on_ramp_segments=(2,), off_ramp_segments=(3,), exit_rate=(0.1,))
+    geom = HighwayGeometry(n_segments=4, step_h=10 / 3600, seg_len_km=0.5)
 
     def _setup(self):
         state = TrafficState.from_densities([20.0, 25.0, 22.0, 18.0],
@@ -202,7 +204,8 @@ class TestObserve:
 
     def _observe(self, state, inputs, noise, steps):
         """Frames observed at steps 0..steps-1 of a run that repeats ``state`` and ``inputs``."""
-        return observe(_repeated(state, steps), _repeated(inputs, steps), self.layout, noise)
+        return observe(on_road(self.geom, self.layout, noise), _repeated(state, steps),
+                       _repeated(inputs, steps))
 
     def test_silent_frame_equals_truth(self):
         state, inputs = self._setup()
