@@ -86,30 +86,38 @@ def build_systems(sc: Scenario, frames: MeasurementFrame) -> BandedLtv:
     return build_system_measured(sc, frames)
 
 
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
-def _weyl_floor(top, p_nn, floor, a: float, q, r_cov, n: int):
+def _weyl_floor(top: float, p_nn: float, floor: float, a: float, q: float, r_cov: float,
+                n: int) -> float:
     """A lower bound on lambda_min of the covariance that ``filter_step`` makes
-    from P, per member, given that P is exactly symmetric with lambda_min(P)
-    >= ``floor``, ``top`` = max|P_ii| and ``p_nn`` = P_NN.
+    from P, for one member, on floats, given that P is exactly symmetric with
+    lambda_min(P) >= ``floor``, ``top`` = max|P_ii| and ``p_nn`` = P_NN.
 
     ``a`` bounds every row and column sum of |A(k)|, and Q = q*I, so q is both
     lambda_min(Q) and max|Q_ij|.  The derivation is in ``estimate_shares``;
     the 32 eps taken off q and the factor 1 + 32 eps cover this function's
     own rounding.  Where no bound follows (a NaN or infinite input, or
-    P_NN + R <= 0) the result is -inf or NaN, which every comparison treats
-    as no bound.
+    P_NN + R <= 0) the result is NaN or -inf, "no bound": every comparison
+    with NaN is false, and -inf + PSD_TOL never exceeds the certificate's
+    margin, so neither certifies a step.  Given ``top`` and ``a`` >= 0 or
+    NaN, as maxima of absolute values are, it never raises: the guard keeps
+    ``math.sqrt`` and the divisions defined, and squares are products,
+    since a float's ``** 2`` can raise OverflowError.
     """
-    lost = np.maximum(-floor, 0.0)            # max(0, -l); NaN stays NaN
-    m = top + lost                             # >= every |P_ij|
     denom = p_nn + r_cov
-    gain = np.sqrt(m * (abs(p_nn) + lost) / denom) / np.sqrt(denom)    # >= every |K_i|
+    if not denom > 0.0:
+        return math.nan
+    lost = max(-floor, 0.0)                   # max(0, -l); NaN stays NaN
+    m = top + lost                             # >= every |P_ij|
+    gain = math.sqrt(m * (abs(p_nn) + lost) / denom) / math.sqrt(denom)    # >= every |K_i|
     a2 = a * a
-    weyl = lost * (1.0 + math.sqrt(n) * gain) ** 2 * a2
-    rounding = 16 * n * (_EPS * (a2 * (1.0 + gain) * m + q)
-                         + _TINY * (1.0 + a) ** 2 * (1.0 + m))
+    norm = 1.0 + math.sqrt(n) * gain           # >= ||I - KC||_2
+    weyl = lost * (norm * norm) * a2
+    b = 1.0 + a
+    rounding = 16 * n * (_EPS * (a2 * (1.0 + gain) * m + q) + _TINY * (b * b) * (1.0 + m))
     return q - 32 * _EPS * q - (weyl + rounding) * (1 + 32 * _EPS)
 
 
@@ -159,11 +167,16 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame) -> ShareEstimate:
     succeed (Higham, Accuracy and Stability, Thm 10.7) with a factor of 8
     to spare.  A certified step also needs l(k+1) <= min P_ii, which every
     true bound meets; a P that the update did not produce may fail it.
-    When any member of a batch is not certified, the whole batch is
-    factorised, so every output equals that of factorising at every step.
-    l(0) = p0_sigma = lambda_min(P0), so the first step is certified like
-    any other and a healthy run never factorises.  A factorisation sets every
-    member's bound to -PSD_TOL when it succeeds and drops it when it fails.
+    The bound and the certificate run per member, on Python floats: each
+    step reads P_NN, max|P_ii| and min P_ii of every member once, and the
+    one path serves one filter and a batch alike.  When any member of a
+    batch is not certified, the whole batch is factorised, so every output
+    equals that of factorising at every step.  l(0) = p0_sigma =
+    lambda_min(P0), so the first step is certified like any other and a
+    healthy run never factorises.  A factorisation sets every member's bound
+    to -PSD_TOL when it succeeds and to -inf when it fails.  A bound that is
+    NaN or -inf (``_weyl_floor``'s "no bound") certifies no step, so the
+    batch is factorised until a success restores -PSD_TOL.
     """
     config = sc.filter
     m, n, batch = len(frames) - 1, sc.geometry.n_segments, np.shape(config.q_sigma)
@@ -177,7 +190,11 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame) -> ShareEstimate:
     # Cholesky of A - c*I with c >= (n+1)*eps*trace(A) proves A positive definite.
     rounding = (n + 1) * _EPS
     margin = 16 * n * (n + 1) * _EPS
-    min_eig = floor = top = config.p0_sigma    # lambda_min(P0) = max|P0_ii|; floor <= lambda_min(P)
+    min_eig = config.p0_sigma
+    q_sigma, r_cov = np.ravel(config.q_sigma).tolist(), np.ravel(config.r_cov).tolist()
+    # One float per member: lambda_min(P0) = max|P0_ii| = P0_NN = p0_sigma,
+    # and floors[i] <= lambda_min of member i's P.
+    floors = tops = p_nn = np.ravel(config.p0_sigma).tolist()
     fallbacks = clamps = 0
     last_z: float | None = None
     with np.errstate(all="ignore"):
@@ -194,30 +211,33 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame) -> ShareEstimate:
                 z, used_fallback = output_measurement(frames, k, last_z)
                 fallbacks += used_fallback
                 last_z = z
-                floor = _weyl_floor(top, p[..., -1, -1], floor, a, config.q_sigma,
-                                    config.r_cov, n)
+                floors = [_weyl_floor(t, pn, f, a, q, r, n)
+                          for t, pn, f, q, r in zip(tops, p_nn, floors, q_sigma, r_cov)]
                 try:
                     x, p, innovation[..., k] = filter_step(x, p, systems, j, z, config)
                 except FloatingPointError as exc:
                     raise FloatingPointError(f"{exc} at step {k}") from exc
                 x_hat[..., k + 1, :] = x
                 diag = p.diagonal(0, -2, -1)
-                top = np.abs(diag).max(axis=-1)
-                if ((floor <= diag.min(axis=-1))
-                        & (floor + PSD_TOL > margin * (top + PSD_TOL))).all():
+                p_nn = p[..., -1, -1].ravel().tolist()
+                tops = np.abs(diag).max(axis=-1).ravel().tolist()
+                lows = diag.min(axis=-1).ravel().tolist()
+                if all(f <= lo and f + PSD_TOL > margin * (t + PSD_TOL)
+                       for f, lo, t in zip(floors, lows, tops)):
                     continue               # the factorisation below would succeed
                 shift = PSD_TOL - rounding * np.trace(p, axis1=-2, axis2=-1)
                 shifted = p.copy()
                 np.einsum("...ii->...i", shifted)[...] += shift[..., None]
-                floor = -np.inf
                 try:
                     # Succeeds only if every member's lambda_min(P) > -PSD_TOL.
                     np.linalg.cholesky(shifted)
-                    floor = -PSD_TOL
+                    bound = -PSD_TOL
                 except np.linalg.LinAlgError:
+                    bound = -math.inf
                     # Fold only the members that failed, so each keeps its unbatched value.
                     step_min = np.linalg.eigvalsh(p).min(axis=-1)
                     min_eig = np.where(step_min < -PSD_TOL, np.minimum(min_eig, step_min), min_eig)
+                floors = [bound] * len(floors)
             del systems                    # not alive while the next chunk's is built
     min_eig = np.minimum(min_eig, np.linalg.eigvalsh(p).min(axis=-1))
     return ShareEstimate(x_hat=x_hat, innovation=innovation,

@@ -26,7 +26,8 @@ and frames.  Everything that does not depend on the state is computed for
 the whole run at once: ``TruthSimulator.inputs_at`` gives every step's
 demands and entry flows, and the off-ramp outflows and ``observe``'s
 detector readings are computed for every step after the step loop.  The
-loop calls ``step_truth`` once per step to fill the next state row.  The
+loop calls ``step_truth`` once per step to fill the next state row, and
+checks the off-ramp bound on each chunk's steps as the chunk finishes.  The
 frames' connected columns are the state and input arrays themselves.
 
 The step loop runs over chunks of ``STEP_CHUNK`` steps, so its scratch does
@@ -390,6 +391,26 @@ def observe(sc: Scenario, states: TrafficState, inputs: BoundaryInputs) -> Measu
                             q0_meas, qN_meas, r_meas, s_meas)
 
 
+def _off_ramp_outflows(sc: Scenario, beta: np.ndarray, x: np.ndarray, entry: np.ndarray,
+                       first: int, stop: int) -> np.ndarray:
+    """The (2, stop - first, off-ramps) outflows beta q_up and beta_a q_a,up
+    at steps first..stop-1 of the (5, M+1, N) state block ``x`` and the
+    (2, M+1) ``entry`` flows; ``beta`` is ``StepConstants.beta``.  Raises
+    TruthDivergedError naming the first of those steps, and its off-ramp,
+    where the connected outflow exceeds the total by more than
+    ``BoundaryInputs``' bound."""
+    off = sc.layout.columns()[1]
+    up = x[3:5, first:stop, off - 1]           # the flows entering the off-ramp segments
+    up[:, :, off == 0] = entry[:, first:stop, None]
+    outflows = beta[:, None, off] * up
+    over = np.argwhere(outflows[1] > outflows[0] + 1e-9)
+    if len(over):
+        raise TruthDivergedError(f"connected off-ramp outflow exceeds the total at step "
+                                 f"{first + over[0, 0]}, at the off-ramp of segment "
+                                 f"{sc.layout.off_ramp_segments[over[0, 1]]}")
+    return outflows
+
+
 @dataclass(frozen=True)
 class TruthRun:
     """A simulated trajectory: M+1 states, inputs and frames, each stacked over the steps."""
@@ -456,12 +477,17 @@ class TruthSimulator:
         off-ramp outflows and detector readings after it; the loop advances
         only the state, ``STEP_CHUNK`` steps at a time, drawing each chunk's
         process noise as it starts.  The off-ramp outflows, beta times the
-        flow entering the segment, are computed at the off-ramps only.  Raises
-        TruthDivergedError naming the first step whose inputs are not finite
-        or whose state update overflows or leaves the finite range; for a run
-        that gets through, the first step and segment where beta_a q_a,up >
-        beta q_up (an exit rate beta_a above beta allows it), then the first
-        step with a non-finite detector reading.
+        flow entering the segment, are computed at the off-ramps only.
+
+        Raises TruthDivergedError at the first chunk with a fault: a state
+        update that overflows or leaves the finite range raises first, naming
+        its step, and then the first step and off-ramp of the chunk where
+        beta_a q_a,up > beta q_up (an exit rate beta_a above beta allows it),
+        checked as the chunk finishes, so such a run is refused after the
+        first chunk that breaks the bound.  The loop stops before the first
+        step whose inputs are not finite, named once the steps before it have
+        passed; then come the last step's outflows and the first step with a
+        non-finite detector reading.
         """
         sc, n_steps = self.scenario, self.scenario.n_steps
         entry, ramp_in = self.inputs_at()
@@ -471,33 +497,28 @@ class TruthSimulator:
         init = sc.initial_state()
         x[:, 0] = init.rho, init.rho_a, init.v, init.q, init.q_a
         constants = StepConstants.of(sc)
-        on, off = sc.layout.columns()
+        on = sc.layout.columns()[0]
         words = _stream_words(sc.noise.seed, _STREAM_STATE, n_steps)
         normals = np.empty((STEP_CHUNK, 3, n))
         onramp = np.zeros((2, STEP_CHUNK, n))       # zero off the on-ramps in every chunk
         stop = min(bad_input, n_steps)
         k = 0
-        try:
-            with np.errstate(over="raise"):
-                for start in range(0, stop, STEP_CHUNK):
-                    size = min(STEP_CHUNK, stop - start)
-                    _normals(words[start:start + size], 3 * n, out=normals[:size].reshape(size, -1))
+        with np.errstate(over="raise"):
+            for start in range(0, stop, STEP_CHUNK):
+                size = min(STEP_CHUNK, stop - start)
+                try:
+                    _normals(words[start:start + size], 3 * n,
+                             out=normals[:size].reshape(size, -1))
                     onramp[:, :size, on] = ramp_in[:, start:start + size]
                     chunk, chunk_entry = x[:, start:], entry[:, start:]
                     for k in range(start, start + size):
                         step_truth(chunk, chunk_entry, onramp, normals, constants, k - start)
-        except FloatingPointError as exc:
-            raise TruthDivergedError(f"{exc} at step {k}") from exc
+                except FloatingPointError as exc:
+                    raise TruthDivergedError(f"{exc} at step {k}") from exc
+                _off_ramp_outflows(sc, constants.beta, x, entry, start, start + size)
         del normals, onramp                # not alive while observe allocates
         if bad_input <= n_steps:
             raise TruthDivergedError(f"non-finite boundary input at step {bad_input}")
-        up = x[3:5, :, off - 1]                  # the flows entering the off-ramp segments
-        up[:, :, off == 0] = entry[:, :, None]
-        ramp_out = constants.beta[:, None, off] * up
-        over = np.argwhere(ramp_out[1] > ramp_out[0] + 1e-9)    # BoundaryInputs' bound
-        if len(over):
-            raise TruthDivergedError(f"connected off-ramp outflow exceeds the total at step "
-                                     f"{over[0, 0]}, at the off-ramp of segment "
-                                     f"{sc.layout.off_ramp_segments[over[0, 1]]}")
+        ramp_out = _off_ramp_outflows(sc, constants.beta, x, entry, 0, n_steps + 1)
         states, inputs = TrafficState(*x), BoundaryInputs(*entry, *ramp_in, *ramp_out)
         return TruthRun(states, inputs, observe(sc, states, inputs))

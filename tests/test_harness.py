@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shutil
+import struct
 import sys
 import tempfile
 import tracemalloc
@@ -15,10 +16,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 import mixedtraffic as mt
 from mixedtraffic import harness
+from mixedtraffic.cli import DEFAULT_SIGMAS
 from mixedtraffic.core import STEP_CHUNK, HighwayGeometry, RampLayout
 from mixedtraffic.harness import (
     TRAJECTORY_COLUMNS,
@@ -669,14 +671,77 @@ def test_filter_holds_one_chunk_of_realization(default_sc, mode):
         assert peak < outputs + allowed, fn.__name__
 
 
-@pytest.mark.parametrize("case", ["default", "corridor", "share 1%"])
+def _array_weyl_floor(top, p_nn, floor, a, q, r_cov, n):
+    """The bound as the filter loop once computed it on (S,) arrays; given
+    1-element float64 arrays, NumPy squares by multiplication."""
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    lost = np.maximum(-floor, 0.0)
+    m = top + lost
+    denom = p_nn + r_cov
+    gain = np.sqrt(m * (abs(p_nn) + lost) / denom) / np.sqrt(denom)
+    a2 = a * a
+    weyl = lost * (1.0 + math.sqrt(n) * gain) ** 2 * a2
+    rounding = 16 * n * (eps * (a2 * (1.0 + gain) * m + q)
+                         + tiny * (1.0 + a) ** 2 * (1.0 + m))
+    return q - 32 * eps * q - (weyl + rounding) * (1 + 32 * eps)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324,
+                math.inf, -math.inf, math.nan]
+_ANY_FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+# top and a are maxima of absolute values: >= 0, +inf or NaN.
+_NOT_NEGATIVE = st.one_of(st.sampled_from([x for x in _EDGE_FLOATS if not x < 0.0]),
+                          st.floats(min_value=0.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(top=_NOT_NEGATIVE, p_nn=_ANY_FLOAT, floor=_ANY_FLOAT, a=_NOT_NEGATIVE, q=_ANY_FLOAT,
+       r_cov=_ANY_FLOAT, n=st.integers(min_value=1, max_value=400))
+@example(top=1.0, p_nn=-100.0, floor=0.5, a=1.0, q=1.0, r_cov=100.0, n=20)   # P_NN + R = 0
+@example(top=1.0, p_nn=-200.0, floor=0.5, a=1.0, q=1.0, r_cov=100.0, n=20)   # P_NN + R < 0
+@example(top=1.0, p_nn=-0.0, floor=0.0, a=1.0, q=1.0, r_cov=-0.0, n=20)      # P_NN + R = -0
+def test_weyl_floor_on_floats_equals_the_array_formula(top, p_nn, floor, a, q, r_cov, n):
+    """The filter's bound on Python floats equals the array formula bit for
+    bit wherever both are finite; elsewhere both say "no bound", NaN or
+    -inf, and neither raises, whatever the sign, size or finiteness of the
+    inputs (a P_NN + R <= 0 included)."""
+    got = harness._weyl_floor(top, p_nn, floor, a, q, r_cov, n)
+    with np.errstate(all="ignore"):
+        want = float(_array_weyl_floor(*(np.array([v]) for v in (top, p_nn, floor, a, q, r_cov)),
+                                       n)[0])
+    assert type(got) is float
+    if math.isfinite(got) and math.isfinite(want):
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    else:
+        assert all(math.isnan(v) or v == -math.inf for v in (got, want)), (got, want)
+
+
+_FACTORISATION_CASES = {
+    "default": lambda sc: (sc, None),
+    "corridor": lambda sc: (_on_segments(sc, 200, horizon_h=0.25), None),
+    "share 1%": lambda sc: (dataclasses.replace(sc, init_penetration=0.01), None),
+    "sweep": lambda sc: (sc, DEFAULT_SIGMAS),
+    "unmeasured sweep": lambda sc: (dataclasses.replace(sc, offramp_mode="unmeasured"),
+                                    DEFAULT_SIGMAS),
+    # Member 0 has the largest bound, above the other members' min P_ii.
+    "descending sweep": lambda sc: (sc, DEFAULT_SIGMAS[::-1]),
+    "unmeasured descending sweep": lambda sc: (
+        dataclasses.replace(sc, offramp_mode="unmeasured"), DEFAULT_SIGMAS[::-1]),
+    "share 1% sweep": lambda sc: (dataclasses.replace(sc, init_penetration=0.01), DEFAULT_SIGMAS),
+}
+
+
+@pytest.mark.parametrize("case", list(_FACTORISATION_CASES))
 def test_factorisation_runs_only_where_the_bound_fails(default_sc, monkeypatch, case):
     """A healthy run never factorises P: the bound certifies every step, the
     first included, since P0 = p0_sigma*I has lambda_min = p0_sigma; a run
-    whose covariance loses semidefiniteness keeps factorising."""
-    sc = {"default": default_sc, "corridor": _on_segments(default_sc, 200, horizon_h=0.25),
-          "share 1%": dataclasses.replace(default_sc, init_penetration=0.01)}[case]
+    whose covariance loses semidefiniteness keeps factorising.  The default
+    sweep's batch certifies each member on its own bound, in either order of
+    its sigmas and in both modes."""
+    sc, sigmas = _FACTORISATION_CASES[case](default_sc)
     truth = mt.simulate_truth(sc)
+    if sigmas is not None:
+        sc = _sigma_batch(sc, sigmas)
     cholesky, calls = np.linalg.cholesky, []
 
     def counting_cholesky(a):
@@ -684,7 +749,7 @@ def test_factorisation_runs_only_where_the_bound_fails(default_sc, monkeypatch, 
         return cholesky(a)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     run_filter(sc, truth.frames)
-    if case == "share 1%":
+    if case.startswith("share 1%"):
         assert len(calls) > 1
     else:
         assert len(calls) == 0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import types
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixedtraffic as mt
+from mixedtraffic import metanet
 from mixedtraffic.core import (STEP_CHUNK, BoundaryInputs, HighwayGeometry, MetanetParams,
                                RampLayout, TrafficState, nominal_speed)
 from mixedtraffic.kalman import KalmanConfig
@@ -582,6 +584,43 @@ def test_divergence_in_a_later_chunk_names_its_step(default_sc):
     with pytest.raises(TruthDivergedError,
                        match=f"^non-finite boundary input at step {STEP_IN_SECOND_CHUNK}$"):
         mt.simulate_truth(infinite)
+
+
+def _connected_exit(sc, rate):
+    """``sc`` with connected vehicles leaving every off-ramp at ``rate``."""
+    layout = sc.layout
+    return dataclasses.replace(sc, layout=dataclasses.replace(
+        layout, exit_rate_a=(rate,) * len(layout.off_ramp_segments)))
+
+
+def test_a_broken_off_ramp_bound_is_refused_after_its_first_chunk(default_sc, monkeypatch):
+    """beta_a = 0.9 against beta = 0.1 takes more connected vehicles off the
+    ramp at segment 4 than vehicles in all from step 0 on: the run is refused
+    once its first chunk of steps finishes, not after the whole loop.  A
+    state overflow inside that chunk (the entry jumps to 1e300 at step 3)
+    still raises first, and an overflow in a later chunk is never reached."""
+    calls = []
+
+    def counting_step_truth(*args):
+        calls.append(args[-1])
+        return step_truth(*args)
+    monkeypatch.setattr(metanet, "step_truth", counting_step_truth)
+    with pytest.raises(TruthDivergedError, match="^connected off-ramp outflow exceeds the total "
+                                                 "at step 0, at the off-ramp of segment 4$"):
+        mt.simulate_truth(_connected_exit(default_sc, 0.9))
+    assert 0 < len(calls) <= STEP_CHUNK
+    with pytest.raises(TruthDivergedError, match="^connected off-ramp outflow exceeds the total "
+                                                 "at step 0, at the off-ramp of segment 4$"):
+        mt.simulate_truth(_connected_exit(_entry_from(default_sc, 1300.0, 1e300), 0.9))
+    step_h = default_sc.geometry.step_h
+    early = dataclasses.replace(default_sc, entry_demand=PiecewiseLinear.from_pairs(
+        [(0.0, 1300.0), (2 * step_h, 1300.0), (3 * step_h, 1e300)]))
+    with pytest.raises(TruthDivergedError) as want:
+        mt.simulate_truth(early)
+    assert re.fullmatch("overflow encountered in .* at step [3-9]", str(want.value))
+    with pytest.raises(TruthDivergedError) as got:
+        mt.simulate_truth(_connected_exit(early, 0.9))
+    assert str(got.value) == str(want.value)
 
 
 def _distinct_bytes(*records):
