@@ -33,7 +33,7 @@ from ._rows import TRAJECTORY_COLUMNS
 from .core import STEP_CHUNK
 from .kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement, reconstruct_totals
 from .ltv import (OBSERVABILITY_TOL, BandedLtv, build_system_measured,
-                  build_system_unmeasured_offramps, window_anti_diagonals)
+                  build_system_unmeasured_offramps, check_windows, window_anti_diagonals)
 from .metanet import MeasurementFrame, TruthRun, TruthSimulator
 from .scenario import Scenario
 
@@ -157,11 +157,14 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame) -> ShareEstimate:
                               - 16 N (eps (a^2 (1+g) M + max|Q|) + tiny (1+M)(1+a)^2)
 
     for the computed P(k+1): the last term bounds the spectral norm of the
-    rounding error of the gain, of (I-KC)P, of both ``apply_a`` passes, of
-    + Q and of the symmetrisation (no entry's error reaches
+    rounding error of the gain, of (I-KC)P, of the A P and (A P) A' passes,
+    of + Q and of the symmetrisation (no entry's error reaches
     12 eps a^2 (1+g) M + 3 eps max|Q| plus underflow, and ||E||_2 <=
-    N max|E_ij|), where lambda_min(Q) = max|Q| = q_sigma.  A step is
-    certified when l(k+1) + PSD_TOL > 16 N (N+1) eps (max|P_ii| + PSD_TOL):
+    N max|E_ij|), where lambda_min(Q) = max|Q| = q_sigma.  The memory layout
+    of those passes does not enter: each entry of A P and of (A P) A' gets
+    the two products and one sum of applying A to the columns, then the rows.
+    A step is certified when
+    l(k+1) + PSD_TOL > 16 N (N+1) eps (max|P_ii| + PSD_TOL):
     the shift differs from PSD_TOL by at most N (N+1) eps max|P_ii|, so
     P + shift*I then meets Demmel's condition for the factorisation to
     succeed (Higham, Accuracy and Stability, Thm 10.7) with a factor of 8
@@ -344,7 +347,10 @@ class ObservabilityWindow:
 def observability_trace(sc: Scenario, frames: MeasurementFrame | None = None,
                         stride: int = 1) -> list[ObservabilityWindow]:
     """Sliding-window observability report over M+1 frames, simulated if none are
-    given; raises ValueError when ``stride`` < 1 or M < N-1, one window's steps."""
+    given; raises ValueError when ``stride`` < 1 or M < N-1, one window's steps,
+    before it simulates or builds anything."""
+    check_windows(sc.n_steps if frames is None else len(frames) - 1,
+                  sc.geometry.n_segments, stride)
     if frames is None:
         frames = simulate_truth(sc).frames
     # The windows span chunks and read only the sub-diagonal, so each chunk keeps that alone.

@@ -7,7 +7,11 @@ One-step predictor form, with the gain applied through the state matrix:
     P(k+1) = A(k) (I - K(k) C) P(k) A(k)' + Q
 
 A(k) and B(k) u(k) come from the banded realization of ``ltv``, so A P A'
-costs two shifted row operations; C selects the exit: C x = x[-1], P C' = P[:, -1].
+costs a few passes over contiguous memory: A P as whole rows plus the rows
+above them, then (A P) A' as A P plus A P shifted one column, read from one
+flat buffer one element earlier.  Each entry gets the operations, in the
+order, of applying A to P's columns and then to its rows, so the bits are
+those of that form.  C selects the exit: C x = x[-1], P C' = P[:, -1].
 Q = q_sigma*I, so + Q touches only the diagonal.
 
 The tuning, ``KalmanConfig``, is the scenario's ``filter`` part, like its
@@ -15,9 +19,9 @@ geometry and noise: its ``rules`` check a file's ``filter`` section and a
 config built in code alike, and the estimator reads it from the scenario
 alone.  A leading batch axis runs S filters with their own (Q, R, x^(0),
 P0) side by side on one realization and one measurement sequence: x is
-(S, N) and P is (S, N, N).  Every operation is elementwise or a row shift,
-so each member's arithmetic, and hence its result, is that of its own
-unbatched run.
+(S, N) and P is (S, N, N).  Every operation is elementwise or a shift
+within one member's matrix, so each member's arithmetic, and hence its
+result, is that of its own unbatched run.
 
 P is re-symmetrized each step; the update above is not in Joseph form and
 drifts over long runs otherwise.  Estimates are deliberately not clamped to
@@ -89,9 +93,8 @@ class KalmanConfig:
                       for f in dataclasses.fields(cls)})
 
 
-def kalman_gain(p_cov: np.ndarray, r_cov: float | np.ndarray) -> np.ndarray:
-    """K = P C' / (C P C' + R), with C selecting the exit segment."""
-    pc = p_cov[..., -1]
+def kalman_gain(pc: np.ndarray, r_cov: float | np.ndarray) -> np.ndarray:
+    """K = P C' / (C P C' + R) from the exit column ``pc`` = P C' = P[..., -1]."""
     return pc / (pc[..., -1:] + np.asarray(r_cov)[..., None])
 
 
@@ -103,18 +106,36 @@ def filter_step(x_hat: np.ndarray, p_cov: np.ndarray, sys: BandedLtv, k: int, z:
 
     Raises FloatingPointError when any member's state becomes non-finite.
     """
-    gain = kalman_gain(p_cov, config.r_cov)
+    n = p_cov.shape[-1]
+    diag, sub = sys.diag[k], sys.sub[k]
+    pc = p_cov[..., -1].copy()                                         # P C', contiguous
+    gain = kalman_gain(pc, config.r_cov)
     innovation = z - x_hat[..., -1]
     x_next = sys.propagate(k, x_hat) + sys.apply_a(k, gain) * innovation[..., None]
-    p_post = p_cov - gain[..., :, None] * p_cov[..., None, :, -1]     # (I - K C) P
-    # apply_a maps each row v to A v: on P' it gives (A P)', then on A P, A P A'.
-    a_p = sys.apply_a(k, p_post.swapaxes(-1, -2)).swapaxes(-1, -2)
-    p_next = sys.apply_a(k, a_p)
+    work = np.multiply(gain[..., :, None], pc[..., None, :])
+    np.subtract(p_cov, work, out=work)                                 # (I - K C) P
+    # A P by whole rows, into a flat buffer one element past a 0.0 pad, where
+    # the shifted read below starts; work is scratch from here on.
+    flat = np.empty(p_cov.shape[:-2] + (n * n + 1,))
+    flat[..., 0] = 0.0
+    a_p = flat[..., 1:].reshape(p_cov.shape)
+    np.multiply(diag[:, None], work, out=a_p)
+    work[..., :-1, :] *= sub[:, None]
+    a_p[..., 1:, :] += work[..., :-1, :]
+    # (A P) A': the same buffer read one element earlier holds A P shifted one
+    # column right, so both passes are contiguous.  Column 0 of the shifted
+    # product, 0 times A P[i-1, N-1] or the pad, is no term of A P A'; it is
+    # set to -0.0, since x + -0.0 is x for every x, -0.0, inf and NaN included.
+    p_next = diag * a_p
+    np.multiply(np.concatenate(([0.0], sub)), flat[..., :-1].reshape(p_cov.shape), out=work)
+    work[..., :, 0] = -0.0
+    p_next += work
     np.einsum("...ii->...i", p_next)[...] += np.asarray(config.q_sigma)[..., None]  # + Q
-    p_next = 0.5 * (p_next + p_next.swapaxes(-1, -2))
-    if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(p_next))):
+    p_sym = p_next + p_next.swapaxes(-1, -2)
+    p_sym *= 0.5
+    if not (np.isfinite(x_next).all() and np.isfinite(p_sym).all()):
         raise FloatingPointError("non-finite filter state")
-    return x_next, p_next, innovation
+    return x_next, p_sym, innovation
 
 
 def output_measurement(frames: MeasurementFrame, k: int,

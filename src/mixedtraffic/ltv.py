@@ -194,6 +194,16 @@ def anti_diagonal(mat: np.ndarray) -> np.ndarray:
     return mat[np.arange(n), n - 1 - np.arange(n)]
 
 
+def check_windows(steps: int, n: int, stride: int) -> None:
+    """Raise ValueError unless ``stride`` >= 1 and M = ``steps`` holds one
+    window of N-1 steps for N = ``n`` segments."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if steps < n - 1:
+        raise ValueError(f"an observability window needs {n - 1} steps for "
+                         f"{n} segments; the run has {steps}")
+
+
 def window_anti_diagonals(sub: np.ndarray, stride: int = 1) -> np.ndarray:
     """Anti-diagonal of O for every window of N-1 steps, one row per window,
     from the (M, N-1) sub-diagonals ``BandedLtv.sub`` of M steps alone.
@@ -205,11 +215,7 @@ def window_anti_diagonals(sub: np.ndarray, stride: int = 1) -> np.ndarray:
     ``anti_diagonal(observability_matrix(sys[k0:k0 + N - 1]))`` bit for bit.
     """
     steps, n = sub.shape[0], sub.shape[1] + 1
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if steps < n - 1:
-        raise ValueError(f"an observability window needs {n - 1} steps for "
-                         f"{n} segments; the run has {steps}")
+    check_windows(steps, n, stride)
     starts = np.arange(0, steps - n + 2, stride)
     out = np.ones((len(starts), n))
     for j in range(n - 1):

@@ -1124,6 +1124,25 @@ def test_metrics_and_sweep_files(tmp_path, default_sc, default_result):
     assert back == [(p.sigma, p.p_r) for p in points]
 
 
+def test_observability_trace_refuses_bad_arguments_before_it_simulates(default_sc, default_result,
+                                                                       monkeypatch):
+    """A zero stride, or a run shorter than one window of N-1 = 19 steps, is
+    refused from the scenario or the frames' count alone."""
+    frames = default_result.truth.frames[:19]
+    def unreachable(*args):
+        raise AssertionError("simulated or built before the arguments were checked")
+
+    monkeypatch.setattr(harness, "simulate_truth", unreachable)
+    monkeypatch.setattr(harness, "build_systems", unreachable)
+    with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
+        observability_trace(default_sc, stride=0)
+    short = dataclasses.replace(default_sc, horizon_h=0.05)             # 18 steps
+    with pytest.raises(ValueError, match="needs 19 steps for 20 segments; the run has 18"):
+        observability_trace(short)
+    with pytest.raises(ValueError, match="the run has 18"):
+        observability_trace(default_sc, frames)
+
+
 def test_observability_trace_windows(default_sc):
     short = dataclasses.replace(default_sc, horizon_h=0.25)  # 90 steps
     windows = observability_trace(short, stride=10)

@@ -2,8 +2,10 @@
 
 import dataclasses
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mixedtraffic as mt
 from mixedtraffic.core import inverse_penetration
@@ -44,7 +46,7 @@ def test_gain_with_identity_covariance():
     config = KalmanConfig(q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
     expected = np.zeros(n)
     expected[-1] = 1.0 / 101.0
-    assert np.array_equal(kalman_gain(initial_state(config, n)[1], config.r_cov), expected)
+    assert np.array_equal(kalman_gain(initial_state(config, n)[1][:, -1], config.r_cov), expected)
 
 
 def test_gain_fill_in_spreads_upstream():
@@ -56,7 +58,7 @@ def test_gain_fill_in_spreads_upstream():
     x, p = initial_state(config, n)
     for _ in range(n):
         x, p, _ = filter_step(x, p, _system(a), 0, z=5.0, config=config)
-    assert np.count_nonzero(kalman_gain(p, config.r_cov)) > 1
+    assert np.count_nonzero(kalman_gain(p[:, -1], config.r_cov)) > 1
 
 
 def test_initial_gain_shape_for_scaled_covariance():
@@ -64,7 +66,7 @@ def test_initial_gain_shape_for_scaled_covariance():
     n = 5
     h = 7.5
     config = KalmanConfig(q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=h)
-    gain = kalman_gain(initial_state(config, n)[1], config.r_cov)
+    gain = kalman_gain(initial_state(config, n)[1][:, -1], config.r_cov)
     assert gain[:-1].tolist() == [0.0] * (n - 1)
     assert gain[-1] == pytest.approx(h / (h + 100.0), abs=1e-15)
 
@@ -81,7 +83,7 @@ def test_huge_r_reduces_to_pure_prediction():
     x_next, _, _ = filter_step(x, np.eye(n), sys, 0, z=123.0, config=config)
     prediction = sys.propagate(0, x)
     assert np.allclose(x_next, prediction, rtol=1e-9)
-    assert np.linalg.norm(kalman_gain(np.eye(n), config.r_cov)) < 1e-11
+    assert np.linalg.norm(kalman_gain(np.eye(n)[:, -1], config.r_cov)) < 1e-11
 
 
 def test_scalar_recursion_matches_hand_computation():
@@ -95,9 +97,82 @@ def test_scalar_recursion_matches_hand_computation():
     k = p0 / (p0 + r)
     x1 = a * x0 + 0.001 * u + a * k * (z - x0)
     p1 = a * (1 - k) * p0 * a + q
-    assert kalman_gain(initial_state(config, 1)[1], config.r_cov)[0] == pytest.approx(k, abs=1e-15)
+    gain = kalman_gain(initial_state(config, 1)[1][:, -1], config.r_cov)
+    assert gain[0] == pytest.approx(k, abs=1e-15)
     assert x_next[0] == pytest.approx(x1, abs=1e-12)
     assert p_next[0, 0] == pytest.approx(p1, abs=1e-12)
+
+
+def _reference_step(x_hat, p_cov, sys, k, z, config):
+    """filter_step as two ``apply_a`` passes over P's columns, then its rows,
+    and 0.5 (X + X'): the oracle whose bits the contiguous passes must keep."""
+    pc = p_cov[..., -1]
+    gain = pc / (pc[..., -1:] + np.asarray(config.r_cov)[..., None])
+    innovation = z - x_hat[..., -1]
+    x_next = sys.propagate(k, x_hat) + sys.apply_a(k, gain) * innovation[..., None]
+    p_post = p_cov - gain[..., :, None] * p_cov[..., None, :, -1]
+    a_p = sys.apply_a(k, p_post.swapaxes(-1, -2)).swapaxes(-1, -2)
+    p_next = sys.apply_a(k, a_p)
+    np.einsum("...ii->...i", p_next)[...] += np.asarray(config.q_sigma)[..., None]
+    p_next = 0.5 * (p_next + p_next.swapaxes(-1, -2))
+    if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(p_next))):
+        raise FloatingPointError("non-finite filter state")
+    return x_next, p_next, innovation
+
+
+# Coefficients and covariance entries of both signs, with exact (signed) zeros.
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _step_inputs(draw):
+    n = draw(st.integers(2, 40))
+    batch = draw(st.sampled_from([(), (3,)]))
+    sys = BandedLtv(diag=draw(hnp.arrays(float, (1, n), elements=_SIGNED)),
+                    sub=draw(hnp.arrays(float, (1, n - 1), elements=_SIGNED)),
+                    drive=draw(hnp.arrays(float, (1, n), elements=st.floats(-10.0, 10.0))),
+                    g=np.ones((1, n)))
+    configs = [KalmanConfig(q_sigma=draw(st.floats(1e-3, 10.0)),
+                            r_cov=draw(st.floats(1e-3, 1e3)), x0_value=0.0,
+                            p0_sigma=draw(st.floats(1e-3, 10.0)))
+               for _ in range(batch[0] if batch else 1)]
+    config = KalmanConfig.stack(configs) if batch else configs[0]
+    if draw(st.booleans()):
+        p = np.asarray(config.p0_sigma)[..., None, None] * np.eye(n)
+    else:
+        p = draw(hnp.arrays(float, batch + (n, n),
+                            elements=st.one_of(_SIGNED, st.floats(-1e3, 1e3))))
+    if draw(st.booleans()):                        # one inf or NaN somewhere in P
+        p[np.unravel_index(draw(st.integers(0, p.size - 1)), p.shape)] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan]))
+    x = draw(hnp.arrays(float, batch + (n,), elements=st.floats(-10.0, 10.0)))
+    return x, p, sys, draw(st.floats(-10.0, 10.0)), config
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_inputs())
+def test_filter_step_equals_the_apply_a_oracle_byte_for_byte(inputs):
+    """Every output of filter_step has the bytes of the oracle's, signed zeros
+    included, and filter_step raises exactly when the oracle does; its inputs
+    are left as they were.  Without the -0.0 written into column 0 of the
+    shifted product, a signed zero or a 0*inf there changes the bytes."""
+    x, p, sys, z, config = inputs
+    before = x.tobytes(), p.tobytes()
+    with np.errstate(all="ignore"):
+        try:
+            expected = _reference_step(x, p, sys, 0, z, config)
+        except FloatingPointError:
+            expected = None
+        try:
+            got = filter_step(x, p, sys, 0, z, config)
+        except FloatingPointError:
+            got = None
+    assert (x.tobytes(), p.tobytes()) == before
+    assert (got is None) == (expected is None)
+    if got is not None:
+        for g, e in zip(got, expected):
+            assert np.shape(g) == np.shape(e)
+            assert np.asarray(g).tobytes() == np.asarray(e).tobytes()
 
 
 def test_covariance_stays_symmetric_psd(default_sc, default_result):
