@@ -11,10 +11,10 @@ the same step are identical and runs are reproducible bit for bit.  Step k's
 draws for a purpose are those of ``np.random.default_rng((seed, k, purpose))``,
 but no generator is built per step.  ``_stream_words`` runs NumPy's
 SeedSequence hash for every step of the run in one uint32 array pass, and
-``_normals`` applies PCG64's seeding to each step's words and sets them as the
-state of one reused generator before that step draws.  ``_draws`` does both
-for a purpose's steps in one call, before the draws are used; the process
-noise is drawn a chunk of steps at a time from words hashed once per run.
+``_normals``, the one draw path, applies PCG64's seeding to each step's words
+and sets them as the state of one reused generator before that step draws:
+for every step of the run at once for the entry-flow and detector noise, and
+a chunk of steps at a time for the process noise.
 
 ``TruthSimulator``, ``observe`` and ``StepConstants.of`` take one
 ``scenario.Scenario``, read the parts of the run they use from it and rely on
@@ -253,16 +253,10 @@ def _pcg64_state(words: np.ndarray) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def _draws(seed: int, purpose: int, steps, size: int, kept=slice(None)) -> np.ndarray:
-    """Row i holds the ``kept`` entries of ``size`` standard normals drawn in one
-    call as ``np.random.default_rng((seed, k, purpose))`` draws them, for the
-    i-th step k of ``steps`` (a step count or an array of step indices, as for
-    ``_stream_words``)."""
-    return _normals(_stream_words(seed, purpose, steps), size, kept)
-
-
 def _normals(words: np.ndarray, size: int, kept=slice(None), out=None) -> np.ndarray:
-    """``_draws`` for the steps whose ``_stream_words`` rows are ``words``,
+    """Row i holds the ``kept`` entries of ``size`` standard normals drawn in one
+    call as ``np.random.default_rng((seed, k, purpose))`` draws them, where row
+    i of ``words`` is step k's row of ``_stream_words(seed, purpose, steps)``;
     written to ``out`` when it is given."""
     generator = np.random.Generator(np.random.PCG64(0))   # state set per step
     block = np.empty(size)
@@ -294,33 +288,31 @@ class StepConstants:
     anticipation: np.ndarray   # (nu T/tau)/Delta_i
     friction: np.ndarray       # delta_ramp T/Delta_i
     beta: np.ndarray           # (2, N) exit rates beta, beta_a; zero where there is no off-ramp
-    noise_std: np.ndarray      # (3, 1): speed, flow and connected-flow process noise
 
     @classmethod
     def of(cls, sc: Scenario) -> "StepConstants":
-        geom, params, layout, noise = sc.geometry, sc.params, sc.layout, sc.noise
+        geom, params, layout = sc.geometry, sc.params, sc.layout
         t, td = geom.step_h, geom.t_over_delta
         beta = np.zeros((2, geom.n_segments))
         beta[:, layout.columns()[1]] = layout.exit_rate, layout.exit_rate_a
         return cls(params=params, td=td, relax=t / params.tau_h,
                    anticipation=(params.nu * t / params.tau_h) / geom.seg_len_km,
-                   friction=params.delta_ramp * td, beta=beta,
-                   noise_std=np.array([[noise.std_speed], [noise.std_flow_proc],
-                                       [noise.std_flow_proc_a]]))
+                   friction=params.delta_ramp * td, beta=beta)
 
 
-def step_truth(x: np.ndarray, entry: np.ndarray, onramp: np.ndarray, normals: np.ndarray,
+def step_truth(x: np.ndarray, entry: np.ndarray, onramp: np.ndarray, noise: np.ndarray,
                c: StepConstants, k: int) -> None:
     """Advance the ground truth one step: fill ``x[:, k+1]`` from ``x[:, k]``,
-    step k of the inputs and row k of the process-noise ``normals``; nothing
-    else is written.
+    step k of the inputs and row k of the process ``noise``; nothing else is
+    written.
 
     ``x`` is a (5, M+1, N) state block (rho, rho_a, v, q, q_a), ``entry``
     its (2, M+1) entry flows (q0, q0_a), ``onramp`` its on-ramp inflows
-    (r, r_a), (2, M, N) and zero off the on-ramps, and ``normals`` its
-    (M, 3, N) standard normals (speed, flow, connected flow); each total and
-    its connected part update as one pair.  ``TruthSimulator.run`` passes
-    one chunk of its run at a time, with k counted from the chunk's first step.
+    (r, r_a), (2, M, N) and zero off the on-ramps, and ``noise`` its
+    (M, 3, N) process noise (speed, flow, connected flow), already scaled by
+    its deviations; each total and its connected part update as one pair.
+    ``TruthSimulator.run`` passes one chunk of its run at a time, with k
+    counted from the chunk's first step.
 
     Densities update by exact conservation, with off-ramp outflows beta * q_up
     and beta_a * q_a_up; the speed update uses the upstream-copy convention at
@@ -333,7 +325,7 @@ def step_truth(x: np.ndarray, entry: np.ndarray, onramp: np.ndarray, normals: np
     dens, v, flow = x[0:2, k], x[2, k], x[3:5, k]
     rho = dens[0]
     nxt = x[:, k + 1]
-    xi = c.noise_std * normals[k]
+    xi = noise[k]
     up = upstream(entry[:, k], flow)
     dens_next = dens + c.td * (up - flow + onramp[:, k] - c.beta * up)
     np.maximum(dens_next[0], 0.0, out=nxt[0])
@@ -376,7 +368,7 @@ def observe(sc: Scenario, states: TrafficState, inputs: BoundaryInputs) -> Measu
     # segment, in that order; the draws stop at the last detector's column,
     # and only the detectors' columns are kept.
     kept = np.r_[0, 1, 2 + on, 2 + n + off]
-    gamma = _draws(noise.seed, _STREAM_DETECT, steps, kept.max() + 1, kept)
+    gamma = _normals(_stream_words(noise.seed, _STREAM_DETECT, steps), kept.max() + 1, kept)
     with np.errstate(over="ignore"):       # an overflow leaves a non-finite value, refused below
         gamma *= np.repeat([noise.std_entry_flow, noise.std_onramp, noise.std_offramp],
                            [2, len(on), len(off)])
@@ -453,7 +445,7 @@ class TruthSimulator:
         sc, steps = self.scenario, self.scenario.n_steps + 1
         # Drawn first: a run too long for its streams is refused before any
         # whole-run array is allocated.
-        xi_0, xi_0a = _draws(sc.noise.seed, _STREAM_ENTRY, steps, 2).T
+        xi_0, xi_0a = _normals(_stream_words(sc.noise.seed, _STREAM_ENTRY, steps), 2).T
         t = np.arange(steps) * sc.geometry.step_h
         pen = np.clip(sc.penetration_profile(t), 0.0, 1.0)
         q0_nom = sc.entry_demand(t)
@@ -475,19 +467,20 @@ class TruthSimulator:
 
         The inputs are computed for every step before the step loop, and the
         off-ramp outflows and detector readings after it; the loop advances
-        only the state, ``STEP_CHUNK`` steps at a time, drawing each chunk's
-        process noise as it starts.  The off-ramp outflows, beta times the
-        flow entering the segment, are computed at the off-ramps only.
+        only the state, ``STEP_CHUNK`` steps at a time; each chunk's process
+        noise is drawn and scaled by its deviations, in place, as it starts.
+        The off-ramp outflows, beta times the flow entering the segment, are
+        computed at the off-ramps only.
 
         Raises TruthDivergedError at the first chunk with a fault: a state
-        update that overflows or leaves the finite range raises first, naming
-        its step, and then the first step and off-ramp of the chunk where
-        beta_a q_a,up > beta q_up (an exit rate beta_a above beta allows it),
-        checked as the chunk finishes, so such a run is refused after the
-        first chunk that breaks the bound.  The loop stops before the first
-        step whose inputs are not finite, named once the steps before it have
-        passed; then come the last step's outflows and the first step with a
-        non-finite detector reading.
+        update, or a step's scaled process noise, that overflows or leaves the
+        finite range raises first, naming its step; then the first step and
+        off-ramp of the chunk where beta_a q_a,up > beta q_up (an exit rate
+        beta_a above beta allows it), checked as the chunk finishes, so such a
+        run is refused after the first chunk that breaks the bound.  The loop
+        stops before the first step whose inputs are not finite, named once
+        the steps before it have passed; then come the last step's outflows
+        and the first step with a non-finite detector reading.
         """
         sc, n_steps = self.scenario, self.scenario.n_steps
         entry, ramp_in = self.inputs_at()
@@ -499,24 +492,30 @@ class TruthSimulator:
         constants = StepConstants.of(sc)
         on = sc.layout.columns()[0]
         words = _stream_words(sc.noise.seed, _STREAM_STATE, n_steps)
-        normals = np.empty((STEP_CHUNK, 3, n))
+        std = np.array([sc.noise.std_speed, sc.noise.std_flow_proc, sc.noise.std_flow_proc_a])
+        noise = np.empty((STEP_CHUNK, 3, n))
         onramp = np.zeros((2, STEP_CHUNK, n))       # zero off the on-ramps in every chunk
         stop = min(bad_input, n_steps)
-        k = 0
         with np.errstate(over="raise"):
             for start in range(0, stop, STEP_CHUNK):
                 size = min(STEP_CHUNK, stop - start)
+                chunk_noise = noise[:size]
+                _normals(words[start:start + size], 3 * n, out=chunk_noise.reshape(size, -1))
+                with np.errstate(over="ignore"):    # an overflow is raised at its step below
+                    chunk_noise *= std[:, None]
+                steps = _first_non_finite(chunk_noise)
+                onramp[:, :size, on] = ramp_in[:, start:start + size]
+                chunk, chunk_entry = x[:, start:], entry[:, start:]
                 try:
-                    _normals(words[start:start + size], 3 * n,
-                             out=normals[:size].reshape(size, -1))
-                    onramp[:, :size, on] = ramp_in[:, start:start + size]
-                    chunk, chunk_entry = x[:, start:], entry[:, start:]
-                    for k in range(start, start + size):
-                        step_truth(chunk, chunk_entry, onramp, normals, constants, k - start)
+                    for k in range(start, start + steps):
+                        step_truth(chunk, chunk_entry, onramp, noise, constants, k - start)
+                    if steps < size:
+                        k = start + steps
+                        raise FloatingPointError("overflow encountered in multiply")
                 except FloatingPointError as exc:
                     raise TruthDivergedError(f"{exc} at step {k}") from exc
                 _off_ramp_outflows(sc, constants.beta, x, entry, start, start + size)
-        del normals, onramp                # not alive while observe allocates
+        del noise, onramp                  # not alive while observe allocates
         if bad_input <= n_steps:
             raise TruthDivergedError(f"non-finite boundary input at step {bad_input}")
         ramp_out = _off_ramp_outflows(sc, constants.beta, x, entry, 0, n_steps + 1)

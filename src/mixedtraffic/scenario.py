@@ -29,7 +29,6 @@ from .core import (
     _positive,
     broken_rules,
     enforce,
-    nominal_speed,
 )
 from .kalman import KalmanConfig
 from .metanet import DEFAULT_SEED, NoiseSpec, PiecewiseLinear
@@ -109,7 +108,7 @@ class Scenario:
         rho = np.asarray(self.init_rho, dtype=float)
         if rho.ndim == 0:
             rho = np.full(n, float(rho))
-        v = nominal_speed(rho, self.params)
+        v = self.params.stationary_speed(rho)      # the init_rho rule refused rho < 0
         return TrafficState.from_densities(rho, self.init_penetration * rho, v)
 
 

@@ -11,7 +11,8 @@ import numpy as np
 
 import mixedtraffic as mt
 from mixedtraffic.core import HighwayGeometry, inverse_penetration
-from mixedtraffic.harness import build_systems, q_sweep, run_experiment
+from mixedtraffic.harness import (build_systems, estimate_shares, performance_index, q_sweep,
+                                  run_experiment)
 from mixedtraffic.kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement
 from mixedtraffic.ltv import anti_diagonal, build_system_measured, observability_matrix, selector_output
 from mixedtraffic.metanet import MeasurementFrame
@@ -100,7 +101,11 @@ def test_criterion_3_filter_exactness(silent_sc):
 
 
 def test_criterion_4_convergence(default_sc, default_result):
-    """From remote initialization, the share estimate locks on within 15 min."""
+    """From remote initialization, the shares of segments 2 and 8 lock on
+    within 15 min.  The model does most of this: on the stock run P_R is
+    0.0697 with the filter, 0.0703 with R = 1e12 and 0.0435 for a constant
+    x_hat = 5 (measured at 9da9069); criterion 9 is the one that needs the
+    measurement update."""
     truth, est = default_result.truth, default_result.estimate
     pen_true = truth.states.rho_a / np.maximum(truth.states.rho, 1e-6)
     pen_est = 1.0 / np.maximum(est.x_hat, 1e-6)
@@ -171,3 +176,35 @@ def test_criterion_8_determinism_regression(default_sc):
     ok = abs(p_r - GOLDEN_P_R_MEASURED) < 1e-12
     _report(8, "determinism regression", ok,
             f"P_R={p_r!r} vs golden {GOLDEN_P_R_MEASURED!r}")
+
+
+# Criterion 9's margins: half the smallest gap between the filter and the same
+# realization with R = 1e12 over seeds 1-12 (P_R gaps 0.0114-0.0126, exit
+# error gaps 0.0743-0.0785; the default seed's are 0.0122 and 0.0764).
+UPDATE_MARGIN_P_R = 0.006
+UPDATE_MARGIN_EXIT = 0.04
+
+
+def test_criterion_9_update_beats_no_update(default_sc):
+    """Where the model is wrong (unmeasured off-ramps, beta_a = 0.02 against
+    beta = 0.1), the measurement update beats the same realization run with
+    R = 1e12, which all but switches it off: on P_R, and on the exit
+    segment's RMS error over its mean density after the first hour."""
+    sc = dataclasses.replace(default_sc, offramp_mode="unmeasured", layout=dataclasses.replace(
+        default_sc.layout, exit_rate_a=(0.02,) * len(default_sc.layout.off_ramp_segments)))
+    truth = mt.simulate_truth(sc)
+    config = sc.filter
+    batch = dataclasses.replace(sc, filter=KalmanConfig.stack(
+        [config, dataclasses.replace(config, r_cov=1e12)]))
+    rho, rho_a = truth.states.rho, truth.states.rho_a
+    hour = round(1.0 / sc.geometry.step_h)
+    scores = []
+    for x_hat in estimate_shares(batch, truth.frames).x_hat:
+        err = rho[hour:, -1] - rho_a[hour:, -1] * x_hat[hour:, -1]
+        scores.append((performance_index(rho, rho_a, x_hat),
+                       float(np.sqrt(np.mean(err ** 2)) / np.mean(rho[hour:, -1]))))
+    (p_r, exit_err), (p_r_off, exit_off) = scores
+    ok = p_r < p_r_off - UPDATE_MARGIN_P_R and exit_err < exit_off - UPDATE_MARGIN_EXIT
+    _report(9, "update beats no update", ok,
+            f"P_R {p_r:.4f} vs {p_r_off:.4f}, "
+            f"exit error after 1 h {exit_err:.4f} vs {exit_off:.4f}")

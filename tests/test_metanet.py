@@ -22,7 +22,7 @@ from mixedtraffic.metanet import (
     StepConstants,
     TruthDivergedError,
     TruthSimulator,
-    _draws,
+    _normals,
     _pcg64_state,
     _stream_words,
     observe,
@@ -537,6 +537,20 @@ def test_overflow_fails_like_the_oracle(default_sc):
     assert str(got.value) == str(want.value) == "overflow encountered in power at step 1"
 
 
+def test_process_noise_overflow_fails_like_the_oracle(default_sc):
+    """A speed-noise deviation of a quarter of the largest float overflows the
+    scaled noise first at step 886, inside the seventh chunk and not at its
+    start: the run raises at the oracle's step with the oracle's message."""
+    sc = dataclasses.replace(default_sc, noise=dataclasses.replace(
+        default_sc.noise, std_speed=1.797e308 / 4))
+    with pytest.raises(TruthDivergedError) as want:
+        _reference_run(sc)
+    with pytest.raises(TruthDivergedError) as got:
+        mt.simulate_truth(sc)
+    assert str(got.value) == str(want.value) == "overflow encountered in multiply at step 886"
+    assert 886 % STEP_CHUNK != 0
+
+
 def _for_steps(sc, steps):
     return dataclasses.replace(sc, horizon_h=steps * sc.geometry.step_h)
 
@@ -661,7 +675,7 @@ STREAM_STEPS = [0, 1, 1079, 2**16, 2**32 - 1]
 
 def _assert_stream_equals_default_rng(seed, purpose, steps):
     words = _stream_words(seed, purpose, np.array(steps))
-    drawn = _draws(seed, purpose, np.array(steps), 7)
+    drawn = _normals(words, 7)
     generator = np.random.Generator(np.random.PCG64(0))
     for i, step in enumerate(steps):
         key = (seed, step, purpose)
@@ -692,7 +706,8 @@ def test_streams_equal_default_rng_anywhere(seed, steps, purpose):
 def test_run_streams_are_the_run_steps():
     """A step count derives the rows of steps 0..n-1."""
     assert _stream_words(5, 1, 9).tobytes() == _stream_words(5, 1, np.arange(9)).tobytes()
-    assert _draws(5, 1, 9, 4, [0, 3]).tobytes() == _draws(5, 1, np.arange(9), 4)[:, [0, 3]].tobytes()
+    assert (_normals(_stream_words(5, 1, 9), 4, [0, 3]).tobytes()
+            == _normals(_stream_words(5, 1, np.arange(9)), 4)[:, [0, 3]].tobytes())
 
 
 @pytest.mark.parametrize("steps", [2**32, 2**32 + 1, 2**64, -1,

@@ -161,11 +161,17 @@ def test_a_bool_seed_is_refused_in_code_as_in_a_file(tmp_path, seed):
 
 
 def test_initial_state_consistency():
-    sc = default_scenario()
-    state = sc.initial_state()
-    assert np.all(state.rho == 9.0)
-    assert np.allclose(state.rho_a, 1.8)
-    assert np.allclose(state.q, state.rho * state.v)
+    """For the stock uniform density and a per-segment one, v is the speed law
+    at rho, and q and q_a are rho v and rho_a v, byte for byte."""
+    stock, per_segment = default_scenario(), np.linspace(0.0, 60.0, 20)
+    for sc, rho in ((stock, np.full(20, 9.0)),
+                    (dataclasses.replace(stock, init_rho=per_segment), per_segment)):
+        state = sc.initial_state()
+        assert state.rho.tobytes() == rho.tobytes()
+        assert np.allclose(state.rho_a, 0.2 * rho)
+        assert state.v.tobytes() == sc.params.stationary_speed(rho).tobytes()
+        assert state.q.tobytes() == (state.rho * state.v).tobytes()
+        assert state.q_a.tobytes() == (state.rho_a * state.v).tobytes()
 
 
 def test_fast_step_triggers_cfl_warning():
