@@ -32,8 +32,8 @@ frames' connected columns are the state and input arrays themselves.
 
 The step loop runs over chunks of ``STEP_CHUNK`` steps, so its scratch does
 not grow with the run: the process-noise stream words are hashed once per
-run, and each chunk draws its own (C, 3, N) normals from them and scatters
-its on-ramp inflows into a reused (2, C, N) block, zero off the on-ramps.
+run, and each chunk draws and scales its own (C, 3, N) noise from them and
+scatters its on-ramp inflows into a reused (2, C, N) block, zero elsewhere.
 
 Ramp flows and their detector readings exist only at ramps, so the records
 hold them as one column per ramp, in the order of the layout's
