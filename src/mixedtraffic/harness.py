@@ -19,7 +19,6 @@ import dataclasses
 import math
 import os
 import re
-import shutil
 import sys
 import tempfile
 import time
@@ -31,7 +30,8 @@ import numpy as np
 from . import _rows
 from ._rows import TRAJECTORY_COLUMNS
 from .core import STEP_CHUNK
-from .kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement, reconstruct_totals
+from .kalman import (PSD_TOL, KalmanConfig, StepScratch, filter_step, output_measurement,
+                     reconstruct_totals)
 from .ltv import (OBSERVABILITY_TOL, BandedLtv, build_system_measured,
                   build_system_unmeasured_offramps, check_windows, window_anti_diagonals)
 from .metanet import MeasurementFrame, TruthRun, TruthSimulator
@@ -200,6 +200,7 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame) -> ShareEstimate:
     floors = tops = p_nn = np.ravel(config.p0_sigma).tolist()
     fallbacks = clamps = 0
     last_z: float | None = None
+    scratch = StepScratch(config, n)
     with np.errstate(all="ignore"):
         for start in range(0, m, STEP_CHUNK):
             systems = build_systems(sc, frames[start:min(start + STEP_CHUNK, m)])
@@ -217,7 +218,7 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame) -> ShareEstimate:
                 floors = [_weyl_floor(t, pn, f, a, q, r, n)
                           for t, pn, f, q, r in zip(tops, p_nn, floors, q_sigma, r_cov)]
                 try:
-                    x, p, innovation[..., k] = filter_step(x, p, systems, j, z, config)
+                    x, p, innovation[..., k] = filter_step(x, p, systems, j, z, scratch)
                 except FloatingPointError as exc:
                     raise FloatingPointError(f"{exc} at step {k}") from exc
                 x_hat[..., k + 1, :] = x
@@ -378,14 +379,19 @@ def write_trajectory(path, result: RunResult) -> None:
 
     The scalar innovation of step k is repeated on each of the step's rows
     and left empty on the final step, which has no measurement update.
-    ``_rows.write_steps`` defines a row.  A helper interpreter,
-    ``sys.executable -I -S _rows.py``, formats steps (M+1)//2..M while this
-    process formats the steps before them into ``path``; the helper reads
-    its steps' raw float64 values from one unnamed temporary file and writes
-    its rows to another, which is appended once it has exited.  The bytes
-    are those one process writing every step would write.  Raises OSError
-    naming ``path`` when the helper fails; on any error no file is left at
-    ``path`` and the helper has been reaped.
+    ``_rows.write_steps`` defines a row.  Two processes meet in the middle
+    of one grid of blocks (see ``_rows``): this one formats blocks from step
+    0 forwards into ``path`` while a helper interpreter,
+    ``sys.executable -I -S _rows.py``, formats them from step M backwards
+    into a file of a temporary folder.  Before each block this process
+    counts the blocks the helper has finished; at the first of them it stops
+    the helper, waits for it, and appends the helper's blocks in step order,
+    one block at a time.  The helper reads every step's raw float64 values
+    from an unnamed temporary file.  Every block the helper did not finish
+    is formatted here, so the bytes are those one process writing every
+    step would write, however fast either process runs.  Raises OSError
+    naming ``path`` when the helper exits with a failure status; on any
+    error no file is left at ``path`` and the helper has been reaped.
     """
     import subprocess                     # here: loading the package never needs it
 
@@ -398,30 +404,45 @@ def write_trajectory(path, result: RunResult) -> None:
         fields += [est.rho_hat, est.q_hat, est.x_hat]
         innovation = np.ascontiguousarray(est.innovation, dtype=np.float64)
     columns = [np.ascontiguousarray(f, dtype=np.float64).reshape(-1) for f in fields]
-    half = (m + 1) // 2
+    steps = _rows.block_steps(n)
+    firsts = range(0, m + 1, steps)
     handle = open(path, "w", newline="", encoding="utf-8")
     try:
-        with handle, tempfile.TemporaryFile() as data, tempfile.TemporaryFile() as rows:
-            data.write(_rows.HEADER.pack(half, m, n, est is not None))
+        with handle, tempfile.TemporaryFile() as data, tempfile.TemporaryDirectory() as folder, \
+                open(os.path.join(folder, _rows.DONE), "w+b") as done:
+            data.write(_rows.HEADER.pack(m, n, est is not None))
             for column in columns:
-                data.write(column[half * n:])
+                data.write(column)
             if innovation is not None:
-                data.write(innovation[half:])
+                data.write(innovation)
             data.seek(0)                  # flushes, so the helper reads every byte
-            with subprocess.Popen([sys.executable, "-I", "-S", _rows.__file__],
-                                  stdin=data, stdout=rows) as helper:
+            with subprocess.Popen([sys.executable, "-I", "-S", _rows.__file__, folder],
+                                  stdin=data) as helper:
                 try:
                     handle.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
-                    _rows.write_steps(handle, 0, half, m, n, columns, innovation)
+                    meet = len(firsts)
+                    for block, first in enumerate(firsts):
+                        finished = os.fstat(done.fileno()).st_size // _rows.OFFSET.size
+                        if block >= len(firsts) - finished:
+                            meet = block
+                            break
+                        _rows.write_steps(handle, first, min(first + steps, m + 1), m, n,
+                                          columns, innovation)
+                    open(os.path.join(folder, _rows.STOP), "x").close()
                 except BaseException:
                     helper.kill()
                     raise
             if helper.returncode:
-                raise OSError(f"{path}: the row helper for steps {half}..{m} "
-                              f"exited with status {helper.returncode}")
-            handle.flush()
-            rows.seek(0)
-            shutil.copyfileobj(rows, handle.buffer)
+                raise OSError(f"{path}: the row helper exited with status {helper.returncode}")
+            if meet < len(firsts):
+                done.seek(0)
+                # Offset j ends the helper's (j+1)-th block, block len(firsts)-1-j.
+                ends = [0] + [end for (end,) in _rows.OFFSET.iter_unpack(done.read())]
+                handle.flush()
+                with open(os.path.join(folder, _rows.ROWS), "rb") as rows:
+                    for j in reversed(range(len(firsts) - meet)):
+                        rows.seek(ends[j])
+                        handle.buffer.write(rows.read(ends[j + 1] - ends[j]))
     except BaseException:
         os.remove(path)
         raise

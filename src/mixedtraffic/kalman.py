@@ -12,7 +12,13 @@ above them, then (A P) A' as A P plus A P shifted one column, read from one
 flat buffer one element earlier.  Each entry gets the operations, in the
 order, of applying A to P's columns and then to its rows, so the bits are
 those of that form.  C selects the exit: C x = x[-1], P C' = P[:, -1].
-Q = q_sigma*I, so + Q touches only the diagonal.
+Q = q_sigma*I, so + Q touches only the diagonal.  A run builds one
+``StepScratch`` and passes it to every step: it holds the covariance work
+buffers, the flat buffer with its 0.0 pad set once, their reshaped views,
+the next-P buffer and its diagonal view, the sub-diagonal row with its
+leading 0.0, and R and Q as columns.  ``filter_step`` returns fresh arrays,
+never a view of the scratch, so a later step never changes an earlier one's
+results.
 
 The tuning, ``KalmanConfig``, is the scenario's ``filter`` part, like its
 geometry and noise: its ``rules`` check a file's ``filter`` section and a
@@ -98,27 +104,61 @@ def kalman_gain(pc: np.ndarray, r_cov: float | np.ndarray) -> np.ndarray:
     return pc / (pc[..., -1:] + np.asarray(r_cov)[..., None])
 
 
+class StepScratch:
+    """The buffers and constants ``filter_step`` reuses at every step of one
+    run of ``config`` on ``n`` segments; build one per run.
+
+    It holds the two N x N covariance work buffers: ``work``, and ``flat``,
+    one element per member longer, whose first element is the 0.0 pad and
+    is never written again.  ``a_p`` views ``flat`` from its second element
+    as A P, and ``shifted`` from its first as A P shifted one column right.
+    It also holds the next-P buffer ``p_next`` and its diagonal view, the
+    sub-diagonal row with a leading 0.0, and R and Q's q_sigma as columns
+    that broadcast against the batch.  Nothing ``filter_step`` returns is
+    one of these buffers, so a later step never changes an earlier result.
+    """
+
+    def __init__(self, config: KalmanConfig, n: int):
+        shape = np.shape(config.q_sigma) + (n, n)
+        self.work = np.empty(shape)
+        self.flat = np.empty(shape[:-2] + (n * n + 1,))
+        self.flat[..., 0] = 0.0
+        self.a_p = self.flat[..., 1:].reshape(shape)
+        self.shifted = self.flat[..., :-1].reshape(shape)
+        self.p_next = np.empty(shape)
+        self.p_next_diag = np.einsum("...ii->...i", self.p_next)
+        self.sub = np.zeros(n)
+        self.r_cov = np.asarray(config.r_cov)[..., None]
+        self.q_sigma = np.asarray(config.q_sigma)[..., None]
+
+
 def filter_step(x_hat: np.ndarray, p_cov: np.ndarray, sys: BandedLtv, k: int, z: float,
-                config: KalmanConfig) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-    """One filter step through step k of ``sys`` against the exit measurement z:
-    (x^(k+1), P(k+1), innovation), each with the config's batch axis.  The
-    inputs are never written to.
+                scratch: StepScratch) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """One filter step through step k of ``sys`` against the exit measurement z,
+    with the tuning and buffers of the run's ``scratch``: (x^(k+1), P(k+1),
+    innovation), each with the config's batch axis and each a fresh array.
+    The inputs are never written to.
 
     Raises FloatingPointError when any member's state becomes non-finite.
     """
-    n = p_cov.shape[-1]
     diag, sub = sys.diag[k], sys.sub[k]
     pc = p_cov[..., -1].copy()                                         # P C', contiguous
-    gain = kalman_gain(pc, config.r_cov)
+    gain = pc / (pc[..., -1:] + scratch.r_cov)
     innovation = z - x_hat[..., -1]
-    x_next = sys.propagate(k, x_hat) + sys.apply_a(k, gain) * innovation[..., None]
-    work = np.multiply(gain[..., :, None], pc[..., None, :])
+    # A x^ + B u and A K, each as BandedLtv.apply_a computes it.
+    x_next = diag * x_hat
+    x_next[..., 1:] += sub * x_hat[..., :-1]
+    x_next += sys.drive[k]
+    a_k = diag * gain
+    a_k[..., 1:] += sub * gain[..., :-1]
+    a_k *= innovation[..., None]
+    x_next += a_k
+    work = scratch.work
+    np.multiply(gain[..., :, None], pc[..., None, :], out=work)
     np.subtract(p_cov, work, out=work)                                 # (I - K C) P
-    # A P by whole rows, into a flat buffer one element past a 0.0 pad, where
-    # the shifted read below starts; work is scratch from here on.
-    flat = np.empty(p_cov.shape[:-2] + (n * n + 1,))
-    flat[..., 0] = 0.0
-    a_p = flat[..., 1:].reshape(p_cov.shape)
+    # A P by whole rows, into the flat buffer one element past its 0.0 pad,
+    # where the shifted read below starts; work is scratch from here on.
+    a_p = scratch.a_p
     np.multiply(diag[:, None], work, out=a_p)
     work[..., :-1, :] *= sub[:, None]
     a_p[..., 1:, :] += work[..., :-1, :]
@@ -126,11 +166,12 @@ def filter_step(x_hat: np.ndarray, p_cov: np.ndarray, sys: BandedLtv, k: int, z:
     # column right, so both passes are contiguous.  Column 0 of the shifted
     # product, 0 times A P[i-1, N-1] or the pad, is no term of A P A'; it is
     # set to -0.0, since x + -0.0 is x for every x, -0.0, inf and NaN included.
-    p_next = diag * a_p
-    np.multiply(np.concatenate(([0.0], sub)), flat[..., :-1].reshape(p_cov.shape), out=work)
+    p_next = np.multiply(diag, a_p, out=scratch.p_next)
+    scratch.sub[1:] = sub
+    np.multiply(scratch.sub, scratch.shifted, out=work)
     work[..., :, 0] = -0.0
     p_next += work
-    np.einsum("...ii->...i", p_next)[...] += np.asarray(config.q_sigma)[..., None]  # + Q
+    scratch.p_next_diag += scratch.q_sigma                             # + Q
     p_sym = p_next + p_next.swapaxes(-1, -2)
     p_sym *= 0.5
     if not (np.isfinite(x_next).all() and np.isfinite(p_sym).all()):

@@ -13,7 +13,8 @@ import mixedtraffic as mt
 from mixedtraffic.core import HighwayGeometry, inverse_penetration
 from mixedtraffic.harness import (build_systems, estimate_shares, performance_index, q_sweep,
                                   run_experiment)
-from mixedtraffic.kalman import PSD_TOL, KalmanConfig, filter_step, output_measurement
+from mixedtraffic.kalman import (PSD_TOL, KalmanConfig, StepScratch, filter_step,
+                                 output_measurement)
 from mixedtraffic.ltv import anti_diagonal, build_system_measured, observability_matrix, selector_output
 from mixedtraffic.metanet import MeasurementFrame
 
@@ -88,9 +89,10 @@ def test_criterion_3_filter_exactness(silent_sc):
     worst_err = 0.0
     min_eig = float(np.min(np.linalg.eigvalsh(p)))
     symmetric = True
+    scratch = StepScratch(config, n)
     for k in range(len(systems)):
         z, _ = output_measurement(truth.frames, k)
-        x, p, _ = filter_step(x, p, systems, k, z, config)
+        x, p, _ = filter_step(x, p, systems, k, z, scratch)
         ref = inverse_penetration(truth.states[k + 1].rho, truth.states[k + 1].rho_a)
         worst_err = max(worst_err, float(np.max(np.abs(x - ref))))
         symmetric &= bool(np.array_equal(p, p.T))

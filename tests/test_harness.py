@@ -10,6 +10,7 @@ import shutil
 import struct
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -38,8 +39,8 @@ from mixedtraffic.harness import (
     write_sweep,
     write_trajectory,
 )
-from mixedtraffic.kalman import (PSD_TOL, KalmanConfig, filter_step, output_measurement,
-                                 reconstruct_totals)
+from mixedtraffic.kalman import (PSD_TOL, KalmanConfig, StepScratch, filter_step,
+                                 output_measurement, reconstruct_totals)
 from mixedtraffic.ltv import anti_diagonal, observability_matrix, window_anti_diagonals
 from mixedtraffic.metanet import MeasurementFrame, NoiseSpec, PiecewiseLinear
 
@@ -178,10 +179,11 @@ def _serial_run(frames, systems, config):
     x_hat, innovation = [x], []
     min_eigs = [np.min(np.linalg.eigvalsh(p))]
     last_z = None
+    scratch = StepScratch(config, frames.n_segments)
     for k in range(len(frames) - 1):
         z, _ = output_measurement(frames, k, last_z)
         last_z = z
-        x, p, nu = filter_step(x, p, systems, k, z, config)
+        x, p, nu = filter_step(x, p, systems, k, z, scratch)
         x_hat.append(x)
         innovation.append(nu)
         min_eigs.append(np.min(np.linalg.eigvalsh(p)))
@@ -283,8 +285,8 @@ def test_member_keeps_its_value_when_another_fails_the_psd_check(default_sc, def
     configs = [dataclasses.replace(default_sc.filter, q_sigma=s) for s in (1.0, 0.01)]
     batch_steps = []
 
-    def failing_filter_step(x, p, sys, k, z, config):
-        x, p, innovation = filter_step(x, p, sys, k, z, config)
+    def failing_filter_step(x, p, sys, k, z, scratch):
+        x, p, innovation = filter_step(x, p, sys, k, z, scratch)
         if p.ndim == 3:
             # k counts from the start of the realization's chunk; step 5 is
             # the batch's sixth call.
@@ -321,13 +323,14 @@ def _reference_run_filter(sc, frames, systems):
     rounding = (n + 1) * np.finfo(float).eps
     fallbacks = 0
     last_z = None
+    scratch = StepScratch(config, n)
     with np.errstate(all="ignore"):
         for k in range(m):
             z, used_fallback = output_measurement(frames, k, last_z)
             fallbacks += used_fallback
             last_z = z
             try:
-                x, p, innovation[..., k] = filter_step(x, p, systems, k, z, config)
+                x, p, innovation[..., k] = filter_step(x, p, systems, k, z, scratch)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} at step {k}") from exc
             x_hat[..., k + 1, :] = x
@@ -464,9 +467,9 @@ def test_filter_divergence_in_a_later_chunk_stops_at_its_step(default_sc, monkey
         _reference_run_filter(sc, frames, build_systems(sc, frames[:-1]))
     calls = []
 
-    def counting_filter_step(x, p, sys, k, z, config):
+    def counting_filter_step(x, p, sys, k, z, scratch):
         calls.append(k)
-        return filter_step(x, p, sys, k, z, config)
+        return filter_step(x, p, sys, k, z, scratch)
     monkeypatch.setattr(harness, "filter_step", counting_filter_step)
     with pytest.raises(FloatingPointError) as got:
         run_filter(sc, frames)
@@ -858,6 +861,41 @@ def test_failed_write_leaves_no_file_no_temporary_and_no_child(tmp_path, default
     with raised:
         write_trajectory(path, result)
     assert not path.exists()
+    assert list(temp.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("meeting", ["near step 0", "at step M"])
+def test_trajectory_bytes_do_not_depend_on_where_the_writers_meet(tmp_path, default_result,
+                                                                  monkeypatch, meeting):
+    """Near step 0: this process sleeps 50 ms before each of its blocks, so
+    the helper formats almost every block.  At step M: ``true`` runs in the
+    helper's place and exits 0 having written nothing, so this process
+    formats every block.  Either way the file has the one-process bytes, no
+    temporary is left and no child is."""
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    write_steps, firsts = harness._rows.write_steps, []
+
+    def own_block(handle, first, *args):
+        firsts.append(first)
+        if meeting == "near step 0":
+            time.sleep(0.05)
+        write_steps(handle, first, *args)
+    monkeypatch.setattr(harness._rows, "write_steps", own_block)
+    if meeting == "at step M":
+        monkeypatch.setattr(sys, "executable", shutil.which("true"))
+    path = tmp_path / "trajectory.csv"
+    write_trajectory(path, default_result)
+    assert path.read_bytes() == _trajectory_text_cell_by_cell(default_result).encode("utf-8")
+    truth = default_result.truth
+    grid = list(range(0, truth.n_steps + 1, harness._rows.block_steps(truth.states.n_segments)))
+    if meeting == "near step 0":
+        assert firsts == grid[:len(firsts)] and len(firsts) < len(grid)
+    else:
+        assert firsts == grid
     assert list(temp.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

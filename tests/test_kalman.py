@@ -12,6 +12,7 @@ from mixedtraffic.core import inverse_penetration
 from mixedtraffic.kalman import (
     PSD_TOL,
     KalmanConfig,
+    StepScratch,
     filter_step,
     kalman_gain,
     output_measurement,
@@ -56,8 +57,9 @@ def test_gain_fill_in_spreads_upstream():
     a[np.arange(1, n), np.arange(n - 1)] = 0.3
     config = KalmanConfig(q_sigma=1.0, r_cov=100.0, x0_value=10.0, p0_sigma=1.0)
     x, p = initial_state(config, n)
+    scratch = StepScratch(config, n)
     for _ in range(n):
-        x, p, _ = filter_step(x, p, _system(a), 0, z=5.0, config=config)
+        x, p, _ = filter_step(x, p, _system(a), 0, z=5.0, scratch=scratch)
     assert np.count_nonzero(kalman_gain(p[:, -1], config.r_cov)) > 1
 
 
@@ -80,7 +82,7 @@ def test_huge_r_reduces_to_pure_prediction():
     sys = _system(a, [u[1] + u[0], 0.0, 0.0, 0.0])   # entry and first ramp on segment 1
     config = KalmanConfig(q_sigma=1.0, r_cov=1e12, x0_value=10.0, p0_sigma=1.0)
     x = rng.uniform(1, 9, n)
-    x_next, _, _ = filter_step(x, np.eye(n), sys, 0, z=123.0, config=config)
+    x_next, _, _ = filter_step(x, np.eye(n), sys, 0, z=123.0, scratch=StepScratch(config, n))
     prediction = sys.propagate(0, x)
     assert np.allclose(x_next, prediction, rtol=1e-9)
     assert np.linalg.norm(kalman_gain(np.eye(n)[:, -1], config.r_cov)) < 1e-11
@@ -93,7 +95,8 @@ def test_scalar_recursion_matches_hand_computation():
     sys = BandedLtv(diag=np.array([[a]]), sub=np.zeros((1, 0)), drive=np.array([[0.001 * u]]),
                     g=np.array([[1.0]]))
     config = KalmanConfig(q_sigma=q, r_cov=r, x0_value=x0, p0_sigma=p0)
-    x_next, p_next, _ = filter_step(*initial_state(config, 1), sys, 0, z=z, config=config)
+    x_next, p_next, _ = filter_step(*initial_state(config, 1), sys, 0, z=z,
+                                    scratch=StepScratch(config, 1))
     k = p0 / (p0 + r)
     x1 = a * x0 + 0.001 * u + a * k * (z - x0)
     p1 = a * (1 - k) * p0 * a + q
@@ -155,23 +158,38 @@ def test_filter_step_equals_the_apply_a_oracle_byte_for_byte(inputs):
     """Every output of filter_step has the bytes of the oracle's, signed zeros
     included, and filter_step raises exactly when the oracle does; its inputs
     are left as they were.  Without the -0.0 written into column 0 of the
-    shifted product, a signed zero or a 0*inf there changes the bytes."""
+    shifted product, a signed zero or a 0*inf there changes the bytes.
+
+    The drawn step, then a finite step from P0 = p0_sigma*I, run through one
+    scratch, so the second follows one that may have raised; the second
+    leaves the first's outputs as they were, so none of them is a view of
+    the scratch."""
     x, p, sys, z, config = inputs
-    before = x.tobytes(), p.tobytes()
-    with np.errstate(all="ignore"):
-        try:
-            expected = _reference_step(x, p, sys, 0, z, config)
-        except FloatingPointError:
-            expected = None
-        try:
-            got = filter_step(x, p, sys, 0, z, config)
-        except FloatingPointError:
-            got = None
-    assert (x.tobytes(), p.tobytes()) == before
-    assert (got is None) == (expected is None)
-    if got is not None:
-        for g, e in zip(got, expected):
-            assert np.shape(g) == np.shape(e)
+    p0 = np.asarray(config.p0_sigma)[..., None, None] * np.eye(x.shape[-1])
+    scratch = StepScratch(config, x.shape[-1])
+    results = []
+    for p_in in (p, p0):
+        before = x.tobytes(), p_in.tobytes()
+        with np.errstate(all="ignore"):
+            try:
+                expected = _reference_step(x, p_in, sys, 0, z, config)
+            except FloatingPointError:
+                expected = None
+            try:
+                got = filter_step(x, p_in, sys, 0, z, scratch)
+            except FloatingPointError:
+                got = None
+        assert (x.tobytes(), p_in.tobytes()) == before
+        assert (got is None) == (expected is None)
+        if got is not None:
+            for g, e in zip(got, expected):
+                assert np.shape(g) == np.shape(e)
+                assert np.asarray(g).tobytes() == np.asarray(e).tobytes()
+        results.append((got, expected))
+    assert results[1][0] is not None
+    first, expected = results[0]
+    if first is not None:
+        for g, e in zip(first, expected):
             assert np.asarray(g).tobytes() == np.asarray(e).tobytes()
 
 
@@ -182,9 +200,10 @@ def test_covariance_stays_symmetric_psd(default_sc, default_result):
     systems = mt.harness.build_systems(default_sc, truth.frames[:truth.n_steps])
     config = default_sc.filter
     x, p = initial_state(config, default_sc.geometry.n_segments)
+    scratch = StepScratch(config, default_sc.geometry.n_segments)
     for k in range(50):
         z, _ = output_measurement(truth.frames, k)
-        x, p, _ = filter_step(x, p, systems, k, z, config)
+        x, p, _ = filter_step(x, p, systems, k, z, scratch)
         assert np.array_equal(p, p.T)
 
 
@@ -269,9 +288,10 @@ def test_reconstruct_exact_state_recovers_truth(silent_truth):
 def _first_failing_step(sys, config, z=5.0):
     """Step at which filter_step raises FloatingPointError, or None."""
     x, p = initial_state(config, sys.diag.shape[-1])
+    scratch = StepScratch(config, sys.diag.shape[-1])
     for k in range(len(sys)):
         try:
-            x, p, _ = filter_step(x, p, sys, k, z, config)
+            x, p, _ = filter_step(x, p, sys, k, z, scratch)
         except FloatingPointError:
             return k
     return None

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import mixedtraffic as mt
 from mixedtraffic.core import HighwayGeometry, RampLayout, inverse_penetration
-from mixedtraffic.kalman import KalmanConfig, filter_step
+from mixedtraffic.kalman import KalmanConfig, StepScratch, filter_step
 from mixedtraffic.ltv import (
     EPS_G,
     OBSERVABILITY_TOL,
@@ -288,7 +288,7 @@ def test_band_matches_dense_textbook_realization(n, seed, unmeasured, sparse):
     x = rng.uniform(1, 10, n)
     p = root @ root.T + np.eye(n)
     z = float(rng.uniform(1, 10))
-    x_step, p_step, _ = filter_step(x, p, sys, k, z, config)
+    x_step, p_step, _ = filter_step(x, p, sys, k, z, StepScratch(config, n))
     c = np.zeros(n)
     c[-1] = 1.0
     gain = p @ c / (c @ p @ c + config.r_cov)
