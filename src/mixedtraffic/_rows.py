@@ -2,18 +2,19 @@
 
 ``harness.write_trajectory`` formats a run's rows in two processes that meet
 in the middle.  Both cut the steps 0..M into one grid of blocks of
-``block_steps(N)`` steps, about ``BLOCK_ROWS`` rows each.  This process
-formats blocks from step 0 forwards into the file.  At the same time it runs
-this file as a script, ``python -I -S _rows.py FOLDER``, which reads
-``HEADER`` and the raw float64 values of every step on stdin (see ``main``)
-and formats blocks from the last step backwards.  The helper appends each
-block it finishes to ``FOLDER/ROWS`` and then the block's end offset in that
-file to ``FOLDER/DONE``.  Before each block the writer reads how many
-offsets ``DONE`` holds; at the first block the helper has finished it
-creates ``FOLDER/STOP``, which the helper checks before each step, waits for
-the helper to exit and appends the helper's blocks in step order.  A block
-the helper did not finish is one the writer formats, so the bytes never
-depend on which process was faster.
+``block_steps(N)`` steps, about ``BLOCK_ROWS`` rows each, and keep one rule:
+a block belongs to whichever process creates its file first.  Before it
+formats the block that starts at step k, a process claims it with
+``open(FOLDER/str(k), "x")``, and it stops at the first block the other has
+claimed.  The writer walks the grid from step 0 forwards, claims each block
+with an empty marker and writes its rows straight into the file.  At the
+same time it runs this file as a script, ``python -I -S _rows.py FOLDER M N
+ESTIMATED``, which reads the raw float64 values of every step on stdin (see
+``main``), walks the grid from the last step backwards and writes each
+block's rows into the file that claims it.  The writer then waits for the
+helper to exit and appends the helper's blocks in step order.  Each block
+is written once, by the process that claimed it, so the bytes never depend
+on which process was faster.
 
 This module imports only the standard library.  ``-I`` ignores ``PYTHONPATH``
 and the user site, and ``-S`` skips ``site`` and with it site-packages, so
@@ -21,9 +22,7 @@ the helper can import neither this package nor NumPy.  In return it starts
 in a few milliseconds, and no environment variable can change what it runs.
 """
 
-import io
 import os
-import struct
 import sys
 
 TRAJECTORY_COLUMNS = ("step", "segment", "rho", "rho_a", "v", "q", "q_a",
@@ -31,12 +30,6 @@ TRAJECTORY_COLUMNS = ("step", "segment", "rho", "rho_a", "v", "q", "q_a",
 TRUTH_FIELDS = ("rho", "rho_a", "v", "q", "q_a")
 N_ESTIMATE_FIELDS = 3                 # rho_hat, q_hat, p_bar_hat
 
-# M, N, and 1 when the run has estimates, else 0.
-HEADER = struct.Struct("=3q")
-# The helper's record of a finished block: the end of its rows in ROWS.
-OFFSET = struct.Struct("=q")
-# The helper's files in the folder it is given.
-ROWS, DONE, STOP = "rows", "done", "stop"
 BLOCK_ROWS = 512
 
 
@@ -76,34 +69,28 @@ def write_steps(handle, first: int, stop: int, m: int, n: int, columns, innovati
 
 
 def main() -> None:
-    """The helper: ``HEADER``, then each column's values of steps 0..M, then
-    the innovations of steps 0..M-1, all native float64, on stdin; the rows
-    of whole blocks, from the last block backwards, in ROWS of the folder
-    named by the first argument, each block's end offset in DONE once its
-    rows are there, and no further step once STOP exists."""
+    """The helper: each column's values of steps 0..M, then the innovations
+    of steps 0..M-1 when ESTIMATED is 1, all native float64, on stdin; the
+    rows of each block it claims, from the last block backwards, in the file
+    of the folder that claims it, until a block is claimed already."""
     folder = sys.argv[1]
-    data = sys.stdin.buffer.read()
-    m, n, estimated = HEADER.unpack_from(data)
-    values = memoryview(data)[HEADER.size:].cast("d")
+    m, n, estimated = map(int, sys.argv[2:])
+    values = memoryview(sys.stdin.buffer.read()).cast("d")
     size = (m + 1) * n
     n_columns = len(TRUTH_FIELDS) + (N_ESTIMATE_FIELDS if estimated else 0)
     columns = [values[i * size:(i + 1) * size] for i in range(n_columns)]
     innovation = values[n_columns * size:] if estimated else None
-    steps, stop = block_steps(n), os.path.join(folder, STOP)
-    with open(os.path.join(folder, ROWS), "wb") as rows, \
-            open(os.path.join(folder, DONE), "ab") as done:
-        for first in reversed(range(0, m + 1, steps)):
-            block = io.StringIO(newline="")
-            for k in range(first, min(first + steps, m + 1)):
-                if os.path.exists(stop):
-                    # Every finished block is flushed; skipping the
-                    # interpreter's teardown ends the writer's wait sooner.
-                    os._exit(0)
-                write_steps(block, k, k + 1, m, n, columns, innovation)
-            rows.write(block.getvalue().encode("utf-8"))
-            rows.flush()
-            done.write(OFFSET.pack(rows.tell()))
-            done.flush()
+    steps = block_steps(n)
+    for first in reversed(range(0, m + 1, steps)):
+        try:
+            block = open(os.path.join(folder, str(first)), "x", newline="", encoding="utf-8")
+        except FileExistsError:
+            break
+        with block:
+            write_steps(block, first, min(first + steps, m + 1), m, n, columns, innovation)
+    # Every claimed block is closed; skipping the interpreter's teardown ends
+    # the writer's wait sooner.
+    os._exit(0)
 
 
 if __name__ == "__main__":

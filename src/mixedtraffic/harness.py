@@ -380,18 +380,18 @@ def write_trajectory(path, result: RunResult) -> None:
     The scalar innovation of step k is repeated on each of the step's rows
     and left empty on the final step, which has no measurement update.
     ``_rows.write_steps`` defines a row.  Two processes meet in the middle
-    of one grid of blocks (see ``_rows``): this one formats blocks from step
-    0 forwards into ``path`` while a helper interpreter,
-    ``sys.executable -I -S _rows.py``, formats them from step M backwards
-    into a file of a temporary folder.  Before each block this process
-    counts the blocks the helper has finished; at the first of them it stops
-    the helper, waits for it, and appends the helper's blocks in step order,
-    one block at a time.  The helper reads every step's raw float64 values
-    from an unnamed temporary file.  Every block the helper did not finish
-    is formatted here, so the bytes are those one process writing every
-    step would write, however fast either process runs.  Raises OSError
-    naming ``path`` when the helper exits with a failure status; on any
-    error no file is left at ``path`` and the helper has been reaped.
+    of one grid of blocks (see ``_rows``); a block belongs to whichever
+    creates its file in a temporary folder first.  This one claims blocks
+    from step 0 forwards and writes them into ``path``; a helper
+    interpreter, ``sys.executable -I -S _rows.py``, claims them from step M
+    backwards, each into the file that claims it, reading every step's raw
+    float64 values from an unnamed temporary file.  Each stops at the first
+    block the other has claimed; this one then waits for the helper and
+    appends its blocks in step order.  The bytes are those one process
+    writing every step would write, however fast either process runs.
+    Raises OSError naming ``path`` when the helper exits with a failure
+    status; on any error no file is left at ``path`` and the helper has been
+    reaped.
     """
     import subprocess                     # here: loading the package never needs it
 
@@ -408,41 +408,35 @@ def write_trajectory(path, result: RunResult) -> None:
     firsts = range(0, m + 1, steps)
     handle = open(path, "w", newline="", encoding="utf-8")
     try:
-        with handle, tempfile.TemporaryFile() as data, tempfile.TemporaryDirectory() as folder, \
-                open(os.path.join(folder, _rows.DONE), "w+b") as done:
-            data.write(_rows.HEADER.pack(m, n, est is not None))
+        with handle, tempfile.TemporaryFile() as data, tempfile.TemporaryDirectory() as folder:
             for column in columns:
                 data.write(column)
             if innovation is not None:
                 data.write(innovation)
             data.seek(0)                  # flushes, so the helper reads every byte
-            with subprocess.Popen([sys.executable, "-I", "-S", _rows.__file__, folder],
+            with subprocess.Popen([sys.executable, "-I", "-S", _rows.__file__, folder,
+                                   str(m), str(n), str(int(est is not None))],
                                   stdin=data) as helper:
                 try:
                     handle.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
                     meet = len(firsts)
                     for block, first in enumerate(firsts):
-                        finished = os.fstat(done.fileno()).st_size // _rows.OFFSET.size
-                        if block >= len(firsts) - finished:
+                        try:
+                            open(os.path.join(folder, str(first)), "x").close()
+                        except FileExistsError:
                             meet = block
                             break
                         _rows.write_steps(handle, first, min(first + steps, m + 1), m, n,
                                           columns, innovation)
-                    open(os.path.join(folder, _rows.STOP), "x").close()
                 except BaseException:
                     helper.kill()
                     raise
             if helper.returncode:
                 raise OSError(f"{path}: the row helper exited with status {helper.returncode}")
-            if meet < len(firsts):
-                done.seek(0)
-                # Offset j ends the helper's (j+1)-th block, block len(firsts)-1-j.
-                ends = [0] + [end for (end,) in _rows.OFFSET.iter_unpack(done.read())]
-                handle.flush()
-                with open(os.path.join(folder, _rows.ROWS), "rb") as rows:
-                    for j in reversed(range(len(firsts) - meet)):
-                        rows.seek(ends[j])
-                        handle.buffer.write(rows.read(ends[j + 1] - ends[j]))
+            handle.flush()
+            for first in firsts[meet:]:
+                with open(os.path.join(folder, str(first)), "rb") as rows:
+                    handle.buffer.write(rows.read())
     except BaseException:
         os.remove(path)
         raise

@@ -100,8 +100,9 @@ class KalmanConfig:
 
 
 def kalman_gain(pc: np.ndarray, r_cov: float | np.ndarray) -> np.ndarray:
-    """K = P C' / (C P C' + R) from the exit column ``pc`` = P C' = P[..., -1]."""
-    return pc / (pc[..., -1:] + np.asarray(r_cov)[..., None])
+    """K = P C' / (C P C' + R) from the exit column ``pc`` = P C' = P[..., -1], R
+    a float or ``StepScratch.r_cov``, a column that broadcasts over the batch."""
+    return pc / (pc[..., -1:] + r_cov)
 
 
 class StepScratch:
@@ -143,7 +144,7 @@ def filter_step(x_hat: np.ndarray, p_cov: np.ndarray, sys: BandedLtv, k: int, z:
     """
     diag, sub = sys.diag[k], sys.sub[k]
     pc = p_cov[..., -1].copy()                                         # P C', contiguous
-    gain = pc / (pc[..., -1:] + scratch.r_cov)
+    gain = kalman_gain(pc, scratch.r_cov)
     innovation = z - x_hat[..., -1]
     # A x^ + B u and A K, each as BandedLtv.apply_a computes it.
     x_next = diag * x_hat

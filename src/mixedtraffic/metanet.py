@@ -331,7 +331,7 @@ def step_truth(x: np.ndarray, entry: np.ndarray, onramp: np.ndarray, noise: np.n
     np.maximum(dens_next[0], 0.0, out=nxt[0])
     dens_next[1].clip(0.0, nxt[0], out=nxt[1])
 
-    v_up = np.concatenate(([v[0]], v[:-1]))
+    v_up = upstream(v[0], v)
     rho_down = np.concatenate((rho[1:], [rho[-1]]))
     rho_k = rho + c.params.kappa
     v_next = (

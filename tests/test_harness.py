@@ -901,6 +901,41 @@ def test_trajectory_bytes_do_not_depend_on_where_the_writers_meet(tmp_path, defa
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_helper_that_claims_a_block_and_fails_leaves_no_file_no_temporary_and_no_child(
+        tmp_path, default_result, monkeypatch):
+    """A helper that claims the last block, writes nothing and exits 3 fails
+    the write with an OSError naming the path, though the claim stopped this
+    process short of that block: the half-written file and both temporary
+    files are gone, and the helper has been reaped.  This process waits in
+    its first block until the claim is there, so the helper always makes it."""
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    truth = default_result.truth
+    last = range(0, truth.n_steps + 1, harness._rows.block_steps(truth.states.n_segments))[-1]
+    helper = tmp_path / "claim_last_and_fail.py"
+    helper.write_text("import os, sys\n"
+                      f"open(os.path.join(sys.argv[1], {str(last)!r}), 'x').close()\n"
+                      "sys.exit(3)\n")
+    monkeypatch.setattr(harness._rows, "__file__", str(helper))
+    write_steps = harness._rows.write_steps
+
+    def own_block(*args):
+        (folder,) = temp.iterdir()
+        deadline = time.monotonic() + 30.0
+        while not (folder / str(last)).exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        write_steps(*args)
+    monkeypatch.setattr(harness._rows, "write_steps", own_block)
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(OSError, match=re.escape(f"{path}: the row helper exited with status 3")):
+        write_trajectory(path, default_result)
+    assert not path.exists()
+    assert list(temp.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_trajectory_csv_roundtrip(tmp_path, default_sc, default_result):
     path = tmp_path / "trajectory.csv"
     write_trajectory(path, default_result)
