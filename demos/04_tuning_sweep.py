@@ -1,7 +1,7 @@
 """Filter tuning sensitivity: sweep the process covariance over four decades.
 
 Truth is generated once per mode and all five tunings run as one batch
-through ``estimate_shares``, the same loop that runs a single filter.  The
+through ``run_filter``, the same loop that runs a single filter.  The
 performance index barely moves, so the tuning is forgiving, and dropping the
 off-ramp detectors (exit-rate mode) costs almost nothing here.
 """

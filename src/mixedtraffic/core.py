@@ -22,7 +22,7 @@ import numpy as np
 EPS_DENSITY = 1e-6
 
 # Steps per chunk of a run's step loops (``metanet.TruthSimulator.run`` and
-# ``harness.estimate_shares``) and of the checks of a run's ``TrafficState``.
+# ``harness.run_filter``) and of the checks of a run's ``TrafficState``.
 # A chunk's scratch grows as STEP_CHUNK * N.  At N = 200 it is 1.0 MB in the
 # simulator (process noise and on-ramp inflows) and 1.0 MB in the filter (a
 # realization and its build's scratch); one chunk of a whole 1080-step run

@@ -2,14 +2,14 @@
 
 The estimator reads a run of M+1 measurement frames and the scenario, never
 the truth run: frame k yields A(k), B(k) u(k), and z(k), and the realization
-is built one chunk of ``STEP_CHUNK`` frames at a time.  ``estimate_shares``
-runs the scenario's ``filter``, one ``KalmanConfig`` or a batch of them
-(``KalmanConfig.stack``), in one loop; the tuning has no other way in.
-``run_filter`` adds the reconstructed totals, which a sweep does not need.
+is built one chunk of ``STEP_CHUNK`` frames at a time.  ``run_filter`` runs
+the scenario's ``filter``, one ``KalmanConfig`` or a batch of them
+(``KalmanConfig.stack``), in one loop; the tuning has no other way in.  Its
+``EstimateRun`` keeps x^ and the frames, and derives the totals from them on
+each read, so a caller who reads them more than once keeps the arrays.
 ``run_experiment`` and ``q_sweep`` simulate, pass ``truth.frames`` and alone
 score against the truth; ground truth never depends on filter tuning, so a
-sweep runs every tuning point on one truth run, as one batch in a copy of
-the scenario.
+sweep runs every tuning point on one truth run, as one batch in a copy.
 """
 
 from __future__ import annotations
@@ -39,29 +39,33 @@ from .scenario import Scenario
 
 
 @dataclass(frozen=True)
-class ShareEstimate:
+class EstimateRun:
     """Filter outputs over a run; row k is the estimate at step k.
 
     Shapes follow the scenario's filter: a batch of S (``KalmanConfig.stack``)
-    puts the member axis first, so ``x_hat[i]`` is member i's run.
+    puts the member axis first, so ``x_hat[i]`` is member i's run; in the
+    totals, derived on each read, a batch broadcasts against the one run.
     """
 
     x_hat: np.ndarray          # batch + (M+1, N) inverse-share estimates
     innovation: np.ndarray     # batch + (M,) scalar innovations
     # Per member: min of lambda_min(P0) = p0_sigma, lambda_min(P_M) and each
     # lambda_min < -PSD_TOL at a step that neither the O(N) bound nor the
-    # shifted Cholesky cleared (see estimate_shares).
+    # shifted Cholesky cleared (see run_filter).
     min_p_eigenvalue: float | np.ndarray
     g_clamp_count: int
     z_fallback_count: int      # steps that reused the previous output
+    frames: MeasurementFrame   # the M+1 frames the filter read, held, never copied
 
+    @property
+    def rho_hat(self) -> np.ndarray:
+        """batch + (M+1, N) total densities rho_a * x_hat, computed on each read."""
+        return reconstruct_totals(self.x_hat, self.frames.rho_a_seg)[0]
 
-@dataclass(frozen=True)
-class EstimateRun(ShareEstimate):
-    """A ``ShareEstimate`` with the totals reconstructed from it."""
-
-    rho_hat: np.ndarray        # batch + (M+1, N) reconstructed total densities
-    q_hat: np.ndarray          # batch + (M+1, N) reconstructed total flows
+    @property
+    def q_hat(self) -> np.ndarray:
+        """batch + (M+1, N) total flows q_a * x_hat, computed on each read."""
+        return reconstruct_totals(self.x_hat, self.frames.q_a_seg)[0]
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,7 @@ def _weyl_floor(top: float, p_nn: float, floor: float, a: float, q: float, r_cov
     lambda_min(P) >= ``floor``, ``top`` = max|P_ii| and ``p_nn`` = P_NN.
 
     ``a`` bounds every row and column sum of |A(k)|, and Q = q*I, so q is both
-    lambda_min(Q) and max|Q_ij|.  The derivation is in ``estimate_shares``;
+    lambda_min(Q) and max|Q_ij|.  The derivation is in ``run_filter``;
     the 32 eps taken off q and the factor 1 + 32 eps cover this function's
     own rounding.  Where no bound follows (a NaN or infinite input, or
     P_NN + R <= 0) the result is NaN or -inf, "no bound": every comparison
@@ -121,7 +125,7 @@ def _weyl_floor(top: float, p_nn: float, floor: float, a: float, q: float, r_cov
     return q - 32 * _EPS * q - (weyl + rounding) * (1 + 32 * _EPS)
 
 
-def estimate_shares(sc: Scenario, frames: MeasurementFrame) -> ShareEstimate:
+def run_filter(sc: Scenario, frames: MeasurementFrame) -> EstimateRun:
     """Run the scenario's filter, or its batch of filters, along a run of M+1 frames.
 
     The realization is built from ``STEP_CHUNK`` frames at a time, as the
@@ -244,18 +248,9 @@ def estimate_shares(sc: Scenario, frames: MeasurementFrame) -> ShareEstimate:
                 floors = [bound] * len(floors)
             del systems                    # not alive while the next chunk's is built
     min_eig = np.minimum(min_eig, np.linalg.eigvalsh(p).min(axis=-1))
-    return ShareEstimate(x_hat=x_hat, innovation=innovation,
-                         min_p_eigenvalue=min_eig if batch else float(min_eig),
-                         g_clamp_count=clamps, z_fallback_count=fallbacks)
-
-
-def run_filter(sc: Scenario, frames: MeasurementFrame) -> EstimateRun:
-    """``estimate_shares`` with the total densities and flows reconstructed
-    from its estimates and the frames' connected densities and flows; the
-    filter's loop arrays are freed before the totals are allocated."""
-    shares = estimate_shares(sc, frames)
-    rho_hat, q_hat = reconstruct_totals(shares.x_hat, frames.rho_a_seg, frames.q_a_seg)
-    return EstimateRun(**vars(shares), rho_hat=rho_hat, q_hat=q_hat)
+    return EstimateRun(x_hat=x_hat, innovation=innovation,
+                       min_p_eigenvalue=min_eig if batch else float(min_eig),
+                       g_clamp_count=clamps, z_fallback_count=fallbacks, frames=frames)
 
 
 def diverged(p_r: float, min_p_eigenvalue: float) -> bool:
@@ -319,7 +314,7 @@ def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
     """Score the filter with Q = sigma*I for each sigma; R stays at the scenario value.
 
     One truth trajectory and realization are shared, and all points run as
-    one batch through ``estimate_shares``, so every point scores against
+    one batch through ``run_filter``, so every point scores against
     identical data and equals ``run_filter`` with its own Q bit for bit.  No
     totals are reconstructed: the score reads the share estimates.  Raises
     ValueError, before simulating, unless ``sigmas`` is a nonempty list of
@@ -330,7 +325,7 @@ def q_sweep(sc: Scenario, sigmas: Sequence[float]) -> list[SweepPoint]:
         raise ValueError("need at least one sigma")
     batch = KalmanConfig.stack([dataclasses.replace(sc.filter, q_sigma=s) for s in sigmas])
     truth = simulate_truth(sc)
-    run = estimate_shares(dataclasses.replace(sc, filter=batch), truth.frames)
+    run = run_filter(dataclasses.replace(sc, filter=batch), truth.frames)
     rho, rho_a = truth.states.rho, truth.states.rho_a
     return [SweepPoint(sigma=s, p_r=performance_index(rho, rho_a, run.x_hat[i]),
                        min_p_eigenvalue=float(run.min_p_eigenvalue[i]))
@@ -401,7 +396,8 @@ def write_trajectory(path, result: RunResult) -> None:
     fields = [getattr(truth.states, name) for name in _rows.TRUTH_FIELDS]
     innovation = None
     if est is not None:
-        fields += [est.rho_hat, est.q_hat, est.x_hat]
+        fields += [*reconstruct_totals(est.x_hat, est.frames.rho_a_seg, est.frames.q_a_seg),
+                   est.x_hat]
         innovation = np.ascontiguousarray(est.innovation, dtype=np.float64)
     columns = [np.ascontiguousarray(f, dtype=np.float64).reshape(-1) for f in fields]
     steps = _rows.block_steps(n)

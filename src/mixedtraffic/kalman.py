@@ -33,6 +33,9 @@ P is re-symmetrized each step; the update above is not in Joseph form and
 drifts over long runs otherwise.  Estimates are deliberately not clamped to
 the physical range (ratio >= 1): clamping would hide filter misbehavior.
 
+``reconstruct_totals`` gives rho = rho_a x and q = q_a x; an estimate stores
+no totals, and every read of one computes it again (see ``harness``).
+
 Where it binds in either run, ``output_measurement`` breaks both of the
 estimator's symmetries (see ``ltv``): it compares the exit's connected flow
 in veh/h, which both multiply by c, with ``EPS_DENSITY``, a density in veh/km.
@@ -55,7 +58,7 @@ from .metanet import MeasurementFrame
 
 # Most negative covariance eigenvalue a sound run may reach: the update is not
 # computed in Joseph form, so rounding alone may take P this far below zero.
-# harness.estimate_shares checks it at every step: an O(N) lower bound on
+# harness.run_filter checks it at every step: an O(N) lower bound on
 # lambda_min(P) clears most steps, and a Cholesky factorisation the rest.
 PSD_TOL = 1e-9
 
@@ -196,9 +199,9 @@ def output_measurement(frames: MeasurementFrame, k: int,
     return frames.qN_meas[k] / q_a_exit, False
 
 
-def reconstruct_totals(x_hat: np.ndarray, rho_a: np.ndarray,
-                       q_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Totals rho_hat = rho_a * x_hat, q_hat = q_a * x_hat of the frames' ``rho_a_seg``
-    and ``q_a_seg``, per step or per run; a batch in ``x_hat`` broadcasts against one run."""
+def reconstruct_totals(x_hat: np.ndarray, *connected: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The totals c * x_hat of the connected arrays c given, in order, per step
+    or per run: rho_hat of the frames' ``rho_a_seg``, q_hat of their
+    ``q_a_seg``.  A batch in ``x_hat`` broadcasts against one run."""
     x_hat = np.asarray(x_hat, dtype=float)
-    return rho_a * x_hat, q_a * x_hat
+    return tuple(c * x_hat for c in connected)

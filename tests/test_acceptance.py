@@ -11,8 +11,8 @@ import numpy as np
 
 import mixedtraffic as mt
 from mixedtraffic.core import HighwayGeometry, inverse_penetration
-from mixedtraffic.harness import (build_systems, estimate_shares, performance_index, q_sweep,
-                                  run_experiment)
+from mixedtraffic.harness import (build_systems, performance_index, q_sweep, run_experiment,
+                                  run_filter)
 from mixedtraffic.kalman import (PSD_TOL, KalmanConfig, StepScratch, filter_step,
                                  output_measurement)
 from mixedtraffic.ltv import anti_diagonal, build_system_measured, observability_matrix, selector_output
@@ -201,7 +201,7 @@ def test_criterion_9_update_beats_no_update(default_sc):
     rho, rho_a = truth.states.rho, truth.states.rho_a
     hour = round(1.0 / sc.geometry.step_h)
     scores = []
-    for x_hat in estimate_shares(batch, truth.frames).x_hat:
+    for x_hat in run_filter(batch, truth.frames).x_hat:
         err = rho[hour:, -1] - rho_a[hour:, -1] * x_hat[hour:, -1]
         scores.append((performance_index(rho, rho_a, x_hat),
                        float(np.sqrt(np.mean(err ** 2)) / np.mean(rho[hour:, -1]))))

@@ -27,7 +27,6 @@ from mixedtraffic.harness import (
     TRAJECTORY_COLUMNS,
     EstimateRun,
     build_systems,
-    estimate_shares,
     observability_trace,
     performance_index,
     q_sweep,
@@ -194,7 +193,7 @@ def _serial_run(frames, systems, config):
 def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypatch, mode):
     """Each member of a batched run equals run_filter and the unbatched loop
     with its own config, bit for bit, and the sweep scores those estimates
-    from one batched estimate_shares call, which reconstructs no totals."""
+    from one batched run_filter call, which reconstructs no totals."""
     sc = dataclasses.replace(default_sc, offramp_mode=mode)
     truth = default_result.truth
     systems = build_systems(sc, truth.frames[:truth.n_steps])
@@ -209,11 +208,11 @@ def test_batch_members_equal_unbatched_runs(default_sc, default_result, monkeypa
 
     calls = []
 
-    def counting_estimate_shares(sc, frames):
+    def counting_run_filter(sc, frames):
         calls.append(np.shape(sc.filter.q_sigma))
-        return estimate_shares(sc, frames)
+        return run_filter(sc, frames)
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "estimate_shares", counting_estimate_shares)
+        patch.setattr(harness, "run_filter", counting_run_filter)
         patch.setattr(harness, "reconstruct_totals", None)
         points = q_sweep(sc, sigmas)
     assert calls == [(len(sigmas),)]
@@ -341,20 +340,23 @@ def _reference_run_filter(sc, frames, systems):
                 step_min = np.linalg.eigvalsh(p).min(axis=-1)
                 min_eig = np.where(step_min < -PSD_TOL, np.minimum(min_eig, step_min), min_eig)
     min_eig = np.minimum(min_eig, np.linalg.eigvalsh(p).min(axis=-1))
-    rho_hat, q_hat = reconstruct_totals(x_hat, frames.rho_a_seg, frames.q_a_seg)
-    return EstimateRun(x_hat=x_hat, rho_hat=rho_hat, q_hat=q_hat, innovation=innovation,
+    return EstimateRun(x_hat=x_hat, innovation=innovation,
                        min_p_eigenvalue=min_eig if batch else float(min_eig),
-                       g_clamp_count=systems.n_clamped, z_fallback_count=fallbacks)
+                       g_clamp_count=systems.n_clamped, z_fallback_count=fallbacks,
+                       frames=frames)
 
 
 def _assert_same_estimate(est, reference):
-    """Every field equal byte for byte, and of the same type."""
-    for field in dataclasses.fields(EstimateRun):
-        got, want = getattr(est, field.name), getattr(reference, field.name)
-        assert type(got) is type(want), field.name
+    """The same frames, and every other field and the derived totals equal
+    byte for byte, and of the same type."""
+    assert est.frames is reference.frames
+    names = [f.name for f in dataclasses.fields(EstimateRun) if f.name != "frames"]
+    for name in names + ["rho_hat", "q_hat"]:
+        got, want = getattr(est, name), getattr(reference, name)
+        assert type(got) is type(want), name
         a, b = np.asarray(got), np.asarray(want)
-        assert a.shape == b.shape and a.dtype == b.dtype, field.name
-        assert a.tobytes() == b.tobytes(), field.name
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def _sigma_batch(sc, sigmas):
@@ -494,7 +496,8 @@ def test_filter_reads_only_the_frames(default_sc, default_result, mode):
         mine = getattr(frames, field.name)
         assert not any(np.shares_memory(mine, theirs) for record in (states, inputs, read)
                        for theirs in vars(record).values()), field.name
-    _assert_same_estimate(run_filter(sc, frames), result.estimate)
+    _assert_same_estimate(run_filter(sc, frames), dataclasses.replace(result.estimate,
+                                                                      frames=frames))
     trace = observability_trace(sc, frames)
     assert trace == observability_trace(sc)
     assert observability_trace(sc, frames[:sc.geometry.n_segments]) == trace[:1]
@@ -527,7 +530,7 @@ def test_the_estimator_checks_no_frame_again(default_sc, default_result, monkeyp
         check(frames)
 
     monkeypatch.setattr(MeasurementFrame, "__post_init__", counted)
-    estimate_shares(default_sc, default_result.truth.frames)
+    run_filter(default_sc, default_result.truth.frames)
     observability_trace(default_sc, default_result.truth.frames)
     assert calls == []
 
@@ -545,7 +548,7 @@ def _connected_times(sc, frames, c):
     x0 over c and q_sigma, r_cov and p0_sigma over c**2."""
     config = sc.filter
     scaled = _times(frames, c, CONNECTED_FIELDS)
-    return scaled, estimate_shares(dataclasses.replace(sc, filter=KalmanConfig(
+    return scaled, run_filter(dataclasses.replace(sc, filter=KalmanConfig(
         q_sigma=config.q_sigma / c**2, r_cov=config.r_cov / c**2, x0_value=config.x0_value / c,
         p0_sigma=config.p0_sigma / c**2)), scaled)
 
@@ -557,7 +560,7 @@ def _shorter_time_unit(sc, frames, c):
     short = dataclasses.replace(
         sc, geometry=HighwayGeometry(geom.n_segments, geom.step_h / c, geom.seg_len_km),
         horizon_h=sc.horizon_h / c)
-    return estimate_shares(short, _times(frames, c, FLOW_FIELDS))
+    return run_filter(short, _times(frames, c, FLOW_FIELDS))
 
 
 def _assert_related(run, plain, c=1.0):
@@ -580,7 +583,7 @@ def test_estimator_is_scale_equivariant(default_sc, mode, seed, c):
     to 2.1e-15."""
     sc = dataclasses.replace(default_sc.with_seed(seed), offramp_mode=mode)
     truth = mt.simulate_truth(sc)
-    plain = estimate_shares(sc, truth.frames)
+    plain = run_filter(sc, truth.frames)
     scaled, run = _connected_times(sc, truth.frames, c)
     _assert_related(run, plain, c)
     rho = truth.states.rho
@@ -599,7 +602,7 @@ def test_estimator_is_time_unit_invariant(default_sc, mode, seed, c):
     c < 1 lengthens the step past the CFL bound."""
     sc = dataclasses.replace(default_sc.with_seed(seed), offramp_mode=mode)
     frames = mt.simulate_truth(sc).frames
-    _assert_related(_shorter_time_unit(sc, frames, c), estimate_shares(sc, frames))
+    _assert_related(_shorter_time_unit(sc, frames, c), run_filter(sc, frames))
 
 
 def _demand_times(profile, factor):
@@ -633,7 +636,7 @@ def test_estimator_symmetries_hold_on_varied_runs(default_sc, n, share, noise, d
         noise=NoiseSpec(*stds, seed=seed))
     try:
         truth = mt.simulate_truth(sc)
-        plain = estimate_shares(sc, truth.frames)
+        plain = run_filter(sc, truth.frames)
     except FloatingPointError:
         return
     assume(not (plain.g_clamp_count or plain.z_fallback_count))
@@ -651,27 +654,63 @@ def test_estimator_symmetries_hold_on_varied_runs(default_sc, n, share, noise, d
 @pytest.mark.parametrize("mode", ["measured", "unmeasured"])
 def test_filter_holds_one_chunk_of_realization(default_sc, mode):
     """On a 200-segment, 3 h run (M = 1080), the traced peak of run_filter
-    stays below its outputs plus four N x N arrays and one chunk: the
-    chunk's four (C, N) realization arrays and its build's scratch.  Its
-    loop, estimate_shares, stays below x_hat and the innovations plus ten
-    N x N arrays and that chunk.  The whole run's realization is never held."""
+    stays below x_hat and the innovations plus ten N x N arrays and one
+    chunk: the chunk's four (C, N) realization arrays and its build's
+    scratch.  The whole run's realization is never held."""
     n = 200
     sc = dataclasses.replace(_on_segments(default_sc, n, horizon_h=3.0), offramp_mode=mode)
     truth = mt.simulate_truth(sc)
     warm = _for_steps(sc, 20)                    # lazy imports are not the run's
     run_filter(warm, mt.simulate_truth(warm).frames)
     chunk, square = 5 * STEP_CHUNK * n * 8, n * n * 8
-    for fn, allowed in ((run_filter, 4 * square + chunk), (estimate_shares, 10 * square + chunk)):
-        tracemalloc.start()
-        try:
-            est = fn(sc, truth.frames)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        outputs = sum(getattr(est, f.name).nbytes for f in dataclasses.fields(est)
-                      if isinstance(getattr(est, f.name), np.ndarray))
-        assert outputs >= est.x_hat.nbytes == (truth.n_steps + 1) * square // n
-        assert peak < outputs + allowed, fn.__name__
+    tracemalloc.start()
+    try:
+        est = run_filter(sc, truth.frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.x_hat.nbytes == (truth.n_steps + 1) * square // n
+    assert peak < est.x_hat.nbytes + est.innovation.nbytes + 10 * square + chunk
+
+
+@pytest.mark.parametrize("n", [20, 200], ids=["default", "N = 200"])
+def test_an_estimate_retains_only_x_hat_sized_data(default_sc, default_result, n):
+    """The memory that run_filter leaves allocated, with its estimate alive,
+    stays below 1.5 x_hat: x_hat, the innovations and a reference to the
+    frames, where the stored totals made it about 3 x_hat."""
+    if n == 20:
+        sc, frames = default_sc, default_result.truth.frames
+    else:
+        sc = _on_segments(default_sc, n, horizon_h=0.25)
+        frames = mt.simulate_truth(sc).frames
+    run_filter(sc, frames[:STEP_CHUNK + 2])      # lazy imports are not the run's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        est = run_filter(sc, frames)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert est.frames is frames and est.x_hat.shape == (len(frames), n)
+    assert retained < 1.5 * est.x_hat.nbytes
+
+
+@pytest.mark.parametrize("case", ["single", "batch", "unmeasured"])
+def test_totals_are_reconstructed_from_x_hat_and_the_frames(default_sc, default_result, case):
+    """rho_hat and q_hat are reconstruct_totals of x_hat and the frames'
+    connected densities and flows byte for byte, a 5-member batch
+    broadcasting against its one run."""
+    sc, truth = default_sc, default_result.truth
+    if case == "batch":
+        sc = _sigma_batch(sc, [0.01, 0.1, 1.0, 10.0, 100.0])
+    elif case == "unmeasured":
+        sc = dataclasses.replace(sc, offramp_mode="unmeasured")
+        truth = mt.simulate_truth(sc)
+    est = run_filter(sc, truth.frames)
+    totals = reconstruct_totals(est.x_hat, truth.frames.rho_a_seg, truth.frames.q_a_seg)
+    for got, want in zip((est.rho_hat, est.q_hat), totals):
+        assert got.shape == want.shape == est.x_hat.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def _array_weyl_floor(top, p_nn, floor, a, q, r_cov, n):
@@ -810,8 +849,8 @@ def _first_step_only(result):
     est = result.estimate
     return dataclasses.replace(
         result, truth=dataclasses.replace(result.truth, states=result.truth.states[:1]),
-        estimate=dataclasses.replace(est, x_hat=est.x_hat[:1], rho_hat=est.rho_hat[:1],
-                                     q_hat=est.q_hat[:1], innovation=est.innovation[:0]))
+        estimate=dataclasses.replace(est, x_hat=est.x_hat[:1], innovation=est.innovation[:0],
+                                     frames=est.frames[:1]))
 
 
 def _runs_to_write(default_sc, default_result):
@@ -1138,7 +1177,8 @@ FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.22507385850
 @given(data=st.data(), m=st.integers(min_value=0, max_value=3),
        n=st.integers(min_value=1, max_value=4), truth_only=st.booleans())
 def test_trajectory_round_trips_any_float64(tmp_path_factory, data, m, n, truth_only):
-    """write_trajectory then read_trajectory returns every value bit for bit."""
+    """write_trajectory then read_trajectory returns every value bit for bit;
+    the totals are the products of the drawn x_hat and connected columns."""
     values = st.one_of(st.sampled_from(FLOAT_EDGES), st.floats(width=64))
 
     def draw(shape):
@@ -1149,11 +1189,12 @@ def test_trajectory_round_trips_any_float64(tmp_path_factory, data, m, n, truth_
     states = SimpleNamespace(n_segments=n, **truth_cols)
     estimate = None
     if not truth_only:
-        estimate = SimpleNamespace(rho_hat=draw((m + 1, n)), q_hat=draw((m + 1, n)),
-                                   x_hat=draw((m + 1, n)), innovation=draw((m,)))
+        frames = SimpleNamespace(rho_a_seg=draw((m + 1, n)), q_a_seg=draw((m + 1, n)))
+        estimate = SimpleNamespace(x_hat=draw((m + 1, n)), innovation=draw((m,)), frames=frames)
     result = SimpleNamespace(truth=SimpleNamespace(n_steps=m, states=states), estimate=estimate)
     path = tmp_path_factory.mktemp("roundtrip") / "trajectory.csv"
-    write_trajectory(path, result)
+    with np.errstate(all="ignore"):               # the totals may be inf * 0 or overflow
+        write_trajectory(path, result)
     back = read_trajectory(path)
 
     expected = dict(truth_cols)
@@ -1163,8 +1204,10 @@ def test_trajectory_round_trips_any_float64(tmp_path_factory, data, m, n, truth_
     else:
         innovation = np.full((m + 1, n), np.nan)
         innovation[:-1] = estimate.innovation[:, None]
-        expected.update(rho_hat=estimate.rho_hat, q_hat=estimate.q_hat,
-                        p_bar_hat=estimate.x_hat, innovation=innovation)
+        with np.errstate(all="ignore"):
+            rho_hat, q_hat = reconstruct_totals(estimate.x_hat, frames.rho_a_seg, frames.q_a_seg)
+        expected.update(rho_hat=rho_hat, q_hat=q_hat, p_bar_hat=estimate.x_hat,
+                        innovation=innovation)
     assert back.keys() == expected.keys()
     for name, want in expected.items():
         assert _same_bits(back[name], want), name

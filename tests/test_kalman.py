@@ -26,7 +26,7 @@ from test_ltv import make_frame
 
 def initial_state(config, n):
     """x0 = x0_value in each of n segments and P0 = p0_sigma*I, as
-    estimate_shares builds them, with the config's batch axis."""
+    run_filter builds them, with the config's batch axis."""
     batch = np.shape(config.q_sigma)
     return (np.full(batch + (n,), np.asarray(config.x0_value)[..., None]),
             np.asarray(config.p0_sigma)[..., None, None] * np.eye(n))
